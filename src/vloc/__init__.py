@@ -4,10 +4,9 @@ Retrieval of geotagged descriptor frames followed by a constant-velocity
 Kalman filter over the matched geotags.
 """
 
-from .database import Database, GeoFrame, ScanConfig, ingest_csv, ingest_kitti, load_db, read_desc_file, save_db, scan, write_desc_file
+from .database import Database, GeoFrame, ScanConfig, ingest_csv, ingest_kitti, load_db, read_desc_file, save_db, write_desc_file
 from .errors import (
     DatabaseFormatError,
-    DegenerateDescriptorError,
     EmptyCandidatesError,
     FrameTooSmallError,
     IngestError,
@@ -15,59 +14,42 @@ from .errors import (
     SingularInnovationError,
     VlocError,
 )
-from .geodesy import EARTH_RADIUS_M, GeoPoint, haversine_m
-from .kalman import FilterConfig, FilterState, init_filter, predict, step, update
-from .matching import DESCRIPTOR_DIM, DescriptorSet, MatchConfig, best_match, cosine_sim, count_correspondences, match_keypoint, sq_dist
-from .pipeline import ErrorStats, LocalizationTrace, Query, TraceStep, evaluate, export_report, localize_sequence
+from .geodesy import GeoPoint
+from .kalman import FilterConfig
+from .matching import DescriptorSet, MatchConfig, count_correspondences
+from .pipeline import Query, evaluate, export_report, localize_sequence
 from .synthworld import WorldConfig, gen_queries, gen_world, run_monte_carlo
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DESCRIPTOR_DIM",
-    "EARTH_RADIUS_M",
     "Database",
     "DatabaseFormatError",
-    "DegenerateDescriptorError",
     "DescriptorSet",
     "EmptyCandidatesError",
-    "ErrorStats",
     "FilterConfig",
-    "FilterState",
     "FrameTooSmallError",
     "GeoFrame",
     "GeoPoint",
     "IngestError",
-    "LocalizationTrace",
     "MatchConfig",
     "NoMatchError",
     "Query",
     "ScanConfig",
     "SingularInnovationError",
-    "TraceStep",
     "VlocError",
     "WorldConfig",
-    "best_match",
-    "cosine_sim",
     "count_correspondences",
     "evaluate",
     "export_report",
     "gen_queries",
     "gen_world",
-    "haversine_m",
     "ingest_csv",
     "ingest_kitti",
-    "init_filter",
     "load_db",
     "localize_sequence",
-    "match_keypoint",
-    "predict",
     "read_desc_file",
     "run_monte_carlo",
     "save_db",
-    "scan",
-    "sq_dist",
-    "step",
-    "update",
     "write_desc_file",
 ]

@@ -5,11 +5,12 @@ Exit codes: 0 success, 1 data or runtime failure, 2 usage error.
 
 import argparse
 import csv
+import inspect
 import sys
 from pathlib import Path
 
 from .database import ScanConfig, ingest_csv, ingest_kitti, load_db, read_desc_file, save_db
-from .errors import VlocError
+from .errors import DatabaseFormatError, VlocError
 from .geodesy import GeoPoint
 from .kalman import FilterConfig
 from .matching import MatchConfig
@@ -38,28 +39,32 @@ class _UsageError(Exception):
     pass
 
 
+def _flag(p: argparse.ArgumentParser, name: str, default, text: str) -> None:
+    """A flag typed by its default, which its help shows."""
+    p.add_argument(name, type=type(default), default=default, help=f"{text} (default %(default)s)")
+
+
 def _add_match_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tau1", type=float, default=0.8, help="distance ratio threshold (default 0.8)")
-    p.add_argument("--tau2", type=float, default=0.97, help="cosine similarity threshold (default 0.97)")
+    _flag(p, "--tau1", MatchConfig.tau1, "distance ratio threshold")
+    _flag(p, "--tau2", MatchConfig.tau2, "cosine similarity threshold")
 
 
 def _add_scan_flags(p: argparse.ArgumentParser, default_exclusion) -> None:
-    p.add_argument("--window-s", type=float, default=20.0, help="search window half-width in seconds (default 20)")
+    _flag(p, "--window-s", ScanConfig.window_s, "search window half-width in seconds")
     p.add_argument("--no-window", action="store_true", help="scan the whole database on every query")
     p.add_argument(
         "--exclusion-s",
         type=float,
         default=default_exclusion,
         help="ignore frames within this many seconds of the query timestamp"
-        + (" (default 1, the evaluation handicap)" if default_exclusion is not None else " (default off)"),
+        + (" (default %(default)s, the evaluation handicap)" if default_exclusion is not None else " (default off)"),
     )
 
 
 def _add_filter_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dt", type=float, default=1.0, help="filter time step in seconds (default 1)")
-    p.add_argument("--sigma-r", type=float, default=1e-4, help="measurement noise std in degrees (default 1e-4)")
-    p.add_argument("--p0-scale", type=float, default=1000.0, help="initial covariance diagonal (default 1000)")
-    p.add_argument("--q-scale", type=float, default=1e-10, help="process noise per step (default 1e-10)")
+    _flag(p, "--sigma-r", FilterConfig.sigma_r, "measurement noise std in degrees")
+    _flag(p, "--p0-scale", FilterConfig.p0_scale, "initial covariance diagonal")
+    _flag(p, "--q-scale", FilterConfig.q_scale, "process noise added per prediction")
 
 
 def _match_cfg(args) -> MatchConfig:
@@ -73,7 +78,7 @@ def _scan_cfg(args) -> ScanConfig:
 
 
 def _filter_cfg(args) -> FilterConfig:
-    return FilterConfig(dt=args.dt, sigma_r=args.sigma_r, p0_scale=args.p0_scale, q_scale=args.q_scale)
+    return FilterConfig(sigma_r=args.sigma_r, p0_scale=args.p0_scale, q_scale=args.q_scale)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="CSV manifest: timestamp_ns,descriptor_path[,truth_lat,truth_lon]",
     )
-    p_query.add_argument("--out-dir", default=".", help="directory for trace.csv (default .)")
+    _flag(p_query, "--out-dir", ".", "directory for trace.csv")
     _add_match_flags(p_query)
     _add_scan_flags(p_query, default_exclusion=None)
     _add_filter_flags(p_query)
@@ -106,19 +111,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="synthetic Monte-Carlo evaluation of the full pipeline")
     p_sim.add_argument("--trials", type=int, required=True, help="number of synthetic drives")
-    p_sim.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p_sim.add_argument("--steps", type=int, default=6, help="queries per drive (default 6)")
-    p_sim.add_argument("--period-s", type=float, default=1.0, help="query spacing in seconds (default 1)")
-    p_sim.add_argument("--workers", type=int, default=1, help="worker processes, 0 = all cores (default 1)")
-    p_sim.add_argument("--out-dir", default=".", help="directory for errors.csv / errors.svg (default .)")
-    p_sim.add_argument("--speed-mps", type=float, default=18.0, help="vehicle speed (default 18)")
-    p_sim.add_argument("--heading-deg", type=float, default=45.0, help="drive heading (default 45)")
-    p_sim.add_argument("--db-hz", type=float, default=10.0, help="database frame rate (default 10)")
-    p_sim.add_argument("--duration-s", type=float, default=8.0, help="drive length in seconds (default 8)")
-    p_sim.add_argument("--keypoints-per-frame", type=int, default=200, help="descriptors per frame (default 200)")
-    p_sim.add_argument("--landmark-overlap", type=float, default=0.95, help="shared fraction between neighbours (default 0.95)")
-    p_sim.add_argument("--query-noise-sigma", type=float, default=0.01, help="per-component query noise (default 0.01)")
-    p_sim.add_argument("--distractor-fraction", type=float, default=0.1, help="replaced query descriptors (default 0.1)")
+    mc = inspect.signature(run_monte_carlo).parameters
+    _flag(p_sim, "--seed", WorldConfig.seed, "master seed")
+    _flag(p_sim, "--steps", mc["steps"].default, "queries per drive")
+    _flag(p_sim, "--period-s", mc["period_s"].default, "query spacing in seconds")
+    _flag(p_sim, "--workers", mc["workers"].default, "worker processes, 0 = all cores")
+    _flag(p_sim, "--out-dir", ".", "directory for errors.csv / errors.svg")
+    _flag(p_sim, "--speed-mps", WorldConfig.speed_mps, "vehicle speed")
+    _flag(p_sim, "--heading-deg", WorldConfig.heading_deg, "drive heading")
+    _flag(p_sim, "--db-hz", WorldConfig.db_hz, "database frame rate")
+    _flag(p_sim, "--duration-s", WorldConfig.duration_s, "drive length in seconds")
+    _flag(p_sim, "--keypoints-per-frame", WorldConfig.keypoints_per_frame, "descriptors per frame")
+    _flag(p_sim, "--landmark-overlap", WorldConfig.landmark_overlap, "shared fraction between neighbours")
+    _flag(p_sim, "--query-noise-sigma", WorldConfig.query_noise_sigma, "per-component query noise")
+    _flag(p_sim, "--distractor-fraction", WorldConfig.distractor_fraction, "replaced query descriptors")
     _add_match_flags(p_sim)
     _add_scan_flags(p_sim, default_exclusion=1.0)
     _add_filter_flags(p_sim)
@@ -134,35 +140,55 @@ def _cmd_build_db(args) -> int:
     return 0
 
 
+def _parse_query_row(row: list[str], n_fields: int, where: str, base: Path) -> Query:
+    if len(row) != n_fields:
+        raise _UsageError(f"{where}: expected {n_fields} fields, got {len(row)}")
+    try:
+        ts = int(row[0])
+    except ValueError:
+        raise _UsageError(f"{where}: bad timestamp_ns {row[0]!r}") from None
+    if not -(2**63) <= ts < 2**63:
+        raise _UsageError(f"{where}: timestamp_ns {ts} outside the int64 range")
+    truth = None
+    if n_fields == len(QUERY_MANIFEST_TRUTH_COLUMNS):
+        lat, lon = row[2].strip(), row[3].strip()
+        if bool(lat) != bool(lon):
+            raise _UsageError(f"{where}: truth_lat and truth_lon must both be given or both be empty")
+        if lat:
+            try:
+                truth = GeoPoint(float(lat), float(lon))
+            except ValueError as exc:
+                raise _UsageError(f"{where}: bad truth: {exc}") from None
+    desc_path = Path(row[1])
+    if not desc_path.is_absolute():
+        desc_path = base / desc_path
+    try:
+        record = read_desc_file(desc_path)
+    except DatabaseFormatError as exc:
+        raise DatabaseFormatError(f"{where}: {desc_path.name}: {exc}") from None
+    return Query(record.descriptors, ts, truth)
+
+
 def _read_query_manifest(path: Path) -> list[Query]:
+    """Queries of a manifest; a malformed row is a usage error naming file:line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise _UsageError(f"{path.name}: empty query manifest") from None
-        if header == QUERY_MANIFEST_TRUTH_COLUMNS:
-            with_truth = True
-        elif header == QUERY_MANIFEST_COLUMNS:
-            with_truth = False
-        else:
-            raise _UsageError(
-                f"{path.name}: header must be {','.join(QUERY_MANIFEST_COLUMNS)}"
-                f" or {','.join(QUERY_MANIFEST_TRUTH_COLUMNS)}"
-            )
-        queries = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            ts = int(row[0])
-            desc_path = Path(row[1])
-            if not desc_path.is_absolute():
-                desc_path = path.parent / desc_path
-            record = read_desc_file(desc_path)
-            truth = None
-            if with_truth and len(row) >= 4 and row[2].strip() and row[3].strip():
-                truth = GeoPoint(float(row[2]), float(row[3]))
-            queries.append(Query(record.descriptors, ts, truth))
+            header = next(reader, None)
+            if header is None:
+                raise _UsageError(f"{path.name}: empty query manifest")
+            if header not in (QUERY_MANIFEST_COLUMNS, QUERY_MANIFEST_TRUTH_COLUMNS):
+                raise _UsageError(
+                    f"{path.name}: header must be {','.join(QUERY_MANIFEST_COLUMNS)}"
+                    f" or {','.join(QUERY_MANIFEST_TRUTH_COLUMNS)}"
+                )
+            queries = [
+                _parse_query_row(row, len(header), f"{path.name}:{reader.line_num}", path.parent)
+                for row in reader
+                if row
+            ]
+        except csv.Error as exc:
+            raise _UsageError(f"{path.name}:{reader.line_num}: {exc}") from None
     if not queries:
         raise _UsageError(f"{path.name}: query manifest has no rows")
     return queries

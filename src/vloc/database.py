@@ -101,19 +101,15 @@ class Database:
 class ScanConfig:
     """Controls which frames a scan may consider.
 
-    window_s restricts candidates to within that many seconds of center_ts
-    (no restriction while center_ts is None, as on the first query of a
+    window_s restricts candidates to within that many seconds of the scan's
+    center_ts (no restriction without a center, as on the first query of a
     sequence). exclusion_s drops frames too close to the query's own
     timestamp; that is an evaluation handicap for databases recorded on the
-    same drive as the queries, off by default. recenter asks the sequence
-    pipeline to slide the window center to the latest match instead of
-    keeping the first one.
+    same drive as the queries, off by default.
     """
 
     window_s: Optional[float] = 20.0
     exclusion_s: Optional[float] = None
-    center_ts: Optional[int] = None
-    recenter: bool = False
 
     def __post_init__(self):
         if self.window_s is not None and not self.window_s > 0:
@@ -128,23 +124,25 @@ def scan(
     query_ts: int,
     cfg: ScanConfig,
     match_cfg: MatchConfig,
+    center_ts: Optional[int] = None,
 ) -> tuple[GeoFrame, int]:
     """Best-matching frame among those passing the window and exclusion filters.
 
+    The window is centered on center_ts; without one the scan is unwindowed.
     Returns (frame, correspondence_count). Raises EmptyCandidatesError when
     filtering leaves nothing to score.
     """
     frames = db.frames
-    if cfg.window_s is not None and cfg.center_ts is not None:
+    if cfg.window_s is not None and center_ts is not None:
         half = cfg.window_s * 1e9
-        frames = [f for f in frames if abs(f.timestamp_ns - cfg.center_ts) <= half]
+        frames = [f for f in frames if abs(f.timestamp_ns - center_ts) <= half]
     if cfg.exclusion_s is not None:
         radius = cfg.exclusion_s * 1e9
         frames = [f for f in frames if abs(f.timestamp_ns - query_ts) > radius]
     if not frames:
         raise EmptyCandidatesError(
             f"no candidate frames for query_ts={query_ts} "
-            f"(window_s={cfg.window_s}, center_ts={cfg.center_ts}, exclusion_s={cfg.exclusion_s})"
+            f"(window_s={cfg.window_s}, center_ts={center_ts}, exclusion_s={cfg.exclusion_s})"
         )
     fid, count = best_match(query, [(f.frame_id, f.descriptors) for f in frames], match_cfg)
     return db.frame_by_id(fid), count
@@ -173,13 +171,6 @@ def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
     if len(buf) != n:
         raise DatabaseFormatError(f"truncated file: expected {n} bytes for {what}, got {len(buf)}")
     return buf
-
-
-def _read_frame(fh: BinaryIO) -> GeoFrame:
-    fid, ts, lat, lon, k = _FRAME_HEAD.unpack(_read_exact(fh, _FRAME_HEAD.size, "frame header"))
-    payload = _read_exact(fh, k * DESCRIPTOR_DIM * 4, f"descriptors of frame {fid}")
-    arr = np.frombuffer(payload, dtype="<f4").reshape(k, DESCRIPTOR_DIM)
-    return GeoFrame(fid, ts, GeoPoint(lat, lon), DescriptorSet(arr))
 
 
 def save_db(db: Database, path) -> None:
@@ -244,12 +235,25 @@ def write_desc_file(path, frame: GeoFrame) -> None:
 
 
 def read_desc_file(path) -> GeoFrame:
-    """Read one .desc record (a frame without the container header)."""
+    """Read one .desc record (a frame without the container header).
+
+    The descriptor count is checked against the bytes left in the file
+    before anything is allocated for it.
+    """
     with open(path, "rb") as fh:
-        frame = _read_frame(fh)
+        size = os.fstat(fh.fileno()).st_size
+        fid, ts, lat, lon, k = _FRAME_HEAD.unpack(_read_exact(fh, _FRAME_HEAD.size, "frame header"))
+        want, left = k * DESCRIPTOR_DIM * 4, size - fh.tell()
+        if want > left:
+            raise DatabaseFormatError(f"truncated file: expected {want} bytes for descriptors of frame {fid}, got {left}")
+        payload = _read_exact(fh, want, f"descriptors of frame {fid}")
         if fh.read(1):
             raise DatabaseFormatError(f"trailing bytes in {path}")
-    return frame
+    arr = np.frombuffer(payload, dtype="<f4").reshape(k, DESCRIPTOR_DIM)
+    try:
+        return GeoFrame(fid, ts, GeoPoint(lat, lon), DescriptorSet(arr))
+    except ValueError as exc:
+        raise DatabaseFormatError(f"frame {fid} in {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,6 @@ class VlocError(Exception):
     """Base class for all vloc-specific errors."""
 
 
-class DegenerateDescriptorError(VlocError):
-    """A zero-norm descriptor was used where cosine similarity is required."""
-
-
 class FrameTooSmallError(VlocError):
     """A frame offered fewer than two descriptors, so the ratio test is undefined."""
 

@@ -26,17 +26,16 @@ class FilterConfig:
 
     sigma_r is the measurement noise standard deviation in degrees,
     p0_scale the initial covariance diagonal, q_scale the process noise
-    added to every diagonal entry per prediction.
+    added to every diagonal entry per prediction, whatever its time step.
+    The time step is not configured: the pipeline takes it from the query
+    timestamps.
     """
 
-    dt: float = 1.0
     sigma_r: float = 1e-4
     p0_scale: float = 1000.0
     q_scale: float = 1e-10
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
         if not self.sigma_r > 0:
             raise ValueError(f"sigma_r must be positive, got {self.sigma_r}")
         if not self.p0_scale > 0:
@@ -104,9 +103,11 @@ def init_filter(meas: GeoPoint, cfg: FilterConfig) -> FilterState:
     return FilterState(x, p)
 
 
-def predict(state: FilterState, cfg: FilterConfig) -> FilterState:
-    """Propagate the state one time step under the constant-velocity model."""
-    f = _transition(cfg.dt)
+def predict(state: FilterState, dt: float, cfg: FilterConfig) -> FilterState:
+    """Propagate the state dt seconds under the constant-velocity model."""
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    f = _transition(dt)
     x = f @ state.x
     p = f @ state.p @ f.T + cfg.q_scale * np.eye(STATE_DIM)
     return FilterState(x, p)
@@ -135,6 +136,6 @@ def update(state: FilterState, meas: GeoPoint, cfg: FilterConfig) -> FilterState
     return FilterState(x, p)
 
 
-def step(state: FilterState, meas: GeoPoint, cfg: FilterConfig) -> FilterState:
-    """One filter cycle: predict, then update with the measurement."""
-    return update(predict(state, cfg), meas, cfg)
+def step(state: FilterState, meas: GeoPoint, dt: float, cfg: FilterConfig) -> FilterState:
+    """One filter cycle: predict dt seconds ahead, then update with the measurement."""
+    return update(predict(state, dt, cfg), meas, cfg)

@@ -9,9 +9,9 @@ A query keypoint matches a frame keypoint only when both hold:
 Correspondence counts are independent per query keypoint (several query
 keypoints may agree on one frame keypoint; no one-to-one constraint).
 
-The batch path computes squared distances through a single float32 matrix
-product (``|g|^2 + |f|^2 - 2 g.f``), which is what keeps full-database scans
-tractable; the scalar helpers stay in float64.
+Squared distances come from a single float32 matrix product
+(``|g|^2 + |f|^2 - 2 g.f``), which is what keeps full-database scans
+tractable.
 """
 
 import logging
@@ -20,21 +20,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateDescriptorError, EmptyCandidatesError, FrameTooSmallError
+from .errors import EmptyCandidatesError, FrameTooSmallError
 
 logger = logging.getLogger(__name__)
 
 DESCRIPTOR_DIM = 128
-
-
-def as_descriptor(values) -> np.ndarray:
-    """Validate a single descriptor: exactly 128 finite components."""
-    arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    if arr.shape[0] != DESCRIPTOR_DIM:
-        raise ValueError(f"descriptor must have {DESCRIPTOR_DIM} components, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("descriptor components must be finite")
-    return arr
 
 
 class DescriptorSet:
@@ -137,27 +127,6 @@ class MatchConfig:
             raise ValueError(f"tau1 must be in (0, 1), got {self.tau1}")
         if not -1.0 < self.tau2 <= 1.0:
             raise ValueError(f"tau2 must be in (-1, 1], got {self.tau2}")
-
-
-def sq_dist(g, f) -> float:
-    """Squared Euclidean distance between two descriptors."""
-    diff = as_descriptor(g) - as_descriptor(f)
-    return float(np.dot(diff, diff))
-
-
-def cosine_sim(g, f) -> float:
-    """Cosine similarity of two descriptors, clamped to [-1, 1].
-
-    Raises DegenerateDescriptorError when either vector has zero norm.
-    """
-    ga = as_descriptor(g)
-    fa = as_descriptor(f)
-    gn = float(np.dot(ga, ga))
-    fn = float(np.dot(fa, fa))
-    if gn == 0.0 or fn == 0.0:
-        raise DegenerateDescriptorError("cosine similarity undefined for zero-norm descriptor")
-    c = float(np.dot(ga, fa)) / np.sqrt(gn * fn)
-    return max(-1.0, min(1.0, c))
 
 
 def _candidate_rows(sets: Sequence[DescriptorSet]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -294,31 +263,17 @@ def _matches(query: DescriptorSet, sets: Sequence[DescriptorSet], cfg: MatchConf
     return match
 
 
-def _match_rows(query: DescriptorSet, frame: DescriptorSet, cfg: MatchConfig) -> np.ndarray:
-    """Nearest-neighbour match index per query row, -1 where the gates fail."""
-    if len(frame) < 2:
-        raise FrameTooSmallError(f"frame has {len(frame)} descriptors, ratio test needs at least 2")
-    if len(query) == 0:
-        return np.empty(0, dtype=np.int64)
-    return _matches(query, [frame], cfg)[:, 0]
-
-
-def match_keypoint(g, frame: DescriptorSet, cfg: MatchConfig) -> Optional[int]:
-    """Match one query descriptor against a frame.
-
-    Returns the index of the matched frame keypoint, or None when either
-    criterion rejects the nearest neighbour.
-    """
-    single = DescriptorSet(np.asarray(g, dtype=np.float32).reshape(1, DESCRIPTOR_DIM))
-    idx = _match_rows(single, frame, cfg)[0]
-    return None if idx < 0 else int(idx)
-
-
 def count_correspondences(query: DescriptorSet, frame: DescriptorSet, cfg: MatchConfig) -> int:
-    """Number of query keypoints that match somewhere in the frame."""
+    """Number of query keypoints that match somewhere in the frame.
+
+    Raises FrameTooSmallError for a frame of fewer than two descriptors
+    (the ratio test needs a second nearest), unless the query is empty.
+    """
     if len(query) == 0:
         return 0
-    return int((_match_rows(query, frame, cfg) >= 0).sum())
+    if len(frame) < 2:
+        raise FrameTooSmallError(f"frame has {len(frame)} descriptors, ratio test needs at least 2")
+    return int((_matches(query, [frame], cfg) >= 0).sum())
 
 
 def _segment_counts(query: DescriptorSet, sets: Sequence[DescriptorSet], cfg: MatchConfig) -> np.ndarray:

@@ -4,12 +4,13 @@ A sequence run takes n timestamped query descriptor sets. The first query
 is matched against the whole database; its match timestamp becomes the
 window center for the remaining queries, so later scans only consider
 frames recorded near the already-established location. Each matched
-geotag is fed as-is to the constant-velocity filter; the filter posterior
-is the position estimate reported for that step.
+geotag is fed as-is to the constant-velocity filter, which predicts across
+the time between consecutive queries; the filter posterior is the position
+estimate reported for that step.
 """
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -94,33 +95,32 @@ def localize_sequence(
     """Run retrieval plus filtering over a query sequence.
 
     The first scan is unwindowed (exclusion still applies when configured);
-    subsequent scans center the search window on the first match, or on the
-    latest match when scan_cfg.recenter is set. A step whose best candidate
-    has zero correspondences raises NoMatchError naming the step.
+    subsequent scans center the search window on the first match. The
+    filter predicts across each gap between consecutive query timestamps,
+    which must strictly increase (ValueError naming the step otherwise). A
+    step whose best candidate has zero correspondences raises NoMatchError
+    naming the step.
     """
     if len(queries) == 0:
         raise ValueError("localize_sequence needs at least one query")
+    for i in range(1, len(queries)):
+        prev_ts, ts = queries[i - 1].timestamp_ns, queries[i].timestamp_ns
+        if ts <= prev_ts:
+            raise ValueError(f"step {i + 1}: query timestamp {ts} is not after step {i}'s {prev_ts}")
 
     steps = []
     center: Optional[int] = None
     state = None
-    for i, query in enumerate(queries, start=1):
-        frame, count = scan(
-            db,
-            query.descriptors,
-            query.timestamp_ns,
-            replace(scan_cfg, center_ts=center),
-            match_cfg,
-        )
+    for i, (prev, query) in enumerate(zip([None, *queries], queries), start=1):
+        frame, count = scan(db, query.descriptors, query.timestamp_ns, scan_cfg, match_cfg, center_ts=center)
         if count == 0:
             raise NoMatchError(f"step {i}: no correspondences against any candidate frame")
         if state is None:
             state = kalman.update(kalman.init_filter(frame.geotag, filter_cfg), frame.geotag, filter_cfg)
             center = frame.timestamp_ns
         else:
-            state = kalman.step(state, frame.geotag, filter_cfg)
-            if scan_cfg.recenter:
-                center = frame.timestamp_ns
+            dt = (query.timestamp_ns - prev.timestamp_ns) / 1e9
+            state = kalman.step(state, frame.geotag, dt, filter_cfg)
         steps.append(_make_step(i, query, frame, state))
     return LocalizationTrace(tuple(steps))
 

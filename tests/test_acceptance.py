@@ -150,7 +150,7 @@ def test_criterion_03_geodesy():
 
 
 def test_criterion_04_first_step_tracks_measurement():
-    cfg = FilterConfig(dt=1.0, sigma_r=1e-4, p0_scale=1000.0, q_scale=1e-10)
+    cfg = FilterConfig(sigma_r=1e-4, p0_scale=1000.0, q_scale=1e-10)
     z = GeoPoint(49.0123, 8.0456)
 
     # pipeline path: filter initialized on the measurement itself
@@ -178,8 +178,8 @@ def test_criterion_05_covariance_health():
     worst_eig = 0.0
     steps_done = 0
     for _ in range(50):
+        dt = float(rng.uniform(0.1, 2.0))
         cfg = FilterConfig(
-            dt=float(rng.uniform(0.1, 2.0)),
             sigma_r=float(10.0 ** rng.uniform(-5, -2)),
             p0_scale=float(10.0 ** rng.uniform(0, 4)),
             q_scale=float(10.0 ** rng.uniform(-12, -6)),
@@ -189,7 +189,7 @@ def test_criterion_05_covariance_health():
         for _ in range(200):
             lat += float(rng.normal(0.0, 1e-4))
             lon += float(rng.normal(0.0, 1e-4))
-            st = step(st, GeoPoint(lat, lon), cfg)
+            st = step(st, GeoPoint(lat, lon), dt, cfg)
             worst_asym = max(worst_asym, float(np.abs(st.p - st.p.T).max()))
             worst_eig = min(worst_eig, float(np.linalg.eigvalsh(st.p).min()))
             steps_done += 1
@@ -263,7 +263,7 @@ def test_criterion_07_reversal_overshoot_then_convergence():
     # measurement steps backwards while the vehicle keeps moving forward
     offsets = [36.0, -2.0, 1.0, -1.0, 1.0, -1.0, 1.0, -30.0]
     v = 18.0
-    cfg = FilterConfig(dt=1.0, sigma_r=1e-4, p0_scale=5e-9, q_scale=1e-9)
+    cfg = FilterConfig(sigma_r=1e-4, p0_scale=5e-9, q_scale=1e-9)
 
     truth = [GeoPoint(49.0 + v * i / M_PER_DEG, 8.0) for i in range(len(offsets))]
     zs = [GeoPoint(truth[i].lat + off / M_PER_DEG, 8.0) for i, off in enumerate(offsets)]
@@ -274,7 +274,7 @@ def test_criterion_07_reversal_overshoot_then_convergence():
     meas_err = [haversine_m(zs[0], truth[0])]
     est_err = [haversine_m(st.position(), truth[0])]
     for i in range(1, len(offsets)):
-        st = step(st, zs[i], cfg)
+        st = step(st, zs[i], 1.0, cfg)
         meas_err.append(haversine_m(zs[i], truth[i]))
         est_err.append(haversine_m(st.position(), truth[i]))
 
@@ -366,8 +366,8 @@ def test_criterion_09_window_exclusion_soundness():
         query_ts = base.timestamp_ns + int(rng.integers(-period_ns // 2, period_ns // 2))
         window_s = float(rng.uniform(2.0, 10.0))
         exclusion_s = float(rng.uniform(0.15, 1.2))
-        cfg = ScanConfig(window_s=window_s, exclusion_s=exclusion_s, center_ts=query_ts)
-        frame, _ = scan(db, query, query_ts, cfg, match_cfg)
+        cfg = ScanConfig(window_s=window_s, exclusion_s=exclusion_s)
+        frame, _ = scan(db, query, query_ts, cfg, match_cfg, center_ts=query_ts)
         if abs(frame.timestamp_ns - query_ts) > window_s * 1e9:
             violations += 1
         if abs(frame.timestamp_ns - query_ts) <= exclusion_s * 1e9:
@@ -380,9 +380,9 @@ def test_criterion_09_window_exclusion_soundness():
         idx = int(rng.integers(0, len(db)))
         query = db.frames[idx].descriptors
         query_ts = db.frames[idx].timestamp_ns
-        wide = ScanConfig(window_s=1e6, exclusion_s=None, center_ts=mid_ts)
+        wide = ScanConfig(window_s=1e6, exclusion_s=None)
         full = ScanConfig(window_s=None, exclusion_s=None)
-        fa, ca = scan(db, query, query_ts, wide, match_cfg)
+        fa, ca = scan(db, query, query_ts, wide, match_cfg, center_ts=mid_ts)
         fb, cb = scan(db, query, query_ts, full, match_cfg)
         if fa.frame_id != fb.frame_id or ca != cb:
             disagreements += 1

@@ -115,6 +115,56 @@ def test_query_empty_manifest_is_usage_error(dataset, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+PLAIN = "timestamp_ns,descriptor_path"
+WITH_TRUTH = PLAIN + ",truth_lat,truth_lon"
+
+
+def write_query(dataset, header, rows):
+    """Database, one query descriptor file q.desc (a copy of frame 1) and a manifest."""
+    tmp_path, _, frames = dataset
+    db_path = build_db(dataset)
+    write_desc_file(tmp_path / "q.desc", frames[1])
+    qmanifest = tmp_path / "queries.csv"
+    qmanifest.write_text("".join(line + "\n" for line in [header, *rows]))
+    return db_path, qmanifest
+
+
+@pytest.mark.parametrize(
+    "header, row, message",
+    [
+        (PLAIN, "500000000", "expected 2 fields, got 1"),
+        (PLAIN, "5e8,q.desc", "bad timestamp_ns '5e8'"),
+        (PLAIN, "99999999999999999999,q.desc", "outside the int64 range"),
+        (WITH_TRUTH, "500000000,q.desc", "expected 4 fields, got 2"),
+        (WITH_TRUTH, "500000000,q.desc,49.0", "expected 4 fields, got 3"),
+        (WITH_TRUTH, "500000000,q.desc,49.0,", "both be given or both be empty"),
+        (WITH_TRUTH, "500000000,q.desc,,8.0", "both be given or both be empty"),
+        (WITH_TRUTH, "500000000,q.desc,91.0,8.0", "latitude 91.0"),
+    ],
+)
+def test_query_rejects_malformed_manifest_row(dataset, capsys, header, row, message):
+    good = {PLAIN: "0,q.desc", WITH_TRUTH: "0,q.desc,49.0,8.0"}[header]
+    db_path, qmanifest = write_query(dataset, header, [good, row])
+    assert main(["query", "--db", str(db_path), "--queries", str(qmanifest)]) == 2
+    err = capsys.readouterr().err
+    assert "queries.csv:3:" in err and message in err
+
+
+def test_query_accepts_row_without_truth(dataset, capsys):
+    db_path, qmanifest = write_query(dataset, WITH_TRUTH, ["500000000,q.desc,,"])
+    assert main(["query", "--db", str(db_path), "--queries", str(qmanifest), "--out-dir", str(db_path.parent)]) == 0
+    assert (db_path.parent / "trace.csv").read_text().splitlines()[1].endswith(",,,,")
+
+
+def test_query_rejects_oversized_desc_count(dataset, capsys):
+    db_path, qmanifest = write_query(dataset, PLAIN, ["500000000,q.desc"])
+    desc = db_path.parent / "q.desc"
+    raw = desc.read_bytes()
+    desc.write_bytes(raw[:32] + (2**32 - 1).to_bytes(4, "little") + raw[36:])
+    assert main(["query", "--db", str(db_path), "--queries", str(qmanifest)]) == 1
+    assert "queries.csv:2: q.desc: truncated file" in capsys.readouterr().err
+
+
 def test_query_missing_db(dataset, tmp_path):
     _, manifest, _ = dataset
     code = main(["query", "--db", str(tmp_path / "none.vldb"), "--queries", str(manifest)])
@@ -169,7 +219,7 @@ def test_flag_defaults_match_library_pins():
     q = parser.parse_args(["query", "--db", "x.db", "--queries", "m.csv"])
     mc, fc = MatchConfig(), FilterConfig()
     assert (q.tau1, q.tau2) == (mc.tau1, mc.tau2)
-    assert (q.dt, q.sigma_r, q.p0_scale, q.q_scale) == (fc.dt, fc.sigma_r, fc.p0_scale, fc.q_scale)
+    assert (q.sigma_r, q.p0_scale, q.q_scale) == (fc.sigma_r, fc.p0_scale, fc.q_scale)
     assert q.window_s == 20.0
     assert q.exclusion_s is None  # off unless asked for
 

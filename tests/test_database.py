@@ -143,13 +143,31 @@ def test_desc_file_round_trip(tmp_path):
     assert np.array_equal(back.descriptors.array, frame.descriptors.array)
 
 
+def test_desc_file_rejects_oversized_count_and_bad_values(tmp_path):
+    rng = np.random.default_rng(30)
+    path = tmp_path / "frame.desc"
+    write_desc_file(path, make_frame(rng, 7, 1, 48.5, 8.5, k=3))
+    raw = path.read_bytes()
+    # k sits after id/ts/lat/lon; the file holds 3 rows, not 2**32 - 1
+    path.write_bytes(raw[:32] + (2**32 - 1).to_bytes(4, "little") + raw[36:])
+    with pytest.raises(DatabaseFormatError, match="frame 7"):
+        read_desc_file(path)
+    # a latitude of 100 degrees, then a non-finite component
+    path.write_bytes(raw[:16] + np.float64(100.0).tobytes() + raw[24:])
+    with pytest.raises(DatabaseFormatError, match="latitude"):
+        read_desc_file(path)
+    path.write_bytes(raw[:36] + np.float32(np.nan).tobytes() + raw[40:])
+    with pytest.raises(DatabaseFormatError, match="finite"):
+        read_desc_file(path)
+
+
 def test_scan_respects_window():
     rng = np.random.default_rng(27)
     db = make_db(rng, n=20)
     query = DescriptorSet(db.frames[10].descriptors.array)
-    cfg = ScanConfig(window_s=0.15, center_ts=db.frames[10].timestamp_ns)
-    frame, count = scan(db, query, db.frames[10].timestamp_ns, cfg, MatchConfig())
-    assert abs(frame.timestamp_ns - cfg.center_ts) <= int(0.15 * 1e9)
+    center_ts = db.frames[10].timestamp_ns
+    frame, count = scan(db, query, center_ts, ScanConfig(window_s=0.15), MatchConfig(), center_ts=center_ts)
+    assert abs(frame.timestamp_ns - center_ts) <= int(0.15 * 1e9)
     assert frame.frame_id == 10
     assert count == len(query)
 

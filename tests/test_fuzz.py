@@ -1,0 +1,117 @@
+"""Bounded fuzzing of the inputs read from outside the program.
+
+Any bytes or manifest rows must either work or fail with one of the
+package's error types (the CLI: exit code 1 or 2), never with another
+exception or an allocation sized by a corrupt header. Examples are drawn
+from a fixed seed so the suite stays repeatable.
+"""
+
+import contextlib
+import csv
+import io
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from vloc.cli import main  # noqa: E402
+from vloc.database import _FRAME_HEAD, Database, GeoFrame, read_desc_file, save_db, write_desc_file  # noqa: E402
+from vloc.errors import VlocError  # noqa: E402
+from vloc.geodesy import GeoPoint  # noqa: E402
+from vloc.matching import DESCRIPTOR_DIM, DescriptorSet  # noqa: E402
+
+FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def desc_bytes(draw):
+    """A frame header with any field values, cut short or followed by any payload."""
+    head = _FRAME_HEAD.pack(
+        draw(st.integers(0, 2**64 - 1)),
+        draw(st.integers(-(2**63), 2**63 - 1)),
+        draw(st.floats(allow_nan=True, allow_infinity=True)),
+        draw(st.floats(allow_nan=True, allow_infinity=True)),
+        draw(st.one_of(st.integers(0, 4), st.integers(0, 2**32 - 1))),
+    )
+    rows = draw(st.integers(0, 4))
+    payload = draw(st.binary(min_size=rows * DESCRIPTOR_DIM * 4, max_size=rows * DESCRIPTOR_DIM * 4 + 8))
+    return head[: draw(st.integers(0, len(head)))] if draw(st.booleans()) else head + payload
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """A 6-frame database, a query copy of frame 2 and a directory for fuzzed files."""
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(60)
+    frames = []
+    for i in range(6):
+        rows = rng.standard_normal((12, DESCRIPTOR_DIM)).astype(np.float32)
+        frames.append(GeoFrame(i, 500_000_000 * i, GeoPoint(49.0 + i * 5e-5, 8.0), DescriptorSet(rows)))
+    save_db(Database(frames), root / "drive.vldb")
+    write_desc_file(root / "q.desc", frames[2])
+    (root / "empty.desc").write_bytes(b"")
+    return root
+
+
+@FUZZ
+@given(data=st.one_of(st.binary(max_size=600), desc_bytes()))
+def test_read_desc_file_returns_or_raises_vloc_error(files, data):
+    path = files / "fuzzed.desc"
+    path.write_bytes(data)
+    try:
+        frame = read_desc_file(path)
+    except (VlocError, OSError):
+        return
+    assert isinstance(frame, GeoFrame)
+
+
+PLAIN = "timestamp_ns,descriptor_path"
+WITH_TRUTH = PLAIN + ",truth_lat,truth_lon"
+FIELD = st.one_of(
+    st.sampled_from(["q.desc", "empty.desc", "absent.desc", "", "nan", "-1"]),
+    st.integers(-(2**70), 2**70).map(str),
+    st.floats().map(repr),
+    st.text(max_size=12),
+)
+
+
+def mostly(good, other=FIELD):
+    """Draws from good three times in four, else from other."""
+    return st.integers(0, 3).flatmap(lambda i: good if i else other)
+
+
+@st.composite
+def manifests(draw):
+    """Mostly well-formed manifests, so the checks past the first field and
+    the localization behind them run too."""
+    header = draw(mostly(st.sampled_from([PLAIN, WITH_TRUTH])))
+    width = header.count(",") + 1
+    rows = []
+    for i in range(draw(st.integers(0, 5))):
+        row = [
+            # strictly increasing: row i falls in second i
+            draw(mostly(st.integers(0, 10**9 - 1).map(lambda t, i=i: str(i * 10**9 + t)))),
+            draw(mostly(st.just("q.desc"))),
+            draw(mostly(st.sampled_from(["", "49.0", "49.0001"]))),
+            draw(mostly(st.sampled_from(["", "8.0", "8.0001"]))),
+            draw(FIELD),
+        ]
+        rows.append(row[: draw(mostly(st.just(width), st.integers(0, len(row))))])
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    body = draw(mostly(st.just(out.getvalue()), st.text(max_size=80)))
+    return header + "\n" + body
+
+
+@FUZZ
+@given(manifest=manifests())
+def test_query_exits_cleanly_on_any_manifest(files, manifest):
+    path = files / "queries.csv"
+    path.write_text(manifest, encoding="utf-8")
+    argv = ["query", "--db", str(files / "drive.vldb"), "--queries", str(path), "--out-dir", str(files / "out")]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)

@@ -7,8 +7,9 @@ from vloc.kalman import FilterConfig, FilterState, init_filter, predict, step, u
 
 
 def test_filter_config_validates():
+    # the time step is an argument, checked where it is used
     with pytest.raises(ValueError):
-        FilterConfig(dt=0.0)
+        predict(init_filter(GeoPoint(0.0, 0.0), FilterConfig()), 0.0, FilterConfig())
     with pytest.raises(ValueError):
         FilterConfig(sigma_r=-1.0)
     with pytest.raises(ValueError):
@@ -41,8 +42,8 @@ def test_init_filter_zero_velocity():
 def test_predict_covariance_frozen():
     # hand-computed F P F^T for P = 1000 I, q = 0, dt = 1:
     # position variance 2000, position/velocity cross 1000, velocity 1000
-    cfg = FilterConfig(dt=1.0, q_scale=0.0)
-    st = predict(init_filter(GeoPoint(0.0, 0.0), cfg), cfg)
+    cfg = FilterConfig(q_scale=0.0)
+    st = predict(init_filter(GeoPoint(0.0, 0.0), cfg), 1.0, cfg)
     expected = np.array(
         [
             [2000.0, 0.0, 1000.0, 0.0],
@@ -55,9 +56,9 @@ def test_predict_covariance_frozen():
 
 
 def test_predict_moves_position_by_velocity():
-    cfg = FilterConfig(dt=2.0)
+    cfg = FilterConfig()
     st = FilterState(np.array([49.0, 8.0, 1e-4, -2e-4]), np.eye(4))
-    out = predict(st, cfg)
+    out = predict(st, 2.0, cfg)
     assert out.x[0] == pytest.approx(49.0 + 2e-4, abs=1e-15)
     assert out.x[1] == pytest.approx(8.0 - 4e-4, abs=1e-15)
     assert out.velocity() == st.velocity()
@@ -83,11 +84,11 @@ def test_update_shrinks_position_variance():
 
 
 def test_velocity_emerges_from_two_fixes():
-    cfg = FilterConfig(dt=1.0, q_scale=0.0)
+    cfg = FilterConfig(q_scale=0.0)
     z1 = GeoPoint(49.0, 8.0)
     z2 = GeoPoint(49.001, 8.0005)
     st = update(init_filter(z1, cfg), z1, cfg)
-    st = step(st, z2, cfg)
+    st = step(st, z2, 1.0, cfg)
     vlat, vlon = st.velocity()
     assert vlat == pytest.approx(0.001, rel=1e-5)
     assert vlon == pytest.approx(0.0005, rel=1e-5)
@@ -98,8 +99,8 @@ def test_step_is_predict_then_update():
     cfg = FilterConfig()
     st = update(init_filter(GeoPoint(49.0, 8.0), cfg), GeoPoint(49.0, 8.0), cfg)
     z = GeoPoint(49.0003, 8.0004)
-    a = step(st, z, cfg)
-    b = update(predict(st, cfg), z, cfg)
+    a = step(st, z, 1.0, cfg)
+    b = update(predict(st, 1.0, cfg), z, cfg)
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.p, b.p)
 
@@ -119,7 +120,7 @@ def test_covariance_stays_symmetric_psd():
     for _ in range(300):
         lat += float(rng.normal(0, 1e-4))
         lon += float(rng.normal(0, 1e-4))
-        st = step(st, GeoPoint(lat, lon), cfg)
+        st = step(st, GeoPoint(lat, lon), 1.0, cfg)
         assert np.array_equal(st.p, st.p.T)
         assert np.linalg.eigvalsh(st.p).min() > -1e-12
 
@@ -127,7 +128,7 @@ def test_covariance_stays_symmetric_psd():
 def test_noiseless_track_error_decays_to_zero():
     # exact constant-velocity fixes with q = 0: a deliberately offset prior
     # is pulled onto the track and stays there
-    cfg = FilterConfig(dt=1.0, sigma_r=1e-4, p0_scale=1000.0, q_scale=0.0)
+    cfg = FilterConfig(sigma_r=1e-4, p0_scale=1000.0, q_scale=0.0)
     dlat = 18.0 / 111_320.0
     truth = [np.array([49.0 + i * dlat, 8.0, dlat, 0.0]) for i in range(12)]
 
@@ -135,7 +136,7 @@ def test_noiseless_track_error_decays_to_zero():
     state = FilterState(x0, np.eye(4) * cfg.p0_scale)
     errs = []
     for t in truth:
-        state = step(state, GeoPoint(t[0], t[1]), cfg)
+        state = step(state, GeoPoint(t[0], t[1]), 1.0, cfg)
         errs.append(float(np.hypot(state.x[0] - t[0], state.x[1] - t[1])))
 
     for prev, cur in zip(errs[2:], errs[3:]):
@@ -144,18 +145,18 @@ def test_noiseless_track_error_decays_to_zero():
 
 
 def test_gain_limits():
-    cfg_base = dict(dt=1.0, p0_scale=1000.0, q_scale=1e-10)
+    cfg_base = dict(p0_scale=1000.0, q_scale=1e-10)
     state = FilterState(np.array([49.0, 8.0, 1e-4, -1e-4]), np.eye(4) * 0.01)
     z = GeoPoint(49.002, 8.001)
 
     # tiny measurement noise: the posterior sits on the measurement
-    tight = update(predict(state, FilterConfig(sigma_r=1e-9, **cfg_base)), z, FilterConfig(sigma_r=1e-9, **cfg_base))
+    tight = update(predict(state, 1.0, FilterConfig(sigma_r=1e-9, **cfg_base)), z, FilterConfig(sigma_r=1e-9, **cfg_base))
     assert tight.x[0] == pytest.approx(z.lat, abs=1e-9)
     assert tight.x[1] == pytest.approx(z.lon, abs=1e-9)
 
     # huge measurement noise: the posterior keeps the prediction
     loose_cfg = FilterConfig(sigma_r=1e3, **cfg_base)
-    pred = predict(state, loose_cfg)
+    pred = predict(state, 1.0, loose_cfg)
     loose = update(pred, z, loose_cfg)
     assert loose.x[0] == pytest.approx(pred.x[0], abs=1e-9)
     assert loose.x[1] == pytest.approx(pred.x[1], abs=1e-9)
@@ -164,7 +165,7 @@ def test_gain_limits():
 def test_filter_beats_raw_measurements_on_noisy_track():
     # i.i.d. Gaussian position noise on a straight constant-velocity run:
     # by step 6 the filtered error must undercut the raw measurement error
-    cfg = FilterConfig(dt=1.0, sigma_r=1e-4, p0_scale=1000.0, q_scale=1e-10)
+    cfg = FilterConfig(sigma_r=1e-4, p0_scale=1000.0, q_scale=1e-10)
     dlat = 18.0 / 111_320.0
     sigma_m = 1.5e-4  # ~17 m, the scale retrieval actually delivers
     rng = np.random.default_rng(77)
@@ -177,7 +178,7 @@ def test_filter_beats_raw_measurements_on_noisy_track():
             t = np.array([49.0 + i * dlat, 8.0])
             z = t + rng.standard_normal(2) * sigma_m
             zp = GeoPoint(z[0], z[1])
-            state = init_filter(zp, cfg) if state is None else step(state, zp, cfg)
+            state = init_filter(zp, cfg) if state is None else step(state, zp, 1.0, cfg)
         meas_err[trial] = np.hypot(*(z - t))
         est_err[trial] = np.hypot(state.x[0] - t[0], state.x[1] - t[1])
 

@@ -1,21 +1,18 @@
 import numpy as np
 import pytest
 
-from vloc.errors import DegenerateDescriptorError, EmptyCandidatesError, FrameTooSmallError
+from vloc.errors import EmptyCandidatesError, FrameTooSmallError
 from vloc.matching import (
     DESCRIPTOR_DIM,
     DescriptorSet,
     MatchConfig,
     _cosine_gate,
     _gate_bound,
+    _matches,
     _segment_counts,
     _windows_holding,
-    as_descriptor,
     best_match,
-    cosine_sim,
     count_correspondences,
-    match_keypoint,
-    sq_dist,
 )
 
 
@@ -31,24 +28,54 @@ def unit_rows(rng, n):
     return a / np.linalg.norm(a, axis=1, keepdims=True)
 
 
-# --- naive reference, kept independent of the production routines ---
+# --- float64 naive reference, kept independent of the production routines ---
+
+
+def as_descriptor(values) -> np.ndarray:
+    """Validate a single descriptor: exactly 128 finite components."""
+    arr = np.asarray(values, dtype=np.float64).reshape(-1)
+    if arr.shape[0] != DESCRIPTOR_DIM:
+        raise ValueError(f"descriptor must have {DESCRIPTOR_DIM} components, got {arr.shape[0]}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("descriptor components must be finite")
+    return arr
+
+
+def sq_dist(g, f) -> float:
+    """Squared Euclidean distance between two descriptors."""
+    diff = as_descriptor(g) - as_descriptor(f)
+    return float(np.dot(diff, diff))
+
+
+def cosine_sim(g, f) -> float:
+    """Cosine similarity of two descriptors, clamped to [-1, 1].
+
+    Raises ZeroDivisionError when either vector has zero norm.
+    """
+    ga = as_descriptor(g)
+    fa = as_descriptor(f)
+    gn = float(np.dot(ga, ga))
+    fn = float(np.dot(fa, fa))
+    if gn == 0.0 or fn == 0.0:
+        raise ZeroDivisionError("cosine similarity undefined for zero-norm descriptor")
+    c = float(np.dot(ga, fa)) / np.sqrt(gn * fn)
+    return max(-1.0, min(1.0, c))
 
 
 def naive_count(query: np.ndarray, frame: np.ndarray, tau1: float, tau2: float) -> int:
     count = 0
     for g in query:
-        d = [float(np.dot(g - f, g - f)) for f in frame]
+        d = [sq_dist(g, f) for f in frame]
         order = sorted(range(len(d)), key=lambda j: d[j])
         j1, j2 = order[0], order[1]
         if d[j2] <= 0.0:
             continue
         if d[j1] / d[j2] >= tau1 * tau1:
             continue
-        f1 = frame[j1]
-        denom = float(np.linalg.norm(g)) * float(np.linalg.norm(f1))
-        if denom <= 0.0:
-            continue
-        if float(np.dot(g, f1)) / denom <= tau2:
+        try:
+            if cosine_sim(g, frame[j1]) <= tau2:
+                continue
+        except ZeroDivisionError:
             continue
         count += 1
     return count
@@ -81,7 +108,7 @@ def test_cosine_known_value():
 
 
 def test_cosine_rejects_zero_vector():
-    with pytest.raises(DegenerateDescriptorError):
+    with pytest.raises(ZeroDivisionError):
         cosine_sim(vec(0.0), vec(1.0))
 
 
@@ -121,12 +148,17 @@ def test_match_config_validates():
         MatchConfig(tau2=1.5)
 
 
+def one_row(g) -> DescriptorSet:
+    """A 1-row query: one keypoint matched on its own."""
+    return DescriptorSet(np.reshape(g, (1, DESCRIPTOR_DIM)))
+
+
 def test_match_keypoint_accepts_exact_twin():
     rng = np.random.default_rng(2)
     frame_arr = unit_rows(rng, 10)
     frame = DescriptorSet(frame_arr)
     g = frame_arr[3]
-    assert match_keypoint(g, frame, MatchConfig()) == 3
+    assert _matches(one_row(g), [frame], MatchConfig())[0, 0] == 3
 
 
 def test_match_keypoint_cosine_gate():
@@ -134,21 +166,21 @@ def test_match_keypoint_cosine_gate():
     # but cos(g, row0) = 0.96 < 0.97 blocks the match
     frame = DescriptorSet(np.stack([vec(4.0, 3.0), vec(0.0, 0.0, 50.0)]))
     g = vec(3.0, 4.0)
-    assert match_keypoint(g, frame, MatchConfig()) is None
-    assert match_keypoint(g, frame, MatchConfig(tau2=0.95)) == 0
+    assert count_correspondences(one_row(g), frame, MatchConfig()) == 0
+    assert _matches(one_row(g), [frame], MatchConfig(tau2=0.95))[0, 0] == 0
 
 
 def test_match_keypoint_ratio_test():
     # two near-identical best candidates: ratio ~= 1 fails the test
     frame = DescriptorSet(np.stack([vec(1.0, 0.01), vec(1.0, -0.01)]))
     g = vec(1.0)
-    assert match_keypoint(g, frame, MatchConfig()) is None
+    assert count_correspondences(one_row(g), frame, MatchConfig()) == 0
 
 
 def test_match_keypoint_needs_two_rows():
     frame = DescriptorSet(vec(1.0).reshape(1, -1))
     with pytest.raises(FrameTooSmallError):
-        match_keypoint(vec(1.0), frame, MatchConfig())
+        count_correspondences(one_row(vec(1.0)), frame, MatchConfig())
 
 
 def test_count_correspondences_empty_query_is_zero():

@@ -16,7 +16,7 @@ from vloc.pipeline import (
     export_report,
     localize_sequence,
 )
-from vloc.synthworld import T0_NS, WorldConfig, gen_queries, gen_world
+from vloc.synthworld import T0_NS, WorldConfig, gen_queries, gen_world, position_at
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +98,35 @@ def test_no_match_raises():
     q = Query(DescriptorSet(alien), T0_NS + 1_000_000_000, None)
     with pytest.raises(NoMatchError, match="step 1"):
         localize_sequence(db, [q], ScanConfig(), MatchConfig(), FilterConfig())
+
+
+def exact_queries(db, indices):
+    """Queries that are copies of the given frames, at their times, with their geotags as truth."""
+    return [Query(db.frames[i].descriptors, db.frames[i].timestamp_ns, db.frames[i].geotag) for i in indices]
+
+
+def test_uneven_query_gaps_are_tracked_exactly(world):
+    # exact fixes at 0, 1, 2 and 5 s (10 Hz frames): the filter must predict
+    # across the 3 s gap, not one fixed step
+    _, db = world
+    trace = localize_sequence(db, exact_queries(db, [10, 20, 30, 60]), ScanConfig(), MatchConfig(), FilterConfig())
+    assert [s.meas_err_m for s in trace] == [0.0] * 4
+    assert trace[-1].est_err_m < 1e-6
+
+
+def test_velocity_is_per_second_at_any_query_spacing(world):
+    cfg, db = world
+    trace = localize_sequence(db, exact_queries(db, range(10, 35, 5)), ScanConfig(), MatchConfig(), FilterConfig())
+    a, b = position_at(cfg, T0_NS), position_at(cfg, T0_NS + 1_000_000_000)
+    assert trace[-1].vel_lat_dps == pytest.approx(b.lat - a.lat, rel=1e-6)
+    assert trace[-1].vel_lon_dps == pytest.approx(b.lon - a.lon, rel=1e-6)
+
+
+@pytest.mark.parametrize("indices", [[10, 20, 20], [10, 20, 15]])
+def test_non_increasing_query_timestamp_raises(world, indices):
+    _, db = world
+    with pytest.raises(ValueError, match="step 3"):
+        localize_sequence(db, exact_queries(db, indices), ScanConfig(), MatchConfig(), FilterConfig())
 
 
 def make_trace(meas_errs, est_errs):
@@ -201,10 +230,10 @@ def test_estimates_replay_through_filter(world):
     _, trace = run_default(cfg, db, steps=5)
     fcfg = FilterConfig()
     state = None
-    for s in trace:
+    for prev, s in zip([None, *trace], trace):
         if state is None:
             state = update(init_filter(s.measurement, fcfg), s.measurement, fcfg)
         else:
-            state = step(state, s.measurement, fcfg)
+            state = step(state, s.measurement, (s.query_ts - prev.query_ts) / 1e9, fcfg)
         assert (state.x[0], state.x[1]) == (s.estimate.lat, s.estimate.lon)
         assert (state.x[2], state.x[3]) == (s.vel_lat_dps, s.vel_lon_dps)
