@@ -20,6 +20,7 @@ works); this module only consumes its output.
 
 import csv
 import logging
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -46,6 +47,8 @@ _CHECK_ROWS = 4096
 
 CSV_MANIFEST_HEADER = ["frame_id", "timestamp_ns", "lat_deg", "lon_deg", "descriptor_path"]
 
+_I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
+
 
 @dataclass(frozen=True)
 class GeoFrame:
@@ -64,8 +67,9 @@ class GeoFrame:
 class Database:
     """Frames sorted by timestamp, with provenance metadata.
 
-    Frame ids must be unique; frames are re-sorted by (timestamp_ns,
-    frame_id) at construction, so ingest order does not matter.
+    Frame ids must be unique and timestamps int64; frames are re-sorted by
+    (timestamp_ns, frame_id) at construction, so ingest order does not
+    matter.
     """
 
     def __init__(self, frames: Iterable[GeoFrame], source: str = "", camera: str = ""):
@@ -74,8 +78,12 @@ class Database:
         for f in ordered:
             if f.frame_id in seen:
                 raise ValueError(f"duplicate frame_id {f.frame_id}")
+            if not _I64_MIN <= f.timestamp_ns <= _I64_MAX:
+                raise ValueError(f"frame {f.frame_id}: timestamp_ns {f.timestamp_ns} outside the int64 range")
             seen.add(f.frame_id)
         self._frames = tuple(ordered)
+        # sorted capture times, so a scan finds its window by binary search
+        self._timestamps = np.array([f.timestamp_ns for f in ordered], dtype=np.int64)
         self._by_id = {f.frame_id: f for f in ordered}
         self.source = source
         self.camera = camera
@@ -114,7 +122,7 @@ class ScanConfig:
     def __post_init__(self):
         if self.window_s is not None and not self.window_s > 0:
             raise ValueError(f"window_s must be positive, got {self.window_s}")
-        if self.exclusion_s is not None and self.exclusion_s < 0:
+        if self.exclusion_s is not None and not self.exclusion_s >= 0:
             raise ValueError(f"exclusion_s must be non-negative, got {self.exclusion_s}")
 
 
@@ -129,16 +137,19 @@ def scan(
     """Best-matching frame among those passing the window and exclusion filters.
 
     The window is centered on center_ts; without one the scan is unwindowed.
-    Returns (frame, correspondence_count). Raises EmptyCandidatesError when
-    filtering leaves nothing to score.
+    A frame is inside the window when |timestamp_ns - center_ts| <=
+    window_s * 1e9, and excluded when |timestamp_ns - query_ts| <=
+    exclusion_s * 1e9, so the candidates are at most two runs of
+    consecutive frames. Returns (frame, correspondence_count). Raises
+    EmptyCandidatesError when filtering leaves nothing to score.
     """
-    frames = db.frames
+    lo, hi = 0, len(db)
     if cfg.window_s is not None and center_ts is not None:
-        half = cfg.window_s * 1e9
-        frames = [f for f in frames if abs(f.timestamp_ns - center_ts) <= half]
+        lo, hi = _within(db._timestamps, center_ts, cfg.window_s)
+    frames = db.frames[lo:hi]
     if cfg.exclusion_s is not None:
-        radius = cfg.exclusion_s * 1e9
-        frames = [f for f in frames if abs(f.timestamp_ns - query_ts) > radius]
+        cut_lo, cut_hi = _within(db._timestamps, query_ts, cfg.exclusion_s)
+        frames = db.frames[lo : min(hi, cut_lo)] + db.frames[max(lo, cut_hi) : hi]
     if not frames:
         raise EmptyCandidatesError(
             f"no candidate frames for query_ts={query_ts} "
@@ -146,6 +157,20 @@ def scan(
         )
     fid, count = best_match(query, [(f.frame_id, f.descriptors) for f in frames], match_cfg)
     return db.frame_by_id(fid), count
+
+
+def _within(timestamps: np.ndarray, center: int, seconds: float) -> tuple[int, int]:
+    """Index range of the sorted timestamps within seconds of center, ends included.
+
+    The bounds are whole nanoseconds, floor(seconds * 1e9) either side:
+    exactly what comparing the integer distance with the float radius
+    gives. A float bound would not do, as a float near 1.5e18 ns is only
+    256 ns fine.
+    """
+    radius = math.floor(min(seconds * 1e9, 2**64))  # 2**64 ns spans every int64 pair
+    lo = min(max(int(center) - radius, _I64_MIN), _I64_MAX)
+    hi = min(max(int(center) + radius, _I64_MIN), _I64_MAX)
+    return int(np.searchsorted(timestamps, lo, "left")), int(np.searchsorted(timestamps, hi, "right"))
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +228,15 @@ def load_db(path) -> Database:
         rows = 0
         for _ in range(count):
             fid, ts, lat, lon, k = _FRAME_HEAD.unpack(_read_exact(fh, _FRAME_HEAD.size, "frame header"))
+            try:
+                geotag = GeoPoint(lat, lon)
+            except ValueError as exc:
+                raise DatabaseFormatError(f"frame {fid} in {path}: {exc}") from None
             want, left = k * row_bytes, size - fh.tell()
             got = fh.readinto(raw[rows * row_bytes :][:want]) if want <= left else left
             if got != want:
                 raise DatabaseFormatError(f"truncated file: expected {want} bytes for descriptors of frame {fid}, got {got}")
-            heads.append((fid, ts, lat, lon, rows, rows + k))
+            heads.append((fid, ts, geotag, rows, rows + k))
             rows += k
         if fh.read(1):
             raise DatabaseFormatError("trailing bytes after last frame")
@@ -217,14 +246,11 @@ def load_db(path) -> Database:
         finite = np.isfinite(block[lo : lo + _CHECK_ROWS]).all(axis=1)
         if not finite.all():
             bad = lo + int(np.argmin(finite))
-            fid = next(fid for fid, _, _, _, first, stop in heads if first <= bad < stop)
-            raise ValueError(f"frame {fid}: descriptor components must be finite")
+            fid = next(fid for fid, _, _, first, stop in heads if first <= bad < stop)
+            raise DatabaseFormatError(f"frame {fid} in {path}: descriptor components must be finite")
     block.setflags(write=False)
     descriptors = DescriptorSet._wrap(block)
-    frames = [
-        GeoFrame(fid, ts, GeoPoint(lat, lon), descriptors._window(lo, hi))
-        for fid, ts, lat, lon, lo, hi in heads
-    ]
+    frames = [GeoFrame(fid, ts, geotag, descriptors._window(lo, hi)) for fid, ts, geotag, lo, hi in heads]
     return Database(frames, source=str(path), camera="")
 
 
@@ -369,6 +395,10 @@ def ingest_csv(manifest) -> Database:
                 geotag = GeoPoint(float(row[2]), float(row[3]))
             except ValueError as exc:
                 raise IngestError(f"{manifest.name}:{lineno}: {exc}") from None
+            if not 0 <= fid < 2**64:
+                raise IngestError(f"{manifest.name}:{lineno}: frame_id {fid} outside [0, 2**64)")
+            if not _I64_MIN <= ts <= _I64_MAX:
+                raise IngestError(f"{manifest.name}:{lineno}: timestamp_ns {ts} outside the int64 range")
             if fid in seen:
                 raise IngestError(f"{manifest.name}:{lineno}: duplicate frame_id {fid}")
             seen.add(fid)

@@ -71,6 +71,21 @@ def test_build_db_missing_manifest(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("field, value", [("timestamp_ns", 2**70), ("timestamp_ns", -(2**63) - 1), ("frame_id", 2**64)])
+def test_build_db_rejects_integers_outside_the_file_format(dataset, capsys, field, value):
+    tmp_path, manifest, _ = dataset
+    lines = manifest.read_text().splitlines()
+    row = lines[1].split(",")
+    row[CSV_MANIFEST_HEADER.index(field)] = str(value)
+    manifest.write_text("\n".join([lines[0], ",".join(row)]) + "\n")
+    out = tmp_path / "o.vldb"
+    assert main(["build-db", "--csv", str(manifest), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"manifest.csv:2: {field} {value} outside" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_query_end_to_end(dataset, capsys):
     tmp_path, manifest, frames = dataset
     db_path = build_db(dataset)

@@ -1,6 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from vloc import database
 from vloc.database import (
     CSV_MANIFEST_HEADER,
     Database,
@@ -16,7 +20,8 @@ from vloc.database import (
 )
 from vloc.errors import DatabaseFormatError, EmptyCandidatesError, IngestError
 from vloc.geodesy import GeoPoint
-from vloc.matching import DESCRIPTOR_DIM, DescriptorSet, MatchConfig
+from vloc.matching import _E_BYTES, DESCRIPTOR_DIM, DescriptorSet, MatchConfig
+from vloc.synthworld import T0_NS, WorldConfig, gen_queries, gen_world
 
 # plain fixture coordinates for the 3-frame ingestion tests
 FIXTURE_GEO = [
@@ -68,6 +73,13 @@ def test_database_rejects_duplicate_ids():
     rng = np.random.default_rng(21)
     with pytest.raises(ValueError, match="duplicate"):
         Database([make_frame(rng, 1, 100), make_frame(rng, 1, 200)])
+
+
+def test_database_rejects_timestamps_outside_int64():
+    rng = np.random.default_rng(21)
+    for ts in (2**63, -(2**63) - 1):
+        with pytest.raises(ValueError, match="frame 4: timestamp_ns"):
+            Database([make_frame(rng, 1, 100), make_frame(rng, 4, ts)])
 
 
 def test_frame_by_id():
@@ -183,6 +195,65 @@ def test_scan_exclusion_removes_boundary():
     assert abs(frame.timestamp_ns - target.timestamp_ns) > int(0.2 * 1e9)
 
 
+def test_scan_filters_like_a_list_filter_at_every_boundary(monkeypatch):
+    # frames near 1.5e18 ns, where a float64 is only 256 ns fine, at, one
+    # inside and one outside each radius of a center; the window's radius,
+    # 123456789.1234 ns, is not a whole number of nanoseconds
+    t0 = 1_500_000_000_000_000_000
+    window_s, exclusion_s = 0.1234567891234, 0.05
+    radii = [math.floor(window_s * 1e9), math.floor(exclusion_s * 1e9), 0]
+    offsets = sorted({sign * (r + d) for r in radii for d in (-1, 0, 1) for sign in (-1, 1)})
+    frames = [GeoFrame(i, t0 + off, GeoPoint(0.0, 0.0), DescriptorSet.empty()) for i, off in enumerate(offsets)]
+    db = Database(frames)
+    seen = []
+
+    def record(query, candidates, cfg):
+        seen.append([fid for fid, _ in candidates])
+        return candidates[0][0], 0
+
+    monkeypatch.setattr(database, "best_match", record)
+    # every frame's time and its neighbours, and times outside the drive
+    times = sorted({f.timestamp_ns + d for f in frames for d in (-1, 0, 1)} | {t0 - 10**9, t0 + 10**9, 0})
+    query = DescriptorSet.empty()
+    for win in (None, window_s, 1e-9, float("inf")):
+        for excl in (None, 0.0, exclusion_s, 1e300):
+            cfg = ScanConfig(window_s=win, exclusion_s=excl)
+            for center in [None] + times[::3]:
+                for query_ts in times[::5]:
+                    want = [
+                        f.frame_id
+                        for f in frames
+                        if (win is None or center is None or abs(f.timestamp_ns - center) <= win * 1e9)
+                        and (excl is None or abs(f.timestamp_ns - query_ts) > excl * 1e9)
+                    ]
+                    if not want:
+                        with pytest.raises(EmptyCandidatesError):
+                            scan(db, query, query_ts, cfg, MatchConfig(), center_ts=center)
+                        continue
+                    scan(db, query, query_ts, cfg, MatchConfig(), center_ts=center)
+                    assert seen.pop() == want
+
+
+def test_unwindowed_scan_of_a_loaded_drive_has_bounded_memory(tmp_path):
+    # 2000 frames of 64 keypoints: one product over all of them would be
+    # 32 MiB, many times what the chunked scan holds at once
+    cfg = WorldConfig(duration_s=200.0, keypoints_per_frame=64)
+    world = gen_world(cfg)
+    query = gen_queries(world, T0_NS + 100 * 10**9, 1, 1.0, cfg)[0]
+    save_db(world, tmp_path / "drive.vldb")
+    del world
+    db = load_db(tmp_path / "drive.vldb")
+    assert len(db) == 2000
+    tracemalloc.start()
+    try:
+        frame, count = scan(db, query.descriptors, query.timestamp_ns, ScanConfig(), MatchConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert frame.timestamp_ns == query.timestamp_ns and count > 0
+    assert peak <= 3 * _E_BYTES
+
+
 def test_scan_empty_candidates():
     rng = np.random.default_rng(29)
     db = make_db(rng, n=3)
@@ -197,6 +268,8 @@ def test_scan_config_validates():
         ScanConfig(window_s=-1.0)
     with pytest.raises(ValueError):
         ScanConfig(exclusion_s=-1.0)
+    with pytest.raises(ValueError):
+        ScanConfig(exclusion_s=float("nan"))
 
 
 def test_ingest_kitti_fixture(tmp_path):
@@ -264,12 +337,16 @@ def test_ingest_csv_rejects_bad_header(tmp_path):
         ingest_csv(manifest)
 
 
-def test_ingest_csv_reports_line_numbers(tmp_path):
+@pytest.mark.parametrize(
+    "fid, ts",
+    [("0", "notanint"), ("-1", "0"), (str(2**64), "0"), ("0", str(2**63)), ("0", str(-(2**63) - 1))],
+)
+def test_ingest_csv_reports_line_numbers(tmp_path, fid, ts):
     rng = np.random.default_rng(34)
     frame = make_frame(rng, 0, 0)
     write_desc_file(tmp_path / "f0.desc", frame)
     manifest = tmp_path / "m.csv"
-    manifest.write_text(",".join(CSV_MANIFEST_HEADER) + "\n0,notanint,49.0,8.0,f0.desc\n")
+    manifest.write_text(",".join(CSV_MANIFEST_HEADER) + f"\n{fid},{ts},49.0,8.0,f0.desc\n")
     with pytest.raises(IngestError, match=r"m\.csv:2"):
         ingest_csv(manifest)
 
@@ -325,5 +402,12 @@ def test_load_rejects_oversized_count_and_non_finite(tmp_path):
     first_row_of_frame_1 = k_at + 4 + 8 * DESCRIPTOR_DIM * 4 + 36
     bad[first_row_of_frame_1 : first_row_of_frame_1 + 4] = np.float32(np.inf).tobytes()
     path.write_bytes(bytes(bad))
-    with pytest.raises(ValueError, match="frame 1"):
+    with pytest.raises(DatabaseFormatError, match="frame 1 .*finite"):
+        load_db(path)
+    # frame 1's latitude, 100 degrees
+    bad = bytearray(raw)
+    lat_of_frame_1 = k_at + 4 + 8 * DESCRIPTOR_DIM * 4 + 16
+    bad[lat_of_frame_1 : lat_of_frame_1 + 8] = np.float64(100.0).tobytes()
+    path.write_bytes(bytes(bad))
+    with pytest.raises(DatabaseFormatError, match="frame 1 .*latitude"):
         load_db(path)

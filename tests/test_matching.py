@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from vloc import matching
 from vloc.errors import EmptyCandidatesError, FrameTooSmallError
 from vloc.matching import (
     DESCRIPTOR_DIM,
     DescriptorSet,
     MatchConfig,
     _cosine_gate,
+    _candidate_rows,
     _gate_bound,
     _matches,
     _segment_counts,
@@ -311,12 +313,14 @@ def test_window_is_a_zero_copy_view_with_its_own_norms():
         block._window(4, 3)
 
 
+@pytest.mark.parametrize("chunk_cols", [None, 60, 200, 1])
 @pytest.mark.parametrize("tau1, tau2", [(0.8, 0.97), (0.95, 0.5), (0.9, 1.0), (0.95, -0.5)])
-def test_windows_of_one_block_score_like_independent_copies(tau1, tau2):
+def test_windows_of_one_block_score_like_independent_copies(tau1, tau2, chunk_cols, monkeypatch):
     # sliding overlapping windows (steps that do and do not divide the
     # width), an exclusion-style gap, a second block, a standalone set,
     # unequal widths and descending runs, apart and overlapping, all in one
-    # scan, over descriptors of uneven norms
+    # scan, over descriptors of uneven norms; scored in one chunk, or in
+    # chunks of at most chunk_cols candidate rows
     rng = np.random.default_rng(14)
     cfg = MatchConfig(tau1=tau1, tau2=tau2)
     pool = unit_rows(rng, 400) * rng.uniform(0.3, 3.0, (400, 1))
@@ -334,7 +338,26 @@ def test_windows_of_one_block_score_like_independent_copies(tau1, tau2):
         + [block._window(s, s + 3) for s in range(95, 140)]
     )
     copies = [DescriptorSet(w.array) for w in windows]
+    whole = _segment_counts(query, windows, cfg)
+    if chunk_cols is not None:
+        # the query has fewer rows than a descriptor, so a chunk's
+        # concatenated rows, not its E, bind the budget
+        monkeypatch.setattr(matching, "_E_BYTES", chunk_cols * DESCRIPTOR_DIM * 4)
+        chunks = [
+            (lo, lo + len(widths), np.shares_memory(rows, block.array) or np.shares_memory(rows, other.array))
+            for lo, rows, _, _, widths in _candidate_rows(windows, chunk_cols)
+        ]
+        assert [lo for lo, _, _ in chunks] == [0] + [hi for _, hi, _ in chunks[:-1]]
+        if chunk_cols == 1:
+            assert [hi - lo for lo, hi, _ in chunks] == [1] * len(windows)
+        elif chunk_cols == 60:
+            # the first run of windows splits after its second window, in place
+            assert chunks[0] == (0, 2, True)
+        else:
+            # several runs concatenated into one chunk
+            assert any(hi - lo > 1 and not in_place for lo, hi, in_place in chunks)
     got = _segment_counts(query, windows, cfg)
+    assert got.tolist() == whole.tolist()
     assert got.tolist() == _segment_counts(query, copies, cfg).tolist()
     assert (got.sum() > 0) == (tau2 < 1.0)  # clipped cosines never exceed 1
     for i in (0, 9, 10, 27, 30, 33, 40):
@@ -343,7 +366,7 @@ def test_windows_of_one_block_score_like_independent_copies(tau1, tau2):
     assert best_match(query, list(zip(ids, windows)), cfg) == best_match(query, list(zip(ids, copies)), cfg)
 
 
-@pytest.mark.parametrize("tau2", [0.3, 0.8, 0.97, 0.999])
+@pytest.mark.parametrize("tau2", [-0.5, 0.0, 0.3, 0.8, 0.97, 0.999])
 def test_gate_bound_admits_every_entry_the_cosine_gate_passes(tau2):
     # entries within 1e-6 of the gate's cosine, at the norm range's ends
     # where the bound is tight
@@ -363,11 +386,21 @@ def test_gate_bound_admits_every_entry_the_cosine_gate_passes(tau2):
 
 def test_windows_holding_matches_brute_force():
     rng = np.random.default_rng(16)
-    for _ in range(20):
-        m, k = int(rng.integers(1, 6)), int(rng.integers(1, 12))
-        cols = rng.integers(0, 40, int(rng.integers(1, 15)))  # unsorted, repeats allowed
+    for trial in range(80):
+        m, n = int(rng.integers(1, 6)), int(rng.integers(1, 50))
+        starts = rng.integers(0, n, int(rng.integers(1, 15)))  # unsorted, repeats allowed
+        if trial % 2:
+            # equal widths, as frames of one drive have
+            stops = np.minimum(starts + int(rng.integers(1, 12)), n)
+            stops = starts + (stops - starts).min()
+        else:
+            # nested and empty windows of uneven widths
+            stops = np.minimum(starts + rng.integers(0, 12, len(starts)), n)
         r = rng.integers(0, m, 30)
-        c = rng.integers(0, 40 + k, 30)
-        want = {(i, s) for i, j in zip(r, c) for s, lo in enumerate(cols) if lo <= j < lo + k}
-        got = set(zip(*(a.tolist() for a in _windows_holding(r, c, cols, k, m))))
-        assert got == want
+        c = rng.integers(0, n, 30)
+        want = {(i, s) for i, j in zip(r, c) for s, (lo, hi) in enumerate(zip(starts, stops)) if lo <= j < hi}
+        got = set(zip(*(a.tolist() for a in _windows_holding(r, c, starts, stops, m))))
+        assert want <= got
+        # no extra pair unless windows nest
+        nest = any(a <= b and e < d for a, d in zip(starts, stops) for b, e in zip(starts, stops))
+        assert got == want or nest
