@@ -82,8 +82,10 @@ class Database:
                 raise ValueError(f"frame {f.frame_id}: timestamp_ns {f.timestamp_ns} outside the int64 range")
             seen.add(f.frame_id)
         self._frames = tuple(ordered)
-        # sorted capture times, so a scan finds its window by binary search
+        # sorted capture times, so a scan finds its window by binary search,
+        # and what best_match scores of each frame, so a scan takes slices
         self._timestamps = np.array([f.timestamp_ns for f in ordered], dtype=np.int64)
+        self._candidates = tuple((f.frame_id, f.descriptors) for f in ordered)
         self._by_id = {f.frame_id: f for f in ordered}
         self.source = source
         self.camera = camera
@@ -146,16 +148,16 @@ def scan(
     lo, hi = 0, len(db)
     if cfg.window_s is not None and center_ts is not None:
         lo, hi = _within(db._timestamps, center_ts, cfg.window_s)
-    frames = db.frames[lo:hi]
+    candidates = db._candidates[lo:hi]
     if cfg.exclusion_s is not None:
         cut_lo, cut_hi = _within(db._timestamps, query_ts, cfg.exclusion_s)
-        frames = db.frames[lo : min(hi, cut_lo)] + db.frames[max(lo, cut_hi) : hi]
-    if not frames:
+        candidates = db._candidates[lo : min(hi, cut_lo)] + db._candidates[max(lo, cut_hi) : hi]
+    if not candidates:
         raise EmptyCandidatesError(
             f"no candidate frames for query_ts={query_ts} "
             f"(window_s={cfg.window_s}, center_ts={center_ts}, exclusion_s={cfg.exclusion_s})"
         )
-    fid, count = best_match(query, [(f.frame_id, f.descriptors) for f in frames], match_cfg)
+    fid, count = best_match(query, candidates, match_cfg)
     return db.frame_by_id(fid), count
 
 

@@ -54,16 +54,14 @@ class FilterState:
         p = np.array(p, dtype=np.float64, copy=True)
         if x.shape != (STATE_DIM,) or p.shape != (STATE_DIM, STATE_DIM):
             raise ValueError(f"state must be ({STATE_DIM},) with ({STATE_DIM}, {STATE_DIM}) covariance")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
-            raise ValueError("state must be finite")
-        skew = np.abs(p - p.T).max()
-        if skew > _SYM_TOL:
-            raise ValueError(f"covariance asymmetry {skew:.3e} exceeds {_SYM_TOL}")
-        p = (p + p.T) / 2.0
-        x.setflags(write=False)
-        p.setflags(write=False)
-        self._x = x
-        self._p = p
+        self._x, self._p = _settled(x, p)
+
+    @classmethod
+    def _of(cls, x: np.ndarray, p: np.ndarray) -> "FilterState":
+        """State of freshly computed (4,) and (4, 4) float64 arrays that nothing else holds: checked, not copied."""
+        obj = cls.__new__(cls)
+        obj._x, obj._p = _settled(x, p)
+        return obj
 
     @property
     def x(self) -> np.ndarray:
@@ -84,12 +82,21 @@ class FilterState:
         return f"FilterState(x={self._x.tolist()})"
 
 
-def _transition(dt: float) -> np.ndarray:
-    f = np.eye(STATE_DIM)
-    f[0, 2] = dt
-    f[1, 3] = dt
-    return f
+def _settled(x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x and P as a state holds them: finite, P symmetric within _SYM_TOL, then exactly; read-only."""
+    if not (np.isfinite(x).all() and np.isfinite(p).all()):
+        raise ValueError("state must be finite")
+    skew = np.abs(p - p.T).max()
+    if skew > _SYM_TOL:
+        raise ValueError(f"covariance asymmetry {skew:.3e} exceeds {_SYM_TOL}")
+    p = (p + p.T) / 2.0
+    x.setflags(write=False)
+    p.setflags(write=False)
+    return x, p
 
+
+_EYE = np.eye(STATE_DIM)
+_EYE.setflags(write=False)
 
 _H = np.zeros((2, STATE_DIM))
 _H[0, 0] = 1.0
@@ -103,14 +110,34 @@ def init_filter(meas: GeoPoint, cfg: FilterConfig) -> FilterState:
     return FilterState(x, p)
 
 
-def predict(state: FilterState, dt: float, cfg: FilterConfig) -> FilterState:
-    """Propagate the state dt seconds under the constant-velocity model."""
+def _predicted(x: np.ndarray, p: np.ndarray, dt: float, cfg: FilterConfig) -> tuple[np.ndarray, np.ndarray]:
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    f = _transition(dt)
-    x = f @ state.x
-    p = f @ state.p @ f.T + cfg.q_scale * np.eye(STATE_DIM)
-    return FilterState(x, p)
+    f = _EYE.copy()
+    f[0, 2] = dt
+    f[1, 3] = dt
+    return f @ x, f @ p @ f.T + cfg.q_scale * _EYE
+
+
+def _updated(x: np.ndarray, p: np.ndarray, meas: GeoPoint, cfg: FilterConfig) -> tuple[np.ndarray, np.ndarray]:
+    z = np.array([meas.lat, meas.lon])
+    r = cfg.sigma_r**2 * np.eye(2)
+
+    # innovation and its covariance
+    y = z - _H @ x
+    s = _H @ p @ _H.T + r
+    try:
+        gain = np.linalg.solve(s, _H @ p).T  # K = P H^T S^-1
+    except np.linalg.LinAlgError as exc:
+        raise SingularInnovationError(f"innovation covariance not invertible: {exc}") from exc
+
+    ikh = _EYE - gain @ _H
+    return x + gain @ y, ikh @ p @ ikh.T + gain @ r @ gain.T
+
+
+def predict(state: FilterState, dt: float, cfg: FilterConfig) -> FilterState:
+    """Propagate the state dt seconds under the constant-velocity model."""
+    return FilterState._of(*_predicted(state.x, state.p, dt, cfg))
 
 
 def update(state: FilterState, meas: GeoPoint, cfg: FilterConfig) -> FilterState:
@@ -119,23 +146,14 @@ def update(state: FilterState, meas: GeoPoint, cfg: FilterConfig) -> FilterState
     Uses the Joseph-form covariance update, which stays symmetric positive
     semidefinite under roundoff where the plain form can drift.
     """
-    z = np.array([meas.lat, meas.lon])
-    r = cfg.sigma_r**2 * np.eye(2)
-
-    # innovation and its covariance
-    y = z - _H @ state.x
-    s = _H @ state.p @ _H.T + r
-    try:
-        gain = np.linalg.solve(s, _H @ state.p).T  # K = P H^T S^-1
-    except np.linalg.LinAlgError as exc:
-        raise SingularInnovationError(f"innovation covariance not invertible: {exc}") from exc
-
-    x = state.x + gain @ y
-    ikh = np.eye(STATE_DIM) - gain @ _H
-    p = ikh @ state.p @ ikh.T + gain @ r @ gain.T
-    return FilterState(x, p)
+    return FilterState._of(*_updated(state.x, state.p, meas, cfg))
 
 
 def step(state: FilterState, meas: GeoPoint, dt: float, cfg: FilterConfig) -> FilterState:
-    """One filter cycle: predict dt seconds ahead, then update with the measurement."""
-    return update(predict(state, dt, cfg), meas, cfg)
+    """One filter cycle: predict dt seconds ahead, then update with the measurement.
+
+    The prediction is checked and symmetrized as predict's state would be,
+    without building that state.
+    """
+    x, p = _settled(*_predicted(state.x, state.p, dt, cfg))
+    return FilterState._of(*_updated(x, p, meas, cfg))

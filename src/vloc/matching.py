@@ -12,11 +12,16 @@ keypoints may agree on one frame keypoint; no one-to-one constraint).
 Squared distances come from float32 matrix products
 (``|g|^2 + |f|^2 - 2 g.f``), one per chunk of candidate frames, which is
 what keeps full-database scans tractable: time goes to BLAS, and memory
-stays bounded by the chunk size whatever the database size.
+stays bounded by the chunk size whatever the database size. A bound on the
+cosine gate screens each product once; every (query keypoint, frame) pair
+takes its nearest and second nearest from its screened entries, and reads
+the frame's whole row of distances only when the bound cannot settle the
+ratio test.
 """
 
 import logging
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -27,8 +32,11 @@ logger = logging.getLogger(__name__)
 
 DESCRIPTOR_DIM = 128
 
+_NO_KEY = np.iinfo(np.int64).max
+"""Key of no entry: above every key of _entry_keys."""
+
 _E_BYTES = 4 * 2**20
-"""Most bytes of E, the float32 product of a query and candidate rows, at once.
+"""Most bytes of the float32 product of a query and a chunk of candidate rows, at once.
 
 Chosen by timing scans of loaded 1000-frame (200 keypoints) and
 10,000-frame (64 keypoints) drives, windowed and not, on a 2-core Xeon
@@ -227,90 +235,153 @@ def _gate_bound(qq: np.ndarray, fmin: float, fmax: float, tau2: float) -> np.nda
     return np.where(narrow < bound, np.nextafter(narrow, np.float32(np.inf)), narrow)
 
 
-def _gate_segments(seg: np.ndarray, first: np.ndarray, qq: np.ndarray, fnorms: np.ndarray, cfg: MatchConfig) -> np.ndarray:
-    """Matched index within every row of seg, -1 where a gate fails.
+def _screen(g: np.ndarray, fnorms: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major flat indices and values of the entries of E = g + |f|^2 below bound.
 
-    Each row of seg is one query row's E entries over one frame; first
-    holds the frame's first column of E and qq the query row's |g|^2. The
-    nearest neighbour alone decides the cosine gate, so the second nearest
-    is only extracted for the rows that pass it.
+    NaN entries are kept too, so a pair's nearest is NaN wherever argmin's
+    would be. Only g is read in full: fl(g + |f|^2) >= fl(t + fmin) for
+    |f|^2 >= fmin, so an entry with g >= t, for t one float32 step above
+    fl(bound - fmin), is at least the bound. E is formed at the entries
+    left, with the float32 addition a full pass would use, and they are
+    held to the exact test.
     """
-    j1 = seg.argmin(axis=1)
-    e1 = seg[np.arange(len(seg)), j1].astype(np.float64)
-    near = np.flatnonzero(_cosine_gate(qq, e1, fnorms[first + j1].astype(np.float64), cfg))
-    rest = seg[near]
-    rest[np.arange(len(near)), j1[near]] = np.inf
-    d1 = np.maximum(qq[near] + e1[near], 0.0)
-    d2 = np.maximum(qq[near] + rest.min(axis=1).astype(np.float64), 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = d1 / d2
-    match = np.full(len(seg), -1, dtype=np.int64)
-    passed = (d2 > 0.0) & (ratio < cfg.tau1 * cfg.tau1)
-    match[near[passed]] = j1[near[passed]]
-    return match
+    n = g.shape[1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        t = np.nextafter(bound - fnorms.min(), np.float32(np.inf))
+    out = np.greater_equal(g, t[:, None])
+    flat = np.flatnonzero(np.logical_not(out, out=out))
+    del out
+    e = g.ravel()[flat]
+    e += fnorms[flat % n]
+    keep = ~(e >= bound[flat // n])
+    return flat[keep], e[keep]
 
 
-def _windows_holding(r: np.ndarray, c: np.ndarray, starts: np.ndarray, stops: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(row, window) pairs, among them every one where window [starts[s], stops[s]) holds an entry (r, c).
+def _entry_keys(e: np.ndarray) -> np.ndarray:
+    """Per float32 entry an int64 key: its value's rank in the high 32 bits, its position in the low.
 
-    Over the windows sorted by start, an entry can only lie in those that
-    start at or before c, after the leading ones that all end at or before
-    c: one range per entry. Each row adds +1 where a range begins and -1
-    past its end, and a running sum marks the windows covered, so the work
-    grows with the entries and the (row, window) pairs, not their product.
-    Where windows nest, a range can take in a window that ends at or
-    before c. Such a pair holds no entry below the cosine gate's bound, so
-    its nearest neighbour fails the gate: the extra pair costs time, not
-    results.
+    Keys order as the values do, ties by position, with -0.0 equal to +0.0
+    and NaN below every value, as argmin sees them. One more key, int64's
+    maximum, ends the array, so a range of entries may end at len(e).
     """
-    n = len(starts)
-    order = np.argsort(starts, kind="stable")
-    first = np.searchsorted(np.maximum.accumulate(stops[order]), c, side="right")
-    past = np.searchsorted(starts[order], c, side="right")
-    # every range ends in its own row, so one running sum over all rows
-    # returns to zero at each row's end, slot n
-    at, size = r * (n + 1), m * (n + 1)
-    covered = np.cumsum(np.bincount(at + first, minlength=size) - np.bincount(at + past, minlength=size)) > 0
-    rows, i = np.divmod(np.flatnonzero(covered), n + 1)
-    return rows, order[i]
+    keys = np.empty(len(e) + 1, dtype=np.int64)
+    keys[-1] = _NO_KEY
+    rank = keys[:-1]
+    bits = e.view(np.int32)
+    np.bitwise_and(bits, 0x7FFFFFFF, out=rank)
+    np.negative(rank, out=rank, where=(bits < 0) | (rank > 0x7F800000))
+    rank <<= 32
+    rank |= np.arange(len(e), dtype=np.int32)
+    return keys
+
+
+def _key_values(keys: np.ndarray) -> np.ndarray:
+    """float64 values of keys made by _entry_keys (NaN for a NaN)."""
+    rank = keys >> 32
+    bits = np.where(rank < 0, -rank | 0x80000000, rank).astype(np.uint32)
+    return bits.view(np.float32).astype(np.float64)
+
+
+def _range_min(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Least of keys[lo:hi] per range, _NO_KEY where a range is empty.
+
+    Ranges may overlap or come in any order: reduceat reduces from each
+    range's start to its end, and what it yields between ranges is dropped.
+    """
+    idx = np.empty(2 * len(lo), dtype=np.intp)
+    idx[0::2] = lo
+    idx[1::2] = hi
+    out = np.minimum.reduceat(keys, idx)[0::2]
+    out[hi <= lo] = _NO_KEY
+    return out
 
 
 def _matches(query: DescriptorSet, sets: Sequence[DescriptorSet], cfg: MatchConfig) -> np.ndarray:
     """(m, p) index of the frame keypoint each query row matches, -1 for none.
 
     The candidates are scored in chunks of whole sets (_candidate_rows),
-    so E, the product's output, holds at most _E_BYTES at a time. Per
-    chunk one float32 product fills E[i, c] = |f_c|^2 - 2 g_i.f_c over its
-    rows: that is d^2 minus the per-row constant |g_i|^2, which argmin does
-    not need. The -2 is folded into the query, an exact scaling. Ties on
-    the nearest neighbour go to the lowest index.
+    so the product of a chunk holds at most _E_BYTES. Per chunk one float32
+    product g = -2 q.f over its rows gives E[i, c] = g[i, c] + |f_c|^2,
+    which is d^2 minus the per-row constant |g_i|^2 that the nearest does
+    not depend on (the -2 is folded into the query, an exact scaling).
 
-    Frames may overlap and share columns of E, so each column is screened
-    once: a frame whose entries in a query row all lie above the cosine
-    gate's bound cannot match that row, whatever its nearest is, and only
-    the (row, frame) pairs left get a nearest-neighbour search.
+    Frames may overlap and share columns of E, so each entry is screened
+    once, against the cosine gate's bound (_screen), and every (query row,
+    frame) pair takes its top-2 from its screened entries alone:
+
+    * nearest: an entry that can pass the gate is below the bound, so a
+      pair that can match has its nearest among them; ties go to the
+      lowest column, as argmin's do (_entry_keys);
+    * runner-up: with a second screened entry in the frame, the least of
+      the others is exact, as every entry left out is at least the bound;
+    * with one, d2 >= max(|g|^2 + bound, 0), and where that bound already
+      passes the ratio test so does d2, rounding being monotone. Only the
+      pairs it cannot decide gather their frame's row of E to find d2.
     """
     m, p = len(query), len(sets)
     q = query.array * np.float32(-2.0)
     qq = query.norms.astype(np.float64)
     match = np.full((m, p), -1, dtype=np.int64)
-    # neither E nor a chunk's concatenated rows exceed _E_BYTES
+    # neither the product nor a chunk's concatenated rows exceed _E_BYTES
     max_cols = max(1, _E_BYTES // (4 * max(m, DESCRIPTOR_DIM)))
     for lo, rows, fnorms, first, widths in _candidate_rows(sets, max_cols):
-        e = q @ rows.T
-        e += fnorms
-        bound = _gate_bound(qq, float(fnorms.min()), float(fnorms.max()), cfg.tau2)
-        # flatnonzero: 2-d np.nonzero is several times slower
-        r, c = np.divmod(np.flatnonzero(e < bound[:, None]), e.shape[1])
-        r, f = _windows_holding(r, c, first, first + widths, m)
-        kf = widths[f]
-        for k in np.unique(widths):
-            pick = np.flatnonzero(kf == k)
-            rk, fk = r[pick], f[pick]
-            seg = np.lib.stride_tricks.sliding_window_view(e, k, axis=1)[rk, first[fk]]
-            match[rk, lo + fk] = _gate_segments(seg, first[fk], qq[rk], fnorms, cfg)
-        del e, seg  # before the next chunk's product, so one E is alive at a time
+        # a call per chunk, so one chunk's arrays are freed before the next product
+        r, f, j = _chunk_matches(q @ rows.T, qq, fnorms, first, widths, cfg)
+        match[r, lo + f] = j
     return match
+
+
+def _chunk_matches(g: np.ndarray, qq: np.ndarray, fnorms: np.ndarray, first: np.ndarray, widths: np.ndarray, cfg: MatchConfig) -> tuple[np.ndarray, ...]:
+    """Query row, frame and frame keypoint of every match in one chunk, from its product g."""
+    m, n = g.shape
+    bound = _gate_bound(qq, float(fnorms.min()), float(fnorms.max()), cfg.tau2)
+    flat, e = _screen(g, fnorms, bound)
+    keys = _entry_keys(e)
+    del e
+    # every (row, frame) pair's screened entries: a range of the sorted
+    # flat indices, found by binary search
+    at = np.arange(m)[:, None] * n + first
+    lo = np.searchsorted(flat, at.ravel())
+    hi = np.searchsorted(flat, (at + widths).ravel())
+    held = np.flatnonzero(hi > lo)
+    r, f = np.divmod(held, len(first))
+    lo, hi, at = lo[held], hi[held], at.ravel()[held]
+    near = _range_min(keys, lo, hi)
+    pos = near & 0xFFFFFFFF
+    j = flat[pos] - at
+    e1 = _key_values(near)
+    qr = qq[r]
+    ok = np.flatnonzero(_cosine_gate(qr, e1, fnorms[first[f] + j].astype(np.float64), cfg))
+    r, f, lo, hi, pos, j, e1, qr = (a[ok] for a in (r, f, lo, hi, pos, j, e1, qr))
+    second = np.minimum(_range_min(keys, lo, pos), _range_min(keys, pos + 1, hi))
+    single = second == _NO_KEY
+    d1 = np.maximum(qr + e1, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e2 = np.where(single, bound[r].astype(np.float64), _key_values(second))
+        passed = _ratio_test(d1, np.maximum(qr + e2, 0.0), cfg)
+        # one screened entry, and a bound too low to decide: d2 from the frame's row of E
+        todo = np.flatnonzero(single & ~passed)
+        if len(todo):
+            e2 = _exact_runner_up(g, fnorms, r[todo], first[f[todo]], widths[f[todo]], j[todo])
+            passed[todo] = _ratio_test(d1[todo], np.maximum(qr[todo] + e2, 0.0), cfg)
+    return r[passed], f[passed], j[passed]
+
+
+def _ratio_test(d1: np.ndarray, d2: np.ndarray, cfg: MatchConfig) -> np.ndarray:
+    """d1 / d2 < tau1^2 on float64 squared distances to the nearest and runner-up."""
+    return (d2 > 0.0) & (d1 / d2 < cfg.tau1 * cfg.tau1)
+
+
+def _exact_runner_up(g: np.ndarray, fnorms: np.ndarray, r: np.ndarray, first: np.ndarray, widths: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Least E entry but the j-th of each pair's frame, from the frame's whole row of E."""
+    out = np.empty(len(r))
+    for k in np.unique(widths):
+        pick = np.flatnonzero(widths == k)
+        seg = np.lib.stride_tricks.sliding_window_view(g, k, axis=1)[r[pick], first[pick]]
+        seg += np.lib.stride_tricks.sliding_window_view(fnorms, k)[first[pick]]
+        seg[np.arange(len(pick)), j[pick]] = np.inf
+        out[pick] = seg.min(axis=1)
+    return out
 
 
 def count_correspondences(query: DescriptorSet, frame: DescriptorSet, cfg: MatchConfig) -> int:
@@ -356,17 +427,17 @@ def best_match(
     if len(candidates) == 0:
         raise EmptyCandidatesError("best_match needs at least one candidate frame")
 
-    ids = np.array([fid for fid, _ in candidates], dtype=np.int64)
-    counts = np.zeros(len(candidates), dtype=np.int64)
+    # the candidates are read once, by zip and map rather than Python loops
+    ids, sets = zip(*candidates)
+    ids = np.array(ids, dtype=np.int64)
+    scored = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets)) >= 2
+    if not scored.all():
+        logger.warning("skipped %d candidate frame(s) with fewer than 2 descriptors", len(sets) - scored.sum())
+        sets = list(compress(sets, scored))
 
-    scored = [(i, ds) for i, (_, ds) in enumerate(candidates) if len(ds) >= 2]
-    skipped = len(candidates) - len(scored)
-    if skipped:
-        logger.warning("skipped %d candidate frame(s) with fewer than 2 descriptors", skipped)
-
-    if len(query) > 0 and scored:
-        idx = [i for i, _ in scored]
-        counts[idx] = _segment_counts(query, [ds for _, ds in scored], cfg)
+    counts = np.zeros(len(ids), dtype=np.int64)
+    if len(query) > 0 and sets:
+        counts[scored] = _segment_counts(query, sets, cfg)
 
     order = np.lexsort((ids, -counts))
     win = order[0]

@@ -254,6 +254,28 @@ def test_unwindowed_scan_of_a_loaded_drive_has_bounded_memory(tmp_path):
     assert peak <= 3 * _E_BYTES
 
 
+def test_scan_of_a_loaded_drive_holds_no_more_than_before(tmp_path):
+    # 2000 frames of 200 keypoints, unwindowed. With tau2 <= 0 the gate's
+    # bound screens in nearly every entry, so the per-entry arrays grow
+    # with the chunk. The bounds are the traced peaks of the full-segment
+    # top-2 this scan replaced, measured the same way (57.8 and 12.6 MiB)
+    cfg = WorldConfig(duration_s=200.0)
+    world = gen_world(cfg)
+    query = gen_queries(world, T0_NS + 100 * 10**9, 1, 1.0, cfg)[0]
+    save_db(world, tmp_path / "drive.vldb")
+    del world
+    db = load_db(tmp_path / "drive.vldb")
+    for tau2, bound_mib in ((-0.5, 57.9), (MatchConfig().tau2, 12.7)):
+        tracemalloc.start()
+        try:
+            frame, count = scan(db, query.descriptors, query.timestamp_ns, ScanConfig(), MatchConfig(tau2=tau2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert frame.timestamp_ns == query.timestamp_ns and count > 0
+        assert peak <= bound_mib * 2**20, f"tau2={tau2}: traced peak {peak / 2**20:.1f} MiB"
+
+
 def test_scan_empty_candidates():
     rng = np.random.default_rng(29)
     db = make_db(rng, n=3)

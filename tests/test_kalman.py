@@ -105,6 +105,36 @@ def test_step_is_predict_then_update():
     assert np.array_equal(a.p, b.p)
 
 
+def outcome(fn):
+    """The state a call returns, or the message of the ValueError it raises."""
+    try:
+        st = fn()
+    except ValueError as exc:
+        return str(exc)
+    return st.x.tolist(), st.p.tolist()
+
+
+def test_step_checks_the_prediction_as_predict_does():
+    # large covariances round f P f^T or the Joseph form out of symmetry,
+    # and a huge velocity overflows the prediction: step raises where
+    # update(predict(...)) does, with the same message, or returns its state
+    rng = np.random.default_rng(12)
+    cfg = FilterConfig()
+    z = GeoPoint(49.0, 8.0)
+    states = []
+    for scale in (1e3, 1e8, 1e10, 1e12):
+        a = rng.standard_normal((4, 4))
+        states.append((FilterState(np.array([49.0, 8.0, 1e-4, 1e-4]), a @ a.T * scale), 1.0))
+    states.append((FilterState(np.array([49.0, 8.0, 1e300, 0.0]), np.eye(4)), 1e10))
+    seen = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for st, dt in states:
+            got = outcome(lambda: step(st, z, dt, cfg))
+            assert got == outcome(lambda: update(predict(st, dt, cfg), z, cfg))
+            seen.append(got if isinstance(got, str) else "ok")
+    assert "ok" in seen and "state must be finite" in seen and any(s.startswith("covariance asymmetry") for s in seen)
+
+
 def test_update_rejects_singular_innovation():
     cfg = FilterConfig(sigma_r=1e-300)
     st = FilterState(np.zeros(4), np.zeros((4, 4)))

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vloc import matching
 from vloc.errors import EmptyCandidatesError, FrameTooSmallError
@@ -9,10 +13,12 @@ from vloc.matching import (
     MatchConfig,
     _cosine_gate,
     _candidate_rows,
+    _entry_keys,
     _gate_bound,
+    _key_values,
     _matches,
+    _screen,
     _segment_counts,
-    _windows_holding,
     best_match,
     count_correspondences,
 )
@@ -230,11 +236,20 @@ def test_best_match_prefers_higher_count_then_lower_id():
     assert fid == 2
 
 
-def test_best_match_skips_tiny_frames():
+def test_best_match_skips_tiny_frames(caplog):
     rng = np.random.default_rng(7)
     tiny = DescriptorSet(unit_rows(rng, 1))
     fid, count = best_match(DescriptorSet(unit_rows(rng, 3)), [(1, tiny)], MatchConfig())
     assert (fid, count) == (1, 0)
+    # tiny frames among scored ones: logged, scored zero, the rest scored
+    # as on their own
+    base = unit_rows(rng, 8)
+    query = DescriptorSet(base + rng.standard_normal(base.shape) * 0.01)
+    frames = [(5, tiny), (4, DescriptorSet(base[:5])), (3, DescriptorSet.empty()), (2, DescriptorSet(base))]
+    caplog.clear()
+    assert best_match(query, frames, MatchConfig()) == (2, 8)
+    assert best_match(query, frames[:3], MatchConfig()) == (4, 5)
+    assert [r.getMessage() for r in caplog.records] == ["skipped 2 candidate frame(s) with fewer than 2 descriptors"] * 2
 
 
 def test_best_match_rejects_empty_candidates():
@@ -384,23 +399,198 @@ def test_gate_bound_admits_every_entry_the_cosine_gate_passes(tau2):
     assert np.all(e[passes] < bound[passes])
 
 
-def test_windows_holding_matches_brute_force():
-    rng = np.random.default_rng(16)
-    for trial in range(80):
-        m, n = int(rng.integers(1, 6)), int(rng.integers(1, 50))
-        starts = rng.integers(0, n, int(rng.integers(1, 15)))  # unsorted, repeats allowed
-        if trial % 2:
-            # equal widths, as frames of one drive have
-            stops = np.minimum(starts + int(rng.integers(1, 12)), n)
-            stops = starts + (stops - starts).min()
+# --- float32 oracle: argmin over every (row, frame) pair's whole segment of E ---
+
+
+def gate_segments(seg, first, qq, fnorms, cfg):
+    """Matched index within every row of seg, -1 where a gate fails.
+
+    Each row of seg is one query row's E entries over one frame; first
+    holds the frame's first column of E and qq the query row's |g|^2. argmin
+    and min propagate NaN, so a segment holding a NaN matches nothing.
+    """
+    j1 = seg.argmin(axis=1)
+    e1 = seg[np.arange(len(seg)), j1].astype(np.float64)
+    near = np.flatnonzero(_cosine_gate(qq, e1, fnorms[first + j1].astype(np.float64), cfg))
+    rest = seg[near]
+    rest[np.arange(len(near)), j1[near]] = np.inf
+    d1 = np.maximum(qq[near] + e1[near], 0.0)
+    d2 = np.maximum(qq[near] + rest.min(axis=1).astype(np.float64), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = d1 / d2
+    match = np.full(len(seg), -1, dtype=np.int64)
+    passed = (d2 > 0.0) & (ratio < cfg.tau1 * cfg.tau1)
+    match[near[passed]] = j1[near[passed]]
+    return match
+
+
+def oracle_matches(query, sets, cfg):
+    """_matches without the screen: E in full per chunk, and every pair's top-2 from its whole segment.
+
+    The chunks and their products are _matches' own, so E is the same bit
+    for bit and only the top-2 is compared.
+    """
+    m, p = len(query), len(sets)
+    q = query.array * np.float32(-2.0)
+    qq = query.norms.astype(np.float64)
+    match = np.full((m, p), -1, dtype=np.int64)
+    max_cols = max(1, matching._E_BYTES // (4 * max(m, DESCRIPTOR_DIM)))
+    for lo, rows, fnorms, first, widths in _candidate_rows(sets, max_cols):
+        e = q @ rows.T
+        e += fnorms
+        r, f = np.divmod(np.arange(m * len(widths)), len(widths))
+        for k in np.unique(widths):
+            pick = np.flatnonzero(widths[f] == k)
+            rk, fk = r[pick], f[pick]
+            seg = np.lib.stride_tricks.sliding_window_view(e, k, axis=1)[rk, first[fk]]
+            match[rk, lo + fk] = gate_segments(seg, first[fk], qq[rk], fnorms, cfg)
+    return match
+
+
+FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def scans(draw):
+    """A block of rows with windows of it, a query and thresholds, drawn to hit ties, zeros and overflow."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        # few distinct small components: exact ties between distances, and
+        # zeros of either sign
+        pool = rng.integers(-2, 3, (n, DESCRIPTOR_DIM)) * rng.choice([-1.0, 1.0], (n, DESCRIPTOR_DIM))
+        pool[:, draw(st.integers(1, DESCRIPTOR_DIM)) :] = 0.0
+    else:
+        pool = unit_rows(rng, n) * rng.uniform(0.3, 3.0, (n, 1))
+    specials = st.sampled_from(["dup", "zero", "negzero", "huge", "twin"])
+    for kind, i, j in draw(st.lists(st.tuples(specials, st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6)):
+        if kind == "dup":
+            pool[i] = pool[j]
+        elif kind in ("zero", "negzero"):
+            pool[i] = 0.0 if kind == "zero" else -0.0
+        elif kind == "huge":
+            # |f|^2 and g.f overflow float32: E is inf or NaN
+            pool[i] = unit_rows(rng, 1)[0] * 3e38
         else:
-            # nested and empty windows of uneven widths
-            stops = np.minimum(starts + rng.integers(0, 12, len(starts)), n)
-        r = rng.integers(0, m, 30)
-        c = rng.integers(0, n, 30)
-        want = {(i, s) for i, j in zip(r, c) for s, (lo, hi) in enumerate(zip(starts, stops)) if lo <= j < hi}
-        got = set(zip(*(a.tolist() for a in _windows_holding(r, c, starts, stops, m))))
-        assert want <= got
-        # no extra pair unless windows nest
-        nest = any(a <= b and e < d for a, d in zip(starts, stops) for b, e in zip(starts, stops))
-        assert got == want or nest
+            pool[i] = pool[j] + rng.standard_normal(DESCRIPTOR_DIM) * 1e-3
+    block = DescriptorSet(pool.astype(np.float32))
+    windows = []
+    for start, width, after in draw(st.lists(st.tuples(st.integers(0, n - 2), st.integers(2, n), st.booleans()), min_size=1, max_size=8)):
+        if after and windows and windows[-1]._start + len(windows[-1]) <= n - 2:
+            start = windows[-1]._start + len(windows[-1])  # adjacent to the last
+        windows.append(block._window(start, min(start + width, n)))
+    if draw(st.booleans()):
+        windows.insert(draw(st.integers(0, len(windows))), DescriptorSet(unit_rows(rng, draw(st.integers(2, 6)))))
+    m = draw(st.integers(1, 8))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["copy", "twin", "zero", "huge", "random"]), min_size=m, max_size=m)):
+        src = pool[rng.integers(n)]
+        rows.append(
+            {
+                "copy": src,
+                "twin": src + rng.standard_normal(DESCRIPTOR_DIM) * 0.01,
+                "zero": np.zeros(DESCRIPTOR_DIM),
+                "huge": src / max(np.abs(src).max(), 1e-30) * 3e38,
+                "random": unit_rows(rng, 1)[0],
+            }[kind]
+        )
+    query = DescriptorSet(np.array(rows, dtype=np.float32))
+    cfg = MatchConfig(tau1=draw(st.sampled_from([0.5, 0.8, 0.99])), tau2=draw(st.sampled_from([-0.5, 0.0, 0.97, 1.0])))
+    chunk_cols = draw(st.sampled_from([None, 2, 5, 17]))
+    return query, windows, cfg, chunk_cols
+
+
+@FUZZ
+@given(scan=scans())
+def test_matches_equal_the_full_segment_oracle(scan):
+    query, windows, cfg, chunk_cols = scan
+    budget = matching._E_BYTES if chunk_cols is None else chunk_cols * DESCRIPTOR_DIM * 4
+    with mock.patch.object(matching, "_E_BYTES", budget), np.errstate(over="ignore", invalid="ignore"):
+        got = _matches(query, windows, cfg)
+        want = oracle_matches(query, windows, cfg)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_oracle_returns_no_match_where_e_holds_a_nan():
+    # f0 = 3e38 g overflows: |f0|^2 = inf and -2 g.f0 = -inf, so E is NaN
+    # there. The near twins of g would pass both gates, but argmin takes
+    # the NaN, whose cosine gate fails, so the frame matches nothing
+    g = unit_rows(np.random.default_rng(17), 1)[0]
+    frame = DescriptorSet(np.stack([g * 3e38, g + 1e-3 * vec(1.0), g + 2e-2 * vec(0.0, 1.0)]).astype(np.float32))
+    query = DescriptorSet(g.reshape(1, -1))
+    cfg = MatchConfig(tau2=0.9)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert oracle_matches(query, [frame], cfg)[0, 0] == -1
+        assert _matches(query, [frame], cfg)[0, 0] == -1
+        # without the overflowing row, the nearer twin is matched
+        assert _matches(query, [frame._window(1, 3)], cfg)[0, 0] == 0
+
+
+def test_entry_keys_order_as_argmin_does():
+    rng = np.random.default_rng(18)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 1e-45, -1e-45, 3.4e38, -3.4e38, 1.0, -1.0], dtype=np.float32)
+    e = np.concatenate([special, rng.choice(special, 40), rng.standard_normal(50).astype(np.float32)])
+    keys = _entry_keys(e)
+    assert len(keys) == len(e) + 1 and keys[-1] == np.iinfo(np.int64).max
+    for lo, hi in [(0, len(e))] + [tuple(sorted(rng.integers(0, len(e), 2))) for _ in range(200)]:
+        if hi > lo:
+            k = keys[lo:hi].min()
+            assert (k & 0xFFFFFFFF) == lo + e[lo:hi].argmin()  # ties to the first, -0.0 == +0.0
+            assert _key_values(np.array([k]))[0] == e[lo:hi].min()
+    # a zero of either sign ties with the other; a NaN of either sign is
+    # below everything, as argmin sees them
+    for vals, first in [([1.0, 0.0, -0.0], 1), ([1.0, -0.0, 0.0], 1), ([-np.inf, np.nan, 0.0], 1), ([-np.inf, 2.0, -np.nan], 2)]:
+        keys = _entry_keys(np.array(vals, dtype=np.float32))
+        assert keys[:-1].min() & 0xFFFFFFFF == first == np.argmin(np.array(vals, dtype=np.float32))
+    assert np.isnan(_key_values(_entry_keys(np.array([np.nan], dtype=np.float32))[:1])).all()
+
+
+def test_screen_keeps_exactly_the_entries_below_the_bound():
+    # each row has an entry at g = bound - fmin, rounded to float32 either
+    # way, in the column of the least norm: large norms and small bounds,
+    # where an unrounded shift of the bound would screen some of them out
+    rng = np.random.default_rng(19)
+    m, n = 64, 8
+    for scale in 10.0 ** np.arange(6):
+        fn = (scale * rng.uniform(1.0, 1.01, n)).astype(np.float32)
+        g = (rng.standard_normal((m, n)) * 3.0 * scale).astype(np.float32)
+        bound = (rng.uniform(-1.0, 1.0, m) * scale * 10.0 ** -rng.integers(0, 6, m)).astype(np.float32)
+        g[:, fn.argmin()] = bound - fn.min()
+        g[0, 1] = np.nan
+        with np.errstate(invalid="ignore"):
+            e = g + fn
+            flat, vals = _screen(g, fn, bound)
+            want = np.flatnonzero(~(e >= bound[:, None]))
+        assert 1 in want  # NaN entries are kept
+        assert np.array_equal(flat, want) and np.array_equal(vals, e.ravel()[want], equal_nan=True)
+
+
+def two_row_frame(cos0, second):
+    """A query row g and a frame of a row at cosine cos0 to g and the given second row, all unit length."""
+    g = vec(1.0)
+    return DescriptorSet(g.reshape(1, -1)), DescriptorSet(np.stack([vec(cos0, np.sqrt(1.0 - cos0 * cos0)), second]))
+
+
+@pytest.mark.parametrize(
+    "cos0, second, exact_calls, want",
+    [
+        # one screened entry, d1 = 0.02 and the bound's d2 >= 0.06: the
+        # ratio 1/3 passes without reading the frame
+        (0.99, vec(0.0, 0.0, 1.0), 0, 0),
+        # one screened entry, d1 = 0.05 against the bound's 0.06 cannot
+        # decide; the frame's whole row gives d2 = 2, ratio 0.025
+        (0.975, vec(0.0, 0.0, 1.0), 1, 0),
+        # two screened entries at the same distance: ratio 1, no match
+        (0.99, vec(0.99, np.sqrt(1.0 - 0.99 * 0.99)), 0, -1),
+    ],
+    ids=["bound-decides", "bound-undecided", "two-screened"],
+)
+def test_each_ratio_test_branch(cos0, second, exact_calls, want, monkeypatch):
+    query, frame = two_row_frame(cos0, second)
+    calls = []
+    exact = matching._exact_runner_up
+    monkeypatch.setattr(matching, "_exact_runner_up", lambda *a: calls.append(len(a[2])) or exact(*a))
+    cfg = MatchConfig(tau1=0.8, tau2=0.97)
+    got = _matches(query, [frame], cfg)
+    assert got[0, 0] == want == oracle_matches(query, [frame], cfg)[0, 0]
+    assert sum(calls) == exact_calls
