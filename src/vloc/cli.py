@@ -257,6 +257,8 @@ def _cmd_simulate(args) -> int:
         raise _UsageError(f"--trials must be positive, got {args.trials}")
     if args.steps < 1:
         raise _UsageError(f"--steps must be positive, got {args.steps}")
+    if args.workers < 0:
+        raise _UsageError(f"--workers must be 0 (all cores) or positive, got {args.workers}")
     world = WorldConfig(
         speed_mps=args.speed_mps,
         heading_deg=args.heading_deg,
@@ -304,6 +306,9 @@ def main(argv=None) -> int:
         return 2
     except (VlocError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

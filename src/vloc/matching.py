@@ -13,10 +13,12 @@ Squared distances come from float32 matrix products
 (``|g|^2 + |f|^2 - 2 g.f``), one per chunk of candidate frames, which is
 what keeps full-database scans tractable: time goes to BLAS, and memory
 stays bounded by the chunk size whatever the database size. A bound on the
-cosine gate screens each product once; every (query keypoint, frame) pair
-takes its nearest and second nearest from its screened entries, and reads
-the frame's whole row of distances only when the bound cannot settle the
-ratio test.
+cosine gate screens each product once. Only the (query keypoint, frame)
+pairs that hold a screened entry can match; they are enumerated from the
+screened entries, and each takes its nearest and second nearest from its
+screened entries, reading the frame's whole row of distances only when the
+bound cannot settle the ratio test. Matches are counted per frame as each
+chunk is scored.
 """
 
 import logging
@@ -296,18 +298,40 @@ def _range_min(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _matches(query: DescriptorSet, sets: Sequence[DescriptorSet], cfg: MatchConfig) -> np.ndarray:
-    """(m, p) index of the frame keypoint each query row matches, -1 for none.
+def _matched(query: DescriptorSet, sets: Sequence[DescriptorSet], cfg: MatchConfig) -> Iterator[tuple]:
+    """Per chunk of sets, (lo, k, r, f, j): its sets are sets[lo:lo + k], and query row r[i] matches keypoint j[i] of its set f[i].
 
     The candidates are scored in chunks of whole sets (_candidate_rows),
     so the product of a chunk holds at most _E_BYTES. Per chunk one float32
     product g = -2 q.f over its rows gives E[i, c] = g[i, c] + |f_c|^2,
     which is d^2 minus the per-row constant |g_i|^2 that the nearest does
     not depend on (the -2 is folded into the query, an exact scaling).
+    """
+    m = len(query)
+    q = query.array * np.float32(-2.0)
+    qq = query.norms.astype(np.float64)
+    # neither the product nor a chunk's concatenated rows exceed _E_BYTES
+    max_cols = max(1, _E_BYTES // (4 * max(m, DESCRIPTOR_DIM)))
+    for lo, rows, fnorms, first, widths in _candidate_rows(sets, max_cols):
+        # a call per chunk, so one chunk's arrays are freed before the next product
+        yield lo, len(widths), *_chunk_matches(q @ rows.T, qq, fnorms, first, widths, cfg)
+
+
+def _counts(query: DescriptorSet, sets: Sequence[DescriptorSet], cfg: MatchConfig) -> np.ndarray:
+    """Correspondence count of the query against each set, counted per chunk."""
+    counts = np.zeros(len(sets), dtype=np.int64)
+    for lo, k, _, f, _ in _matched(query, sets, cfg):
+        counts[lo : lo + k] = np.bincount(f, minlength=k)
+    return counts
+
+
+def _chunk_matches(g: np.ndarray, qq: np.ndarray, fnorms: np.ndarray, first: np.ndarray, widths: np.ndarray, cfg: MatchConfig) -> tuple[np.ndarray, ...]:
+    """Query row, frame and frame keypoint of every match in one chunk, from its product g.
 
     Frames may overlap and share columns of E, so each entry is screened
-    once, against the cosine gate's bound (_screen), and every (query row,
-    frame) pair takes its top-2 from its screened entries alone:
+    once, against the cosine gate's bound (_screen). The (query row, frame)
+    pairs that hold a screened entry are the only ones that can match
+    (_held_pairs), and each takes its top-2 from its screened entries alone:
 
     * nearest: an entry that can pass the gate is below the bound, so a
       pair that can match has its nearest among them; ties go to the
@@ -318,34 +342,11 @@ def _matches(query: DescriptorSet, sets: Sequence[DescriptorSet], cfg: MatchConf
       passes the ratio test so does d2, rounding being monotone. Only the
       pairs it cannot decide gather their frame's row of E to find d2.
     """
-    m, p = len(query), len(sets)
-    q = query.array * np.float32(-2.0)
-    qq = query.norms.astype(np.float64)
-    match = np.full((m, p), -1, dtype=np.int64)
-    # neither the product nor a chunk's concatenated rows exceed _E_BYTES
-    max_cols = max(1, _E_BYTES // (4 * max(m, DESCRIPTOR_DIM)))
-    for lo, rows, fnorms, first, widths in _candidate_rows(sets, max_cols):
-        # a call per chunk, so one chunk's arrays are freed before the next product
-        r, f, j = _chunk_matches(q @ rows.T, qq, fnorms, first, widths, cfg)
-        match[r, lo + f] = j
-    return match
-
-
-def _chunk_matches(g: np.ndarray, qq: np.ndarray, fnorms: np.ndarray, first: np.ndarray, widths: np.ndarray, cfg: MatchConfig) -> tuple[np.ndarray, ...]:
-    """Query row, frame and frame keypoint of every match in one chunk, from its product g."""
-    m, n = g.shape
     bound = _gate_bound(qq, float(fnorms.min()), float(fnorms.max()), cfg.tau2)
     flat, e = _screen(g, fnorms, bound)
     keys = _entry_keys(e)
     del e
-    # every (row, frame) pair's screened entries: a range of the sorted
-    # flat indices, found by binary search
-    at = np.arange(m)[:, None] * n + first
-    lo = np.searchsorted(flat, at.ravel())
-    hi = np.searchsorted(flat, (at + widths).ravel())
-    held = np.flatnonzero(hi > lo)
-    r, f = np.divmod(held, len(first))
-    lo, hi, at = lo[held], hi[held], at.ravel()[held]
+    r, f, lo, hi, at = _held_pairs(flat, g.shape, first, widths)
     near = _range_min(keys, lo, hi)
     pos = near & 0xFFFFFFFF
     j = flat[pos] - at
@@ -365,6 +366,58 @@ def _chunk_matches(g: np.ndarray, qq: np.ndarray, fnorms: np.ndarray, first: np.
             e2 = _exact_runner_up(g, fnorms, r[todo], first[f[todo]], widths[f[todo]], j[todo])
             passed[todo] = _ratio_test(d1[todo], np.maximum(qr[todo] + e2, 0.0), cfg)
     return r[passed], f[passed], j[passed]
+
+
+def _held_pairs(flat: np.ndarray, shape: tuple, first: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every (row, frame) pair holding a screened entry: r, f, its range lo:hi of flat and its first flat index at.
+
+    flat holds the sorted row-major indices of the screened entries of an
+    (m, n) E, and frame f covers columns first[f]:first[f] + widths[f].
+    With no more entries than the m x p pairs, the pairs are enumerated
+    from the entries (_entry_pairs); with more, as when tau2 <= 0 screens
+    in nearly every entry, every pair's range is searched and the empty
+    ones dropped. Either way no array outgrows max(entries, m x p).
+    """
+    m, n = shape
+    p = len(first)
+    if len(flat) <= m * p:
+        r, f, lo = _entry_pairs(flat, n, first, widths)
+        at = r * n + first[f]
+        return r, f, lo, np.searchsorted(flat, at + widths[f]), at
+    r, f = np.divmod(np.arange(m * p), p)
+    at = r * n + first[f]
+    lo = np.searchsorted(flat, at)
+    hi = np.searchsorted(flat, at + widths[f])
+    held = np.flatnonzero(hi > lo)
+    return r[held], f[held], lo[held], hi[held], at[held]
+
+
+def _entry_pairs(flat: np.ndarray, n: int, first: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Row, frame and first entry of every pair holding one of the sorted row-major flat indices of an n-column E.
+
+    With the frames ordered by first column, and a running maximum of their
+    ends, the frames holding an entry's column are those from the first
+    whose running end is past the column to the last that starts at or
+    before it, less nested frames that end at or before it. Both ends of
+    that span grow with the column, so the frames an entry reaches beyond
+    those its row's previous entry reached are new pairs, and the entry is
+    their first: every pair is enumerated once, row by row.
+    """
+    row, col = np.divmod(flat, n)
+    order = np.argsort(first, kind="stable")
+    starts = first[order]
+    ends = starts + widths[order]
+    b = np.searchsorted(starts, col, side="right")
+    reached = np.zeros_like(b)
+    reached[1:] = np.where(row[1:] == row[:-1], b[:-1], 0)
+    a = np.maximum(np.searchsorted(np.maximum.accumulate(ends), col, side="right"), reached)
+    fan = b - a
+    ent = np.repeat(np.arange(len(flat)), fan)
+    # positions in the ordered frames: a, a + 1, ..., b - 1 per entry
+    k = np.arange(len(ent)) + np.repeat(a - (np.cumsum(fan) - fan), fan)
+    held = ends[k] > col[ent]
+    ent, k = ent[held], k[held]
+    return row[ent], order[k], ent
 
 
 def _ratio_test(d1: np.ndarray, d2: np.ndarray, cfg: MatchConfig) -> np.ndarray:
@@ -394,12 +447,7 @@ def count_correspondences(query: DescriptorSet, frame: DescriptorSet, cfg: Match
         return 0
     if len(frame) < 2:
         raise FrameTooSmallError(f"frame has {len(frame)} descriptors, ratio test needs at least 2")
-    return int((_matches(query, [frame], cfg) >= 0).sum())
-
-
-def _segment_counts(query: DescriptorSet, sets: Sequence[DescriptorSet], cfg: MatchConfig) -> np.ndarray:
-    """Correspondence counts of one query against several frames at once."""
-    return (_matches(query, sets, cfg) >= 0).sum(axis=0).astype(np.int64)
+    return int(_counts(query, [frame], cfg)[0])
 
 
 def best_match(
@@ -437,7 +485,7 @@ def best_match(
 
     counts = np.zeros(len(ids), dtype=np.int64)
     if len(query) > 0 and sets:
-        counts[scored] = _segment_counts(query, sets, cfg)
+        counts[scored] = _counts(query, sets, cfg)
 
     order = np.lexsort((ids, -counts))
     win = order[0]

@@ -49,10 +49,15 @@ class WorldConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.speed_mps < 0:
             raise ValueError(f"speed_mps must be non-negative, got {self.speed_mps}")
         if not self.db_hz > 0:
             raise ValueError(f"db_hz must be positive, got {self.db_hz}")
+        if _frame_period_ns(self) == 0:
+            raise ValueError(f"db_hz={self.db_hz} gives a frame period that rounds to 0 ns")
         if not self.duration_s > 0:
             raise ValueError(f"duration_s must be positive, got {self.duration_s}")
         if self.keypoints_per_frame < 2:
@@ -207,6 +212,8 @@ def run_monte_carlo(
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    if not (math.isfinite(period_s) and period_s > 0):
+        raise ValueError(f"period_s must be positive and finite, got {period_s}")
     jobs = [
         (world_cfg, scan_cfg, match_cfg, filter_cfg, steps, period_s, ws, ss)
         for ws, ss in _trial_seeds(world_cfg.seed, trials)

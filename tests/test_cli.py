@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vloc import synthworld
 from vloc.cli import build_parser, main
 from vloc.database import CSV_MANIFEST_HEADER, GeoFrame, load_db, write_desc_file
 from vloc.geodesy import GeoPoint
@@ -214,6 +215,34 @@ def test_simulate_rejects_nonpositive_trials(tmp_path, capsys):
     code = main(["simulate", "--trials", "0", "--out-dir", str(tmp_path)])
     assert code == 2
     assert "trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, code, message",
+    [
+        ("--period-s", "inf", 1, "period_s must be positive and finite"),
+        ("--duration-s", "inf", 1, "duration_s must be finite"),
+        ("--db-hz", "inf", 1, "db_hz must be finite"),
+        ("--db-hz", "3e9", 1, "frame period that rounds to 0 ns"),
+        ("--workers", "-3", 2, "--workers must be 0"),
+    ],
+)
+def test_simulate_rejects_unusable_numbers(tmp_path, capsys, flag, value, code, message):
+    assert main(["simulate", "--trials", "1", "--out-dir", str(tmp_path), flag, value]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "errors.csv").exists()
+
+
+def test_simulate_reports_running_out_of_memory(tmp_path, capsys, monkeypatch):
+    # as numpy does for --keypoints-per-frame 1000000000, without the allocation
+    def gen_world(cfg):
+        raise MemoryError(f"Unable to allocate an array for {cfg.keypoints_per_frame} keypoints per frame")
+
+    monkeypatch.setattr(synthworld, "gen_world", gen_world)
+    assert main(["simulate", "--trials", "1", "--out-dir", str(tmp_path), "--keypoints-per-frame", "1000000000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and "1000000000 keypoints" in err
 
 
 def test_simulate_seed_repeatable(tmp_path):

@@ -276,6 +276,26 @@ def test_scan_of_a_loaded_drive_holds_no_more_than_before(tmp_path):
         assert peak <= bound_mib * 2**20, f"tau2={tau2}: traced peak {peak / 2**20:.1f} MiB"
 
 
+def test_scan_of_a_synthetic_drive_holds_no_more_than_before():
+    # all 80 frames of a synthetic drive, overlapping windows of one pool,
+    # with the 1 s exclusion gap. The bounds are the traced peaks of the
+    # all-pairs range search and match matrix this scan replaced, measured
+    # the same way (6.28 and 1.78 MiB)
+    cfg = WorldConfig()
+    for tau2, bound_mib in ((-0.5, 6.3), (MatchConfig().tau2, 1.8)):
+        world = gen_world(cfg)
+        query = gen_queries(world, T0_NS + 4 * 10**9, 1, 1.0, cfg)[0]
+        assert len(world) == 80
+        tracemalloc.start()
+        try:
+            frame, count = scan(world, query.descriptors, query.timestamp_ns, ScanConfig(exclusion_s=1.0), MatchConfig(tau2=tau2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(frame.timestamp_ns - query.timestamp_ns) > 10**9 and count > 0
+        assert peak <= bound_mib * 2**20, f"tau2={tau2}: traced peak {peak / 2**20:.2f} MiB"
+
+
 def test_scan_empty_candidates():
     rng = np.random.default_rng(29)
     db = make_db(rng, n=3)

@@ -13,12 +13,13 @@ from vloc.matching import (
     MatchConfig,
     _cosine_gate,
     _candidate_rows,
+    _counts,
     _entry_keys,
     _gate_bound,
+    _held_pairs,
     _key_values,
-    _matches,
+    _matched,
     _screen,
-    _segment_counts,
     best_match,
     count_correspondences,
 )
@@ -161,12 +162,21 @@ def one_row(g) -> DescriptorSet:
     return DescriptorSet(np.reshape(g, (1, DESCRIPTOR_DIM)))
 
 
+def matches(query, sets, cfg):
+    """(m, p) index of the keypoint each query row matches in each set, -1 for none, from _matched's triples."""
+    match = np.full((len(query), len(sets)), -1, dtype=np.int64)
+    for lo, _, r, f, j in _matched(query, sets, cfg):
+        assert np.all(match[r, lo + f] == -1)  # one match per pair
+        match[r, lo + f] = j
+    return match
+
+
 def test_match_keypoint_accepts_exact_twin():
     rng = np.random.default_rng(2)
     frame_arr = unit_rows(rng, 10)
     frame = DescriptorSet(frame_arr)
     g = frame_arr[3]
-    assert _matches(one_row(g), [frame], MatchConfig())[0, 0] == 3
+    assert matches(one_row(g), [frame], MatchConfig())[0, 0] == 3
 
 
 def test_match_keypoint_cosine_gate():
@@ -175,7 +185,7 @@ def test_match_keypoint_cosine_gate():
     frame = DescriptorSet(np.stack([vec(4.0, 3.0), vec(0.0, 0.0, 50.0)]))
     g = vec(3.0, 4.0)
     assert count_correspondences(one_row(g), frame, MatchConfig()) == 0
-    assert _matches(one_row(g), [frame], MatchConfig(tau2=0.95))[0, 0] == 0
+    assert matches(one_row(g), [frame], MatchConfig(tau2=0.95))[0, 0] == 0
 
 
 def test_match_keypoint_ratio_test():
@@ -353,7 +363,7 @@ def test_windows_of_one_block_score_like_independent_copies(tau1, tau2, chunk_co
         + [block._window(s, s + 3) for s in range(95, 140)]
     )
     copies = [DescriptorSet(w.array) for w in windows]
-    whole = _segment_counts(query, windows, cfg)
+    whole = _counts(query, windows, cfg)
     if chunk_cols is not None:
         # the query has fewer rows than a descriptor, so a chunk's
         # concatenated rows, not its E, bind the budget
@@ -371,9 +381,9 @@ def test_windows_of_one_block_score_like_independent_copies(tau1, tau2, chunk_co
         else:
             # several runs concatenated into one chunk
             assert any(hi - lo > 1 and not in_place for lo, hi, in_place in chunks)
-    got = _segment_counts(query, windows, cfg)
+    got = _counts(query, windows, cfg)
     assert got.tolist() == whole.tolist()
-    assert got.tolist() == _segment_counts(query, copies, cfg).tolist()
+    assert got.tolist() == _counts(query, copies, cfg).tolist()
     assert (got.sum() > 0) == (tau2 < 1.0)  # clipped cosines never exceed 1
     for i in (0, 9, 10, 27, 30, 33, 40):
         assert got[i] == naive_count(query.array.astype(np.float64), windows[i].array.astype(np.float64), cfg.tau1, cfg.tau2)
@@ -425,9 +435,9 @@ def gate_segments(seg, first, qq, fnorms, cfg):
 
 
 def oracle_matches(query, sets, cfg):
-    """_matches without the screen: E in full per chunk, and every pair's top-2 from its whole segment.
+    """_matched without the screen: E in full per chunk, and every pair's top-2 from its whole segment.
 
-    The chunks and their products are _matches' own, so E is the same bit
+    The chunks and their products are _matched's own, so E is the same bit
     for bit and only the top-2 is compared.
     """
     m, p = len(query), len(sets)
@@ -474,11 +484,22 @@ def scans(draw):
         else:
             pool[i] = pool[j] + rng.standard_normal(DESCRIPTOR_DIM) * 1e-3
     block = DescriptorSet(pool.astype(np.float32))
-    windows = []
-    for start, width, after in draw(st.lists(st.tuples(st.integers(0, n - 2), st.integers(2, n), st.booleans()), min_size=1, max_size=8)):
-        if after and windows and windows[-1]._start + len(windows[-1]) <= n - 2:
-            start = windows[-1]._start + len(windows[-1])  # adjacent to the last
-        windows.append(block._window(start, min(start + width, n)))
+    layout = draw(st.sampled_from(["any", "sliding", "gapped"]))
+    if layout == "any":
+        windows = []
+        for start, width, after in draw(st.lists(st.tuples(st.integers(0, n - 2), st.integers(2, n), st.booleans()), min_size=1, max_size=8)):
+            if after and windows and windows[-1]._start + len(windows[-1]) <= n - 2:
+                start = windows[-1]._start + len(windows[-1])  # adjacent to the last
+            windows.append(block._window(start, min(start + width, n)))
+    else:
+        # as a synthetic drive's scan: equal-width windows sliding by a
+        # fixed step, with or without an exclusion gap of some of them
+        width = draw(st.integers(2, n))
+        starts = list(range(0, n - width + 1, draw(st.integers(1, width))))
+        if layout == "gapped" and len(starts) > 2:
+            a = draw(st.integers(1, len(starts) - 2))
+            starts = starts[:a] + starts[draw(st.integers(a + 1, len(starts) - 1)) :]
+        windows = [block._window(s, s + width) for s in starts]
     if draw(st.booleans()):
         windows.insert(draw(st.integers(0, len(windows))), DescriptorSet(unit_rows(rng, draw(st.integers(2, 6)))))
     m = draw(st.integers(1, 8))
@@ -500,15 +521,56 @@ def scans(draw):
     return query, windows, cfg, chunk_cols
 
 
-@FUZZ
-@given(scan=scans())
-def test_matches_equal_the_full_segment_oracle(scan):
-    query, windows, cfg, chunk_cols = scan
-    budget = matching._E_BYTES if chunk_cols is None else chunk_cols * DESCRIPTOR_DIM * 4
-    with mock.patch.object(matching, "_E_BYTES", budget), np.errstate(over="ignore", invalid="ignore"):
-        got = _matches(query, windows, cfg)
-        want = oracle_matches(query, windows, cfg)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+def test_matches_equal_the_full_segment_oracle():
+    # per-frame counts and every matched index equal the oracle's, with
+    # pairs enumerated from the screened entries in some chunks and over
+    # all pairs in others, where the entries outnumber them
+    calls = {"chunks": 0, "entries": 0}
+
+    def spy(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return mock.patch.object(matching, fn.__name__, counted)
+
+    @FUZZ
+    @given(scan=scans())
+    def check(scan):
+        query, windows, cfg, chunk_cols = scan
+        budget = matching._E_BYTES if chunk_cols is None else chunk_cols * DESCRIPTOR_DIM * 4
+        with mock.patch.object(matching, "_E_BYTES", budget), spy("chunks", matching._held_pairs), spy("entries", matching._entry_pairs), np.errstate(over="ignore", invalid="ignore"):
+            counts = _counts(query, windows, cfg)
+            got = matches(query, windows, cfg)
+            want = oracle_matches(query, windows, cfg)
+        assert counts.dtype == np.int64 and np.array_equal(counts, (want >= 0).sum(axis=0))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    check()
+    assert 0 < calls["entries"] < calls["chunks"], calls
+
+
+def test_held_pairs_match_brute_force():
+    # ragged, nested, unordered and repeated frames; entries from sparse,
+    # where pairs come from the entries, to dense, where every pair is searched
+    rng = np.random.default_rng(20)
+    paths = set()
+    for _ in range(400):
+        m, n, p = (int(v) for v in rng.integers(1, (6, 40, 10)))
+        first = rng.integers(0, n, p)
+        widths = rng.integers(1, n - first + 1)
+        flat = np.flatnonzero(rng.random(m * n) < rng.choice([0.02, 0.1, 0.5, 1.0]))
+        want = {}
+        for e, (r, c) in enumerate(zip(*np.divmod(flat, n))):
+            for f in np.flatnonzero((first <= c) & (c < first + widths)):
+                lo, _ = want.get((r, f), (e, e))
+                want[r, f] = (lo, e + 1)
+        r, f, lo, hi, at = _held_pairs(flat, (m, n), first, widths)
+        assert np.all(np.diff(r) >= 0)  # row by row
+        assert sorted(zip(r, f, lo, hi)) == sorted((r, f, lo, hi) for (r, f), (lo, hi) in want.items())
+        assert np.array_equal(at, r * n + first[f])
+        paths.add(len(flat) <= m * p)
+    assert paths == {True, False}
 
 
 def test_oracle_returns_no_match_where_e_holds_a_nan():
@@ -521,9 +583,9 @@ def test_oracle_returns_no_match_where_e_holds_a_nan():
     cfg = MatchConfig(tau2=0.9)
     with np.errstate(over="ignore", invalid="ignore"):
         assert oracle_matches(query, [frame], cfg)[0, 0] == -1
-        assert _matches(query, [frame], cfg)[0, 0] == -1
+        assert matches(query, [frame], cfg)[0, 0] == -1
         # without the overflowing row, the nearer twin is matched
-        assert _matches(query, [frame._window(1, 3)], cfg)[0, 0] == 0
+        assert matches(query, [frame._window(1, 3)], cfg)[0, 0] == 0
 
 
 def test_entry_keys_order_as_argmin_does():
@@ -591,6 +653,6 @@ def test_each_ratio_test_branch(cos0, second, exact_calls, want, monkeypatch):
     exact = matching._exact_runner_up
     monkeypatch.setattr(matching, "_exact_runner_up", lambda *a: calls.append(len(a[2])) or exact(*a))
     cfg = MatchConfig(tau1=0.8, tau2=0.97)
-    got = _matches(query, [frame], cfg)
+    got = matches(query, [frame], cfg)
     assert got[0, 0] == want == oracle_matches(query, [frame], cfg)[0, 0]
     assert sum(calls) == exact_calls

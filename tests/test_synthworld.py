@@ -27,6 +27,12 @@ def test_world_config_validates():
         WorldConfig(distractor_fraction=-0.1)
     with pytest.raises(ValueError):
         WorldConfig(keypoints_per_frame=1)
+    for field in ("speed_mps", "db_hz", "duration_s", "start_lat", "query_noise_sigma"):
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                WorldConfig(**{field: value})
+    with pytest.raises(ValueError, match="rounds to 0 ns"):
+        WorldConfig(db_hz=3e9)
 
 
 def test_gen_world_layout():
@@ -148,6 +154,9 @@ def test_run_monte_carlo_rejects_bad_counts():
         run_monte_carlo(
             WorldConfig(seed=8), ScanConfig(), MatchConfig(), FilterConfig(), trials=0
         )
+    for period_s in (float("inf"), float("nan"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="period_s"):
+            run_monte_carlo(WorldConfig(seed=8), ScanConfig(), MatchConfig(), FilterConfig(), trials=1, period_s=period_s)
 
 
 def test_parallel_matches_serial():
