@@ -56,7 +56,7 @@ def _add_scan_flags(p: argparse.ArgumentParser, default_exclusion) -> None:
         "--exclusion-s",
         type=float,
         default=default_exclusion,
-        help="ignore frames within this many seconds of the query timestamp"
+        help="ignore frames within this many seconds of the query timestamp, 0 = off"
         + (" (default %(default)s, the evaluation handicap)" if default_exclusion is not None else " (default off)"),
     )
 
@@ -73,8 +73,9 @@ def _match_cfg(args) -> MatchConfig:
 
 def _scan_cfg(args) -> ScanConfig:
     window = None if args.no_window else args.window_s
-    exclusion = args.exclusion_s if args.exclusion_s is not None and args.exclusion_s > 0 else None
-    return ScanConfig(window_s=window, exclusion_s=exclusion)
+    if args.exclusion_s is not None and not args.exclusion_s >= 0:
+        raise _UsageError(f"--exclusion-s must be 0 (off) or positive, got {args.exclusion_s}")
+    return ScanConfig(window_s=window, exclusion_s=args.exclusion_s or None)
 
 
 def _filter_cfg(args) -> FilterConfig:
@@ -223,9 +224,11 @@ def _write_trace_csv(trace, out_dir: Path) -> Path:
 
 
 def _cmd_query(args) -> int:
+    # bad settings fail before the database is read
+    cfgs = _scan_cfg(args), _match_cfg(args), _filter_cfg(args)
     db = load_db(args.db)
     queries = _read_query_manifest(Path(args.queries))
-    trace = localize_sequence(db, queries, _scan_cfg(args), _match_cfg(args), _filter_cfg(args))
+    trace = localize_sequence(db, queries, *cfgs)
 
     has_truth = any(s.truth is not None for s in trace)
     head = f"{'step':>4} {'frame':>7} {'meas_lat':>11} {'meas_lon':>11} {'est_lat':>11} {'est_lon':>11}"

@@ -9,6 +9,7 @@ Filter states are immutable values: every operation returns a new state and
 never mutates its inputs.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,9 @@ class FilterConfig:
     q_scale: float = 1e-10
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.sigma_r > 0:
             raise ValueError(f"sigma_r must be positive, got {self.sigma_r}")
         if not self.p0_scale > 0:

@@ -168,12 +168,17 @@ def evaluate(traces: Sequence[LocalizationTrace]) -> ErrorStats:
 
     meas = np.array([[s.meas_err_m for s in trace] for trace in traces], dtype=np.float64)
     est = np.array([[s.est_err_m for s in trace] for trace in traces], dtype=np.float64)
+    return _error_stats(meas, est)
+
+
+def _error_stats(meas: np.ndarray, est: np.ndarray) -> ErrorStats:
+    """Per-step statistics of (traces, steps) float64 measurement and estimate errors in meters."""
     return ErrorStats(
         mean_meas_m=meas.mean(axis=0),
         std_meas_m=meas.std(axis=0),
         mean_est_m=est.mean(axis=0),
         std_est_m=est.std(axis=0),
-        n_traces=len(traces),
+        n_traces=len(meas),
     )
 
 

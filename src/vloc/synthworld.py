@@ -24,7 +24,7 @@ from .database import Database, GeoFrame, ScanConfig
 from .geodesy import GeoPoint
 from .kalman import FilterConfig
 from .matching import DESCRIPTOR_DIM, DescriptorSet, MatchConfig
-from .pipeline import ErrorStats, LocalizationTrace, Query, evaluate, localize_sequence
+from .pipeline import ErrorStats, LocalizationTrace, Query, _error_stats, localize_sequence
 
 METERS_PER_DEG = 111_320.0
 
@@ -165,19 +165,18 @@ def gen_queries(
     return queries
 
 
-def _trial_seeds(master_seed: int, trials: int) -> list[tuple[int, int]]:
-    children = np.random.SeedSequence(master_seed).spawn(trials)
-    return [tuple(int(v) for v in c.generate_state(2)) for c in children]
+def _trial_seed(master_seed: int, i: int) -> tuple[int, int]:
+    """(world_seed, start_seed) of trial i: from the i-th child of SeedSequence(master_seed).spawn, made on demand."""
+    child = np.random.SeedSequence(master_seed, spawn_key=(i,))
+    return tuple(int(v) for v in child.generate_state(2))
 
 
-def _run_trial(args) -> LocalizationTrace:
-    world_cfg, scan_cfg, match_cfg, filter_cfg, steps, period_s, world_seed, start_seed = args
-    cfg = replace(world_cfg, seed=world_seed)
-    db = gen_world(cfg)
+def _start_range(cfg: WorldConfig, scan_cfg: ScanConfig, steps: int, period_s: float) -> tuple[int, int]:
+    """Least and greatest frame index a trial's first query may start on.
 
-    # Start on the frame grid: queries sample the same camera stream as the
-    # database, and a grid-aligned query sees equally distant candidate
-    # frames on both sides of the exclusion gap.
+    Raises ValueError when the drive is too short for the queries. The
+    range depends on the configs, not on the trial's seeds.
+    """
     period_ns = _frame_period_ns(cfg)
     margin = math.ceil(((scan_cfg.exclusion_s or 0.0) + 2.0 / cfg.db_hz) * 1e9 / period_ns)
     span = round((steps - 1) * period_s * 1e9 / period_ns)
@@ -187,11 +186,38 @@ def _run_trial(args) -> LocalizationTrace:
         raise ValueError(
             f"duration_s={cfg.duration_s} too short for {steps} queries at {period_s} s spacing"
         )
+    return lo, hi
+
+
+def _run_trial(world_cfg, scan_cfg, match_cfg, filter_cfg, steps, period_s, world_seed, start_seed) -> LocalizationTrace:
+    cfg = replace(world_cfg, seed=world_seed)
+    lo, hi = _start_range(cfg, scan_cfg, steps, period_s)
+    db = gen_world(cfg)
+
+    # Start on the frame grid: queries sample the same camera stream as the
+    # database, and a grid-aligned query sees equally distant candidate
+    # frames on both sides of the exclusion gap.
     start_idx = int(np.random.default_rng(start_seed).integers(lo, hi + 1))
-    start_ts = T0_NS + start_idx * period_ns
+    start_ts = T0_NS + start_idx * _frame_period_ns(cfg)
 
     queries = gen_queries(db, start_ts, steps, period_s, cfg)
     return localize_sequence(db, queries, scan_cfg, match_cfg, filter_cfg)
+
+
+def _run_trials(args) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step measurement and estimate errors (m) of trials lo..hi - 1, one row per trial.
+
+    Only the error rows outlive a trial, so a batch holds two floats per
+    step of each of its trials, not their traces.
+    """
+    world_cfg, scan_cfg, match_cfg, filter_cfg, steps, period_s, lo, hi = args
+    meas = np.empty((hi - lo, steps))
+    est = np.empty((hi - lo, steps))
+    for i in range(lo, hi):
+        trace = _run_trial(world_cfg, scan_cfg, match_cfg, filter_cfg, steps, period_s, *_trial_seed(world_cfg.seed, i))
+        meas[i - lo] = [s.meas_err_m for s in trace]
+        est[i - lo] = [s.est_err_m for s in trace]
+    return meas, est
 
 
 def run_monte_carlo(
@@ -208,20 +234,25 @@ def run_monte_carlo(
 
     Every trial generates a fresh world and query start from a per-trial
     stream spawned off world_cfg.seed, so results do not depend on worker
-    count or execution order. Returns per-step error statistics.
+    count or execution order. Returns per-step error statistics, the same
+    evaluate gives for the trials' traces. Seeds are made as each trial
+    starts and only per-step errors are kept, so memory grows by two
+    floats per step and trial.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if not (math.isfinite(period_s) and period_s > 0):
         raise ValueError(f"period_s must be positive and finite, got {period_s}")
-    jobs = [
-        (world_cfg, scan_cfg, match_cfg, filter_cfg, steps, period_s, ws, ss)
-        for ws, ss in _trial_seeds(world_cfg.seed, trials)
-    ]
+    _start_range(world_cfg, scan_cfg, steps, period_s)  # a drive too short fails before any trial
+    cfgs = (world_cfg, scan_cfg, match_cfg, filter_cfg, steps, period_s)
     if workers == 1:
-        traces = [_run_trial(j) for j in jobs]
+        meas, est = _run_trials((*cfgs, 0, trials))
     else:
         max_workers = workers if workers > 0 else (os.cpu_count() or 1)
+        size = max(1, trials // (4 * max_workers))
+        batches = [(*cfgs, lo, min(lo + size, trials)) for lo in range(0, trials, size)]
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            traces = list(pool.map(_run_trial, jobs, chunksize=max(1, trials // (4 * max_workers))))
-    return evaluate(traces)
+            parts = list(pool.map(_run_trials, batches))
+        meas = np.concatenate([m for m, _ in parts])
+        est = np.concatenate([e for _, e in parts])
+    return _error_stats(meas, est)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vloc import synthworld
-from vloc.cli import build_parser, main
+from vloc.cli import _scan_cfg, build_parser, main
 from vloc.database import CSV_MANIFEST_HEADER, GeoFrame, load_db, write_desc_file
 from vloc.geodesy import GeoPoint
 from vloc.kalman import FilterConfig
@@ -187,6 +187,17 @@ def test_query_missing_db(dataset, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "flag, value, code, message",
+    [("--exclusion-s", "-0.5", 2, "--exclusion-s must be 0 (off) or positive"), ("--q-scale", "inf", 1, "q_scale must be finite")],
+)
+def test_query_rejects_bad_settings_before_reading_the_database(dataset, tmp_path, capsys, flag, value, code, message):
+    _, manifest, _ = dataset
+    assert main(["query", "--db", str(tmp_path / "none.vldb"), "--queries", str(manifest), flag, value]) == code
+    err = capsys.readouterr().err
+    assert message in err and "none.vldb" not in err
+
+
 def test_simulate_writes_reports(tmp_path, capsys):
     out_dir = tmp_path / "report"
     code = main(
@@ -225,6 +236,12 @@ def test_simulate_rejects_nonpositive_trials(tmp_path, capsys):
         ("--db-hz", "inf", 1, "db_hz must be finite"),
         ("--db-hz", "3e9", 1, "frame period that rounds to 0 ns"),
         ("--workers", "-3", 2, "--workers must be 0"),
+        # a NaN or negative exclusion would otherwise turn the handicap off
+        ("--exclusion-s", "nan", 2, "--exclusion-s must be 0 (off) or positive, got nan"),
+        ("--exclusion-s", "-3", 2, "--exclusion-s must be 0 (off) or positive, got -3.0"),
+        ("--q-scale", "nan", 1, "q_scale must be finite, got nan"),
+        ("--p0-scale", "inf", 1, "p0_scale must be finite, got inf"),
+        ("--sigma-r", "inf", 1, "sigma_r must be finite, got inf"),
     ],
 )
 def test_simulate_rejects_unusable_numbers(tmp_path, capsys, flag, value, code, message):
@@ -232,6 +249,13 @@ def test_simulate_rejects_unusable_numbers(tmp_path, capsys, flag, value, code, 
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "errors.csv").exists()
+
+
+def test_zero_exclusion_means_off():
+    args = build_parser().parse_args(["simulate", "--trials", "1", "--exclusion-s", "0"])
+    assert _scan_cfg(args).exclusion_s is None
+    args = build_parser().parse_args(["simulate", "--trials", "1"])
+    assert _scan_cfg(args).exclusion_s == 1.0
 
 
 def test_simulate_reports_running_out_of_memory(tmp_path, capsys, monkeypatch):

@@ -16,6 +16,11 @@ def test_filter_config_validates():
         FilterConfig(p0_scale=0.0)
     with pytest.raises(ValueError):
         FilterConfig(q_scale=-1e-9)
+    # non-finite values are named, whatever the field's own range check
+    for name in ("sigma_r", "p0_scale", "q_scale"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                FilterConfig(**{name: bad})
 
 
 def test_filter_state_validates():

@@ -521,11 +521,33 @@ def scans(draw):
     return query, windows, cfg, chunk_cols
 
 
+def screen_spy(calls):
+    """Patch _screen to count the chunks its min test skips ("skipped") and those it compares ("compared").
+
+    A chunk is compared when _screen calls np.greater_equal; a skipped chunk
+    must keep nothing.
+    """
+    screen = matching._screen
+
+    def counted(g, fnorms, bound):
+        with mock.patch.object(np, "greater_equal", wraps=np.greater_equal) as ge:
+            flat, e = screen(g, fnorms, bound)
+        if ge.call_count:
+            calls["compared"] += 1
+        else:
+            calls["skipped"] += 1
+            assert len(flat) == len(e) == 0
+        return flat, e
+
+    return mock.patch.object(matching, "_screen", counted)
+
+
 def test_matches_equal_the_full_segment_oracle():
     # per-frame counts and every matched index equal the oracle's, with
     # pairs enumerated from the screened entries in some chunks and over
-    # all pairs in others, where the entries outnumber them
-    calls = {"chunks": 0, "entries": 0}
+    # all pairs in others, where the entries outnumber them, and with
+    # chunks the min test skips beside chunks it compares
+    calls = {"chunks": 0, "entries": 0, "skipped": 0, "compared": 0}
 
     def spy(name, fn):
         def counted(*args):
@@ -539,7 +561,7 @@ def test_matches_equal_the_full_segment_oracle():
     def check(scan):
         query, windows, cfg, chunk_cols = scan
         budget = matching._E_BYTES if chunk_cols is None else chunk_cols * DESCRIPTOR_DIM * 4
-        with mock.patch.object(matching, "_E_BYTES", budget), spy("chunks", matching._held_pairs), spy("entries", matching._entry_pairs), np.errstate(over="ignore", invalid="ignore"):
+        with mock.patch.object(matching, "_E_BYTES", budget), spy("chunks", matching._held_pairs), spy("entries", matching._entry_pairs), screen_spy(calls), np.errstate(over="ignore", invalid="ignore"):
             counts = _counts(query, windows, cfg)
             got = matches(query, windows, cfg)
             want = oracle_matches(query, windows, cfg)
@@ -548,6 +570,7 @@ def test_matches_equal_the_full_segment_oracle():
 
     check()
     assert 0 < calls["entries"] < calls["chunks"], calls
+    assert calls["skipped"] > 0 and calls["compared"] > 0, calls
 
 
 def test_held_pairs_match_brute_force():
@@ -625,6 +648,91 @@ def test_screen_keeps_exactly_the_entries_below_the_bound():
             want = np.flatnonzero(~(e >= bound[:, None]))
         assert 1 in want  # NaN entries are kept
         assert np.array_equal(flat, want) and np.array_equal(vals, e.ravel()[want], equal_nan=True)
+
+
+def screen_threshold(fnorms, bound):
+    """Per-row t of _screen: one float32 step above bound - fmin."""
+    return np.nextafter(bound - fnorms.min(), np.float32(np.inf))
+
+
+@pytest.mark.parametrize("step, skipped", [(-1, False), (0, True), (1, True)], ids=["below", "at", "above"])
+def test_min_test_skips_exactly_when_the_compare_keeps_nothing(step, skipped):
+    # one low entry, in the row holding the greatest t, one float32 step
+    # either side of that t; every other entry well above every row's t
+    rng = np.random.default_rng(21)
+    m, n = 16, 40
+    fn = rng.uniform(0.5, 2.0, n).astype(np.float32)
+    bound = rng.uniform(-1.5, -0.5, m).astype(np.float32)
+    t = screen_threshold(fn, bound)
+    top = int(t.argmax())
+    g = (t.max() + rng.uniform(0.5, 3.0, (m, n))).astype(np.float32)
+    g[top, 7] = {-1: np.nextafter(t.max(), -np.inf), 0: t.max(), 1: np.nextafter(t.max(), np.inf)}[step]
+    calls = {"skipped": 0, "compared": 0}
+    with screen_spy(calls):
+        flat, vals = matching._screen(g, fn, bound)
+    compare_keeps = np.flatnonzero(~(g >= t[:, None]))
+    assert (len(compare_keeps) == 0) == skipped
+    assert calls == {"skipped": int(skipped), "compared": int(not skipped)}
+    want = compare_keeps[~(g.ravel()[compare_keeps] + fn[compare_keeps % n] >= bound[compare_keeps // n])]
+    assert np.array_equal(flat, want)
+
+
+def test_a_chunk_holding_a_nan_is_never_skipped():
+    # every entry but the NaN is far above every row's t
+    rng = np.random.default_rng(22)
+    m, n = 8, 20
+    fn = rng.uniform(0.5, 2.0, n).astype(np.float32)
+    bound = rng.uniform(-1.5, -0.5, m).astype(np.float32)
+    t = screen_threshold(fn, bound)
+    for at in (0, 77, m * n - 1):
+        g = np.full((m, n), t.max() + 10.0, dtype=np.float32)
+        g.ravel()[at] = np.nan
+        calls = {"skipped": 0, "compared": 0}
+        with screen_spy(calls), np.errstate(invalid="ignore"):
+            flat, vals = matching._screen(g, fn, bound)
+        assert calls == {"skipped": 0, "compared": 1}
+        assert flat.tolist() == [at] and np.isnan(vals).all()
+
+
+@pytest.mark.parametrize("tau2", [-0.5, 1.0])
+def test_extreme_tau2_scans_equal_the_oracle(tau2):
+    # a sliding-window drive in chunks of a few frames: at tau2 = 1 the min
+    # test skips chunks, at tau2 = -0.5 every entry is screened in and none is
+    rng = np.random.default_rng(23)
+    pool = unit_rows(rng, 400).astype(np.float32)
+    block = DescriptorSet(pool)
+    windows = [block._window(s, s + 40) for s in range(0, 361, 8)]
+    query = DescriptorSet(np.vstack([pool[200:230] + rng.standard_normal((30, DESCRIPTOR_DIM)) * 0.01, unit_rows(rng, 4), pool[203:204]]))
+    cfg = MatchConfig(tau1=0.9, tau2=tau2)
+    calls = {"skipped": 0, "compared": 0}
+    with mock.patch.object(matching, "_E_BYTES", 60 * DESCRIPTOR_DIM * 4), screen_spy(calls):
+        got = matches(query, windows, cfg)
+    want = oracle_matches(query, windows, cfg)
+    assert np.array_equal(got, want)
+    assert calls["compared"] > 0 and (calls["skipped"] > 0) == (tau2 == 1.0), calls
+    if tau2 < 0:
+        assert (got >= 0).sum() > 0
+
+
+def test_bound_covers_the_norms_of_every_chunk(monkeypatch):
+    # one frame per chunk: a first chunk of norms near 0.97, where the
+    # gate's threshold |f|^2 - 2 tau2 |g||f| is least, then a frame of
+    # norm 0.1 and one of norm 3, each holding a twin of the query row.
+    # A bound made for the first chunk's norms alone would screen both out
+    rng = np.random.default_rng(24)
+    g = unit_rows(rng, 1)[0]
+    twin = g + 0.14 * unit_rows(rng, 1)[0]  # cosine to g about 0.99
+    twin /= np.linalg.norm(twin)
+    far = unit_rows(rng, 1)[0]
+    frames = [DescriptorSet(unit_rows(rng, 2) * 0.97) for _ in range(3)]
+    frames += [DescriptorSet(np.stack([twin, -g]) * 0.1), DescriptorSet(np.stack([twin, far]) * 3.0)]
+    cfg = MatchConfig(tau1=0.95, tau2=0.97)
+    monkeypatch.setattr(matching, "_E_BYTES", 2 * DESCRIPTOR_DIM * 4)
+    query = DescriptorSet(g.reshape(1, -1))
+    assert len(list(_candidate_rows(frames, 2))) == len(frames)
+    got = matches(query, frames, cfg)
+    assert got[0].tolist() == [-1, -1, -1, 0, 0]
+    assert np.array_equal(got, oracle_matches(query, frames, cfg))
 
 
 def two_row_frame(cos0, second):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,12 @@ from vloc.database import ScanConfig
 from vloc.geodesy import haversine_m
 from vloc.kalman import FilterConfig
 from vloc.matching import MatchConfig
+from vloc.pipeline import evaluate
 from vloc.synthworld import (
     T0_NS,
     WorldConfig,
-    _trial_seeds,
+    _run_trial,
+    _trial_seed,
     gen_queries,
     gen_world,
     position_at,
@@ -126,12 +130,51 @@ def test_gen_queries_rejects_out_of_range():
         gen_queries(db, T0_NS + 6_000_000_000, 5, 1.0, cfg)
 
 
+def spawned_seeds(master_seed, trials):
+    """(world_seed, start_seed) per trial from SeedSequence.spawn, as the seeds were first defined."""
+    return [tuple(int(v) for v in c.generate_state(2)) for c in np.random.SeedSequence(master_seed).spawn(trials)]
+
+
 def test_trial_seeds_unique_and_stable():
-    a = _trial_seeds(0, 50)
-    b = _trial_seeds(0, 50)
-    assert a == b
+    a = [_trial_seed(0, i) for i in range(50)]
+    assert a == [_trial_seed(0, i) for i in range(50)]
     assert len({ws for ws, _ in a}) == 50
-    assert _trial_seeds(1, 50) != a
+    assert [_trial_seed(1, i) for i in range(50)] != a
+
+
+@pytest.mark.parametrize("master_seed", [0, 1, 2**40 + 3])
+def test_trial_seeds_on_demand_equal_spawned_ones(master_seed):
+    # criterion 6's 1000 trials among them (master seed 0)
+    assert [_trial_seed(master_seed, i) for i in range(1000)] == spawned_seeds(master_seed, 1000)
+
+
+def test_run_monte_carlo_equals_evaluate_of_the_traces():
+    world = WorldConfig(seed=5)
+    scan_cfg = ScanConfig(window_s=20.0, exclusion_s=1.0)
+    traces = [
+        _run_trial(world, scan_cfg, MatchConfig(), FilterConfig(), 4, 1.0, ws, ss) for ws, ss in spawned_seeds(5, 20)
+    ]
+    want = evaluate(traces)
+    for workers in (1, 2):
+        got = run_monte_carlo(world, scan_cfg, MatchConfig(), FilterConfig(), trials=20, steps=4, workers=workers)
+        assert got.n_traces == want.n_traces == 20
+        for name in ("mean_meas_m", "std_meas_m", "mean_est_m", "std_est_m"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (workers, name)
+
+
+def test_run_monte_carlo_memory_does_not_grow_with_trials():
+    # each trial keeps only its error row: 2 x steps float64, not its trace
+    # or its seeds (about 4.3 KiB per trial when traces were kept)
+    args = (WorldConfig(seed=9, keypoints_per_frame=8), ScanConfig(window_s=20.0), MatchConfig(), FilterConfig())
+    peaks = {}
+    for trials in (50, 200):
+        tracemalloc.start()
+        try:
+            run_monte_carlo(*args, trials=trials, steps=6)
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[200] - peaks[50]) / 150 < 512, peaks
 
 
 def test_run_monte_carlo_smoke():
@@ -157,6 +200,12 @@ def test_run_monte_carlo_rejects_bad_counts():
     for period_s in (float("inf"), float("nan"), 0.0, -1.0):
         with pytest.raises(ValueError, match="period_s"):
             run_monte_carlo(WorldConfig(seed=8), ScanConfig(), MatchConfig(), FilterConfig(), trials=1, period_s=period_s)
+
+
+def test_run_monte_carlo_rejects_a_short_drive_before_any_trial():
+    # 10**12 trials' error rows could not be allocated: the check comes first
+    with pytest.raises(ValueError, match="too short for 100 queries"):
+        run_monte_carlo(WorldConfig(seed=8), ScanConfig(), MatchConfig(), FilterConfig(), trials=10**12, steps=100)
 
 
 def test_parallel_matches_serial():
