@@ -1,21 +1,36 @@
 """Geotagged descriptor database: storage, ingestion, windowed retrieval.
 
-On-disk container format (little-endian throughout):
+On-disk container format, version 2 (little-endian throughout):
 
-    magic   4 bytes  b"VLDB"
-    version u32      currently 1
-    count   u32      number of frames
-    then per frame:
+    magic        4 bytes  b"VLDB"
+    version      u32      2
+    count        u32      number of frames
+    rows         u64      rows of the descriptor block
+    camera_len   u32      then camera_len bytes of UTF-8 camera name
+    then one 48-byte record per frame:
         frame_id     u64
         timestamp_ns i64
         lat          f64 decimal degrees
         lon          f64 decimal degrees
-        k            u32
-        descriptors  k * 128 * f32
+        start, stop  u64 the frame's descriptors are rows [start, stop)
+    then the descriptor block: rows * 128 * f32
 
-A standalone ``.desc`` file is one frame record without the container
-header. Descriptor extraction runs out-of-process (any SIFT-style frontend
-works); this module only consumes its output.
+Frames that are windows of one block (the frames of a synthetic drive are
+of its landmark pool) share its rows: ``save_db`` writes each such block
+once, as the span of rows its frames cover, so frame ranges may overlap. A
+frame that owns its rows, as ingested frames do, gets a range of its own,
+and the block then holds the same rows in the same order as version 1.
+
+``save_db`` always writes version 2. ``load_db`` also reads version 1,
+which has no row count, table or camera name; after its header come, per
+frame:
+
+    frame_id u64, timestamp_ns i64, lat f64, lon f64, k u32,
+    then k * 128 * f32 descriptors
+
+A standalone ``.desc`` file is one version-1 frame record without the
+container header. Descriptor extraction runs out-of-process (any
+SIFT-style frontend works); this module only consumes its output.
 """
 
 import csv
@@ -37,10 +52,19 @@ from .matching import DESCRIPTOR_DIM, DescriptorSet, MatchConfig, best_match
 logger = logging.getLogger(__name__)
 
 MAGIC = b"VLDB"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _HEADER = struct.Struct("<4sII")
+"""Magic, version and frame count: the head of either version."""
+_V2_HEAD = struct.Struct("<QI")
+"""Block rows and camera name length, after _HEADER in version 2."""
+_TABLE = np.dtype(
+    [("frame_id", "<u8"), ("timestamp_ns", "<i8"), ("lat", "<f8"), ("lon", "<f8"), ("start", "<u8"), ("stop", "<u8")]
+)
+"""One version-2 frame record."""
 _FRAME_HEAD = struct.Struct("<QqddI")
+"""Head of a version-1 frame record and of a .desc file."""
+_ROW_BYTES = DESCRIPTOR_DIM * 4
 
 _CHECK_ROWS = 4096
 """Rows per finiteness check of a loaded block, bounding its temporary."""
@@ -201,59 +225,152 @@ def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
 
 
 def save_db(db: Database, path) -> None:
-    """Serialize a database; the result round-trips bit-exactly."""
+    """Serialize a database in format version 2; the result round-trips bit-exactly.
+
+    Each block that frames are windows of (DescriptorSet._block, compared
+    by identity) is written once, in order of first use, as the span of
+    its rows that its frames cover, and each frame's range is offset to
+    point into that span.
+    """
+    spans: dict[int, list] = {}  # id of a block -> [block, lo, hi]
+    for frame in db:
+        ds = frame.descriptors
+        lo, hi = ds._start, ds._start + len(ds)
+        span = spans.setdefault(id(ds._block), [ds._block, lo, hi])
+        span[1], span[2] = min(span[1], lo), max(span[2], hi)
+    shift, rows = {}, 0
+    for key, (_, lo, hi) in spans.items():
+        shift[key] = rows - lo
+        rows += hi - lo
+    records = []
+    for f in db:
+        start = f.descriptors._start + shift[id(f.descriptors._block)]
+        records.append((f.frame_id, f.timestamp_ns, f.geotag.lat, f.geotag.lon, start, start + len(f.descriptors)))
+    table = np.array(records, dtype=_TABLE)
+    camera = db.camera.encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, len(db)))
-        for frame in db:
-            _write_frame(fh, frame)
+        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, len(db)) + _V2_HEAD.pack(rows, len(camera)) + camera)
+        fh.write(table.tobytes())
+        for block, lo, hi in spans.values():
+            fh.write(block.array[lo:hi].astype("<f4", copy=False))
 
 
 def load_db(path) -> Database:
-    """Read a database written by save_db.
+    """Read a database written by save_db, in format version 2 or 1.
 
     All descriptors are read into one read-only block and every frame's
-    set is a window of it, so scans can score runs of consecutive frames
-    without copying them. The block is sized from the file, never from a
-    header's count alone.
+    set is a window of it, so scans score runs of consecutive frames
+    without copying them, and rows that version-2 frames share only once.
+    Every size is checked against the file's before anything is allocated
+    for it, and the file is checked whole before any frame is built.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic, version, count = _HEADER.unpack(_read_exact(fh, _HEADER.size, "header"))
         if magic != MAGIC:
             raise DatabaseFormatError(f"bad magic {magic!r}, not a descriptor database")
-        if version != FORMAT_VERSION:
+        if version == 1:
+            table, block, camera = _read_v1(fh, size, count, path)
+        elif version == 2:
+            table, block, camera = _read_v2(fh, size, count, path)
+        else:
             raise DatabaseFormatError(f"unsupported format version {version}")
-        row_bytes = DESCRIPTOR_DIM * 4
-        block = np.empty(((size - fh.tell()) // row_bytes, DESCRIPTOR_DIM), dtype="<f4")
-        raw = memoryview(block.view(np.uint8).reshape(-1))
-        heads = []
-        rows = 0
-        for _ in range(count):
-            fid, ts, lat, lon, k = _FRAME_HEAD.unpack(_read_exact(fh, _FRAME_HEAD.size, "frame header"))
-            try:
-                geotag = GeoPoint(lat, lon)
-            except ValueError as exc:
-                raise DatabaseFormatError(f"frame {fid} in {path}: {exc}") from None
-            want, left = k * row_bytes, size - fh.tell()
-            got = fh.readinto(raw[rows * row_bytes :][:want]) if want <= left else left
-            if got != want:
-                raise DatabaseFormatError(f"truncated file: expected {want} bytes for descriptors of frame {fid}, got {got}")
-            heads.append((fid, ts, geotag, rows, rows + k))
-            rows += k
-        if fh.read(1):
-            raise DatabaseFormatError("trailing bytes after last frame")
-    raw.release()
-    block = block[:rows].astype(np.float32, copy=False)
-    for lo in range(0, rows, _CHECK_ROWS):
+    block = block.astype(np.float32, copy=False)
+    for lo in range(0, len(block), _CHECK_ROWS):
         finite = np.isfinite(block[lo : lo + _CHECK_ROWS]).all(axis=1)
         if not finite.all():
             bad = lo + int(np.argmin(finite))
-            fid = next(fid for fid, _, _, first, stop in heads if first <= bad < stop)
-            raise DatabaseFormatError(f"frame {fid} in {path}: descriptor components must be finite")
+            held = np.flatnonzero((table["start"] <= bad) & (bad < table["stop"]))
+            where = f"frame {table['frame_id'][held[0]]}" if held.size else f"descriptor row {bad}"
+            raise DatabaseFormatError(f"{where} in {path}: descriptor components must be finite")
     block.setflags(write=False)
     descriptors = DescriptorSet._wrap(block)
-    frames = [GeoFrame(fid, ts, geotag, descriptors._window(lo, hi)) for fid, ts, geotag, lo, hi in heads]
-    return Database(frames, source=str(path), camera="")
+    frames = [
+        GeoFrame(fid, ts, GeoPoint(lat, lon), descriptors._window(lo, hi))
+        for fid, ts, lat, lon, lo, hi in table.tolist()
+    ]
+    try:
+        return Database(frames, source=str(path), camera=camera)
+    except ValueError as exc:
+        raise DatabaseFormatError(f"{path}: {exc}") from None
+
+
+def _read_v1(fh: BinaryIO, size: int, count: int, path) -> tuple[np.ndarray, np.ndarray, str]:
+    """Frame table, descriptor block and (empty) camera name of a version-1 file, read frame by frame."""
+    block = np.empty(((size - fh.tell()) // _ROW_BYTES, DESCRIPTOR_DIM), dtype="<f4")
+    raw = memoryview(block.view(np.uint8).reshape(-1))
+    heads = []
+    rows = 0
+    for _ in range(count):
+        fid, ts, lat, lon, k = _FRAME_HEAD.unpack(_read_exact(fh, _FRAME_HEAD.size, "frame header"))
+        want, left = k * _ROW_BYTES, size - fh.tell()
+        got = fh.readinto(raw[rows * _ROW_BYTES :][:want]) if want <= left else left
+        if got != want:
+            raise DatabaseFormatError(f"truncated file: expected {want} bytes for descriptors of frame {fid}, got {got}")
+        heads.append((fid, ts, lat, lon, rows, rows + k))
+        rows += k
+    if fh.read(1):
+        raise DatabaseFormatError("trailing bytes after last frame")
+    raw.release()
+    table = np.array(heads, dtype=_TABLE)
+    _check_geotags(table, path)
+    return table, block[:rows], ""
+
+
+def _read_v2(fh: BinaryIO, size: int, count: int, path) -> tuple[np.ndarray, np.ndarray, str]:
+    """Frame table, descriptor block and camera name of a version-2 file.
+
+    Sizes, row ranges and geotags are checked on the whole table before
+    the block is allocated; the block is then read in one call.
+    """
+    rows, camera_len = _V2_HEAD.unpack(_read_exact(fh, _V2_HEAD.size, "header"))
+    left = size - fh.tell()
+    if camera_len > left:
+        raise DatabaseFormatError(f"truncated file {path}: expected {camera_len} bytes for the camera name, got {left}")
+    try:
+        camera = _read_exact(fh, camera_len, "the camera name").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatabaseFormatError(f"{path}: camera name is not UTF-8 ({exc})") from None
+    left -= camera_len
+    if count * _TABLE.itemsize > left:
+        raise DatabaseFormatError(
+            f"truncated file {path}: frame table holds {left // _TABLE.itemsize} of {count} frame records"
+        )
+    table = np.frombuffer(_read_exact(fh, count * _TABLE.itemsize, "the frame table"), dtype=_TABLE)
+    left -= count * _TABLE.itemsize
+    start, stop = table["start"], table["stop"]
+    bad = (start > stop) | (stop > rows)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DatabaseFormatError(
+            f"frame {table['frame_id'][i]} in {path}: rows [{start[i]}, {stop[i]}) are not a range of a {rows}-row block"
+        )
+    if left < rows * _ROW_BYTES:
+        cut = np.flatnonzero(stop > left // _ROW_BYTES)
+        who = f"frame {table['frame_id'][cut[0]]} needs rows up to {stop[cut[0]]}, but " if cut.size else ""
+        raise DatabaseFormatError(
+            f"truncated file {path}: {who}the descriptor block holds {left} of {rows * _ROW_BYTES} bytes"
+        )
+    if left > rows * _ROW_BYTES:
+        raise DatabaseFormatError(f"trailing bytes after the descriptor block in {path}")
+    _check_geotags(table, path)
+    block = np.empty((rows, DESCRIPTOR_DIM), dtype="<f4")
+    with memoryview(block.view(np.uint8).reshape(-1)) as raw:
+        got = fh.readinto(raw)
+    if got != left:
+        raise DatabaseFormatError(f"truncated file {path}: expected {left} bytes for the descriptor block, got {got}")
+    return table, block, camera
+
+
+def _check_geotags(table: np.ndarray, path) -> None:
+    """Raise naming the first frame of table whose geotag GeoPoint rejects."""
+    ok = (np.abs(table["lat"]) <= 90.0) & (np.abs(table["lon"]) <= 180.0)  # false for NaN
+    if not ok.all():
+        i = int(np.argmin(ok))
+        try:
+            GeoPoint(float(table["lat"][i]), float(table["lon"][i]))
+        except ValueError as exc:
+            raise DatabaseFormatError(f"frame {table['frame_id'][i]} in {path}: {exc}") from None
 
 
 def write_desc_file(path, frame: GeoFrame) -> None:
@@ -364,6 +481,15 @@ def ingest_kitti(root) -> Database:
     return db
 
 
+def _manifest_rows(fh, name: str) -> Iterator[list[str]]:
+    """CSV records of fh; text that does not decode or parse as CSV raises IngestError naming the manifest."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise IngestError(f"{name}: unreadable after line {reader.line_num}: {exc}") from None
+
+
 def ingest_csv(manifest) -> Database:
     """Build a database from a CSV manifest.
 
@@ -375,7 +501,7 @@ def ingest_csv(manifest) -> Database:
     if not manifest.is_file():
         raise FileNotFoundError(f"missing manifest {manifest}")
     with open(manifest, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _manifest_rows(fh, manifest.name)
         try:
             header = next(reader)
         except StopIteration:

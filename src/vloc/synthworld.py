@@ -137,9 +137,8 @@ def gen_queries(
     """
     if n < 1:
         raise ValueError(f"need at least one query, got {n}")
-    first = db.frames[0].timestamp_ns
-    last = db.frames[-1].timestamp_ns
-    frame_ts = np.array([f.timestamp_ns for f in db.frames])
+    frame_ts = db._timestamps  # sorted
+    first, last = int(frame_ts[0]), int(frame_ts[-1])
 
     rng = np.random.default_rng([cfg.seed, 1])
     k = cfg.keypoints_per_frame
@@ -150,7 +149,7 @@ def gen_queries(
         ts = start_ts + int(round(i * period_s * 1e9))
         if not first <= ts <= last:
             raise ValueError(f"query {i} at {ts} outside database range [{first}, {last}]")
-        nearest = int(np.argmin(np.abs(frame_ts - ts)))
+        nearest = _nearest(frame_ts, ts)
         base = db.frames[nearest].descriptors.array
         if cfg.query_noise_sigma > 0:
             arr = base + rng.standard_normal(base.shape, dtype=np.float32) * np.float32(
@@ -163,6 +162,15 @@ def gen_queries(
             arr[rows] = _unit_rows(rng, n_distract)
         queries.append(Query(DescriptorSet(arr), ts, position_at(cfg, ts)))
     return queries
+
+
+def _nearest(timestamps: np.ndarray, ts: int) -> int:
+    """Index of the sorted timestamp nearest ts, the lowest index on a tie (as argmin of the distances)."""
+    j = int(np.searchsorted(timestamps, ts, "left"))
+    if j == len(timestamps) or (j > 0 and ts - int(timestamps[j - 1]) <= int(timestamps[j]) - ts):
+        # the earlier neighbour wins; take the first of its equal timestamps
+        j = int(np.searchsorted(timestamps, timestamps[j - 1], "left"))
+    return j
 
 
 def _trial_seed(master_seed: int, i: int) -> tuple[int, int]:

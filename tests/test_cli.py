@@ -3,7 +3,7 @@ import pytest
 
 from vloc import synthworld
 from vloc.cli import _scan_cfg, build_parser, main
-from vloc.database import CSV_MANIFEST_HEADER, GeoFrame, load_db, write_desc_file
+from vloc.database import CSV_MANIFEST_HEADER, GeoFrame, load_db, save_db, write_desc_file
 from vloc.geodesy import GeoPoint
 from vloc.kalman import FilterConfig
 from vloc.matching import DESCRIPTOR_DIM, DescriptorSet, MatchConfig
@@ -185,6 +185,24 @@ def test_query_missing_db(dataset, tmp_path):
     _, manifest, _ = dataset
     code = main(["query", "--db", str(tmp_path / "none.vldb"), "--queries", str(manifest)])
     assert code == 1
+
+
+def test_query_names_the_frame_of_a_corrupt_database(dataset, capsys):
+    _, manifest, _ = dataset
+    db_path = build_db(dataset)
+    db = load_db(db_path)
+    raw = bytearray(db_path.read_bytes())
+    # frame 3's latitude, in the fourth record of the table after the header and camera name
+    lat_at = 24 + len(db.camera) + 48 * 3 + 16
+    raw[lat_at : lat_at + 8] = np.float64(91.0).tobytes()
+    db_path.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert main(["query", "--db", str(db_path), "--queries", str(manifest)]) == 1
+    assert f"error: frame 3 in {db_path}: latitude 91.0 outside [-90, 90]" in capsys.readouterr().err
+    # intact, the database loads and the run goes on to reject the manifest, which lists frames
+    save_db(db, db_path)
+    assert main(["query", "--db", str(db_path), "--queries", str(manifest)]) == 2
+    assert "header must be" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from vloc.database import (
 )
 from vloc.errors import DatabaseFormatError, EmptyCandidatesError, IngestError
 from vloc.geodesy import GeoPoint
-from vloc.matching import _E_BYTES, DESCRIPTOR_DIM, DescriptorSet, MatchConfig
+from vloc.matching import _E_BYTES, DESCRIPTOR_DIM, DescriptorSet, MatchConfig, _counts
 from vloc.synthworld import T0_NS, WorldConfig, gen_queries, gen_world
 
 # plain fixture coordinates for the 3-frame ingestion tests
@@ -48,6 +49,29 @@ def make_frame(rng, fid, ts, lat=49.0, lon=8.0, k=8):
 def make_db(rng, n=5, period_ns=100_000_000):
     frames = [make_frame(rng, i, i * period_ns, 49.0 + i * 1e-4, 8.0 + i * 1e-4) for i in range(n)]
     return Database(frames, source="test", camera="cam0")
+
+
+def v1_bytes(db):
+    """A database in format version 1, which the package reads but no longer writes."""
+    out = [struct.pack("<4sII", b"VLDB", 1, len(db))]
+    for f in db:
+        arr = f.descriptors.array
+        out.append(struct.pack("<QqddI", f.frame_id, f.timestamp_ns, f.geotag.lat, f.geotag.lon, len(arr)))
+        out.append(arr.astype("<f4").tobytes())
+    return b"".join(out)
+
+
+def v2_layout(raw):
+    """Offsets of the frame table and the descriptor block in version-2 bytes."""
+    count, rows, camera_len = struct.unpack_from("<IQI", raw, 8)
+    table = 24 + camera_len
+    return table, table + 48 * count
+
+
+def owned_copy(db):
+    """The same frames, each holding a copy of its rows rather than a window of a shared block."""
+    frames = [GeoFrame(f.frame_id, f.timestamp_ns, f.geotag, DescriptorSet(f.descriptors.array)) for f in db]
+    return Database(frames, source=db.source, camera=db.camera)
 
 
 def write_kitti_tree(root, stamps, coords, descriptor_sets):
@@ -122,24 +146,52 @@ def test_load_rejects_bad_magic(tmp_path):
 def test_load_rejects_bad_version(tmp_path):
     rng = np.random.default_rng(24)
     path = tmp_path / "v9.vldb"
-    save_db(make_db(rng, n=1), path)
-    raw = bytearray(path.read_bytes())
-    raw[4] = 9
-    path.write_bytes(bytes(raw))
-    with pytest.raises(DatabaseFormatError, match="version"):
-        load_db(path)
+    for raw in (v1_bytes(make_db(rng, n=1)), None):
+        if raw is None:
+            save_db(make_db(rng, n=1), path)
+            raw = path.read_bytes()
+        raw = bytearray(raw)
+        raw[4] = 9
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DatabaseFormatError, match="version"):
+            load_db(path)
 
 
 def test_load_rejects_truncation_and_trailing(tmp_path):
     rng = np.random.default_rng(25)
     path = tmp_path / "t.vldb"
-    save_db(make_db(rng, n=2), path)
-    raw = path.read_bytes()
+    raw = v1_bytes(make_db(rng, n=2))
     path.write_bytes(raw[:-7])
     with pytest.raises(DatabaseFormatError):
         load_db(path)
     path.write_bytes(raw + b"\x00")
     with pytest.raises(DatabaseFormatError, match="trailing"):
+        load_db(path)
+
+
+def test_load_rejects_truncated_or_padded_v2(tmp_path):
+    rng = np.random.default_rng(25)
+    path = tmp_path / "t.vldb"
+    save_db(make_db(rng, n=3), path)
+    raw = path.read_bytes()
+    table, block = v2_layout(raw)
+    row = DESCRIPTOR_DIM * 4
+    cuts = {
+        20: "12 bytes for header",
+        table - 2: "4 bytes for the camera name",
+        table + 48 + 7: "frame table holds 1 of 3 frame records",
+        block: "frame 0 needs rows up to 8, but the descriptor block holds 0 of",
+        block + 16 * row + 3: f"frame 2 needs rows up to 24, but the descriptor block holds {16 * row + 3} of {24 * row} bytes",
+        len(raw) - 1: "frame 2 needs rows up to 24",
+    }
+    for cut, message in cuts.items():
+        path.write_bytes(raw[:cut])
+        with pytest.raises(DatabaseFormatError, match="truncated") as err:
+            load_db(path)
+        assert message in str(err.value)
+        assert cut == 20 or str(path) in str(err.value)
+    path.write_bytes(raw + b"\x00")
+    with pytest.raises(DatabaseFormatError, match=f"trailing bytes .* in {path}"):
         load_db(path)
 
 
@@ -236,14 +288,16 @@ def test_scan_filters_like_a_list_filter_at_every_boundary(monkeypatch):
 
 def test_unwindowed_scan_of_a_loaded_drive_has_bounded_memory(tmp_path):
     # 2000 frames of 64 keypoints: one product over all of them would be
-    # 32 MiB, many times what the chunked scan holds at once
+    # 32 MiB, many times what the chunked scan holds at once. Each frame
+    # owns its rows, as ingested frames do; a drive's shared pool would
+    # load as a few thousand rows, all in one chunk
     cfg = WorldConfig(duration_s=200.0, keypoints_per_frame=64)
     world = gen_world(cfg)
     query = gen_queries(world, T0_NS + 100 * 10**9, 1, 1.0, cfg)[0]
-    save_db(world, tmp_path / "drive.vldb")
+    save_db(owned_copy(world), tmp_path / "drive.vldb")
     del world
     db = load_db(tmp_path / "drive.vldb")
-    assert len(db) == 2000
+    assert len(db) == 2000 and len(db.frames[0].descriptors._block) == 2000 * 64
     tracemalloc.start()
     try:
         frame, count = scan(db, query.descriptors, query.timestamp_ns, ScanConfig(), MatchConfig())
@@ -255,16 +309,18 @@ def test_unwindowed_scan_of_a_loaded_drive_has_bounded_memory(tmp_path):
 
 
 def test_scan_of_a_loaded_drive_holds_no_more_than_before(tmp_path):
-    # 2000 frames of 200 keypoints, unwindowed. With tau2 <= 0 the gate's
-    # bound screens in nearly every entry, so the per-entry arrays grow
-    # with the chunk. The bounds are the traced peaks of the full-segment
-    # top-2 this scan replaced, measured the same way (57.8 and 12.6 MiB)
+    # 2000 frames of 200 keypoints, each owning its rows, unwindowed. With
+    # tau2 <= 0 the gate's bound screens in nearly every entry, so the
+    # per-entry arrays grow with the chunk. The bounds are the traced peaks
+    # of the full-segment top-2 this scan replaced, measured the same way
+    # (57.8 and 12.6 MiB)
     cfg = WorldConfig(duration_s=200.0)
     world = gen_world(cfg)
     query = gen_queries(world, T0_NS + 100 * 10**9, 1, 1.0, cfg)[0]
-    save_db(world, tmp_path / "drive.vldb")
+    save_db(owned_copy(world), tmp_path / "drive.vldb")
     del world
     db = load_db(tmp_path / "drive.vldb")
+    assert len(db.frames[0].descriptors._block) == 2000 * 200
     for tau2, bound_mib in ((-0.5, 57.9), (MatchConfig().tau2, 12.7)):
         tracemalloc.start()
         try:
@@ -431,8 +487,7 @@ def test_loaded_frames_are_windows_of_one_block(tmp_path):
 def test_load_rejects_oversized_count_and_non_finite(tmp_path):
     rng = np.random.default_rng(28)
     path = tmp_path / "db.vldb"
-    save_db(make_db(rng, n=3), path)
-    raw = bytearray(path.read_bytes())
+    raw = v1_bytes(make_db(rng, n=3))
     # k of the first frame sits after magic/version/count and id/ts/lat/lon
     k_at = 12 + 32
     bad = bytearray(raw)
@@ -453,3 +508,102 @@ def test_load_rejects_oversized_count_and_non_finite(tmp_path):
     path.write_bytes(bytes(bad))
     with pytest.raises(DatabaseFormatError, match="frame 1 .*latitude"):
         load_db(path)
+
+
+def test_load_rejects_bad_ranges_geotags_rows_and_ids_in_v2(tmp_path):
+    # a 6-frame drive of overlapping windows: frame i holds pool rows
+    # [2i, 2i + 8), so pool row 9 is held by frames 1, 2, 3 and 4
+    cfg = WorldConfig(duration_s=0.6, keypoints_per_frame=8, landmark_overlap=0.75)
+    path = tmp_path / "db.vldb"
+    save_db(gen_world(cfg), path)
+    raw = path.read_bytes()
+    table, block = v2_layout(raw)
+    assert block + 18 * DESCRIPTOR_DIM * 4 == len(raw)
+
+    def rejects(message, *edits):
+        bad = bytearray(raw)
+        for offset, value in edits:
+            bad[offset : offset + len(value)] = value
+        path.write_bytes(bytes(bad))
+        with pytest.raises(DatabaseFormatError, match=message):
+            load_db(path)
+
+    def u64(v):
+        return v.to_bytes(8, "little")
+
+    record = [table + 48 * i for i in range(6)]
+    nan = np.float32(np.nan).tobytes()
+    rejects(rf"frame 3 in {path}: rows \[6, 19\) are not a range of a 18-row block", (record[3] + 40, u64(19)))
+    rejects(r"frame 4 .*rows \[17, 16\) are not a range", (record[4] + 32, u64(17)))
+    rejects("frame 2 ", (record[2] + 32, u64(2**64 - 1)))
+    rejects(rf"frame 5 in {path}: latitude -90.5 outside", (record[5] + 16, np.float64(-90.5).tobytes()))
+    rejects("frame 1 .*finite", (record[1] + 24, np.float64(np.nan).tobytes()))
+    rejects(rf"frame 1 in {path}: .*finite", (block + 9 * DESCRIPTOR_DIM * 4 + 4 * 77, nan))
+    rejects(rf"{path}: duplicate frame_id 2", (record[4], u64(2)))
+    # a non-finite row that no frame holds once frame 5 ends at row 16
+    rejects(rf"descriptor row 17 in {path}: .*finite", (record[5] + 40, u64(16)), (block + 17 * DESCRIPTOR_DIM * 4, nan))
+    # the untouched bytes load
+    path.write_bytes(raw)
+    assert len(load_db(path)) == 6
+
+
+def test_camera_survives_save_and_load(tmp_path):
+    rng = np.random.default_rng(40)
+    for camera in ("cam0", "", "Kamera vorn links · été"):
+        db = make_db(rng, n=2)
+        db.camera = camera
+        save_db(db, tmp_path / "db.vldb")
+        assert load_db(tmp_path / "db.vldb").camera == camera
+    (tmp_path / "v1.vldb").write_bytes(v1_bytes(make_db(rng, n=2)))
+    assert load_db(tmp_path / "v1.vldb").camera == ""
+
+
+def test_v1_file_loads_and_saves_as_v2(tmp_path):
+    rng = np.random.default_rng(41)
+    frames = [make_frame(rng, i, i * 100_000_000, k=int(rng.integers(0, 12))) for i in range(7)]
+    db = Database(frames, camera="cam0")
+    (tmp_path / "v1.vldb").write_bytes(v1_bytes(db))
+    from_v1 = load_db(tmp_path / "v1.vldb")
+    save_db(from_v1, tmp_path / "v2.vldb")
+    raw = (tmp_path / "v2.vldb").read_bytes()
+    assert struct.unpack_from("<I", raw, 4) == (2,)
+    # frames that own their rows are written in the same order as in version 1
+    table, block = v2_layout(raw)
+    assert raw[block:] == b"".join(f.descriptors.array.tobytes() for f in db)
+    again = load_db(tmp_path / "v2.vldb")
+    for a, b, c in zip(db.frames, from_v1.frames, again.frames):
+        assert a.frame_id == b.frame_id == c.frame_id
+        assert a.timestamp_ns == b.timestamp_ns == c.timestamp_ns
+        assert a.geotag == b.geotag == c.geotag
+        assert np.array_equal(a.descriptors.array, b.descriptors.array)
+        assert np.array_equal(a.descriptors.array, c.descriptors.array)
+    save_db(again, tmp_path / "again.vldb")
+    assert (tmp_path / "again.vldb").read_bytes() == raw
+
+
+def test_loaded_drive_holds_each_pool_row_once_and_counts_as_in_memory(tmp_path):
+    cfg = WorldConfig(duration_s=30.0, keypoints_per_frame=40)
+    world = gen_world(cfg)
+    path = tmp_path / "drive.vldb"
+    save_db(world, path)
+    pool_rows = len(world.frames[0].descriptors._block)
+    assert pool_rows == 40 + 2 * 299
+    camera = len(world.camera.encode())
+    assert path.stat().st_size == 24 + camera + 48 * len(world) + pool_rows * DESCRIPTOR_DIM * 4
+    db = load_db(path)
+    assert len(db.frames[0].descriptors._block) == pool_rows
+    save_db(db, tmp_path / "again.vldb")
+    assert (tmp_path / "again.vldb").read_bytes() == path.read_bytes()
+
+    queries = gen_queries(world, T0_NS + 5 * 10**9, 20, 1.0, cfg)
+    for tau2 in (-0.5, MatchConfig().tau2):
+        match_cfg = MatchConfig(tau2=tau2)
+        for q in queries:
+            center = int(np.searchsorted(db._timestamps, q.timestamp_ns))
+            # unwindowed, a 5 s window, and the window with a 1 s exclusion gap
+            for lo, hi, gap in ((0, len(db), 0), (center - 50, center + 51, 0), (center - 50, center + 51, 10)):
+                keep = [i for i in range(max(lo, 0), min(hi, len(db))) if abs(i - center) > gap or not gap]
+                loaded = _counts(q.descriptors, [db.frames[i].descriptors for i in keep], match_cfg)
+                in_memory = _counts(q.descriptors, [world.frames[i].descriptors for i in keep], match_cfg)
+                assert np.array_equal(loaded, in_memory)
+                assert loaded.max() > 0

@@ -9,6 +9,8 @@ from a fixed seed so the suite stays repeatable.
 import contextlib
 import csv
 import io
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +20,17 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from vloc.cli import main  # noqa: E402
-from vloc.database import _FRAME_HEAD, Database, GeoFrame, read_desc_file, save_db, write_desc_file  # noqa: E402
+from vloc.database import (  # noqa: E402
+    _FRAME_HEAD,
+    CSV_MANIFEST_HEADER,
+    Database,
+    GeoFrame,
+    ingest_csv,
+    load_db,
+    read_desc_file,
+    save_db,
+    write_desc_file,
+)
 from vloc.errors import VlocError  # noqa: E402
 from vloc.geodesy import GeoPoint  # noqa: E402
 from vloc.matching import DESCRIPTOR_DIM, DescriptorSet  # noqa: E402
@@ -115,3 +127,106 @@ def test_query_exits_cleanly_on_any_manifest(files, manifest):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2)
+
+
+@st.composite
+def vldb_bytes(draw):
+    """Version 1 or 2 database bytes: half well-formed, half with mutated counts,
+    row ranges, geotags and payloads, cut anywhere or followed by stray bytes."""
+    corrupt = draw(st.booleans())
+
+    def field(true, other):
+        return draw(mostly(st.just(true), other)) if corrupt else true
+
+    def size(true, big):
+        # a count or length kept half the time, else mostly one that an
+        # allocation could still take, or any value up to big, or one near it
+        if not corrupt or draw(st.booleans()):
+            return true
+        return draw(mostly(st.integers(2**16, 2**24), st.one_of(st.integers(0, big), st.integers(big - 2**20, big))))
+
+    def payload(rows):
+        finite = np.full(rows * DESCRIPTOR_DIM, draw(st.floats(-1.0, 1.0, width=32)), dtype="<f4").tobytes()
+        return field(finite, st.binary(min_size=len(finite), max_size=len(finite)))
+
+    version = field(draw(st.sampled_from([1, 2])), st.integers(0, 2**32 - 1))
+    n = draw(st.integers(0, 4))
+    frames = [
+        (
+            field(i, st.integers(0, 2**64 - 1)),
+            draw(st.integers(-(2**63), 2**63 - 1)),
+            field(49.0 + i * 1e-4, st.floats()),
+            field(8.0, st.floats()),
+        )
+        for i in range(n)
+    ]
+    out = io.BytesIO()
+    if version == 2:
+        rows = draw(st.integers(0, 6))
+        camera = field(b"cam0", st.binary(max_size=6))
+        out.write(struct.pack("<4sIIQI", b"VLDB", version, size(n, 2**32 - 1), size(rows, 2**64 - 1), size(len(camera), 2**32 - 1)))
+        out.write(camera)
+        for fid, ts, lat, lon in frames:
+            start = draw(st.integers(0, rows))
+            stop = draw(st.integers(start, rows))
+            out.write(struct.pack("<QqddQQ", fid, ts, lat, lon, size(start, 2**64 - 1), size(stop, 2**64 - 1)))
+        out.write(payload(rows))
+    else:
+        out.write(struct.pack("<4sII", b"VLDB", version, size(n, 2**32 - 1)))
+        for fid, ts, lat, lon in frames:
+            k = draw(st.integers(0, 3))
+            out.write(_FRAME_HEAD.pack(fid, ts, lat, lon, size(k, 2**32 - 1)))
+            out.write(payload(k))
+    data = out.getvalue()
+    return data[: field(len(data), st.integers(0, len(data)))] + field(b"", st.binary(min_size=1, max_size=8))
+
+
+@FUZZ
+@given(data=vldb_bytes())
+def test_load_db_returns_or_raises_vloc_error(files, data):
+    path = files / "fuzzed.vldb"
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        db = load_db(path)
+    except (VlocError, OSError):
+        db = None
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    # every allocation is bounded by the file, none by a header's count alone
+    assert peak <= 2**20 + 4 * len(data)
+    assert db is None or isinstance(db, Database)
+
+
+@st.composite
+def db_manifests(draw):
+    """Mostly well-formed build-db manifests over good, empty, corrupt and absent .desc files."""
+    header = draw(mostly(st.just(",".join(CSV_MANIFEST_HEADER)), st.text(max_size=40)))
+    rows = []
+    for i in range(draw(st.integers(0, 4))):
+        row = [
+            draw(mostly(st.just(str(i)), FIELD)),
+            draw(mostly(st.just(str(i * 10**8)), FIELD)),
+            draw(mostly(st.just("49.0"), FIELD)),
+            draw(mostly(st.just("8.0"), FIELD)),
+            draw(mostly(st.sampled_from(["q.desc", "bad.desc", "empty.desc"]), FIELD)),
+        ]
+        rows.append(row[: draw(mostly(st.just(5), st.integers(0, 5)))])
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    text = header + "\n" + draw(mostly(st.just(out.getvalue()), st.text(max_size=80)))
+    return draw(mostly(st.just(text.encode("utf-8")), st.binary(max_size=80)))
+
+
+@FUZZ
+@given(manifest=db_manifests())
+def test_ingest_csv_returns_or_raises_vloc_error(files, manifest):
+    path = files / "frames.csv"
+    path.write_bytes(manifest)
+    (files / "bad.desc").write_bytes(b"\x01" * 40)
+    try:
+        db = ingest_csv(path)
+    except (VlocError, OSError):
+        return
+    assert isinstance(db, Database)

@@ -11,6 +11,7 @@ from vloc.pipeline import evaluate
 from vloc.synthworld import (
     T0_NS,
     WorldConfig,
+    _nearest,
     _run_trial,
     _trial_seed,
     gen_queries,
@@ -128,6 +129,18 @@ def test_gen_queries_rejects_out_of_range():
         gen_queries(db, T0_NS - 1_000_000_000, 1, 1.0, cfg)
     with pytest.raises(ValueError):
         gen_queries(db, T0_NS + 6_000_000_000, 5, 1.0, cfg)
+
+
+def test_nearest_frame_is_argmins_including_ties():
+    # sorted timestamps with repeats and gaps, probed at, between and beside
+    # each; argmin of the distances is the reference, lowest index on a tie
+    rng = np.random.default_rng(70)
+    for _ in range(200):
+        ts = np.sort(rng.integers(0, 40, size=int(rng.integers(1, 12)))).astype(np.int64)
+        for t in range(int(ts[0]), int(ts[-1]) + 1):
+            assert _nearest(ts, t) == int(np.argmin(np.abs(ts - t)))
+    ts = np.array([T0_NS, T0_NS + 10, T0_NS + 10, T0_NS + 20], dtype=np.int64)
+    assert [_nearest(ts, T0_NS + d) for d in (0, 5, 6, 10, 15, 16, 20)] == [0, 0, 1, 1, 1, 3, 3]
 
 
 def spawned_seeds(master_seed, trials):
