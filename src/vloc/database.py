@@ -469,6 +469,8 @@ def ingest_kitti(root) -> Database:
     frames = []
     for line, data_path, desc_path in zip(lines, data_files, desc_files):
         index = data_path.stem
+        if not (index.isascii() and index.isdigit() and int(index) < 2**64):
+            raise IngestError(f"frame {index}: file name is not a frame index in [0, 2**64)")
         ts = _parse_kitti_timestamp(line, f"frame {index}")
         geotag = _parse_oxts_latlon(data_path, index)
         try:

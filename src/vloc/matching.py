@@ -24,6 +24,7 @@ scored.
 """
 
 import logging
+import threading
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterator, Optional, Sequence
@@ -51,6 +52,29 @@ match had become cheap (one min pass): 2 MiB was still no faster, with
 windowed scans 4% (1000 frames) and 12% (10,000 frames) slower at the
 median of 60 alternating scans, so 4 MiB stays.
 """
+
+
+_scratch = threading.local()
+
+
+def _scratch_f32(name: str, shape: tuple) -> np.ndarray:
+    """A float32 array of shape, a view of this thread's buffer name, which later scans reuse.
+
+    A chunk's product and its concatenated rows are written here rather
+    than into fresh arrays, so a process that scans many small databases
+    (a Monte-Carlo run) does not page each scan's largest arrays in again
+    whenever the allocator has handed the last ones back to the OS. The
+    buffers grow to the largest chunk seen, at most 2 * _E_BYTES per
+    thread. A view is valid until the next chunk; each chunk's product is
+    consumed before _matched yields.
+    """
+    n = int(np.prod(shape))
+    buf = getattr(_scratch, name, None)
+    if buf is None or len(buf) < n:
+        setattr(_scratch, name, None)  # free the smaller buffer before allocating
+        buf = np.empty(n, dtype=np.float32)
+        setattr(_scratch, name, buf)
+    return buf[:n].reshape(shape)
 
 
 class DescriptorSet:
@@ -166,7 +190,8 @@ def _candidate_rows(sets: Sequence[DescriptorSet], max_cols: int) -> Iterator[tu
     Consecutive sets that are overlapping or touching windows of one block
     merge into one run of that block's rows. A chunk of one run is used in
     place; several (e.g. either side of an exclusion gap, or independent
-    sets) are concatenated in candidate order. A chunk closes before a set
+    sets) are concatenated in candidate order into a scratch buffer
+    (_scratch_f32), whose rows are valid until the next chunk. A chunk closes before a set
     that would take it past max_cols rows, so a long run is split at a
     set's edge and a set wider than max_cols is a chunk of its own.
     """
@@ -211,7 +236,8 @@ def _chunk(runs: list, run_of: list, firsts: list, widths: list) -> tuple[np.nda
     if len(runs) == 1:
         root, lo, hi = runs[0]
         return root.array[lo:hi], root.norms[lo:hi], first, widths
-    rows = np.concatenate([root.array[lo:hi] for root, lo, hi in runs])
+    parts = [root.array[lo:hi] for root, lo, hi in runs]
+    rows = np.concatenate(parts, out=_scratch_f32("rows", (sum(map(len, parts)), DESCRIPTOR_DIM)))
     norms = np.concatenate([root.norms[lo:hi] for root, lo, hi in runs])
     return rows, norms, first, widths
 
@@ -337,7 +363,8 @@ def _matched(query: DescriptorSet, sets: Sequence[DescriptorSet], cfg: MatchConf
             fmin, fmax = min(fmin, low), max(fmax, high)
             bound = _gate_bound(qq, fmin, fmax, cfg.tau2)
         # a call per chunk, so one chunk's arrays are freed before the next product
-        yield lo, len(widths), *_chunk_matches(q @ rows.T, qq, fnorms, first, widths, bound, cfg)
+        g = np.matmul(q, rows.T, out=_scratch_f32("product", (m, len(rows))))
+        yield lo, len(widths), *_chunk_matches(g, qq, fnorms, first, widths, bound, cfg)
 
 
 def _counts(query: DescriptorSet, sets: Sequence[DescriptorSet], cfg: MatchConfig) -> np.ndarray:

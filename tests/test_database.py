@@ -411,6 +411,16 @@ def test_ingest_kitti_bad_oxts(tmp_path):
         ingest_kitti(tmp_path)
 
 
+@pytest.mark.parametrize("stem", ["1" + "0" * 20, "x1"])
+def test_ingest_kitti_rejects_frame_indices_outside_the_file_format(tmp_path, stem):
+    rng = np.random.default_rng(32)
+    write_kitti_tree(tmp_path, FIXTURE_STAMPS[:1], FIXTURE_GEO[:1], [DescriptorSet(unit_rows(rng, 4))])
+    for sub, ext in (("oxts/data", "txt"), ("descriptors", "desc")):
+        (tmp_path / sub / f"{0:010d}.{ext}").rename(tmp_path / sub / f"{stem}.{ext}")
+    with pytest.raises(IngestError, match=f"frame {stem}: file name is not a frame index"):
+        ingest_kitti(tmp_path)
+
+
 def test_ingest_csv_round_trip(tmp_path):
     rng = np.random.default_rng(33)
     frames = [make_frame(rng, i, 1_000_000_000 * i, 49.0 + i * 1e-3, 8.0) for i in range(3)]

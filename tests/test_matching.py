@@ -1,3 +1,4 @@
+from itertools import zip_longest
 from unittest import mock
 
 import numpy as np
@@ -336,6 +337,34 @@ def test_window_is_a_zero_copy_view_with_its_own_norms():
         block._window(20, 31)
     with pytest.raises(ValueError):
         block._window(4, 3)
+
+
+def test_interleaved_scans_sharing_the_scratch_buffers_match_separate_ones(monkeypatch):
+    # three scans advanced chunk by chunk in turn reuse one thread's
+    # product and concatenation buffers; every chunk must be scored before
+    # the next overwrites them. Small chunks, exclusion-style gaps and sets
+    # that own their rows make many chunks and concatenate rows
+    rng = np.random.default_rng(14)
+    monkeypatch.setattr(matching, "_E_BYTES", 40 * DESCRIPTOR_DIM * 4)
+    block = DescriptorSet(unit_rows(rng, 400))
+    scans = []
+    for step, gap in ((5, (30, 36)), (7, (10, 13))):
+        windows = [block._window(s, s + 20) for s in range(0, 380, step)]
+        query = DescriptorSet(block.array[100:120] + rng.normal(0, 0.02, (20, DESCRIPTOR_DIM)))
+        scans.append((query, windows[: gap[0]] + windows[gap[1] :]))
+    # sets that own their rows: every chunk of two is concatenated
+    scans.append((scans[0][0], [DescriptorSet(w.array) for w in scans[1][1]]))
+    # zip_longest takes one chunk from each scan in turn
+    pairs = list(zip_longest(*(_matched(q, sets, MatchConfig()) for q, sets in scans)))
+    for i, (query, sets) in enumerate(scans):
+        chunks = [p[i] for p in pairs if p[i] is not None]
+        assert len(chunks) > 1
+        counts = np.zeros(len(sets), dtype=np.int64)
+        for lo, k, _, f, _ in chunks:
+            counts[lo : lo + k] = np.bincount(f, minlength=k)
+        # each set alone is one chunk scored in place
+        assert counts.tolist() == [count_correspondences(query, s, MatchConfig()) for s in sets]
+        assert counts.max() > 0
 
 
 @pytest.mark.parametrize("chunk_cols", [None, 60, 200, 1])
