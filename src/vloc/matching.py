@@ -191,9 +191,10 @@ def _candidate_rows(sets: Sequence[DescriptorSet], max_cols: int) -> Iterator[tu
     merge into one run of that block's rows. A chunk of one run is used in
     place; several (e.g. either side of an exclusion gap, or independent
     sets) are concatenated in candidate order into a scratch buffer
-    (_scratch_f32), whose rows are valid until the next chunk. A chunk closes before a set
-    that would take it past max_cols rows, so a long run is split at a
-    set's edge and a set wider than max_cols is a chunk of its own.
+    (_scratch_f32), so their rows are valid only until the next chunk. A
+    chunk closes before a set that would take it past max_cols rows, so a
+    long run is split at a set's edge and a set wider than max_cols is a
+    chunk of its own.
     """
     runs = []  # [root, lo, hi] per run of block rows in the open chunk
     run_of, firsts, widths = [], [], []  # per set in the open chunk

@@ -55,7 +55,7 @@ def desc_bytes(draw):
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """A 6-frame database, a query copy of frame 2 and a directory for fuzzed files."""
+    """A 6-frame database, a query copy of frame 2, empty and corrupt .desc files and a directory for fuzzed files."""
     root = tmp_path_factory.mktemp("fuzz")
     rng = np.random.default_rng(60)
     frames = []
@@ -65,6 +65,7 @@ def files(tmp_path_factory):
     save_db(Database(frames), root / "drive.vldb")
     write_desc_file(root / "q.desc", frames[2])
     (root / "empty.desc").write_bytes(b"")
+    (root / "bad.desc").write_bytes(b"\x01" * 40)
     return root
 
 
@@ -201,22 +202,27 @@ def test_load_db_returns_or_raises_vloc_error(files, data):
 
 @st.composite
 def db_manifests(draw):
-    """Mostly well-formed build-db manifests over good, empty, corrupt and absent .desc files."""
-    header = draw(mostly(st.just(",".join(CSV_MANIFEST_HEADER)), st.text(max_size=40)))
+    """build-db manifests over good, empty, corrupt and absent .desc files:
+    half well-formed, half with fields, rows, text or bytes replaced."""
+    corrupt = draw(st.booleans())
+
+    def field(true, other=FIELD):
+        return draw(mostly(st.just(true), other)) if corrupt else true
+
     rows = []
     for i in range(draw(st.integers(0, 4))):
         row = [
-            draw(mostly(st.just(str(i)), FIELD)),
-            draw(mostly(st.just(str(i * 10**8)), FIELD)),
-            draw(mostly(st.just("49.0"), FIELD)),
-            draw(mostly(st.just("8.0"), FIELD)),
-            draw(mostly(st.sampled_from(["q.desc", "bad.desc", "empty.desc"]), FIELD)),
+            field(str(i)),
+            field(str(i * 10**8)),
+            field("49.0"),
+            field("8.0"),
+            field("q.desc", st.one_of(st.sampled_from(["bad.desc", "empty.desc", "absent.desc"]), FIELD)),
         ]
-        rows.append(row[: draw(mostly(st.just(5), st.integers(0, 5)))])
+        rows.append(row[: field(5, st.integers(0, 5))])
     out = io.StringIO()
     csv.writer(out).writerows(rows)
-    text = header + "\n" + draw(mostly(st.just(out.getvalue()), st.text(max_size=80)))
-    return draw(mostly(st.just(text.encode("utf-8")), st.binary(max_size=80)))
+    text = field(",".join(CSV_MANIFEST_HEADER), st.text(max_size=40)) + "\n" + field(out.getvalue(), st.text(max_size=80))
+    return field(text.encode("utf-8"), st.binary(max_size=80))
 
 
 @FUZZ
@@ -224,7 +230,6 @@ def db_manifests(draw):
 def test_ingest_csv_returns_or_raises_vloc_error(files, manifest):
     path = files / "frames.csv"
     path.write_bytes(manifest)
-    (files / "bad.desc").write_bytes(b"\x01" * 40)
     try:
         db = ingest_csv(path)
     except (VlocError, OSError):
