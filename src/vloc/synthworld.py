@@ -96,7 +96,8 @@ def _unit_rows(rng: np.random.Generator, n: int) -> np.ndarray:
     rows = rng.standard_normal((n, DESCRIPTOR_DIM), dtype=np.float32)
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
-    return rows / norms
+    rows /= norms
+    return rows
 
 
 def gen_world(cfg: WorldConfig) -> Database:
@@ -152,9 +153,9 @@ def gen_queries(
         nearest = _nearest(frame_ts, ts)
         base = db.frames[nearest].descriptors.array
         if cfg.query_noise_sigma > 0:
-            arr = base + rng.standard_normal(base.shape, dtype=np.float32) * np.float32(
-                cfg.query_noise_sigma
-            )
+            arr = rng.standard_normal(base.shape, dtype=np.float32)
+            arr *= np.float32(cfg.query_noise_sigma)
+            arr += base
         else:
             arr = base.copy()
         if n_distract > 0:
