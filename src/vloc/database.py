@@ -1,5 +1,16 @@
 """Geotagged descriptor database: storage, ingestion, windowed retrieval.
 
+In memory a Database is columns over one read-only descriptor block: per
+frame, in (timestamp, id) order, a uint64 id, an int64 timestamp, a float64
+latitude and longitude, and the row range [start, stop) of the block that
+holds its descriptors. Starts do not decrease; ranges may overlap or touch.
+A drive's frames are windows of its landmark pool and a loaded database's
+of the file's block, and both are held as they are; the rows of any other
+frames are packed (copied) into a new block in frame order. A scan selects
+its candidates as index ranges of the columns and scores the block's rows
+in chunks, without a GeoFrame per frame; GeoFrames are built only when one
+is asked for (the winner of a scan, ``frames``, ``frame_by_id``).
+
 On-disk container format, version 2 (little-endian throughout):
 
     magic        4 bytes  b"VLDB"
@@ -15,11 +26,11 @@ On-disk container format, version 2 (little-endian throughout):
         start, stop  u64 the frame's descriptors are rows [start, stop)
     then the descriptor block: rows * 128 * f32
 
-Frames that are windows of one block (the frames of a synthetic drive are
-of its landmark pool) share its rows: ``save_db`` writes each such block
-once, as the span of rows its frames cover, so frame ranges may overlap. A
-frame that owns its rows, as ingested frames do, gets a range of its own,
-and the block then holds the same rows in the same order as version 1.
+``save_db`` writes the columns as the table and the span of the block
+that the frames cover, so rows that frames share (a drive's) are written
+once and frame ranges may overlap. Frames that owned their rows, as
+ingested frames do, were packed one after another, and the block then
+holds the same rows in the same order as version 1.
 
 ``save_db`` always writes version 2. ``load_db`` also reads version 1,
 which has no row count, table or camera name; after its header come, per
@@ -38,6 +49,7 @@ import logging
 import math
 import os
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -47,7 +59,7 @@ import numpy as np
 
 from .errors import DatabaseFormatError, EmptyCandidatesError, IngestError
 from .geodesy import GeoPoint
-from .matching import DESCRIPTOR_DIM, DescriptorSet, MatchConfig, best_match
+from .matching import DESCRIPTOR_DIM, DescriptorSet, MatchConfig, _Candidates, _pack, best_match
 
 logger = logging.getLogger(__name__)
 
@@ -89,46 +101,135 @@ class GeoFrame:
 
 
 class Database:
-    """Frames sorted by timestamp, with provenance metadata.
+    """Geotagged frames as columns, sorted by (timestamp_ns, frame_id), with provenance metadata.
 
-    Frame ids must be unique and timestamps int64; frames are re-sorted by
-    (timestamp_ns, frame_id) at construction, so ingest order does not
-    matter.
+    Frame i has id ids[i] (uint64), capture time timestamps[i] (int64),
+    geotag (lat[i], lon[i]) and the descriptors in rows starts[i]:stops[i]
+    of one read-only block. Starts do not decrease; ranges may overlap or
+    touch, as a drive's frames share the rows of its landmark pool. Frame
+    ids must be unique; frames are sorted at construction, so ingest order
+    does not matter. A GeoFrame is built only when one is asked for
+    (frames, frame_by_id, iteration).
     """
 
     def __init__(self, frames: Iterable[GeoFrame], source: str = "", camera: str = ""):
-        ordered = sorted(frames, key=lambda f: (f.timestamp_ns, f.frame_id))
-        seen: set[int] = set()
-        for f in ordered:
-            if f.frame_id in seen:
-                raise ValueError(f"duplicate frame_id {f.frame_id}")
-            if not _I64_MIN <= f.timestamp_ns <= _I64_MAX:
-                raise ValueError(f"frame {f.frame_id}: timestamp_ns {f.timestamp_ns} outside the int64 range")
-            seen.add(f.frame_id)
-        self._frames = tuple(ordered)
-        # sorted capture times, so a scan finds its window by binary search,
-        # and what best_match scores of each frame, so a scan takes slices
-        self._timestamps = np.array([f.timestamp_ns for f in ordered], dtype=np.int64)
-        self._candidates = tuple((f.frame_id, f.descriptors) for f in ordered)
-        self._by_id = {f.frame_id: f for f in ordered}
+        frames = sorted(frames, key=lambda f: (f.timestamp_ns, f.frame_id))
+        ids = [f.frame_id for f in frames]
+        self._init(
+            _int_column(ids, np.uint64, ids, "frame_id"),
+            _int_column([f.timestamp_ns for f in frames], np.int64, ids, "timestamp_ns"),
+            [f.geotag.lat for f in frames],
+            [f.geotag.lon for f in frames],
+            *_pack([f.descriptors for f in frames]),
+            source,
+            camera,
+        )
+
+    @classmethod
+    def _from_columns(cls, *columns, source: str = "", camera: str = "") -> "Database":
+        """A database of columns (ids, timestamps, lat, lon, block, starts, stops) in any order, as _init takes them."""
+        db = cls.__new__(cls)
+        db._init(*columns, source, camera)
+        return db
+
+    def _init(self, ids, timestamps, lat, lon, block: DescriptorSet, starts, stops, source: str, camera: str) -> None:
+        """Frame i is (ids[i], timestamps[i], (lat[i], lon[i]), rows starts[i]:stops[i] of block), in any order.
+
+        The columns are sorted and frozen. Frames whose starts decrease once
+        sorted have their rows copied, in frame order, into a new block
+        (_pack). Raises ValueError for a duplicate id or a geotag GeoPoint
+        rejects.
+        """
+        ids, timestamps = np.ascontiguousarray(ids, dtype=np.uint64), np.ascontiguousarray(timestamps, dtype=np.int64)
+        lat, lon = np.ascontiguousarray(lat, dtype=np.float64), np.ascontiguousarray(lon, dtype=np.float64)
+        starts, stops = np.ascontiguousarray(starts, dtype=np.int64), np.ascontiguousarray(stops, dtype=np.int64)
+        later = (timestamps[1:] > timestamps[:-1]) | ((timestamps[1:] == timestamps[:-1]) & (ids[1:] > ids[:-1]))
+        if not later.all():
+            order = np.lexsort((ids, timestamps))
+            ids, timestamps, lat, lon, starts, stops = (c[order] for c in (ids, timestamps, lat, lon, starts, stops))
+        if (starts[1:] < starts[:-1]).any():
+            block, starts, stops = _pack([block._window(a, b) for a, b in zip(starts.tolist(), stops.tolist())])
+        id_order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[id_order]
+        twin = np.flatnonzero(sorted_ids[1:] == sorted_ids[:-1])
+        if twin.size:
+            raise ValueError(f"duplicate frame_id {sorted_ids[twin[0]]}")
+        _check_geotags(ids, lat, lon)
+        for col in (ids, timestamps, lat, lon, starts, stops, id_order, sorted_ids):
+            col.setflags(write=False)
+        self._ids, self._timestamps, self._lat, self._lon = ids, timestamps, lat, lon
+        self._block, self._starts, self._stops = block, starts, stops
+        # frame_by_id binary-searches the sorted ids
+        self._id_order, self._sorted_ids = id_order, sorted_ids
         self.source = source
         self.camera = camera
 
+    def _frame(self, i: int) -> GeoFrame:
+        return GeoFrame(
+            int(self._ids[i]),
+            int(self._timestamps[i]),
+            GeoPoint(float(self._lat[i]), float(self._lon[i])),
+            self._block._window(int(self._starts[i]), int(self._stops[i])),
+        )
+
+    def _candidates(self, ranges: list[tuple[int, int]]) -> _Candidates:
+        """Frames lo:hi of each ascending, disjoint (lo, hi) of ranges, as best_match's candidates."""
+        ids, starts, stops = (np.concatenate([c[lo:hi] for lo, hi in ranges]) for c in (self._ids, self._starts, self._stops))
+        return _Candidates(ids, self._block, starts, stops)
+
     @property
-    def frames(self) -> tuple[GeoFrame, ...]:
-        return self._frames
+    def frames(self) -> "_Frames":
+        """Read-only sequence of the frames, each GeoFrame built when it is read."""
+        return _Frames(self)
 
     def frame_by_id(self, frame_id: int) -> GeoFrame:
-        return self._by_id[frame_id]
+        if 0 <= frame_id < 2**64:
+            j = int(np.searchsorted(self._sorted_ids, frame_id))
+            if j < len(self) and self._sorted_ids[j] == frame_id:
+                return self._frame(self._id_order[j])
+        raise KeyError(frame_id)
 
     def __len__(self) -> int:
-        return len(self._frames)
+        return len(self._ids)
 
     def __iter__(self) -> Iterator[GeoFrame]:
-        return iter(self._frames)
+        return iter(self.frames)
 
     def __repr__(self) -> str:
         return f"Database(frames={len(self)}, source={self.source!r}, camera={self.camera!r})"
+
+
+class _Frames(Sequence):
+    """A database's frames; indexing, slicing or iterating builds GeoFrames of its columns."""
+
+    __slots__ = ("_db",)
+
+    def __init__(self, db: Database):
+        self._db = db
+
+    def __len__(self) -> int:
+        return len(self._db)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._db._frame, range(*i.indices(len(self)))))
+        return self._db._frame(i)
+
+    def __iter__(self) -> Iterator[GeoFrame]:
+        db = self._db
+        columns = (db._ids, db._timestamps, db._lat, db._lon, db._starts, db._stops)
+        for fid, ts, lat, lon, a, b in zip(*(c.tolist() for c in columns)):
+            yield GeoFrame(fid, ts, GeoPoint(lat, lon), db._block._window(a, b))
+
+
+def _int_column(values: list, dtype, ids: list, name: str) -> np.ndarray:
+    """values as an array of an integer dtype; a value outside its range raises ValueError naming its frame."""
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:
+        info = np.iinfo(dtype)
+        i = next(i for i, v in enumerate(values) if not info.min <= v <= info.max)
+        raise ValueError(f"frame {ids[i]}: {name} {values[i]} outside the {info.dtype} range") from None
 
 
 @dataclass(frozen=True)
@@ -172,11 +273,12 @@ def scan(
     lo, hi = 0, len(db)
     if cfg.window_s is not None and center_ts is not None:
         lo, hi = _within(db._timestamps, center_ts, cfg.window_s)
-    candidates = db._candidates[lo:hi]
+    ranges = [(lo, hi)]
     if cfg.exclusion_s is not None:
         cut_lo, cut_hi = _within(db._timestamps, query_ts, cfg.exclusion_s)
-        candidates = db._candidates[lo : min(hi, cut_lo)] + db._candidates[max(lo, cut_hi) : hi]
-    if not candidates:
+        ranges = [(lo, min(hi, cut_lo)), (max(lo, cut_hi), hi)]
+    candidates = db._candidates(ranges)
+    if not len(candidates):
         raise EmptyCandidatesError(
             f"no candidate frames for query_ts={query_ts} "
             f"(window_s={cfg.window_s}, center_ts={center_ts}, exclusion_s={cfg.exclusion_s})"
@@ -227,42 +329,32 @@ def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
 def save_db(db: Database, path) -> None:
     """Serialize a database in format version 2; the result round-trips bit-exactly.
 
-    Each block that frames are windows of (DescriptorSet._block, compared
-    by identity) is written once, in order of first use, as the span of
-    its rows that its frames cover, and each frame's range is offset to
-    point into that span.
+    The frame table is the database's columns, and the block written is
+    the span of rows of the database's block that its frames cover, with
+    each frame's range offset to point into that span.
     """
-    spans: dict[int, list] = {}  # id of a block -> [block, lo, hi]
-    for frame in db:
-        ds = frame.descriptors
-        lo, hi = ds._start, ds._start + len(ds)
-        span = spans.setdefault(id(ds._block), [ds._block, lo, hi])
-        span[1], span[2] = min(span[1], lo), max(span[2], hi)
-    shift, rows = {}, 0
-    for key, (_, lo, hi) in spans.items():
-        shift[key] = rows - lo
-        rows += hi - lo
-    records = []
-    for f in db:
-        start = f.descriptors._start + shift[id(f.descriptors._block)]
-        records.append((f.frame_id, f.timestamp_ns, f.geotag.lat, f.geotag.lon, start, start + len(f.descriptors)))
-    table = np.array(records, dtype=_TABLE)
+    lo = int(db._starts.min()) if len(db) else 0
+    hi = int(db._stops.max()) if len(db) else 0
+    table = np.empty(len(db), dtype=_TABLE)
+    table["frame_id"], table["timestamp_ns"] = db._ids, db._timestamps
+    table["lat"], table["lon"] = db._lat, db._lon
+    table["start"], table["stop"] = db._starts - lo, db._stops - lo
     camera = db.camera.encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, len(db)) + _V2_HEAD.pack(rows, len(camera)) + camera)
+        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, len(db)) + _V2_HEAD.pack(hi - lo, len(camera)) + camera)
         fh.write(table.tobytes())
-        for block, lo, hi in spans.values():
-            fh.write(block.array[lo:hi].astype("<f4", copy=False))
+        fh.write(db._block.array[lo:hi].astype("<f4", copy=False))
 
 
 def load_db(path) -> Database:
     """Read a database written by save_db, in format version 2 or 1.
 
-    All descriptors are read into one read-only block and every frame's
-    set is a window of it, so scans score runs of consecutive frames
-    without copying them, and rows that version-2 frames share only once.
-    Every size is checked against the file's before anything is allocated
-    for it, and the file is checked whole before any frame is built.
+    All descriptors are read into one read-only block, which becomes the
+    database's block, and the frame table its columns, so scans score runs
+    of consecutive frames without copying them, and rows that version-2
+    frames share only once. Every size is checked against the file's
+    before anything is allocated for it, and the file is checked whole
+    before the database is built.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -284,13 +376,12 @@ def load_db(path) -> Database:
             where = f"frame {table['frame_id'][held[0]]}" if held.size else f"descriptor row {bad}"
             raise DatabaseFormatError(f"{where} in {path}: descriptor components must be finite")
     block.setflags(write=False)
-    descriptors = DescriptorSet._wrap(block)
-    frames = [
-        GeoFrame(fid, ts, GeoPoint(lat, lon), descriptors._window(lo, hi))
-        for fid, ts, lat, lon, lo, hi in table.tolist()
-    ]
+    t = table
     try:
-        return Database(frames, source=str(path), camera=camera)
+        return Database._from_columns(
+            t["frame_id"], t["timestamp_ns"], t["lat"], t["lon"], DescriptorSet._wrap(block), t["start"], t["stop"],
+            source=str(path), camera=camera,
+        )
     except ValueError as exc:
         raise DatabaseFormatError(f"{path}: {exc}") from None
 
@@ -313,7 +404,7 @@ def _read_v1(fh: BinaryIO, size: int, count: int, path) -> tuple[np.ndarray, np.
         raise DatabaseFormatError("trailing bytes after last frame")
     raw.release()
     table = np.array(heads, dtype=_TABLE)
-    _check_geotags(table, path)
+    _check_geotags(table["frame_id"], table["lat"], table["lon"], f" in {path}", DatabaseFormatError)
     return table, block[:rows], ""
 
 
@@ -353,7 +444,7 @@ def _read_v2(fh: BinaryIO, size: int, count: int, path) -> tuple[np.ndarray, np.
         )
     if left > rows * _ROW_BYTES:
         raise DatabaseFormatError(f"trailing bytes after the descriptor block in {path}")
-    _check_geotags(table, path)
+    _check_geotags(table["frame_id"], table["lat"], table["lon"], f" in {path}", DatabaseFormatError)
     block = np.empty((rows, DESCRIPTOR_DIM), dtype="<f4")
     with memoryview(block.view(np.uint8).reshape(-1)) as raw:
         got = fh.readinto(raw)
@@ -362,15 +453,15 @@ def _read_v2(fh: BinaryIO, size: int, count: int, path) -> tuple[np.ndarray, np.
     return table, block, camera
 
 
-def _check_geotags(table: np.ndarray, path) -> None:
-    """Raise naming the first frame of table whose geotag GeoPoint rejects."""
-    ok = (np.abs(table["lat"]) <= 90.0) & (np.abs(table["lon"]) <= 180.0)  # false for NaN
+def _check_geotags(ids: np.ndarray, lat: np.ndarray, lon: np.ndarray, where: str = "", error=ValueError) -> None:
+    """Raise error naming the first frame (and where) whose geotag GeoPoint rejects."""
+    ok = (np.abs(lat) <= 90.0) & (np.abs(lon) <= 180.0)  # false for NaN
     if not ok.all():
         i = int(np.argmin(ok))
         try:
-            GeoPoint(float(table["lat"][i]), float(table["lon"][i]))
+            GeoPoint(float(lat[i]), float(lon[i]))
         except ValueError as exc:
-            raise DatabaseFormatError(f"frame {table['frame_id'][i]} in {path}: {exc}") from None
+            raise error(f"frame {ids[i]}{where}: {exc}") from None
 
 
 def write_desc_file(path, frame: GeoFrame) -> None:

@@ -25,9 +25,9 @@ scored.
 
 import logging
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import compress
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -179,67 +179,104 @@ class MatchConfig:
             raise ValueError(f"tau2 must be in (-1, 1], got {self.tau2}")
 
 
-def _candidate_rows(sets: Sequence[DescriptorSet], max_cols: int) -> Iterator[tuple]:
-    """Chunks of whole sets, each scored by one product over at most max_cols rows.
+def _pack(sets: Sequence[DescriptorSet]) -> tuple[DescriptorSet, np.ndarray, np.ndarray]:
+    """One block and each set's rows of it, set i being rows starts[i]:stops[i].
 
-    Yields (lo, rows, norms, first, widths) per chunk: its sets start at
-    sets[lo], rows and norms are the rows to score for them and their
-    squared norms, first holds each set's first row within rows and widths
-    its row count.
-
-    Consecutive sets that are overlapping or touching windows of one block
-    merge into one run of that block's rows. A chunk of one run is used in
-    place; several (e.g. either side of an exclusion gap, or independent
-    sets) are concatenated in candidate order into a scratch buffer
-    (_scratch_f32), so their rows are valid only until the next chunk. A
-    chunk closes before a set that would take it past max_cols rows, so a
-    long run is split at a set's edge and a set wider than max_cols is a
-    chunk of its own.
+    Zero-copy when the sets are windows of one block whose starts do not
+    decrease, as a drive's frames are of its landmark pool and a loaded
+    database's of its descriptor block. Otherwise the sets' rows are copied,
+    in order, into a new block, where each set's rows follow the last's.
     """
-    runs = []  # [root, lo, hi] per run of block rows in the open chunk
-    run_of, firsts, widths = [], [], []  # per set in the open chunk
-    last, cols, lo = None, 0, 0  # last run, rows of the open chunk, its first set
-    for s in sets:
-        a = s._start
-        k = len(s._array)
-        if last is not None and s._block is last[0] and a <= last[2] and a + k >= last[1]:
-            # conditionals, not min/max: this runs once per candidate set
-            run_lo = a if a < last[1] else last[1]
-            run_hi = a + k if a + k > last[2] else last[2]
-            grow = run_hi - run_lo - (last[2] - last[1])
-        else:
-            last, grow = None, k
-        if cols + grow > max_cols and widths:
-            yield lo, *_chunk(runs, run_of, firsts, widths)
-            lo += len(widths)
-            runs, run_of, firsts, widths = [], [], [], []
-            last, cols, grow = None, 0, k
-        if last is None:
-            last = [s._block, a, a + k]
-            runs.append(last)
-        else:
-            last[1], last[2] = run_lo, run_hi
-        cols += grow
-        run_of.append(len(runs) - 1)
-        firsts.append(a)
-        widths.append(k)
-    if widths:
-        yield lo, *_chunk(runs, run_of, firsts, widths)
+    n = len(sets)
+    starts = np.fromiter((s._start for s in sets), dtype=np.int64, count=n)
+    widths = np.fromiter(map(len, sets), dtype=np.int64, count=n)
+    root = sets[0]._block if n else DescriptorSet.empty()
+    if all(s._block is root for s in sets) and not (starts[1:] < starts[:-1]).any():
+        return root, starts, starts + widths
+    block = np.concatenate([s.array for s in sets])
+    block.setflags(write=False)
+    stops = np.cumsum(widths)
+    return DescriptorSet._wrap(block), stops - widths, stops
 
 
-def _chunk(runs: list, run_of: list, firsts: list, widths: list) -> tuple[np.ndarray, ...]:
-    """Rows, norms, first rows and widths of one chunk of _candidate_rows."""
-    run = np.array(run_of, dtype=np.int64)
-    run_lo = np.array([lo for _, lo, _ in runs], dtype=np.int64)
-    offsets = np.cumsum([0] + [hi - lo for _, lo, hi in runs])
-    first = offsets[run] + np.array(firsts, dtype=np.int64) - run_lo[run]
-    widths = np.array(widths, dtype=np.int64)
+class _Candidates(Sequence):
+    """Frames to score as columns: frame i has id ids[i] and rows starts[i]:stops[i] of block.
+
+    Starts do not decrease. Read as a sequence, it is the (frame_id,
+    DescriptorSet) pairs best_match takes, each set a window of the block
+    made when it is read; best_match itself reads the columns.
+    """
+
+    __slots__ = ("ids", "block", "starts", "stops")
+
+    def __init__(self, ids: np.ndarray, block: DescriptorSet, starts: np.ndarray, stops: np.ndarray):
+        self.ids, self.block, self.starts, self.stops = ids, block, starts, stops
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return int(self.ids[i]), self.block._window(int(self.starts[i]), int(self.stops[i]))
+
+    def __iter__(self) -> Iterator[tuple[int, DescriptorSet]]:
+        for fid, a, b in zip(self.ids.tolist(), self.starts.tolist(), self.stops.tolist()):
+            yield fid, self.block._window(a, b)
+
+
+def _candidate_rows(block: DescriptorSet, starts: np.ndarray, stops: np.ndarray, max_cols: int) -> Iterator[tuple]:
+    """Chunks of whole frames, each scored by one product over at most max_cols rows.
+
+    Frame i is rows starts[i]:stops[i] of block, and starts do not
+    decrease. Yields (lo, rows, norms, first, widths) per chunk: its frames
+    start at frame lo, rows and norms are the rows to score for them and
+    their squared norms, first holds each frame's first row within rows
+    and widths its row count.
+
+    Within a chunk, frames merge into runs of the block's rows: a frame
+    opens a new run where its start passes the running maximum of the
+    stops before it, so overlapping or touching frames share their rows. A
+    chunk of one run is used in place; several (e.g. either side of an
+    exclusion gap) are concatenated into a scratch buffer (_scratch_f32),
+    so their rows are valid only until the next chunk. A chunk closes
+    before the frame that would take its runs past max_cols rows, so a long
+    run is split at a frame's edge and a frame wider than max_cols is a
+    chunk of its own; the next chunk's runs start afresh at that frame.
+    """
+    n, lo = len(starts), 0
+    while lo < n:
+        span = 256  # frames examined for the chunk's end, grown until it is found
+        while True:
+            a, b = starts[lo : lo + span], stops[lo : lo + span]
+            top = np.maximum.accumulate(b)
+            opens = np.empty(len(a), dtype=bool)
+            opens[0] = True
+            np.greater(a[1:], top[:-1], out=opens[1:])
+            # rows each frame adds: a new run's own, or how far it extends the open run
+            grow = np.empty_like(a)
+            grow[0] = b[0] - a[0]
+            grow[1:] = np.where(opens[1:], b[1:] - a[1:], top[1:] - top[:-1])
+            k = max(1, int(np.searchsorted(np.cumsum(grow), max_cols, "right")))
+            if k < len(a) or lo + len(a) == n:
+                break
+            span *= 4
+        at = np.flatnonzero(opens[:k])
+        runs = np.stack([a[at], top[np.append(at[1:], k) - 1]], axis=1)
+        yield lo, *_chunk(block, runs, np.cumsum(opens[:k]) - 1, a[:k], b[:k] - a[:k])
+        lo += k
+
+
+def _chunk(block: DescriptorSet, runs: np.ndarray, run: np.ndarray, firsts: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rows, norms, first rows and widths of one chunk of _candidate_rows, whose frame i lies in runs[run[i]]."""
+    lengths = runs[:, 1] - runs[:, 0]
+    offsets = np.cumsum(lengths) - lengths
+    first = offsets[run] + firsts - runs[run, 0]
     if len(runs) == 1:
-        root, lo, hi = runs[0]
-        return root.array[lo:hi], root.norms[lo:hi], first, widths
-    parts = [root.array[lo:hi] for root, lo, hi in runs]
-    rows = np.concatenate(parts, out=_scratch_f32("rows", (sum(map(len, parts)), DESCRIPTOR_DIM)))
-    norms = np.concatenate([root.norms[lo:hi] for root, lo, hi in runs])
+        lo, hi = runs[0].tolist()
+        return block.array[lo:hi], block.norms[lo:hi], first, widths
+    rows = np.concatenate([block.array[lo:hi] for lo, hi in runs.tolist()], out=_scratch_f32("rows", (int(lengths.sum()), DESCRIPTOR_DIM)))
+    norms = np.concatenate([block.norms[lo:hi] for lo, hi in runs.tolist()])
     return rows, norms, first, widths
 
 
@@ -338,11 +375,12 @@ def _range_min(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _matched(query: DescriptorSet, sets: Sequence[DescriptorSet], cfg: MatchConfig) -> Iterator[tuple]:
-    """Per chunk of sets, (lo, k, r, f, j): its sets are sets[lo:lo + k], and query row r[i] matches keypoint j[i] of its set f[i].
+def _matched(query: DescriptorSet, block: DescriptorSet, starts: np.ndarray, stops: np.ndarray, cfg: MatchConfig) -> Iterator[tuple]:
+    """Per chunk of frames, (lo, k, r, f, j): its frames are lo:lo + k, and query row r[i] matches keypoint j[i] of its frame f[i].
 
-    The candidates are scored in chunks of whole sets (_candidate_rows),
-    so the product of a chunk holds at most _E_BYTES. Per chunk one float32
+    Frame i is rows starts[i]:stops[i] of block, starts not decreasing.
+    The frames are scored in chunks of whole frames (_candidate_rows), so
+    the product of a chunk holds at most _E_BYTES. Per chunk one float32
     product g = -2 q.f over its rows gives E[i, c] = g[i, c] + |f_c|^2,
     which is d^2 minus the per-row constant |g_i|^2 that the nearest does
     not depend on (the -2 is folded into the query, an exact scaling).
@@ -358,7 +396,7 @@ def _matched(query: DescriptorSet, sets: Sequence[DescriptorSet], cfg: MatchConf
     # neither the product nor a chunk's concatenated rows exceed _E_BYTES
     max_cols = max(1, _E_BYTES // (4 * max(m, DESCRIPTOR_DIM)))
     fmin, fmax = np.inf, -np.inf
-    for lo, rows, fnorms, first, widths in _candidate_rows(sets, max_cols):
+    for lo, rows, fnorms, first, widths in _candidate_rows(block, starts, stops, max_cols):
         low, high = float(fnorms.min()), float(fnorms.max())
         if low < fmin or high > fmax:
             fmin, fmax = min(fmin, low), max(fmax, high)
@@ -368,10 +406,10 @@ def _matched(query: DescriptorSet, sets: Sequence[DescriptorSet], cfg: MatchConf
         yield lo, len(widths), *_chunk_matches(g, qq, fnorms, first, widths, bound, cfg)
 
 
-def _counts(query: DescriptorSet, sets: Sequence[DescriptorSet], cfg: MatchConfig) -> np.ndarray:
-    """Correspondence count of the query against each set, counted per chunk."""
-    counts = np.zeros(len(sets), dtype=np.int64)
-    for lo, k, _, f, _ in _matched(query, sets, cfg):
+def _counts(query: DescriptorSet, block: DescriptorSet, starts: np.ndarray, stops: np.ndarray, cfg: MatchConfig) -> np.ndarray:
+    """Correspondence count of the query against frames starts[i]:stops[i] of block, counted per chunk."""
+    counts = np.zeros(len(starts), dtype=np.int64)
+    for lo, k, _, f, _ in _matched(query, block, starts, stops, cfg):
         counts[lo : lo + k] = np.bincount(f, minlength=k)
     return counts
 
@@ -503,7 +541,7 @@ def count_correspondences(query: DescriptorSet, frame: DescriptorSet, cfg: Match
         return 0
     if len(frame) < 2:
         raise FrameTooSmallError(f"frame has {len(frame)} descriptors, ratio test needs at least 2")
-    return int(_counts(query, [frame], cfg)[0])
+    return int(_counts(query, *_pack([frame]), cfg)[0])
 
 
 def best_match(
@@ -519,7 +557,9 @@ def best_match(
         Query image descriptors.
     candidates : sequence of (frame_id, DescriptorSet)
         Frames to score. Frames with fewer than two descriptors are scored
-        zero (the ratio test is undefined for them) and logged.
+        zero (the ratio test is undefined for them) and logged. A scan's
+        candidates are read as columns; the rows of any other sequence are
+        packed first (_pack).
     cfg : MatchConfig
 
     Returns
@@ -530,19 +570,20 @@ def best_match(
     """
     if len(candidates) == 0:
         raise EmptyCandidatesError("best_match needs at least one candidate frame")
-
-    # the candidates are read once, by zip and map rather than Python loops
-    ids, sets = zip(*candidates)
-    ids = np.array(ids, dtype=np.int64)
-    scored = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets)) >= 2
+    if isinstance(candidates, _Candidates):
+        ids, block, starts, stops = candidates.ids, candidates.block, candidates.starts, candidates.stops
+    else:
+        ids, sets = zip(*candidates)
+        block, starts, stops = _pack(sets)
+    scored = stops - starts >= 2
     if not scored.all():
-        logger.warning("skipped %d candidate frame(s) with fewer than 2 descriptors", len(sets) - scored.sum())
-        sets = list(compress(sets, scored))
+        logger.warning("skipped %d candidate frame(s) with fewer than 2 descriptors", len(scored) - scored.sum())
 
-    counts = np.zeros(len(ids), dtype=np.int64)
-    if len(query) > 0 and sets:
-        counts[scored] = _counts(query, sets, cfg)
+    counts = np.zeros(len(scored), dtype=np.int64)
+    if len(query) > 0 and scored.any():
+        counts[scored] = _counts(query, block, starts[scored], stops[scored], cfg)
 
-    order = np.lexsort((ids, -counts))
-    win = order[0]
-    return int(ids[win]), int(counts[win])
+    top = np.flatnonzero(counts == counts.max())
+    # scan ids are uint64; any other ids are Python ints of any size
+    fid = ids[top].min() if isinstance(ids, np.ndarray) else min(ids[i] for i in top)
+    return int(fid), int(counts[top[0]])

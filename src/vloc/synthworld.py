@@ -20,7 +20,7 @@ from math import cos, radians, sin
 
 import numpy as np
 
-from .database import Database, GeoFrame, ScanConfig
+from .database import Database, ScanConfig
 from .geodesy import GeoPoint
 from .kalman import FilterConfig
 from .matching import DESCRIPTOR_DIM, DescriptorSet, MatchConfig
@@ -113,15 +113,17 @@ def gen_world(cfg: WorldConfig) -> Database:
     rng = np.random.default_rng([cfg.seed, 0])
     pool = _unit_rows(rng, k + fresh * max(0, n - 1))
     pool.setflags(write=False)
-    landmarks = DescriptorSet._wrap(pool)
 
-    period = _frame_period_ns(cfg)
-    frames = []
-    for i in range(n):
-        ts = T0_NS + i * period
-        start = i * fresh
-        frames.append(GeoFrame(i, ts, position_at(cfg, ts), landmarks._window(start, start + k)))
-    return Database(frames, source=f"synthetic drive seed={cfg.seed}", camera="synthetic")
+    i = np.arange(n, dtype=np.int64)
+    ts = T0_NS + i * _frame_period_ns(cfg)
+    # position_at's arithmetic, frame by frame
+    vlat, vlon = _velocity_dps(cfg)
+    t = (ts - T0_NS) / 1e9
+    starts = i * fresh
+    return Database._from_columns(
+        i, ts, cfg.start_lat + vlat * t, cfg.start_lon + vlon * t, DescriptorSet._wrap(pool), starts, starts + k,
+        source=f"synthetic drive seed={cfg.seed}", camera="synthetic",
+    )
 
 
 def gen_queries(
@@ -151,7 +153,7 @@ def gen_queries(
         if not first <= ts <= last:
             raise ValueError(f"query {i} at {ts} outside database range [{first}, {last}]")
         nearest = _nearest(frame_ts, ts)
-        base = db.frames[nearest].descriptors.array
+        base = db._block.array[db._starts[nearest] : db._stops[nearest]]
         if cfg.query_noise_sigma > 0:
             arr = rng.standard_normal(base.shape, dtype=np.float32)
             arr *= np.float32(cfg.query_noise_sigma)

@@ -3,7 +3,7 @@ import pytest
 
 from vloc import synthworld
 from vloc.cli import _scan_cfg, build_parser, main
-from vloc.database import CSV_MANIFEST_HEADER, GeoFrame, load_db, save_db, write_desc_file
+from vloc.database import CSV_MANIFEST_HEADER, Database, GeoFrame, load_db, save_db, write_desc_file
 from vloc.geodesy import GeoPoint
 from vloc.kalman import FilterConfig
 from vloc.matching import DESCRIPTOR_DIM, DescriptorSet, MatchConfig
@@ -321,3 +321,27 @@ def test_flag_defaults_match_library_pins():
     assert (s.query_noise_sigma, s.distractor_fraction) == (wc.query_noise_sigma, wc.distractor_fraction)
     assert s.exclusion_s == 1.0  # the evaluation handicap stays on here
     assert (s.steps, s.period_s, s.seed, s.workers) == (6, 1.0, 0, 1)
+
+
+def test_query_rejects_a_manifest_that_is_not_utf8(dataset, capsys):
+    # byte 0x80 in the third line, after lines ending \r\n
+    db_path, qmanifest = write_query(dataset, PLAIN, ["0,q.desc"])
+    qmanifest.write_bytes(b"timestamp_ns,descriptor_path\r\n0,q.desc\r\n500000000,q\x80.desc\r\n")
+    assert main(["query", "--db", str(db_path), "--queries", str(qmanifest)]) == 2
+    err = capsys.readouterr().err
+    assert "usage error: queries.csv:3: not UTF-8" in err and "0x80" in err
+    assert "Traceback" not in err
+
+
+def test_query_a_database_holding_the_largest_frame_id(tmp_path, capsys):
+    # frame ids above the int64 range, which every input format accepts
+    rng = np.random.default_rng(52)
+    ids = [2**64 - 1, 2**63, 3]
+    frames = [GeoFrame(fid, i * 500_000_000, GeoPoint(49.0 + i * 5e-5, 8.0), DescriptorSet(unit_rows(rng, 12))) for i, fid in enumerate(ids)]
+    save_db(Database(frames), tmp_path / "db.vldb")
+    write_desc_file(tmp_path / "q.desc", frames[0])
+    (tmp_path / "q.csv").write_text("timestamp_ns,descriptor_path\n0,q.desc\n")
+    out_dir = tmp_path / "out"
+    assert main(["query", "--db", str(tmp_path / "db.vldb"), "--queries", str(tmp_path / "q.csv"), "--out-dir", str(out_dir)]) == 0
+    assert str(2**64 - 1) in capsys.readouterr().out
+    assert (out_dir / "trace.csv").read_text().splitlines()[1].split(",")[2] == str(2**64 - 1)

@@ -21,7 +21,7 @@ from vloc.database import (
 )
 from vloc.errors import DatabaseFormatError, EmptyCandidatesError, IngestError
 from vloc.geodesy import GeoPoint
-from vloc.matching import _E_BYTES, DESCRIPTOR_DIM, DescriptorSet, MatchConfig, _counts
+from vloc.matching import _E_BYTES, DESCRIPTOR_DIM, DescriptorSet, MatchConfig, _counts, _pack, best_match
 from vloc.synthworld import T0_NS, WorldConfig, gen_queries, gen_world
 
 # plain fixture coordinates for the 3-frame ingestion tests
@@ -613,7 +613,83 @@ def test_loaded_drive_holds_each_pool_row_once_and_counts_as_in_memory(tmp_path)
             # unwindowed, a 5 s window, and the window with a 1 s exclusion gap
             for lo, hi, gap in ((0, len(db), 0), (center - 50, center + 51, 0), (center - 50, center + 51, 10)):
                 keep = [i for i in range(max(lo, 0), min(hi, len(db))) if abs(i - center) > gap or not gap]
-                loaded = _counts(q.descriptors, [db.frames[i].descriptors for i in keep], match_cfg)
-                in_memory = _counts(q.descriptors, [world.frames[i].descriptors for i in keep], match_cfg)
+                loaded = _counts(q.descriptors, *_pack([db.frames[i].descriptors for i in keep]), match_cfg)
+                in_memory = _counts(q.descriptors, *_pack([world.frames[i].descriptors for i in keep]), match_cfg)
                 assert np.array_equal(loaded, in_memory)
                 assert loaded.max() > 0
+
+
+def test_frame_ids_above_int64_survive_save_load_and_scan(tmp_path):
+    # ids 2**63 and 2**64 - 1 are valid u64 frame ids; frames 1 and 2 hold
+    # the same rows, so their counts tie and the lower id must win
+    rng = np.random.default_rng(42)
+    rows = unit_rows(rng, 10)
+    ids = [5, 2**64 - 1, 2**63, 7]
+    frames = [
+        GeoFrame(fid, i * 100_000_000, GeoPoint(49.0 + i * 1e-4, 8.0), DescriptorSet(rows if i in (1, 2) else unit_rows(rng, 10)))
+        for i, fid in enumerate(ids)
+    ]
+    path = tmp_path / "db.vldb"
+    save_db(Database(frames), path)
+    db = load_db(path)
+    assert [f.frame_id for f in db] == ids
+    assert db.frame_by_id(2**64 - 1).timestamp_ns == 100_000_000
+    query = DescriptorSet(rows)
+    # the twin at frame 2 excluded, frame 1 (id 2**64 - 1) wins alone
+    frame, count = scan(db, query, 200_000_000, ScanConfig(exclusion_s=0.05), MatchConfig())
+    assert (frame.frame_id, count) == (2**64 - 1, 10)
+    # both twins: the tie goes to the lower id, 2**63
+    frame, count = scan(db, query, 0, ScanConfig(), MatchConfig())
+    assert (frame.frame_id, count) == (2**63, 10)
+    for missing in (-1, 2**64, 6):
+        with pytest.raises(KeyError):
+            db.frame_by_id(missing)
+
+
+def test_scan_hands_best_match_one_sequence_of_candidate_pairs(monkeypatch):
+    # the contract the benchmark's tracer relies on: one call per scan, with
+    # a sequence as long as the candidates, of (int id, DescriptorSet)
+    # pairs holding the candidates' rows, returning (frame_id, count)
+    world = gen_world(WorldConfig())
+    query = gen_queries(world, T0_NS + 4 * 10**9, 1, 1.0, WorldConfig())[0]
+    calls = []
+
+    def spy(query, candidates, cfg):
+        result = best_match(query, candidates, cfg)
+        calls.append((candidates, result))
+        return result
+
+    monkeypatch.setattr(database, "best_match", spy)
+    for cfg, center in ((ScanConfig(exclusion_s=1.0), None), (ScanConfig(window_s=2.0, exclusion_s=0.5), T0_NS + 3 * 10**9)):
+        frame, count = scan(world, query.descriptors, query.timestamp_ns, cfg, MatchConfig(), center_ts=center)
+        assert len(calls) == 1
+        candidates, result = calls.pop()
+        want = [
+            f
+            for f in world.frames
+            if (center is None or abs(f.timestamp_ns - center) <= cfg.window_s * 1e9)
+            and abs(f.timestamp_ns - query.timestamp_ns) > cfg.exclusion_s * 1e9
+        ]
+        assert len(candidates) == len(want)
+        pairs = list(candidates)
+        assert all(type(fid) is int and isinstance(ds, DescriptorSet) for fid, ds in pairs)
+        assert [fid for fid, _ in pairs] == [f.frame_id for f in want]
+        assert sum(len(ds) for _, ds in candidates) == sum(len(f.descriptors) for f in want)
+        assert candidates[3][0] == want[3].frame_id and np.array_equal(candidates[3][1].array, want[3].descriptors.array)
+        assert type(result) is tuple and result == (frame.frame_id, count)
+
+
+def test_frames_are_built_on_demand_as_windows_of_the_block():
+    world = gen_world(WorldConfig())
+    block = world.frames[0].descriptors._block
+    assert len(block) == 200 + 10 * 79
+    picked = [world.frames[7], world.frames[-1], *world.frames[::9], *world.frames, *world]
+    assert len(picked) == 2 + 9 + 80 + 80
+    for f in picked:
+        assert isinstance(f, GeoFrame)
+        assert f.descriptors._block is block and np.shares_memory(f.descriptors.array, block.array)
+        assert np.array_equal(f.descriptors.array, block.array[10 * f.frame_id : 10 * f.frame_id + 200])
+    assert [f.frame_id for f in world.frames[::9]] == list(range(0, 80, 9))
+    assert world.frames[-1].timestamp_ns == world.frame_by_id(79).timestamp_ns == int(world._timestamps[-1])
+    with pytest.raises(IndexError):
+        world.frames[80]

@@ -20,6 +20,7 @@ from vloc.matching import (
     _held_pairs,
     _key_values,
     _matched,
+    _pack,
     _screen,
     best_match,
     count_correspondences,
@@ -166,7 +167,7 @@ def one_row(g) -> DescriptorSet:
 def matches(query, sets, cfg):
     """(m, p) index of the keypoint each query row matches in each set, -1 for none, from _matched's triples."""
     match = np.full((len(query), len(sets)), -1, dtype=np.int64)
-    for lo, _, r, f, j in _matched(query, sets, cfg):
+    for lo, _, r, f, j in _matched(query, *_pack(sets), cfg):
         assert np.all(match[r, lo + f] == -1)  # one match per pair
         match[r, lo + f] = j
     return match
@@ -352,10 +353,10 @@ def test_interleaved_scans_sharing_the_scratch_buffers_match_separate_ones(monke
         windows = [block._window(s, s + 20) for s in range(0, 380, step)]
         query = DescriptorSet(block.array[100:120] + rng.normal(0, 0.02, (20, DESCRIPTOR_DIM)))
         scans.append((query, windows[: gap[0]] + windows[gap[1] :]))
-    # sets that own their rows: every chunk of two is concatenated
+    # sets that own their rows, packed into one block of copies
     scans.append((scans[0][0], [DescriptorSet(w.array) for w in scans[1][1]]))
     # zip_longest takes one chunk from each scan in turn
-    pairs = list(zip_longest(*(_matched(q, sets, MatchConfig()) for q, sets in scans)))
+    pairs = list(zip_longest(*(_matched(q, *_pack(sets), MatchConfig()) for q, sets in scans)))
     for i, (query, sets) in enumerate(scans):
         chunks = [p[i] for p in pairs if p[i] is not None]
         assert len(chunks) > 1
@@ -370,54 +371,62 @@ def test_interleaved_scans_sharing_the_scratch_buffers_match_separate_ones(monke
 @pytest.mark.parametrize("chunk_cols", [None, 60, 200, 1])
 @pytest.mark.parametrize("tau1, tau2", [(0.8, 0.97), (0.95, 0.5), (0.9, 1.0), (0.95, -0.5)])
 def test_windows_of_one_block_score_like_independent_copies(tau1, tau2, chunk_cols, monkeypatch):
-    # sliding overlapping windows (steps that do and do not divide the
-    # width), an exclusion-style gap, a second block, a standalone set,
-    # unequal widths and descending runs, apart and overlapping, all in one
-    # scan, over descriptors of uneven norms; scored in one chunk, or in
-    # chunks of at most chunk_cols candidate rows
+    # shared: windows of one block with starts that never decrease, as a
+    # scan's are: sliding overlapping windows (steps that do and do not
+    # divide the width), an exclusion-style gap, nested and unequal
+    # windows. mixed: some of those beside a second block, a standalone
+    # set and descending runs, apart and overlapping, which _pack copies.
+    # Over descriptors of uneven norms; scored in one chunk, or in chunks
+    # of at most chunk_cols candidate rows
     rng = np.random.default_rng(14)
     cfg = MatchConfig(tau1=tau1, tau2=tau2)
     pool = unit_rows(rng, 400) * rng.uniform(0.3, 3.0, (400, 1))
     block = DescriptorSet(pool)
     other = DescriptorSet(unit_rows(rng, 60))
-    query = DescriptorSet(
-        np.vstack([pool[100:140] + rng.standard_normal((40, DESCRIPTOR_DIM)) * 0.01, unit_rows(rng, 5), np.zeros((1, DESCRIPTOR_DIM))])
-    )
-    windows = (
-        [block._window(s, s + 50) for s in range(0, 120, 10)]
+    # twins of rows the shared windows hold, and of rows the mixed ones do
+    twins = np.vstack([pool[240:260], pool[100:120]]) + rng.standard_normal((40, DESCRIPTOR_DIM)) * 0.01
+    query = DescriptorSet(np.vstack([twins, unit_rows(rng, 5), np.zeros((1, DESCRIPTOR_DIM))]))
+    shared = (
+        [block._window(s, s + 50) for s in range(0, 60, 10)]
         + [block._window(s, s + 50) for s in range(220, 330, 7)]
+        + [block._window(s, s + w) for s, w in ((330, 40), (331, 3), (335, 3), (360, 40))]
+    )
+    mixed = (
+        [block._window(s, s + 50) for s in range(0, 120, 10)]
         + [other._window(0, 30), other._window(30, 60), DescriptorSet(unit_rows(rng, 9))]
         + [block._window(s, s + 35) for s in (300, 200, 100)]
         + [block._window(s, s + 40) for s in (160, 150, 140)]
         + [block._window(s, s + 3) for s in range(95, 140)]
     )
-    copies = [DescriptorSet(w.array) for w in windows]
-    whole = _counts(query, windows, cfg)
+    assert _pack(shared)[0] is block and _pack(mixed)[0] is not block
+    whole = {len(sets): _counts(query, *_pack(sets), cfg) for sets in (shared, mixed)}
     if chunk_cols is not None:
         # the query has fewer rows than a descriptor, so a chunk's
         # concatenated rows, not its E, bind the budget
         monkeypatch.setattr(matching, "_E_BYTES", chunk_cols * DESCRIPTOR_DIM * 4)
         chunks = [
-            (lo, lo + len(widths), np.shares_memory(rows, block.array) or np.shares_memory(rows, other.array))
-            for lo, rows, _, _, widths in _candidate_rows(windows, chunk_cols)
+            (lo, lo + len(widths), np.shares_memory(rows, block.array))
+            for lo, rows, _, _, widths in _candidate_rows(*_pack(shared), chunk_cols)
         ]
         assert [lo for lo, _, _ in chunks] == [0] + [hi for _, hi, _ in chunks[:-1]]
         if chunk_cols == 1:
-            assert [hi - lo for lo, hi, _ in chunks] == [1] * len(windows)
+            assert [hi - lo for lo, hi, _ in chunks] == [1] * len(shared)
         elif chunk_cols == 60:
             # the first run of windows splits after its second window, in place
             assert chunks[0] == (0, 2, True)
         else:
-            # several runs concatenated into one chunk
-            assert any(hi - lo > 1 and not in_place for lo, hi, in_place in chunks)
-    got = _counts(query, windows, cfg)
-    assert got.tolist() == whole.tolist()
-    assert got.tolist() == _counts(query, copies, cfg).tolist()
-    assert (got.sum() > 0) == (tau2 < 1.0)  # clipped cosines never exceed 1
-    for i in (0, 9, 10, 27, 30, 33, 40):
-        assert got[i] == naive_count(query.array.astype(np.float64), windows[i].array.astype(np.float64), cfg.tau1, cfg.tau2)
-    ids = list(range(len(windows)))
-    assert best_match(query, list(zip(ids, windows)), cfg) == best_match(query, list(zip(ids, copies)), cfg)
+            # both runs either side of the gap concatenated into one chunk
+            assert chunks[0][1] > 6 and not chunks[0][2]
+    for sets, at in ((shared, (0, 5, 6, 21, 23, 25)), (mixed, (0, 9, 12, 15, 18, 21, 28))):
+        copies = [DescriptorSet(w.array) for w in sets]
+        got = _counts(query, *_pack(sets), cfg)
+        assert got.tolist() == whole[len(sets)].tolist()
+        assert got.tolist() == _counts(query, *_pack(copies), cfg).tolist()
+        assert (got.sum() > 0) == (tau2 < 1.0)  # clipped cosines never exceed 1
+        for i in at:
+            assert got[i] == naive_count(query.array.astype(np.float64), sets[i].array.astype(np.float64), cfg.tau1, cfg.tau2)
+        ids = list(range(len(sets)))
+        assert best_match(query, list(zip(ids, sets)), cfg) == best_match(query, list(zip(ids, copies)), cfg)
 
 
 @pytest.mark.parametrize("tau2", [-0.5, 0.0, 0.3, 0.8, 0.97, 0.999])
@@ -436,6 +445,110 @@ def test_gate_bound_admits_every_entry_the_cosine_gate_passes(tau2):
     bound = _gate_bound(qq, fmin, fmax, tau2)
     assert bound.dtype == np.float32
     assert np.all(e[passes] < bound[passes])
+
+
+# --- the columnar chunker against the per-set walk it replaced ---
+
+
+def walk_candidate_rows(sets, max_cols):
+    """The per-set chunker that _candidate_rows replaced, as it was, with fresh arrays for its concatenated rows."""
+    runs = []  # [root, lo, hi] per run of block rows in the open chunk
+    run_of, firsts, widths = [], [], []  # per set in the open chunk
+    last, cols, lo = None, 0, 0  # last run, rows of the open chunk, its first set
+    for s in sets:
+        a = s._start
+        k = len(s._array)
+        if last is not None and s._block is last[0] and a <= last[2] and a + k >= last[1]:
+            run_lo = a if a < last[1] else last[1]
+            run_hi = a + k if a + k > last[2] else last[2]
+            grow = run_hi - run_lo - (last[2] - last[1])
+        else:
+            last, grow = None, k
+        if cols + grow > max_cols and widths:
+            yield lo, *walk_chunk(runs, run_of, firsts, widths)
+            lo += len(widths)
+            runs, run_of, firsts, widths = [], [], [], []
+            last, cols, grow = None, 0, k
+        if last is None:
+            last = [s._block, a, a + k]
+            runs.append(last)
+        else:
+            last[1], last[2] = run_lo, run_hi
+        cols += grow
+        run_of.append(len(runs) - 1)
+        firsts.append(a)
+        widths.append(k)
+    if widths:
+        yield lo, *walk_chunk(runs, run_of, firsts, widths)
+
+
+def walk_chunk(runs, run_of, firsts, widths):
+    run = np.array(run_of, dtype=np.int64)
+    run_lo = np.array([lo for _, lo, _ in runs], dtype=np.int64)
+    offsets = np.cumsum([0] + [hi - lo for _, lo, hi in runs])
+    first = offsets[run] + np.array(firsts, dtype=np.int64) - run_lo[run]
+    widths = np.array(widths, dtype=np.int64)
+    if len(runs) == 1:
+        root, lo, hi = runs[0]
+        return root.array[lo:hi], root.norms[lo:hi], first, widths
+    rows = np.concatenate([root.array[lo:hi] for root, lo, hi in runs])
+    norms = np.concatenate([root.norms[lo:hi] for root, lo, hi in runs])
+    return rows, norms, first, widths
+
+
+@st.composite
+def scan_rows(draw):
+    """Frames over one block as a scan hands them over: starts that never decrease, frames that share
+    rows (slide), own them (touch, gap) or sit inside another (same, nested), of 0 rows up, an
+    exclusion gap or none, and a budget of 1 row up."""
+    n = draw(st.integers(1, 40))
+    starts, stops, at, width = [], [], 0, 0
+    for _ in range(n):
+        move = draw(st.sampled_from(["same", "slide", "touch", "gap", "nested"]))
+        if move == "slide":
+            at += draw(st.integers(1, 4))
+        elif move == "touch":
+            at += width
+        elif move == "gap":
+            at += width + draw(st.integers(1, 5))
+        elif move == "nested":
+            at += 1
+        width = draw(st.sampled_from([0, 1, 2, 3, 5, 8, 13, 30]))
+        starts.append(at)
+        stops.append(at + width)
+    if n > 2 and draw(st.booleans()):
+        a = draw(st.integers(1, n - 2))
+        b = draw(st.integers(a + 1, n - 1))
+        starts, stops = starts[:a] + starts[b:], stops[:a] + stops[b:]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = DescriptorSet(rng.standard_normal((max(stops), DESCRIPTOR_DIM)))
+    return block, np.array(starts, dtype=np.int64), np.array(stops, dtype=np.int64), draw(st.integers(1, 64))
+
+
+def assert_chunks_equal_the_walk(block, starts, stops, max_cols):
+    """Every chunk's first frame, rows (and whether they are the block's, in place), norms, first rows and widths are the walk's."""
+
+    def chunks(gen):
+        return [(lo, np.shares_memory(rows, block.array), rows.copy(), norms.copy(), first, widths) for lo, rows, norms, first, widths in gen]
+
+    sets = [block._window(a, b) for a, b in zip(starts.tolist(), stops.tolist())]
+    want = chunks(walk_candidate_rows(sets, max_cols))
+    got = chunks(_candidate_rows(block, starts, stops, max_cols))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g[:2] == w[:2]
+        for a, b in zip(g[2:], w[2:]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_columnar_chunks_equal_the_per_set_walk():
+    check = FUZZ(given(case=scan_rows())(lambda case: assert_chunks_equal_the_walk(*case)))
+    check()
+    # a long drive, whose chunks span more frames than _candidate_rows first examines
+    block = DescriptorSet(unit_rows(np.random.default_rng(25), 1100))
+    starts = np.delete(np.arange(1097), np.s_[400:420])
+    for max_cols in (7, 300, 500, 2000):
+        assert_chunks_equal_the_walk(block, starts, starts + 3, max_cols)
 
 
 # --- float32 oracle: argmin over every (row, frame) pair's whole segment of E ---
@@ -474,7 +587,7 @@ def oracle_matches(query, sets, cfg):
     qq = query.norms.astype(np.float64)
     match = np.full((m, p), -1, dtype=np.int64)
     max_cols = max(1, matching._E_BYTES // (4 * max(m, DESCRIPTOR_DIM)))
-    for lo, rows, fnorms, first, widths in _candidate_rows(sets, max_cols):
+    for lo, rows, fnorms, first, widths in _candidate_rows(*_pack(sets), max_cols):
         e = q @ rows.T
         e += fnorms
         r, f = np.divmod(np.arange(m * len(widths)), len(widths))
@@ -591,7 +704,7 @@ def test_matches_equal_the_full_segment_oracle():
         query, windows, cfg, chunk_cols = scan
         budget = matching._E_BYTES if chunk_cols is None else chunk_cols * DESCRIPTOR_DIM * 4
         with mock.patch.object(matching, "_E_BYTES", budget), spy("chunks", matching._held_pairs), spy("entries", matching._entry_pairs), screen_spy(calls), np.errstate(over="ignore", invalid="ignore"):
-            counts = _counts(query, windows, cfg)
+            counts = _counts(query, *_pack(windows), cfg)
             got = matches(query, windows, cfg)
             want = oracle_matches(query, windows, cfg)
         assert counts.dtype == np.int64 and np.array_equal(counts, (want >= 0).sum(axis=0))
@@ -758,7 +871,7 @@ def test_bound_covers_the_norms_of_every_chunk(monkeypatch):
     cfg = MatchConfig(tau1=0.95, tau2=0.97)
     monkeypatch.setattr(matching, "_E_BYTES", 2 * DESCRIPTOR_DIM * 4)
     query = DescriptorSet(g.reshape(1, -1))
-    assert len(list(_candidate_rows(frames, 2))) == len(frames)
+    assert len(list(_candidate_rows(*_pack(frames), 2))) == len(frames)
     got = matches(query, frames, cfg)
     assert got[0].tolist() == [-1, -1, -1, 0, 0]
     assert np.array_equal(got, oracle_matches(query, frames, cfg))
