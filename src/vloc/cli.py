@@ -7,11 +7,10 @@ import argparse
 import csv
 import inspect
 import io
-import re
 import sys
 from pathlib import Path
 
-from .database import ScanConfig, ingest_csv, ingest_kitti, load_db, read_desc_file, save_db
+from .database import ScanConfig, _manifest_text, ingest_csv, ingest_kitti, load_db, read_desc_file, save_db
 from .errors import DatabaseFormatError, VlocError
 from .geodesy import GeoPoint
 from .kalman import FilterConfig
@@ -173,31 +172,29 @@ def _parse_query_row(row: list[str], n_fields: int, where: str, base: Path) -> Q
 
 
 def _read_query_manifest(path: Path) -> list[Query]:
-    """Queries of a UTF-8 manifest; a malformed row, or text that is not UTF-8, is a usage error naming file:line."""
-    data = path.read_bytes()
+    """Queries of a manifest; a malformed row, or text that is not UTF-8, is a usage error naming file:line."""
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # lines end as csv, reading with newline="", sees them end
-        line = 1 + len(re.findall(rb"\r\n|\r|\n", data[: exc.start]))
-        raise _UsageError(f"{path.name}:{line}: not UTF-8: {exc.reason} at byte {data[exc.start]:#04x}") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise _UsageError(f"{path.name}: empty query manifest")
-        if header not in (QUERY_MANIFEST_COLUMNS, QUERY_MANIFEST_TRUTH_COLUMNS):
-            raise _UsageError(
-                f"{path.name}: header must be {','.join(QUERY_MANIFEST_COLUMNS)}"
-                f" or {','.join(QUERY_MANIFEST_TRUTH_COLUMNS)}"
-            )
-        queries = [
-            _parse_query_row(row, len(header), f"{path.name}:{reader.line_num}", path.parent)
-            for row in reader
-            if row
-        ]
-    except csv.Error as exc:
-        raise _UsageError(f"{path.name}:{reader.line_num}: {exc}") from None
+        text = _manifest_text(path)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    with io.StringIO(text, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise _UsageError(f"{path.name}: empty query manifest")
+            if header not in (QUERY_MANIFEST_COLUMNS, QUERY_MANIFEST_TRUTH_COLUMNS):
+                raise _UsageError(
+                    f"{path.name}: header must be {','.join(QUERY_MANIFEST_COLUMNS)}"
+                    f" or {','.join(QUERY_MANIFEST_TRUTH_COLUMNS)}"
+                )
+            queries = [
+                _parse_query_row(row, len(header), f"{path.name}:{reader.line_num}", path.parent)
+                for row in reader
+                if row
+            ]
+        except csv.Error as exc:
+            raise _UsageError(f"{path.name}:{reader.line_num}: {exc}") from None
     if not queries:
         raise _UsageError(f"{path.name}: query manifest has no rows")
     return queries

@@ -45,9 +45,11 @@ SIFT-style frontend works); this module only consumes its output.
 """
 
 import csv
+import io
 import logging
 import math
 import os
+import re
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -376,11 +378,10 @@ def load_db(path) -> Database:
             where = f"frame {table['frame_id'][held[0]]}" if held.size else f"descriptor row {bad}"
             raise DatabaseFormatError(f"{where} in {path}: descriptor components must be finite")
     block.setflags(write=False)
-    t = table
+    columns = [table[name] for name in ("frame_id", "timestamp_ns", "lat", "lon")]
     try:
         return Database._from_columns(
-            t["frame_id"], t["timestamp_ns"], t["lat"], t["lon"], DescriptorSet._wrap(block), t["start"], t["stop"],
-            source=str(path), camera=camera,
+            *columns, DescriptorSet._wrap(block), table["start"], table["stop"], source=str(path), camera=camera
         )
     except ValueError as exc:
         raise DatabaseFormatError(f"{path}: {exc}") from None
@@ -574,12 +575,23 @@ def ingest_kitti(root) -> Database:
     return db
 
 
+def _manifest_text(path: Path) -> str:
+    """The text of a UTF-8 manifest; bytes that are not UTF-8 raise ValueError naming file:line."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # lines end where csv, reading with newline="", ends them
+        line = 1 + len(re.findall(rb"\r\n|\r|\n", data[: exc.start]))
+        raise ValueError(f"{path.name}:{line}: not UTF-8: {exc.reason} at byte {data[exc.start]:#04x}") from None
+
+
 def _manifest_rows(fh, name: str) -> Iterator[list[str]]:
-    """CSV records of fh; text that does not decode or parse as CSV raises IngestError naming the manifest."""
+    """CSV records of fh; text that does not parse as CSV raises IngestError naming the manifest."""
     reader = csv.reader(fh)
     try:
         yield from reader
-    except (csv.Error, UnicodeDecodeError) as exc:
+    except csv.Error as exc:
         raise IngestError(f"{name}: unreadable after line {reader.line_num}: {exc}") from None
 
 
@@ -593,7 +605,11 @@ def ingest_csv(manifest) -> Database:
     manifest = Path(manifest)
     if not manifest.is_file():
         raise FileNotFoundError(f"missing manifest {manifest}")
-    with open(manifest, newline="") as fh:
+    try:
+        text = _manifest_text(manifest)
+    except ValueError as exc:
+        raise IngestError(str(exc)) from None
+    with io.StringIO(text, newline="") as fh:
         reader = _manifest_rows(fh, manifest.name)
         try:
             header = next(reader)

@@ -79,9 +79,14 @@ def _velocity_dps(cfg: WorldConfig) -> tuple[float, float]:
 
 def position_at(cfg: WorldConfig, ts_ns: int) -> GeoPoint:
     """Exact trajectory position at a timestamp."""
+    return GeoPoint(*_lat_lon(cfg, ts_ns))
+
+
+def _lat_lon(cfg: WorldConfig, ts_ns):
+    """Trajectory latitude and longitude at a timestamp, or at each of an int64 array of them."""
     vlat, vlon = _velocity_dps(cfg)
     t = (ts_ns - T0_NS) / 1e9
-    return GeoPoint(cfg.start_lat + vlat * t, cfg.start_lon + vlon * t)
+    return cfg.start_lat + vlat * t, cfg.start_lon + vlon * t
 
 
 def _frame_count(cfg: WorldConfig) -> int:
@@ -116,12 +121,9 @@ def gen_world(cfg: WorldConfig) -> Database:
 
     i = np.arange(n, dtype=np.int64)
     ts = T0_NS + i * _frame_period_ns(cfg)
-    # position_at's arithmetic, frame by frame
-    vlat, vlon = _velocity_dps(cfg)
-    t = (ts - T0_NS) / 1e9
     starts = i * fresh
     return Database._from_columns(
-        i, ts, cfg.start_lat + vlat * t, cfg.start_lon + vlon * t, DescriptorSet._wrap(pool), starts, starts + k,
+        i, ts, *_lat_lon(cfg, ts), DescriptorSet._wrap(pool), starts, starts + k,
         source=f"synthetic drive seed={cfg.seed}", camera="synthetic",
     )
 

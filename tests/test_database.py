@@ -459,6 +459,14 @@ def test_ingest_csv_reports_line_numbers(tmp_path, fid, ts):
         ingest_csv(manifest)
 
 
+def test_ingest_csv_names_the_line_that_is_not_utf8(tmp_path):
+    # lines ending in a bare \r, which csv reads as line ends too
+    manifest = tmp_path / "m.csv"
+    manifest.write_bytes(",".join(CSV_MANIFEST_HEADER).encode() + b"\r0,0,49.0,8.0,f\x800.desc\r")
+    with pytest.raises(IngestError, match=r"m\.csv:2: not UTF-8: invalid start byte at byte 0x80"):
+        ingest_csv(manifest)
+
+
 def test_ingest_kitti_is_deterministic(tmp_path):
     rng = np.random.default_rng(31)
     sets = [DescriptorSet(unit_rows(rng, k)) for k in (4, 9, 2)]
@@ -555,6 +563,24 @@ def test_load_rejects_bad_ranges_geotags_rows_and_ids_in_v2(tmp_path):
     # the untouched bytes load
     path.write_bytes(raw)
     assert len(load_db(path)) == 6
+
+
+def test_load_sorts_frames_and_copies_rows_whose_ranges_start_earlier(tmp_path):
+    # a version-1 file listing frames latest first: sorted by time, each
+    # frame's rows start before the previous frame's, so the loaded block
+    # is a copy of the rows in frame order
+    rng = np.random.default_rng(43)
+    frames = [make_frame(rng, i, i * 100_000_000, 49.0 + i * 1e-4, k=int(rng.integers(0, 6))) for i in range(5)]
+    path = tmp_path / "v1.vldb"
+    path.write_bytes(v1_bytes(frames[::-1]))
+    db = load_db(path)
+    assert [f.frame_id for f in db] == [0, 1, 2, 3, 4]
+    assert np.all(np.diff(db._starts) >= 0)
+    for a, b in zip(frames, db.frames):
+        assert a.geotag == b.geotag and np.array_equal(a.descriptors.array, b.descriptors.array)
+    save_db(db, tmp_path / "v2.vldb")
+    raw = (tmp_path / "v2.vldb").read_bytes()
+    assert raw[v2_layout(raw)[1] :] == b"".join(f.descriptors.array.tobytes() for f in frames)
 
 
 def test_camera_survives_save_and_load(tmp_path):
