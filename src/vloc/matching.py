@@ -16,11 +16,14 @@ stays bounded by the chunk size whatever the database size. A bound on the
 cosine gate screens each product once; a chunk whose least entry already
 clears every row's bound, as most chunks of a long scan do, costs one min
 pass and nothing more. Only the (query keypoint, frame) pairs that hold a
-screened entry can match; they are enumerated from the screened entries,
-and each takes its nearest and second nearest from its screened entries,
-reading the frame's whole row of distances only when the bound cannot
-settle the ratio test. Matches are counted per frame as each chunk is
-scored.
+screened entry can match. A screened entry that is the only one of its
+keypoint in every frame holding it, as nearly all are on a drive, is
+judged once for all those frames: it is each one's nearest, and the bound
+stands in for the second nearest. The remaining pairs are enumerated from
+the screened entries, and each takes its nearest and second nearest from
+its screened entries. Either way the frame's whole row of distances is
+read only when the bound cannot settle the ratio test. Matches are
+counted per frame as each chunk is scored.
 """
 
 import logging
@@ -376,7 +379,13 @@ def _range_min(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _matched(query: DescriptorSet, block: DescriptorSet, starts: np.ndarray, stops: np.ndarray, cfg: MatchConfig) -> Iterator[tuple]:
-    """Per chunk of frames, (lo, k, r, f, j): its frames are lo:lo + k, and query row r[i] matches keypoint j[i] of its frame f[i].
+    """Per chunk of frames, (lo, first, widths, r, f, j, hr, hc): the chunk's matches.
+
+    Its frames are lo:lo + len(first), frame i covering columns
+    first[i]:first[i] + widths[i] of the chunk. Query row r[i] matches
+    keypoint j[i] of its frame f[i], and query row hr[i] matches column
+    hc[i] in every frame covering that column (a settled lone entry, see
+    _chunk_matches).
 
     Frame i is rows starts[i]:stops[i] of block, starts not decreasing.
     The frames are scored in chunks of whole frames (_candidate_rows), so
@@ -403,25 +412,38 @@ def _matched(query: DescriptorSet, block: DescriptorSet, starts: np.ndarray, sto
             bound = _gate_bound(qq, fmin, fmax, cfg.tau2)
         # a call per chunk, so one chunk's arrays are freed before the next product
         g = np.matmul(q, rows.T, out=_scratch_f32("product", (m, len(rows))))
-        yield lo, len(widths), *_chunk_matches(g, qq, fnorms, first, widths, bound, cfg)
+        yield lo, first, widths, *_chunk_matches(g, qq, fnorms, first, widths, bound, cfg)
 
 
 def _counts(query: DescriptorSet, block: DescriptorSet, starts: np.ndarray, stops: np.ndarray, cfg: MatchConfig) -> np.ndarray:
     """Correspondence count of the query against frames starts[i]:stops[i] of block, counted per chunk."""
     counts = np.zeros(len(starts), dtype=np.int64)
-    for lo, k, _, f, _ in _matched(query, block, starts, stops, cfg):
-        counts[lo : lo + k] = np.bincount(f, minlength=k)
+    for lo, first, widths, _, f, _, _, hc in _matched(query, block, starts, stops, cfg):
+        hc = np.sort(hc)
+        # the settled hits each counts once in every frame covering its column
+        settled = np.searchsorted(hc, first + widths) - np.searchsorted(hc, first)
+        counts[lo : lo + len(first)] = np.bincount(f, minlength=len(first)) + settled
     return counts
 
 
 def _chunk_matches(g: np.ndarray, qq: np.ndarray, fnorms: np.ndarray, first: np.ndarray, widths: np.ndarray, bound: np.ndarray, cfg: MatchConfig) -> tuple[np.ndarray, ...]:
-    """Query row, frame and frame keypoint of every match in one chunk, from its product g.
+    """The matches of one chunk, from its product g: (r, f, j, hr, hc) as _matched yields them.
 
     bound is _gate_bound's for a norm range holding every one of fnorms.
     Frames may overlap and share columns of E, so each entry is screened
-    once, against that bound (_screen). The (query row, frame)
-    pairs that hold a screened entry are the only ones that can match
-    (_held_pairs), and each takes its top-2 from its screened entries alone:
+    once, against that bound (_screen). The (query row, frame) pairs that
+    hold a screened entry are the only ones that can match.
+
+    Most screened entries are lone: no other screened entry of their row
+    lies in any frame holding them. In every pair holding one, that entry
+    is the nearest and the bound a floor under the runner-up, so one
+    verdict serves all of them. _settle_lone gives it once per entry,
+    returning the hits as (row, column) and the entries it leaves. It runs
+    when the entries are no more than the m x p pairs, as _held_pairs then
+    enumerates pairs from them, so it adds no array larger than those.
+    The entries left go to the pairs unchanged: a pair holding several
+    entries holds no lone one, so it keeps them all. There (_held_pairs)
+    each pair takes its top-2 from its screened entries alone:
 
     * nearest: an entry that can pass the gate is below the bound, so a
       pair that can match has its nearest among them; ties go to the
@@ -436,8 +458,11 @@ def _chunk_matches(g: np.ndarray, qq: np.ndarray, fnorms: np.ndarray, first: np.
     chunks of a long scan, holds no match and returns at once.
     """
     flat, e = _screen(g, fnorms, bound)
+    hr = hc = flat[:0]
+    if 0 < len(flat) <= g.shape[0] * len(first):
+        flat, e, hr, hc = _settle_lone(flat, e, qq, fnorms, first, widths, bound, cfg)
     if len(flat) == 0:
-        return flat, flat, flat
+        return flat, flat, flat, hr, hc
     keys = _entry_keys(e)
     del e
     r, f, lo, hi, at = _held_pairs(flat, g.shape, first, widths)
@@ -459,7 +484,45 @@ def _chunk_matches(g: np.ndarray, qq: np.ndarray, fnorms: np.ndarray, first: np.
         if len(todo):
             e2 = _exact_runner_up(g, fnorms, r[todo], first[f[todo]], widths[f[todo]], j[todo])
             passed[todo] = _ratio_test(d1[todo], np.maximum(qr[todo] + e2, 0.0), cfg)
-    return r[passed], f[passed], j[passed]
+    return r[passed], f[passed], j[passed], hr, hc
+
+
+def _settle_lone(flat: np.ndarray, e: np.ndarray, qq: np.ndarray, fnorms: np.ndarray, first: np.ndarray, widths: np.ndarray, bound: np.ndarray, cfg: MatchConfig) -> tuple[np.ndarray, ...]:
+    """Settle each lone screened entry once: (flat, e) of the entries left, and row and column of each hit.
+
+    flat holds the sorted row-major indices of the screened entries of E
+    and e their values; frame f covers columns first[f]:first[f] + widths[f],
+    and every column lies in some frame. The frames holding a column span
+    the columns from the first of them, the first frame in order of first
+    column whose running maximum end passes it, to the running maximum end
+    of the frames starting at or before it (as _entry_pairs finds them).
+    An entry is lone when its row's neighbours in flat lie outside that
+    span. Entries left out of the screen are at least the bound, so a lone
+    entry is the nearest of every pair holding it and the bound stands in
+    for the runner-up of each, as it does for a pair of one entry in
+    _chunk_matches. A lone entry failing the cosine gate is dropped; one
+    passing it and the bound's ratio test is a hit in every frame holding
+    it; the rest, and every entry that is not lone, are left.
+    """
+    row, col = np.divmod(flat, len(fnorms))
+    order = np.argsort(first, kind="stable")
+    starts = first[order]
+    reach = np.maximum.accumulate(starts + widths[order])
+    lo = starts[np.searchsorted(reach, col, side="right")]
+    hi = reach[np.searchsorted(starts, col, side="right") - 1]
+    lone = np.ones(len(flat), dtype=bool)
+    same = row[1:] == row[:-1]
+    lone[1:] &= ~same | (col[:-1] < lo[1:])
+    lone[:-1] &= ~same | (col[1:] >= hi[:-1])
+    at = np.flatnonzero(lone)
+    r, c = row[at], col[at]
+    e1, qr = e[at].astype(np.float64), qq[r]
+    ok = _cosine_gate(qr, e1, fnorms[c].astype(np.float64), cfg)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hit = ok & _ratio_test(np.maximum(qr + e1, 0.0), np.maximum(qr + bound[r].astype(np.float64), 0.0), cfg)
+    lone[at[ok & ~hit]] = False
+    left = np.flatnonzero(~lone)
+    return flat[left], e[left], r[hit], c[hit]
 
 
 def _held_pairs(flat: np.ndarray, shape: tuple, first: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, ...]:

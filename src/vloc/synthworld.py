@@ -56,10 +56,14 @@ class WorldConfig:
             raise ValueError(f"speed_mps must be non-negative, got {self.speed_mps}")
         if not self.db_hz > 0:
             raise ValueError(f"db_hz must be positive, got {self.db_hz}")
-        if _frame_period_ns(self) == 0:
-            raise ValueError(f"db_hz={self.db_hz} gives a frame period that rounds to 0 ns")
         if not self.duration_s > 0:
             raise ValueError(f"duration_s must be positive, got {self.duration_s}")
+        if not _timestamps_fit(self):
+            raise ValueError(
+                f"db_hz={self.db_hz} and duration_s={self.duration_s} put frame timestamps past the int64 nanosecond range"
+            )
+        if _frame_period_ns(self) == 0:
+            raise ValueError(f"db_hz={self.db_hz} gives a frame period that rounds to 0 ns")
         if self.keypoints_per_frame < 2:
             raise ValueError(f"keypoints_per_frame must be at least 2, got {self.keypoints_per_frame}")
         if not 0.0 <= self.landmark_overlap <= 1.0:
@@ -95,6 +99,14 @@ def _frame_count(cfg: WorldConfig) -> int:
 
 def _frame_period_ns(cfg: WorldConfig) -> int:
     return int(round(1e9 / cfg.db_hz))
+
+
+def _timestamps_fit(cfg: WorldConfig) -> bool:
+    """Whether T0_NS + i * period is an int64 for every frame i, and for i = 1, so that the period is one too."""
+    frames, period = cfg.duration_s * cfg.db_hz, 1e9 / cfg.db_hz
+    if not (frames < 2**63 and period < 2**63):
+        return False
+    return T0_NS + max(_frame_count(cfg) - 1, 1) * _frame_period_ns(cfg) < 2**63
 
 
 def _unit_rows(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -256,6 +268,9 @@ def run_monte_carlo(
         raise ValueError(f"trials must be positive, got {trials}")
     if not (math.isfinite(period_s) and period_s > 0):
         raise ValueError(f"period_s must be positive and finite, got {period_s}")
+    if period_s * 1e9 < 1.0:
+        # queries are i * period_s apart rounded to whole ns, so closer ones would share timestamps
+        raise ValueError(f"period_s={period_s} is under the 1 ns resolution of query timestamps")
     _start_range(world_cfg, scan_cfg, steps, period_s)  # a drive too short fails before any trial
     cfgs = (world_cfg, scan_cfg, match_cfg, filter_cfg, steps, period_s)
     if workers == 1:

@@ -253,6 +253,11 @@ def test_simulate_rejects_nonpositive_trials(tmp_path, capsys):
         ("--duration-s", "inf", 1, "duration_s must be finite"),
         ("--db-hz", "inf", 1, "db_hz must be finite"),
         ("--db-hz", "3e9", 1, "frame period that rounds to 0 ns"),
+        # frame timestamps past int64: the period itself, and the last frame's
+        ("--db-hz", "1e-300", 1, "db_hz=1e-300 and duration_s=8.0 put frame timestamps past the int64"),
+        ("--duration-s", "1e12", 1, "db_hz=10.0 and duration_s=1000000000000.0 put frame timestamps past the int64"),
+        # two queries 0.4 ns apart would share a timestamp
+        ("--period-s", "4e-10", 1, "period_s=4e-10 is under the 1 ns resolution"),
         ("--workers", "-3", 2, "--workers must be 0"),
         # a NaN or negative exclusion would otherwise turn the handicap off
         ("--exclusion-s", "nan", 2, "--exclusion-s must be 0 (off) or positive, got nan"),

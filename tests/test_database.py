@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vloc import database
+from vloc import database, matching
 from vloc.database import (
     CSV_MANIFEST_HEADER,
     Database,
@@ -22,7 +22,8 @@ from vloc.database import (
 from vloc.errors import DatabaseFormatError, EmptyCandidatesError, IngestError
 from vloc.geodesy import GeoPoint
 from vloc.matching import _E_BYTES, DESCRIPTOR_DIM, DescriptorSet, MatchConfig, _counts, _pack, best_match
-from vloc.synthworld import T0_NS, WorldConfig, gen_queries, gen_world
+from vloc.kalman import FilterConfig
+from vloc.synthworld import T0_NS, WorldConfig, _run_trial, _trial_seed, gen_queries, gen_world
 
 # plain fixture coordinates for the 3-frame ingestion tests
 FIXTURE_GEO = [
@@ -350,6 +351,39 @@ def test_scan_of_a_synthetic_drive_holds_no_more_than_before():
             tracemalloc.stop()
         assert abs(frame.timestamp_ns - query.timestamp_ns) > 10**9 and count > 0
         assert peak <= bound_mib * 2**20, f"tau2={tau2}: traced peak {peak / 2**20:.2f} MiB"
+
+
+def test_generated_drives_settle_every_screened_entry_once(monkeypatch):
+    # a generated drive scanned unwindowed, then windowed around the first
+    # match, and criterion-6 trials under their 1 s exclusion: every query
+    # row holding a screened entry holds one in each frame holding it, so
+    # the lone-entry pass settles every entry and no (row, frame) pair is
+    # formed
+    entries = []
+    settle = matching._settle_lone
+
+    def every_entry_settled(flat, *args):
+        out = settle(flat, *args)
+        assert len(out[0]) == 0, f"{len(out[0])} of {len(flat)} entries left for the pairs"
+        entries.append(len(flat))
+        return out
+
+    monkeypatch.setattr(matching, "_settle_lone", every_entry_settled)
+    monkeypatch.setattr(matching, "_held_pairs", lambda *a: pytest.fail("a (row, frame) pair was formed"))
+    cfg = WorldConfig(duration_s=60.0, seed=3)
+    db = gen_world(cfg)
+    queries = gen_queries(db, T0_NS + 30 * 10**9, 4, 1.0, cfg)
+    first, count = scan(db, queries[0].descriptors, queries[0].timestamp_ns, ScanConfig(), MatchConfig())
+    assert first.timestamp_ns == queries[0].timestamp_ns and count > 0
+    for q in queries[1:]:
+        frame, _ = scan(db, q.descriptors, q.timestamp_ns, ScanConfig(window_s=20.0), MatchConfig(), center_ts=first.timestamp_ns)
+        assert frame.timestamp_ns == q.timestamp_ns
+    drive = len(entries)
+    assert drive >= 4
+    for i in range(5):
+        trace = _run_trial(WorldConfig(), ScanConfig(window_s=20.0, exclusion_s=1.0), MatchConfig(), FilterConfig(), 6, 1.0, *_trial_seed(0, i))
+        assert len(trace) == 6
+    assert len(entries) >= drive + 30 and min(entries) > 0
 
 
 def test_scan_empty_candidates():

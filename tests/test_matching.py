@@ -164,11 +164,20 @@ def one_row(g) -> DescriptorSet:
     return DescriptorSet(np.reshape(g, (1, DESCRIPTOR_DIM)))
 
 
+def triples(first, widths, r, f, j, hr, hc):
+    """A chunk's matches as (row, frame, keypoint) triples: its pair matches, then each settled hit in every frame covering its column."""
+    held = (first <= hc[:, None]) & (hc[:, None] < first + widths)
+    at, frame = np.nonzero(held)
+    return np.concatenate([r, hr[at]]), np.concatenate([f, frame]), np.concatenate([j, hc[at] - first[frame]])
+
+
 def matches(query, sets, cfg):
     """(m, p) index of the keypoint each query row matches in each set, -1 for none, from _matched's triples."""
     match = np.full((len(query), len(sets)), -1, dtype=np.int64)
-    for lo, _, r, f, j in _matched(query, *_pack(sets), cfg):
-        assert np.all(match[r, lo + f] == -1)  # one match per pair
+    for lo, first, widths, *found in _matched(query, *_pack(sets), cfg):
+        r, f, j = triples(first, widths, *found)
+        assert len(set(zip(r.tolist(), f.tolist()))) == len(r)  # one match per pair
+        assert np.all(match[r, lo + f] == -1)
         match[r, lo + f] = j
     return match
 
@@ -361,8 +370,9 @@ def test_interleaved_scans_sharing_the_scratch_buffers_match_separate_ones(monke
         chunks = [p[i] for p in pairs if p[i] is not None]
         assert len(chunks) > 1
         counts = np.zeros(len(sets), dtype=np.int64)
-        for lo, k, _, f, _ in chunks:
-            counts[lo : lo + k] = np.bincount(f, minlength=k)
+        for lo, first, widths, *found in chunks:
+            _, f, _ = triples(first, widths, *found)
+            counts[lo : lo + len(first)] = np.bincount(f, minlength=len(first))
         # each set alone is one chunk scored in place
         assert counts.tolist() == [count_correspondences(query, s, MatchConfig()) for s in sets]
         assert counts.max() > 0
@@ -684,12 +694,26 @@ def screen_spy(calls):
     return mock.patch.object(matching, "_screen", counted)
 
 
+def lone_spy(calls):
+    """Patch _settle_lone to count the calls that settle entries ("settled") and those that leave some for the pairs ("left")."""
+    settle = matching._settle_lone
+
+    def counted(flat, *args):
+        out = settle(flat, *args)
+        calls["settled"] += len(out[0]) < len(flat)
+        calls["left"] += len(out[0]) > 0
+        return out
+
+    return mock.patch.object(matching, "_settle_lone", counted)
+
+
 def test_matches_equal_the_full_segment_oracle():
     # per-frame counts and every matched index equal the oracle's, with
-    # pairs enumerated from the screened entries in some chunks and over
-    # all pairs in others, where the entries outnumber them, and with
-    # chunks the min test skips beside chunks it compares
-    calls = {"chunks": 0, "entries": 0, "skipped": 0, "compared": 0}
+    # lone entries settled once each, the entries left over paired from the
+    # screened entries in some chunks and every pair searched in others,
+    # where the entries outnumber the pairs, and with chunks the min test
+    # skips beside chunks it compares
+    calls = {"chunks": 0, "entries": 0, "skipped": 0, "compared": 0, "settled": 0, "left": 0}
 
     def spy(name, fn):
         def counted(*args):
@@ -710,9 +734,96 @@ def test_matches_equal_the_full_segment_oracle():
         assert counts.dtype == np.int64 and np.array_equal(counts, (want >= 0).sum(axis=0))
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
-    check()
-    assert 0 < calls["entries"] < calls["chunks"], calls
+    with lone_spy(calls):
+        check()
+    assert calls["settled"] > 0 and calls["left"] > 0, calls
+    # the lone-entry pass runs before every pairing from the entries
+    assert 0 < calls["left"] == calls["entries"] < calls["chunks"], calls
     assert calls["skipped"] > 0 and calls["compared"] > 0, calls
+
+
+def axis(i, cos=1.0, spare=None):
+    """Unit vector at cosine cos to axis i, leaning towards axis spare."""
+    v = vec(*([0.0] * i + [cos]))
+    if spare is not None:
+        v[spare] = np.sqrt(1.0 - cos * cos)
+    return v
+
+
+def test_lone_entries_left_to_the_pairs_beside_rows_of_two_entries_in_a_frame(monkeypatch):
+    # overlapping windows of one block, holding for query row 0 a row at
+    # cosine 0.975 (lone, but the bound cannot settle its ratio test), for
+    # row 1 two rows at cosines 0.999 and 0.98 (two entries in the windows
+    # holding both) and for row 2 its twin (lone, settled); every other
+    # row is orthogonal to the query
+    rows = [axis(20 + i) for i in range(24)]
+    rows[3], rows[8], rows[11], rows[15] = axis(0, 0.975, 10), axis(1, 0.999, 11), axis(1, 0.98, 12), axis(2)
+    block = DescriptorSet(np.stack(rows))
+    windows = [block._window(s, s + 6) for s in range(0, 19, 2)]
+    query = DescriptorSet(np.stack([axis(0), axis(1), axis(2)]))
+    cfg = MatchConfig()
+    calls = {"settled": 0, "left": 0, "entries": 0, "exact": 0}
+    entry_pairs, exact = matching._entry_pairs, matching._exact_runner_up
+    monkeypatch.setattr(matching, "_entry_pairs", lambda *a: calls.update(entries=calls["entries"] + 1) or entry_pairs(*a))
+    monkeypatch.setattr(matching, "_exact_runner_up", lambda *a: calls.update(exact=calls["exact"] + len(a[2])) or exact(*a))
+    with lone_spy(calls):
+        got = matches(query, windows, cfg)
+        counts = _counts(query, *_pack(windows), cfg)
+    want = oracle_matches(query, windows, cfg)
+    assert np.array_equal(got, want) and np.array_equal(counts, (want >= 0).sum(axis=0))
+    held = lambda row: [i for i, w in enumerate(windows) if w._start <= row < w._start + 6]
+    assert [i for i in range(len(windows)) if got[0, i] >= 0] == held(3)  # after the whole row of E
+    assert [i for i in range(len(windows)) if got[2, i] >= 0] == held(15)  # settled once
+    # the windows holding both of row 1's entries take the nearer
+    assert all(got[1, i] == 8 - windows[i]._start for i in set(held(8)) & set(held(11)))
+    assert calls["settled"] == calls["left"] == calls["entries"] == 2  # one pass per call above
+    assert calls["exact"] > 0
+
+
+def test_an_entry_is_lone_only_where_no_frame_holding_it_holds_another():
+    # rows 5 and 8 at cosine 0.99 to the query row, in different
+    # directions: window 0:9 holds both, ratio 1, no match; the nested 1:7
+    # holds row 5 alone and matches it. The last window starting at or
+    # before column 5 ends before column 8, so the span of the frames
+    # holding column 5 must run to the running maximum end
+    rows = [axis(20 + i) for i in range(12)]
+    rows[5], rows[8] = axis(0, 0.99, 10), axis(0, 0.99, 11)
+    block = DescriptorSet(np.stack(rows))
+    windows = [block._window(0, 9), block._window(1, 7)]
+    query = one_row(axis(0))
+    got = matches(query, windows, MatchConfig())
+    assert got.tolist() == [[-1, 4]] and np.array_equal(got, oracle_matches(query, windows, MatchConfig()))
+    assert _counts(query, *_pack(windows), MatchConfig()).tolist() == [0, 1]
+
+
+def test_owned_rows_holding_noisy_copies_of_shared_landmarks_equal_the_oracle(monkeypatch):
+    # frames that own their rows, each a noisy copy of a slice of shared
+    # landmarks, as an ingested drive's are: a query keypoint has screened
+    # entries in several frames, each lone in its own, so every one is
+    # settled and no pair is formed. One frame's rows are at half norm, so
+    # the gate's bound also screens in the entries of a query row at cosine
+    # 0.9 to a landmark, which the gate then drops
+    rng = np.random.default_rng(26)
+    landmarks = unit_rows(rng, 80)
+    frames = [DescriptorSet(landmarks[s : s + 20] + rng.normal(0, 0.01, (20, DESCRIPTOR_DIM))) for s in range(0, 61, 4)]
+    frames[0] = DescriptorSet(frames[0].array * 0.5)
+    aside = unit_rows(rng, 1)[0]
+    aside -= (aside @ landmarks[45]) * landmarks[45]
+    near = 0.9 * landmarks[45] + np.sqrt(0.19) * aside / np.linalg.norm(aside)
+    query = DescriptorSet(np.vstack([landmarks[30:50] + rng.normal(0, 0.01, (20, DESCRIPTOR_DIM)), unit_rows(rng, 4), near]))
+    cfg = MatchConfig()
+    calls = {"settled": 0, "left": 0}
+    monkeypatch.setattr(matching, "_held_pairs", lambda *a: pytest.fail("a pair was formed"))
+    for chunk_cols in (None, 50):
+        if chunk_cols is not None:
+            monkeypatch.setattr(matching, "_E_BYTES", chunk_cols * DESCRIPTOR_DIM * 4)
+        with lone_spy(calls):
+            got = matches(query, frames, cfg)
+            counts = _counts(query, *_pack(frames), cfg)
+        want = oracle_matches(query, frames, cfg)
+        assert np.array_equal(got, want) and np.array_equal(counts, (want >= 0).sum(axis=0))
+        assert ((got >= 0).sum(axis=1) >= 4).sum() >= 10  # keypoints matched in several frames
+    assert calls["settled"] > 0 and calls["left"] == 0
 
 
 def test_held_pairs_match_brute_force():

@@ -1,8 +1,10 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from vloc import synthworld
 from vloc.database import ScanConfig
 from vloc.geodesy import haversine_m
 from vloc.kalman import FilterConfig
@@ -38,6 +40,29 @@ def test_world_config_validates():
                 WorldConfig(**{field: value})
     with pytest.raises(ValueError, match="rounds to 0 ns"):
         WorldConfig(db_hz=3e9)
+
+
+@pytest.mark.parametrize(
+    "db_hz, duration_s",
+    [
+        (1e-300, 8.0),  # a period of 1e309 ns, inf as a float
+        (1e-290, 8.0),  # a period past int64, with no second frame
+        (1e-10, 1e12),  # 100 frames 1e19 ns apart
+        (10.0, 1e12),  # 1e13 frames 0.1 s apart
+        (1e300, 1e300),  # a frame count of inf
+    ],
+)
+def test_world_config_rejects_frame_timestamps_past_int64(db_hz, duration_s):
+    with pytest.raises(ValueError, match=re.escape(f"db_hz={db_hz} and duration_s={duration_s} put frame timestamps past the int64")):
+        WorldConfig(db_hz=db_hz, duration_s=duration_s)
+
+
+def test_world_config_takes_frame_timestamps_up_to_the_int64_edge():
+    # 1 Hz frames: the last frame of a drive of n seconds is at T0_NS + (n - 1) s
+    n = (2**63 - 1 - T0_NS) // 10**9 + 1
+    WorldConfig(db_hz=1.0, duration_s=float(n))
+    with pytest.raises(ValueError, match="past the int64"):
+        WorldConfig(db_hz=1.0, duration_s=float(n + 1))
 
 
 def test_gen_world_layout():
@@ -212,6 +237,14 @@ def test_run_monte_carlo_rejects_bad_counts():
         )
     for period_s in (float("inf"), float("nan"), 0.0, -1.0):
         with pytest.raises(ValueError, match="period_s"):
+            run_monte_carlo(WorldConfig(seed=8), ScanConfig(), MatchConfig(), FilterConfig(), trials=1, period_s=period_s)
+
+
+def test_run_monte_carlo_rejects_a_period_under_1_ns_before_any_trial(monkeypatch):
+    # 0.4 ns rounds to 0 ns and 0.6 ns puts queries 1 and 2 both at 1 ns
+    monkeypatch.setattr(synthworld, "gen_world", lambda cfg: pytest.fail("a world was built"))
+    for period_s in (4e-10, 6e-10):
+        with pytest.raises(ValueError, match=f"period_s={period_s} is under the 1 ns resolution"):
             run_monte_carlo(WorldConfig(seed=8), ScanConfig(), MatchConfig(), FilterConfig(), trials=1, period_s=period_s)
 
 
