@@ -175,7 +175,13 @@ class Database:
         )
 
     def _candidates(self, ranges: list[tuple[int, int]]) -> _Candidates:
-        """Frames lo:hi of each ascending, disjoint (lo, hi) of ranges, as best_match's candidates."""
+        """Frames lo:hi of each ascending, disjoint (lo, hi) of ranges, as best_match's candidates.
+
+        One range is a view of the columns; several are concatenated.
+        """
+        if len(ranges) == 1:
+            (lo, hi), = ranges
+            return _Candidates(self._ids[lo:hi], self._block, self._starts[lo:hi], self._stops[lo:hi])
         ids, starts, stops = (np.concatenate([c[lo:hi] for lo, hi in ranges]) for c in (self._ids, self._starts, self._stops))
         return _Candidates(ids, self._block, starts, stops)
 
@@ -186,7 +192,7 @@ class Database:
 
     def frame_by_id(self, frame_id: int) -> GeoFrame:
         if 0 <= frame_id < 2**64:
-            j = int(np.searchsorted(self._sorted_ids, frame_id))
+            j = int(self._sorted_ids.searchsorted(np.uint64(frame_id)))
             if j < len(self) and self._sorted_ids[j] == frame_id:
                 return self._frame(self._id_order[j])
         raise KeyError(frame_id)
@@ -300,7 +306,7 @@ def _within(timestamps: np.ndarray, center: int, seconds: float) -> tuple[int, i
     radius = math.floor(min(seconds * 1e9, 2**64))  # 2**64 ns spans every int64 pair
     lo = min(max(int(center) - radius, _I64_MIN), _I64_MAX)
     hi = min(max(int(center) + radius, _I64_MIN), _I64_MAX)
-    return int(np.searchsorted(timestamps, lo, "left")), int(np.searchsorted(timestamps, hi, "right"))
+    return int(timestamps.searchsorted(lo, "left")), int(timestamps.searchsorted(hi, "right"))
 
 
 # ---------------------------------------------------------------------------

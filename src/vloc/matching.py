@@ -27,6 +27,7 @@ counted per frame as each chunk is scored.
 """
 
 import logging
+import math
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -69,9 +70,11 @@ def _scratch_f32(name: str, shape: tuple) -> np.ndarray:
     whenever the allocator has handed the last ones back to the OS. The
     buffers grow to the largest chunk seen, at most 2 * _E_BYTES per
     thread. A view is valid until the next chunk; each chunk's product is
-    consumed before _matched yields.
+    consumed before _matched yields. It runs once or twice per chunk, so
+    its size is math.prod of the shape: np.prod of a tuple builds an array
+    first and took most of this function's time.
     """
-    n = int(np.prod(shape))
+    n = math.prod(shape)
     buf = getattr(_scratch, name, None)
     if buf is None or len(buf) < n:
         setattr(_scratch, name, None)  # free the smaller buffer before allocating
@@ -235,7 +238,7 @@ def _candidate_rows(block: DescriptorSet, starts: np.ndarray, stops: np.ndarray,
     decrease. Yields (lo, rows, norms, first, widths) per chunk: its frames
     start at frame lo, rows and norms are the rows to score for them and
     their squared norms, first holds each frame's first row within rows
-    and widths its row count.
+    (never decreasing, as the starts do not) and widths its row count.
 
     Within a chunk, frames merge into runs of the block's rows: a frame
     opens a new run where its start passes the running maximum of the
@@ -246,10 +249,17 @@ def _candidate_rows(block: DescriptorSet, starts: np.ndarray, stops: np.ndarray,
     before the frame that would take its runs past max_cols rows, so a long
     run is split at a frame's edge and a frame wider than max_cols is a
     chunk of its own; the next chunk's runs start afresh at that frame.
+
+    The chunk's end is searched for among the frames starting within
+    max_cols rows of its first frame's start: in one run no later frame
+    fits, so a windowed scan, or each chunk of a scan without gaps, is
+    found in one search. Only rows that a gap (or an empty frame) skips can
+    let a chunk reach past those frames; the frames examined then grow
+    fourfold until the chunk closes among them or they reach the last.
     """
     n, lo = len(starts), 0
     while lo < n:
-        span = 256  # frames examined for the chunk's end, grown until it is found
+        span = int(starts.searchsorted(starts[lo] + max_cols, "right")) - lo
         while True:
             a, b = starts[lo : lo + span], stops[lo : lo + span]
             top = np.maximum.accumulate(b)
@@ -260,24 +270,33 @@ def _candidate_rows(block: DescriptorSet, starts: np.ndarray, stops: np.ndarray,
             grow = np.empty_like(a)
             grow[0] = b[0] - a[0]
             grow[1:] = np.where(opens[1:], b[1:] - a[1:], top[1:] - top[:-1])
-            k = max(1, int(np.searchsorted(np.cumsum(grow), max_cols, "right")))
+            k = max(1, int(np.cumsum(grow).searchsorted(max_cols, "right")))
             if k < len(a) or lo + len(a) == n:
                 break
             span *= 4
-        at = np.flatnonzero(opens[:k])
-        runs = np.stack([a[at], top[np.append(at[1:], k) - 1]], axis=1)
-        yield lo, *_chunk(block, runs, np.cumsum(opens[:k]) - 1, a[:k], b[:k] - a[:k])
+        widths = b[:k] - a[:k]
+        if opens[1:k].any():
+            yield lo, *_chunk(block, a[:k], top[:k], opens[:k], widths)
+        else:
+            # one run: the block's own rows, in place
+            run_lo, run_hi = int(a[0]), int(top[k - 1])
+            yield lo, block.array[run_lo:run_hi], block.norms[run_lo:run_hi], a[:k] - run_lo, widths
         lo += k
 
 
-def _chunk(block: DescriptorSet, runs: np.ndarray, run: np.ndarray, firsts: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Rows, norms, first rows and widths of one chunk of _candidate_rows, whose frame i lies in runs[run[i]]."""
+def _chunk(block: DescriptorSet, firsts: np.ndarray, top: np.ndarray, opens: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rows, norms, first rows and widths of a chunk of _candidate_rows holding several runs.
+
+    Frame i starts at row firsts[i] of block, top[i] is the running maximum
+    of the chunk's stops and opens[i] whether frame i opens a run. The runs
+    are concatenated into a scratch buffer.
+    """
+    at = np.flatnonzero(opens)
+    runs = np.stack([firsts[at], top[np.append(at[1:], len(top)) - 1]], axis=1)
+    run = np.cumsum(opens) - 1
     lengths = runs[:, 1] - runs[:, 0]
     offsets = np.cumsum(lengths) - lengths
     first = offsets[run] + firsts - runs[run, 0]
-    if len(runs) == 1:
-        lo, hi = runs[0].tolist()
-        return block.array[lo:hi], block.norms[lo:hi], first, widths
     rows = np.concatenate([block.array[lo:hi] for lo, hi in runs.tolist()], out=_scratch_f32("rows", (int(lengths.sum()), DESCRIPTOR_DIM)))
     norms = np.concatenate([block.norms[lo:hi] for lo, hi in runs.tolist()])
     return rows, norms, first, widths
@@ -301,8 +320,9 @@ def _gate_bound(qq: np.ndarray, fmin: float, fmax: float, tau2: float) -> np.nda
     bound many times over; a non-finite bound screens nothing out.
     """
     with np.errstate(invalid="ignore", over="ignore"):
-        ends = np.maximum(fmin - 2.0 * tau2 * np.sqrt(qq * fmin), fmax - 2.0 * tau2 * np.sqrt(qq * fmax))
-        bound = ends + 1e-9 * (np.abs(ends) + fmax + 2.0 * np.sqrt(qq * fmax))
+        top = np.sqrt(qq * fmax)
+        ends = np.maximum(fmin - 2.0 * tau2 * np.sqrt(qq * fmin), fmax - 2.0 * tau2 * top)
+        bound = ends + 1e-9 * (np.abs(ends) + fmax + 2.0 * top)
         bound[np.isnan(bound)] = np.inf
         # rounded up to float32, so E is compared in its own precision
         narrow = bound.astype(np.float32)
@@ -419,10 +439,13 @@ def _counts(query: DescriptorSet, block: DescriptorSet, starts: np.ndarray, stop
     """Correspondence count of the query against frames starts[i]:stops[i] of block, counted per chunk."""
     counts = np.zeros(len(starts), dtype=np.int64)
     for lo, first, widths, _, f, _, _, hc in _matched(query, block, starts, stops, cfg):
-        hc = np.sort(hc)
-        # the settled hits each counts once in every frame covering its column
-        settled = np.searchsorted(hc, first + widths) - np.searchsorted(hc, first)
-        counts[lo : lo + len(first)] = np.bincount(f, minlength=len(first)) + settled
+        chunk = counts[lo : lo + len(first)]
+        if len(hc):
+            # the settled hits each counts once in every frame covering its column
+            hc = np.sort(hc)
+            chunk += hc.searchsorted(first + widths) - hc.searchsorted(first)
+        if len(f):
+            chunk += np.bincount(f, minlength=len(first))
     return counts
 
 
@@ -492,10 +515,11 @@ def _settle_lone(flat: np.ndarray, e: np.ndarray, qq: np.ndarray, fnorms: np.nda
 
     flat holds the sorted row-major indices of the screened entries of E
     and e their values; frame f covers columns first[f]:first[f] + widths[f],
-    and every column lies in some frame. The frames holding a column span
-    the columns from the first of them, the first frame in order of first
-    column whose running maximum end passes it, to the running maximum end
-    of the frames starting at or before it (as _entry_pairs finds them).
+    first never decreases (as _candidate_rows gives it) and every column
+    lies in some frame. The frames holding a column span the columns from
+    the first of them, the first frame whose running maximum end passes
+    it, to the running maximum end of the frames starting at or before it
+    (as _entry_pairs finds them).
     An entry is lone when its row's neighbours in flat lie outside that
     span. Entries left out of the screen are at least the bound, so a lone
     entry is the nearest of every pair holding it and the bound stands in
@@ -505,11 +529,9 @@ def _settle_lone(flat: np.ndarray, e: np.ndarray, qq: np.ndarray, fnorms: np.nda
     it; the rest, and every entry that is not lone, are left.
     """
     row, col = np.divmod(flat, len(fnorms))
-    order = np.argsort(first, kind="stable")
-    starts = first[order]
-    reach = np.maximum.accumulate(starts + widths[order])
-    lo = starts[np.searchsorted(reach, col, side="right")]
-    hi = reach[np.searchsorted(starts, col, side="right") - 1]
+    reach = np.maximum.accumulate(first + widths)
+    lo = first[reach.searchsorted(col, "right")]
+    hi = reach[first.searchsorted(col, "right") - 1]
     lone = np.ones(len(flat), dtype=bool)
     same = row[1:] == row[:-1]
     lone[1:] &= ~same | (col[:-1] < lo[1:])
@@ -639,12 +661,13 @@ def best_match(
         ids, sets = zip(*candidates)
         block, starts, stops = _pack(sets)
     scored = stops - starts >= 2
-    if not scored.all():
+    if scored.all():
+        counts = _counts(query, block, starts, stops, cfg) if len(query) else np.zeros(len(scored), dtype=np.int64)
+    else:
         logger.warning("skipped %d candidate frame(s) with fewer than 2 descriptors", len(scored) - scored.sum())
-
-    counts = np.zeros(len(scored), dtype=np.int64)
-    if len(query) > 0 and scored.any():
-        counts[scored] = _counts(query, block, starts[scored], stops[scored], cfg)
+        counts = np.zeros(len(scored), dtype=np.int64)
+        if len(query) > 0 and scored.any():
+            counts[scored] = _counts(query, block, starts[scored], stops[scored], cfg)
 
     top = np.flatnonzero(counts == counts.max())
     # scan ids are uint64; any other ids are Python ints of any size

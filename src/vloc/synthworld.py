@@ -64,6 +64,15 @@ class WorldConfig:
             )
         if _frame_period_ns(self) == 0:
             raise ValueError(f"db_hz={self.db_hz} gives a frame period that rounds to 0 ns")
+        # the path is straight in degrees: it stays on the globe if its first and last frames do
+        for ts in (T0_NS, T0_NS + max(_frame_count(self) - 1, 0) * _frame_period_ns(self)):
+            lat, lon = _lat_lon(self, ts)
+            if not (abs(lat) <= 90.0 and abs(lon) <= 180.0):
+                raise ValueError(
+                    f"speed_mps={self.speed_mps}, heading_deg={self.heading_deg} and duration_s={self.duration_s} "
+                    f"from ({self.start_lat}, {self.start_lon}) take the drive to ({lat}, {lon}), "
+                    "outside latitude [-90, 90] or longitude [-180, 180]"
+                )
         if self.keypoints_per_frame < 2:
             raise ValueError(f"keypoints_per_frame must be at least 2, got {self.keypoints_per_frame}")
         if not 0.0 <= self.landmark_overlap <= 1.0:

@@ -256,6 +256,9 @@ def test_simulate_rejects_nonpositive_trials(tmp_path, capsys):
         # frame timestamps past int64: the period itself, and the last frame's
         ("--db-hz", "1e-300", 1, "db_hz=1e-300 and duration_s=8.0 put frame timestamps past the int64"),
         ("--duration-s", "1e12", 1, "db_hz=10.0 and duration_s=1000000000000.0 put frame timestamps past the int64"),
+        # a drive whose last frame leaves the globe names the inputs, not a frame
+        ("--speed-mps", "1e9", 1, "speed_mps=1000000000.0, heading_deg=45.0 and duration_s=8.0 from (49.0, 8.4) take the drive to (50229.9"),
+        ("--duration-s", "1e9", 1, "speed_mps=18.0, heading_deg=45.0 and duration_s=1000000000.0 from (49.0, 8.4) take the drive to"),
         # two queries 0.4 ns apart would share a timestamp
         ("--period-s", "4e-10", 1, "period_s=4e-10 is under the 1 ns resolution"),
         ("--workers", "-3", 2, "--workers must be 0"),

@@ -59,10 +59,40 @@ def test_world_config_rejects_frame_timestamps_past_int64(db_hz, duration_s):
 
 def test_world_config_takes_frame_timestamps_up_to_the_int64_edge():
     # 1 Hz frames: the last frame of a drive of n seconds is at T0_NS + (n - 1) s
+    # (standing still, as a moving drive that long would leave the globe)
     n = (2**63 - 1 - T0_NS) // 10**9 + 1
-    WorldConfig(db_hz=1.0, duration_s=float(n))
+    WorldConfig(db_hz=1.0, duration_s=float(n), speed_mps=0.0)
     with pytest.raises(ValueError, match="past the int64"):
-        WorldConfig(db_hz=1.0, duration_s=float(n + 1))
+        WorldConfig(db_hz=1.0, duration_s=float(n + 1), speed_mps=0.0)
+
+
+@pytest.mark.parametrize(
+    "start, heading_deg, edge, beyond",
+    [
+        ((83.0, 8.4), 0.0, (90.0, 8.4), (83.5, 8.4)),
+        ((-83.0, 8.4), 180.0, (-90.0, 8.4), (-83.5, 8.4)),
+        ((0.0, 173.0), 90.0, (0.0, 180.0), (0.0, 173.5)),
+        ((0.0, -173.0), -90.0, (0.0, -180.0), (0.0, -173.5)),
+    ],
+    ids=["north", "south", "east", "west"],
+)
+def test_world_config_takes_a_drive_up_to_the_edge_of_the_globe(start, heading_deg, edge, beyond):
+    # 1 degree per second for 7 s (8 frames at 1 Hz), from 7 degrees inside
+    # an edge: the last frame lands on it; from half a degree further out
+    # the drive is rejected
+    kw = dict(speed_mps=synthworld.METERS_PER_DEG, heading_deg=heading_deg, db_hz=1.0, duration_s=8.0)
+    db = gen_world(WorldConfig(start_lat=start[0], start_lon=start[1], **kw))
+    assert (db._lat[-1], db._lon[-1]) == pytest.approx(edge, abs=1e-12)
+    assert abs(db._lat[-1]) <= 90.0 and abs(db._lon[-1]) <= 180.0
+    message = f"speed_mps=111320.0, heading_deg={heading_deg} and duration_s=8.0 from {beyond} take the drive to ("
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        WorldConfig(start_lat=beyond[0], start_lon=beyond[1], **kw)
+    assert str(info.value).endswith("outside latitude [-90, 90] or longitude [-180, 180]")
+
+
+def test_world_config_rejects_a_start_off_the_globe():
+    with pytest.raises(ValueError, match=re.escape("from (91.0, 8.4) take the drive to (91.0, 8.4), outside latitude")):
+        WorldConfig(start_lat=91.0, speed_mps=0.0)
 
 
 def test_gen_world_layout():
