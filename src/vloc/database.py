@@ -175,10 +175,7 @@ class Database:
         )
 
     def _candidates(self, ranges: list[tuple[int, int]]) -> _Candidates:
-        """Frames lo:hi of each ascending, disjoint (lo, hi) of ranges, as best_match's candidates.
-
-        One range is a view of the columns; several are concatenated.
-        """
+        """Frames lo:hi of each ascending, disjoint (lo, hi) of ranges, as best_match's candidates (views for one range)."""
         if len(ranges) == 1:
             (lo, hi), = ranges
             return _Candidates(self._ids[lo:hi], self._block, self._starts[lo:hi], self._stops[lo:hi])

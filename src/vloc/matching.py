@@ -70,9 +70,8 @@ def _scratch_f32(name: str, shape: tuple) -> np.ndarray:
     whenever the allocator has handed the last ones back to the OS. The
     buffers grow to the largest chunk seen, at most 2 * _E_BYTES per
     thread. A view is valid until the next chunk; each chunk's product is
-    consumed before _matched yields. It runs once or twice per chunk, so
-    its size is math.prod of the shape: np.prod of a tuple builds an array
-    first and took most of this function's time.
+    consumed before _matched yields. The size is math.prod of the shape:
+    np.prod, which builds an array first, took most of this call's time.
     """
     n = math.prod(shape)
     buf = getattr(_scratch, name, None)
@@ -250,12 +249,9 @@ def _candidate_rows(block: DescriptorSet, starts: np.ndarray, stops: np.ndarray,
     run is split at a frame's edge and a frame wider than max_cols is a
     chunk of its own; the next chunk's runs start afresh at that frame.
 
-    The chunk's end is searched for among the frames starting within
-    max_cols rows of its first frame's start: in one run no later frame
-    fits, so a windowed scan, or each chunk of a scan without gaps, is
-    found in one search. Only rows that a gap (or an empty frame) skips can
-    let a chunk reach past those frames; the frames examined then grow
-    fourfold until the chunk closes among them or they reach the last.
+    A chunk's end is first searched for among the frames starting within
+    max_cols rows of its first frame's start, which holds it unless a gap
+    skips rows; the frames examined then grow fourfold until it is found.
     """
     n, lo = len(starts), 0
     while lo < n:
@@ -285,12 +281,7 @@ def _candidate_rows(block: DescriptorSet, starts: np.ndarray, stops: np.ndarray,
 
 
 def _chunk(block: DescriptorSet, firsts: np.ndarray, top: np.ndarray, opens: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Rows, norms, first rows and widths of a chunk of _candidate_rows holding several runs.
-
-    Frame i starts at row firsts[i] of block, top[i] is the running maximum
-    of the chunk's stops and opens[i] whether frame i opens a run. The runs
-    are concatenated into a scratch buffer.
-    """
+    """Rows, norms, first rows and widths of a chunk of several runs, whose frame i opens one where opens[i]."""
     at = np.flatnonzero(opens)
     runs = np.stack([firsts[at], top[np.append(at[1:], len(top)) - 1]], axis=1)
     run = np.cumsum(opens) - 1
