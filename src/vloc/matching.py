@@ -61,24 +61,23 @@ median of 60 alternating scans, so 4 MiB stays.
 _scratch = threading.local()
 
 
-def _scratch_f32(name: str, shape: tuple) -> np.ndarray:
-    """A float32 array of shape, a view of this thread's buffer name, which later scans reuse.
+def _scratch_f32(shape: tuple) -> np.ndarray:
+    """A float32 array of shape, a view of this thread's product buffer, which later scans reuse.
 
-    A chunk's product and its concatenated rows are written here rather
-    than into fresh arrays, so a process that scans many small databases
-    (a Monte-Carlo run) does not page each scan's largest arrays in again
-    whenever the allocator has handed the last ones back to the OS. The
-    buffers grow to the largest chunk seen, at most 2 * _E_BYTES per
-    thread. A view is valid until the next chunk; each chunk's product is
-    consumed before _matched yields. The size is math.prod of the shape:
-    np.prod, which builds an array first, took most of this call's time.
+    A chunk's product is written here rather than into a fresh array, so a
+    process that scans many small databases (a Monte-Carlo run) does not
+    page each scan's largest array in again whenever the allocator has
+    handed the last one back to the OS. The buffer grows to the largest
+    product seen, at most _E_BYTES per thread. A view is valid until the
+    next chunk; each chunk's product is consumed before _matched yields.
+    The size is math.prod of the shape: np.prod, which builds an array
+    first, took most of this call's time.
     """
     n = math.prod(shape)
-    buf = getattr(_scratch, name, None)
+    buf = getattr(_scratch, "product", None)
     if buf is None or len(buf) < n:
-        setattr(_scratch, name, None)  # free the smaller buffer before allocating
-        buf = np.empty(n, dtype=np.float32)
-        setattr(_scratch, name, buf)
+        _scratch.product = None  # free the smaller buffer before allocating
+        buf = _scratch.product = np.empty(n, dtype=np.float32)
     return buf[:n].reshape(shape)
 
 
@@ -88,8 +87,9 @@ class DescriptorSet:
     A set can also be a zero-copy window of rows of a larger set, as the
     frames of a synthetic drive are of its landmark pool and the frames of
     a loaded database are of its descriptor block. Scans use that: windows
-    of one block are scored straight from the block's rows, and rows that
-    overlapping windows share are scored once.
+    of one block are scored straight from spans of the block's rows, in
+    place, so rows that overlapping windows share are scored once (and
+    rows between windows, such as an exclusion gap, along with them).
     """
 
     __slots__ = ("_array", "_root", "_start", "_norms")
@@ -231,66 +231,31 @@ class _Candidates(Sequence):
 
 
 def _candidate_rows(block: DescriptorSet, starts: np.ndarray, stops: np.ndarray, max_cols: int) -> Iterator[tuple]:
-    """Chunks of whole frames, each scored by one product over at most max_cols rows.
+    """Chunks of whole frames, each one span of the block's rows, scored by one product over at most max_cols rows.
 
     Frame i is rows starts[i]:stops[i] of block, and starts do not
     decrease. Yields (lo, rows, norms, first, widths) per chunk: its frames
-    start at frame lo, rows and norms are the rows to score for them and
-    their squared norms, first holds each frame's first row within rows
-    (never decreasing, as the starts do not) and widths its row count.
+    start at frame lo, rows and norms are the block's rows from the first
+    frame's start to the greatest of the frames' stops, in place, and their
+    squared norms, first holds each frame's first row within rows (never
+    decreasing, as the starts do not) and widths its row count.
 
-    Within a chunk, frames merge into runs of the block's rows: a frame
-    opens a new run where its start passes the running maximum of the
-    stops before it, so overlapping or touching frames share their rows. A
-    chunk of one run is used in place; several (e.g. either side of an
-    exclusion gap) are concatenated into a scratch buffer (_scratch_f32),
-    so their rows are valid only until the next chunk. A chunk closes
-    before the frame that would take its runs past max_cols rows, so a long
-    run is split at a frame's edge and a frame wider than max_cols is a
-    chunk of its own; the next chunk's runs start afresh at that frame.
-
-    A chunk's end is first searched for among the frames starting within
-    max_cols rows of its first frame's start, which holds it unless a gap
-    skips rows; the frames examined then grow fourfold until it is found.
+    Overlapping or touching frames share their rows, and rows that lie
+    between frames (an exclusion gap) are scored with the rest and belong
+    to no frame. They count against max_cols all the same: a chunk is the
+    longest run of frames whose span stays within max_cols rows, so a frame
+    wider than max_cols is a chunk of its own. Only the frames starting
+    within max_cols rows of the first can end one, so one search finds it.
     """
     n, lo = len(starts), 0
     while lo < n:
-        span = int(starts.searchsorted(starts[lo] + max_cols, "right")) - lo
-        while True:
-            a, b = starts[lo : lo + span], stops[lo : lo + span]
-            top = np.maximum.accumulate(b)
-            opens = np.empty(len(a), dtype=bool)
-            opens[0] = True
-            np.greater(a[1:], top[:-1], out=opens[1:])
-            # rows each frame adds: a new run's own, or how far it extends the open run
-            grow = np.empty_like(a)
-            grow[0] = b[0] - a[0]
-            grow[1:] = np.where(opens[1:], b[1:] - a[1:], top[1:] - top[:-1])
-            k = max(1, int(np.cumsum(grow).searchsorted(max_cols, "right")))
-            if k < len(a) or lo + len(a) == n:
-                break
-            span *= 4
-        widths = b[:k] - a[:k]
-        if opens[1:k].any():
-            yield lo, *_chunk(block, a[:k], top[:k], opens[:k], widths)
-        else:
-            # one run: the block's own rows, in place
-            run_lo, run_hi = int(a[0]), int(top[k - 1])
-            yield lo, block.array[run_lo:run_hi], block.norms[run_lo:run_hi], a[:k] - run_lo, widths
+        a = int(starts[lo])
+        top = np.maximum.accumulate(stops[lo : int(starts.searchsorted(a + max_cols, "right"))])
+        k = max(1, int(top.searchsorted(a + max_cols, "right")))
+        b = int(top[k - 1])
+        firsts = starts[lo : lo + k]
+        yield lo, block.array[a:b], block.norms[a:b], firsts - a, stops[lo : lo + k] - firsts
         lo += k
-
-
-def _chunk(block: DescriptorSet, firsts: np.ndarray, top: np.ndarray, opens: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Rows, norms, first rows and widths of a chunk of several runs, whose frame i opens one where opens[i]."""
-    at = np.flatnonzero(opens)
-    runs = np.stack([firsts[at], top[np.append(at[1:], len(top)) - 1]], axis=1)
-    run = np.cumsum(opens) - 1
-    lengths = runs[:, 1] - runs[:, 0]
-    offsets = np.cumsum(lengths) - lengths
-    first = offsets[run] + firsts - runs[run, 0]
-    rows = np.concatenate([block.array[lo:hi] for lo, hi in runs.tolist()], out=_scratch_f32("rows", (int(lengths.sum()), DESCRIPTOR_DIM)))
-    norms = np.concatenate([block.norms[lo:hi] for lo, hi in runs.tolist()])
-    return rows, norms, first, widths
 
 
 def _cosine_gate(qq: np.ndarray, e1: np.ndarray, fn1: np.ndarray, cfg: MatchConfig) -> np.ndarray:
@@ -393,15 +358,17 @@ def _matched(query: DescriptorSet, block: DescriptorSet, starts: np.ndarray, sto
     """Per chunk of frames, (lo, first, widths, r, f, j, hr, hc): the chunk's matches.
 
     Its frames are lo:lo + len(first), frame i covering columns
-    first[i]:first[i] + widths[i] of the chunk. Query row r[i] matches
-    keypoint j[i] of its frame f[i], and query row hr[i] matches column
-    hc[i] in every frame covering that column (a settled lone entry, see
-    _chunk_matches).
+    first[i]:first[i] + widths[i] of the chunk; a column between frames
+    (a gap's row) is covered by none. Query row r[i] matches keypoint j[i]
+    of its frame f[i], and query row hr[i] matches column hc[i] in every
+    frame covering that column, which for a gap's column is none (a
+    settled lone entry, see _chunk_matches).
 
     Frame i is rows starts[i]:stops[i] of block, starts not decreasing.
-    The frames are scored in chunks of whole frames (_candidate_rows), so
-    the product of a chunk holds at most _E_BYTES. Per chunk one float32
-    product g = -2 q.f over its rows gives E[i, c] = g[i, c] + |f_c|^2,
+    The frames are scored in chunks of whole frames, each one span of the
+    block's rows (_candidate_rows), so the product of a chunk holds at
+    most _E_BYTES. Per chunk one float32 product g = -2 q.f over the rows
+    of its span gives E[i, c] = g[i, c] + |f_c|^2,
     which is d^2 minus the per-row constant |g_i|^2 that the nearest does
     not depend on (the -2 is folded into the query, an exact scaling).
 
@@ -413,7 +380,7 @@ def _matched(query: DescriptorSet, block: DescriptorSet, starts: np.ndarray, sto
     m = len(query)
     q = query.array * np.float32(-2.0)
     qq = query.norms.astype(np.float64)
-    # neither the product nor a chunk's concatenated rows exceed _E_BYTES
+    # neither the product nor the rows it reads exceed _E_BYTES
     max_cols = max(1, _E_BYTES // (4 * max(m, DESCRIPTOR_DIM)))
     fmin, fmax = np.inf, -np.inf
     for lo, rows, fnorms, first, widths in _candidate_rows(block, starts, stops, max_cols):
@@ -422,12 +389,16 @@ def _matched(query: DescriptorSet, block: DescriptorSet, starts: np.ndarray, sto
             fmin, fmax = min(fmin, low), max(fmax, high)
             bound = _gate_bound(qq, fmin, fmax, cfg.tau2)
         # a call per chunk, so one chunk's arrays are freed before the next product
-        g = np.matmul(q, rows.T, out=_scratch_f32("product", (m, len(rows))))
+        g = np.matmul(q, rows.T, out=_scratch_f32((m, len(rows))))
         yield lo, first, widths, *_chunk_matches(g, qq, fnorms, first, widths, bound, cfg)
 
 
 def _counts(query: DescriptorSet, block: DescriptorSet, starts: np.ndarray, stops: np.ndarray, cfg: MatchConfig) -> np.ndarray:
-    """Correspondence count of the query against frames starts[i]:stops[i] of block, counted per chunk."""
+    """Correspondence count of the query against frames starts[i]:stops[i] of block, counted per chunk.
+
+    A settled hit counts in every frame whose columns hold it, so a hit in
+    a column between frames (a gap's row) counts in none.
+    """
     counts = np.zeros(len(starts), dtype=np.int64)
     for lo, first, widths, _, f, _, _, hc in _matched(query, block, starts, stops, cfg):
         chunk = counts[lo : lo + len(first)]
@@ -505,12 +476,14 @@ def _settle_lone(flat: np.ndarray, e: np.ndarray, qq: np.ndarray, fnorms: np.nda
     """Settle each lone screened entry once: (flat, e) of the entries left, and row and column of each hit.
 
     flat holds the sorted row-major indices of the screened entries of E
-    and e their values; frame f covers columns first[f]:first[f] + widths[f],
-    first never decreases (as _candidate_rows gives it) and every column
-    lies in some frame. The frames holding a column span the columns from
-    the first of them, the first frame whose running maximum end passes
-    it, to the running maximum end of the frames starting at or before it
-    (as _entry_pairs finds them).
+    and e their values; frame f covers columns first[f]:first[f] + widths[f]
+    and first never decreases (as _candidate_rows gives it). The frames
+    holding a column span the columns from the first of them, the first
+    frame whose running maximum end passes it, to the running maximum end
+    of the frames starting at or before it (as _entry_pairs finds them).
+    A column that lies in no frame (a gap's row) has that span empty and
+    lies in no other entry's span: its entry is lone, leaves every other
+    entry's verdict as it was, and a hit there is a hit in no frame.
     An entry is lone when its row's neighbours in flat lie outside that
     span. Entries left out of the screen are at least the bound, so a lone
     entry is the nearest of every pair holding it and the bound stands in
@@ -571,7 +544,9 @@ def _entry_pairs(flat: np.ndarray, n: int, first: np.ndarray, widths: np.ndarray
     before it, less nested frames that end at or before it. Both ends of
     that span grow with the column, so the frames an entry reaches beyond
     those its row's previous entry reached are new pairs, and the entry is
-    their first: every pair is enumerated once, row by row.
+    their first: every pair is enumerated once, row by row. A column that
+    lies in no frame (a gap's row) reaches none, so its entry forms no
+    pair.
     """
     row, col = np.divmod(flat, n)
     order = np.argsort(first, kind="stable")

@@ -208,19 +208,24 @@ def _trial_seed(master_seed: int, i: int) -> tuple[int, int]:
 def _start_range(cfg: WorldConfig, scan_cfg: ScanConfig, steps: int, period_s: float) -> tuple[int, int]:
     """Least and greatest frame index a trial's first query may start on.
 
-    Raises ValueError when the drive is too short for the queries. The
-    range depends on the configs, not on the trial's seeds.
+    Raises ValueError when the drive is too short for the queries and the
+    exclusion margin either side of them. The range depends on the
+    configs, not on the trial's seeds.
     """
     period_ns = _frame_period_ns(cfg)
-    margin = math.ceil(((scan_cfg.exclusion_s or 0.0) + 2.0 / cfg.db_hz) * 1e9 / period_ns)
-    span = round((steps - 1) * period_s * 1e9 / period_ns)
-    lo = margin
-    hi = _frame_count(cfg) - 1 - span - margin
-    if hi < lo:
-        raise ValueError(
-            f"duration_s={cfg.duration_s} too short for {steps} queries at {period_s} s spacing"
-        )
-    return lo, hi
+    frames = _frame_count(cfg)
+    margin = ((scan_cfg.exclusion_s or 0.0) + 2.0 / cfg.db_hz) * 1e9 / period_ns
+    span = (steps - 1) * period_s * 1e9 / period_ns
+    # an infinite margin or span, or one past the drive, has no frame count to round to
+    if margin <= frames and span <= frames:
+        lo = math.ceil(margin)
+        hi = frames - 1 - round(span) - lo
+        if lo <= hi:
+            return lo, hi
+    raise ValueError(
+        f"duration_s={cfg.duration_s} at db_hz={cfg.db_hz} too short for {steps} queries at {period_s} s spacing "
+        f"with exclusion_s={scan_cfg.exclusion_s}"
+    )
 
 
 def _run_trial(world_cfg, scan_cfg, match_cfg, filter_cfg, steps, period_s, world_seed, start_seed) -> LocalizationTrace:

@@ -265,6 +265,11 @@ def test_simulate_rejects_nonpositive_trials(tmp_path, capsys):
         # a NaN or negative exclusion would otherwise turn the handicap off
         ("--exclusion-s", "nan", 2, "--exclusion-s must be 0 (off) or positive, got nan"),
         ("--exclusion-s", "-3", 2, "--exclusion-s must be 0 (off) or positive, got -3.0"),
+        # an exclusion margin wider than the drive, infinite or past float range in frames
+        ("--exclusion-s", "inf", 1, "duration_s=8.0 at db_hz=10.0 too short for 6 queries at 1.0 s spacing with exclusion_s=inf"),
+        ("--exclusion-s", "1e300", 1, "duration_s=8.0 at db_hz=10.0 too short for 6 queries at 1.0 s spacing with exclusion_s=1e+300"),
+        ("--exclusion-s", "1e12", 1, "duration_s=8.0 at db_hz=10.0 too short for 6 queries at 1.0 s spacing with exclusion_s=1000000000000.0"),
+        ("--period-s", "1e300", 1, "duration_s=8.0 at db_hz=10.0 too short for 6 queries at 1e+300 s spacing with exclusion_s=1.0"),
         ("--q-scale", "nan", 1, "q_scale must be finite, got nan"),
         ("--p0-scale", "inf", 1, "p0_scale must be finite, got inf"),
         ("--sigma-r", "inf", 1, "sigma_r must be finite, got inf"),

@@ -351,9 +351,9 @@ def test_window_is_a_zero_copy_view_with_its_own_norms():
 
 def test_interleaved_scans_sharing_the_scratch_buffers_match_separate_ones(monkeypatch):
     # three scans advanced chunk by chunk in turn reuse one thread's
-    # product and concatenation buffers; every chunk must be scored before
-    # the next overwrites them. Small chunks, exclusion-style gaps and sets
-    # that own their rows make many chunks and concatenate rows
+    # product buffer; every chunk must be scored before the next
+    # overwrites it. Small chunks, exclusion-style gaps and sets that own
+    # their rows make many chunks of unequal widths
     rng = np.random.default_rng(14)
     monkeypatch.setattr(matching, "_E_BYTES", 40 * DESCRIPTOR_DIM * 4)
     block = DescriptorSet(unit_rows(rng, 400))
@@ -411,22 +411,25 @@ def test_windows_of_one_block_score_like_independent_copies(tau1, tau2, chunk_co
     assert _pack(shared)[0] is block and _pack(mixed)[0] is not block
     whole = {len(sets): _counts(query, *_pack(sets), cfg) for sets in (shared, mixed)}
     if chunk_cols is not None:
-        # the query has fewer rows than a descriptor, so a chunk's
-        # concatenated rows, not its E, bind the budget
+        # the query has fewer rows than a descriptor, so a chunk's rows,
+        # not its E, bind the budget
         monkeypatch.setattr(matching, "_E_BYTES", chunk_cols * DESCRIPTOR_DIM * 4)
-        chunks = [
-            (lo, lo + len(widths), np.shares_memory(rows, block.array))
-            for lo, rows, _, _, widths in _candidate_rows(*_pack(shared), chunk_cols)
-        ]
-        assert [lo for lo, _, _ in chunks] == [0] + [hi for _, hi, _ in chunks[:-1]]
-        if chunk_cols == 1:
-            assert [hi - lo for lo, hi, _ in chunks] == [1] * len(shared)
-        elif chunk_cols == 60:
-            # the first run of windows splits after its second window, in place
-            assert chunks[0] == (0, 2, True)
-        else:
-            # both runs either side of the gap concatenated into one chunk
-            assert chunks[0][1] > 6 and not chunks[0][2]
+    max_cols = matching._E_BYTES // (4 * DESCRIPTOR_DIM)
+    chunks = [(lo, lo + len(widths), np.shares_memory(rows, block.array)) for lo, rows, _, _, widths in _candidate_rows(*_pack(shared), max_cols)]
+    assert [lo for lo, _, _ in chunks] == [0] + [hi for _, hi, _ in chunks[:-1]]
+    assert all(in_place for _, _, in_place in chunks)  # every chunk is one span of the block
+    if chunk_cols is None:
+        # one chunk, the gap's rows between the runs of windows scored with them
+        assert chunks == [(0, len(shared), True)]
+    elif chunk_cols == 1:
+        assert [hi - lo for lo, hi, _ in chunks] == [1] * len(shared)
+    elif chunk_cols == 60:
+        # the first run of windows splits after its second window
+        assert chunks[0] == (0, 2, True)
+    else:
+        # the gap's 120 rows count against the budget: the first run of
+        # windows (rows 0-100) is a chunk, the rest (220-400) another
+        assert chunks == [(0, 6, True), (6, len(shared), True)]
     for sets, at in ((shared, (0, 5, 6, 21, 23, 25)), (mixed, (0, 9, 12, 15, 18, 21, 28))):
         copies = [DescriptorSet(w.array) for w in sets]
         got = _counts(query, *_pack(sets), cfg)
@@ -437,6 +440,37 @@ def test_windows_of_one_block_score_like_independent_copies(tau1, tau2, chunk_co
             assert got[i] == naive_count(query.array.astype(np.float64), sets[i].array.astype(np.float64), cfg.tau1, cfg.tau2)
         ids = list(range(len(sets)))
         assert best_match(query, list(zip(ids, sets)), cfg) == best_match(query, list(zip(ids, copies)), cfg)
+
+
+def test_gap_rows_match_for_no_frame(monkeypatch):
+    # windows of 20 rows sliding by 4 over one block, those starting at
+    # rows 100-176 excluded: rows 116-180 lie in no candidate window. The
+    # query copies six of those rows, which a chunk spanning the gap
+    # multiplies and settles as hits, and one row (50) that five candidate
+    # windows hold. Only that row may count, in exactly those windows,
+    # whether the gap lies inside a chunk (in one of all rows, or in one of
+    # rows 96-208, mostly gap) or between two (the gap scored by none)
+    rng = np.random.default_rng(26)
+    block = DescriptorSet(unit_rows(rng, 300))
+    starts = np.arange(0, 281, 4, dtype=np.int64)
+    starts = starts[(starts < 100) | (starts >= 180)]
+    stops = starts + 20
+    gap = [118, 127, 138, 149, 160, 172]
+    query = DescriptorSet(block.array[gap + [50]])
+    cfg = MatchConfig()
+    want = [count_correspondences(query, block._window(a, b), cfg) for a, b in zip(starts.tolist(), stops.tolist())]
+    assert want == [int(a <= 50 < b) for a, b in zip(starts.tolist(), stops.tolist())]
+    for cols, span in ((None, (0, 300)), (112, (96, 208)), (40, None)):
+        if cols is not None:
+            monkeypatch.setattr(matching, "_E_BYTES", cols * DESCRIPTOR_DIM * 4)
+        assert _counts(query, block, starts, stops, cfg).tolist() == want
+        spans, hits = [], []  # each chunk's rows of the block, and the settled hits among the gap's
+        for lo, first, widths, _, _, _, hr, hc in _matched(query, block, starts, stops, cfg):
+            a = int(starts[lo])
+            spans.append((a, a + int((first + widths).max())))
+            hits += [a + c for c in hc.tolist() if 116 <= a + c < 180]
+        assert [s for s in spans if s[0] < 116 and s[1] > 180] == ([span] if span else [])
+        assert sorted(hits) == (gap if span else [])
 
 
 @pytest.mark.parametrize("tau2", [-0.5, 0.0, 0.3, 0.8, 0.97, 0.999])
@@ -457,53 +491,19 @@ def test_gate_bound_admits_every_entry_the_cosine_gate_passes(tau2):
     assert np.all(e[passes] < bound[passes])
 
 
-# --- the columnar chunker against the per-set walk it replaced ---
+# --- the chunker against a frame-by-frame walk of its span rule ---
 
 
-def walk_candidate_rows(sets, max_cols):
-    """The per-set chunker that _candidate_rows replaced, as it was, with fresh arrays for its concatenated rows."""
-    runs = []  # [root, lo, hi] per run of block rows in the open chunk
-    run_of, firsts, widths = [], [], []  # per set in the open chunk
-    last, cols, lo = None, 0, 0  # last run, rows of the open chunk, its first set
-    for s in sets:
-        a = s._start
-        k = len(s._array)
-        if last is not None and s._block is last[0] and a <= last[2] and a + k >= last[1]:
-            run_lo = a if a < last[1] else last[1]
-            run_hi = a + k if a + k > last[2] else last[2]
-            grow = run_hi - run_lo - (last[2] - last[1])
-        else:
-            last, grow = None, k
-        if cols + grow > max_cols and widths:
-            yield lo, *walk_chunk(runs, run_of, firsts, widths)
-            lo += len(widths)
-            runs, run_of, firsts, widths = [], [], [], []
-            last, cols, grow = None, 0, k
-        if last is None:
-            last = [s._block, a, a + k]
-            runs.append(last)
-        else:
-            last[1], last[2] = run_lo, run_hi
-        cols += grow
-        run_of.append(len(runs) - 1)
-        firsts.append(a)
-        widths.append(k)
-    if widths:
-        yield lo, *walk_chunk(runs, run_of, firsts, widths)
-
-
-def walk_chunk(runs, run_of, firsts, widths):
-    run = np.array(run_of, dtype=np.int64)
-    run_lo = np.array([lo for _, lo, _ in runs], dtype=np.int64)
-    offsets = np.cumsum([0] + [hi - lo for _, lo, hi in runs])
-    first = offsets[run] + np.array(firsts, dtype=np.int64) - run_lo[run]
-    widths = np.array(widths, dtype=np.int64)
-    if len(runs) == 1:
-        root, lo, hi = runs[0]
-        return root.array[lo:hi], root.norms[lo:hi], first, widths
-    rows = np.concatenate([root.array[lo:hi] for root, lo, hi in runs])
-    norms = np.concatenate([root.norms[lo:hi] for root, lo, hi in runs])
-    return rows, norms, first, widths
+def walk_spans(starts, stops, max_cols):
+    """Per chunk (lo, frames, row span), taking sets (frames) one at a time while the rows from the chunk's first start to the greatest stop so far stay within max_cols."""
+    lo, span = 0, None
+    for i, (a, b) in enumerate(zip(starts.tolist(), stops.tolist())):
+        if span is not None and max(span[1], b) - span[0] > max_cols:
+            yield lo, i - lo, span
+            lo, span = i, None
+        span = (a, b) if span is None else (span[0], max(span[1], b))
+    if span is not None:
+        yield lo, len(starts) - lo, span
 
 
 @st.composite
@@ -536,30 +536,28 @@ def scan_rows(draw):
 
 
 def assert_chunks_equal_the_walk(block, starts, stops, max_cols):
-    """Every chunk's first frame, rows (and whether they are the block's, in place), norms, first rows and widths are the walk's."""
-
-    def chunks(gen):
-        return [(lo, np.shares_memory(rows, block.array), rows.copy(), norms.copy(), first, widths) for lo, rows, norms, first, widths in gen]
-
-    sets = [block._window(a, b) for a, b in zip(starts.tolist(), stops.tolist())]
-    want = chunks(walk_candidate_rows(sets, max_cols))
-    got = chunks(_candidate_rows(block, starts, stops, max_cols))
+    """Every chunk's first frame, frames, rows (the block's own, in place), norms, first rows and widths are the walk's."""
+    got = list(_candidate_rows(block, starts, stops, max_cols))
+    want = list(walk_spans(starts, stops, max_cols))
     assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g[:2] == w[:2]
-        for a, b in zip(g[2:], w[2:]):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert np.all(np.diff(g[4]) >= 0)  # first never decreases, as _settle_lone reads it
+    for (lo, rows, norms, first, widths), (lo_w, k, (a, b)) in zip(got, want):
+        assert (lo, len(first), len(rows)) == (lo_w, k, b - a)
+        assert len(rows) == 0 or np.shares_memory(rows, block.array)
+        assert np.array_equal(rows, block.array[a:b])
+        assert np.array_equal(norms, block.norms[a:b])
+        assert first.dtype == widths.dtype == np.int64
+        assert np.array_equal(first, starts[lo : lo + k] - a) and np.array_equal(widths, stops[lo : lo + k] - starts[lo : lo + k])
+        assert len(rows) <= max_cols or k == 1
+        assert np.all(np.diff(first) >= 0)  # first never decreases, as _settle_lone reads it
 
 
 def test_columnar_chunks_equal_the_per_set_walk():
     check = FUZZ(given(case=scan_rows())(lambda case: assert_chunks_equal_the_walk(*case)))
     check()
-    # a long drive with an exclusion gap, every 10th window repeated twice
-    # and a window nested in every 7th, which add frames but no rows.
-    # _candidate_rows first examines the frames starting within max_cols
-    # rows of a chunk's first frame; the rows the gap skips let a chunk
-    # reach past them, into the search's growth
+    # a long drive with an exclusion gap (rows 399-420 lie in no frame),
+    # every 10th window repeated twice and a window nested in every 7th,
+    # which add frames but no rows. The gap lies inside a chunk or between
+    # two, as the budget falls
     block = DescriptorSet(unit_rows(np.random.default_rng(25), 1100))
     starts = np.delete(np.arange(1097), np.s_[400:420])
     stops = starts + 3
@@ -568,12 +566,11 @@ def test_columnar_chunks_equal_the_per_set_walk():
     nested = np.flatnonzero((starts % 7 == 0) & (np.append(starts[1:], -1) != starts))
     starts, stops = np.insert(starts, nested + 1, starts[nested] + 1), np.insert(stops, nested + 1, starts[nested] + 2)
     assert np.all(np.diff(starts) >= 0)
-    grown = 0
+    spanned = set()
     for max_cols in (7, 300, 500, 2000):
         assert_chunks_equal_the_walk(block, starts, stops, max_cols)
-        for lo, _, _, first, _ in _candidate_rows(block, starts, stops, max_cols):
-            grown += len(first) > np.searchsorted(starts, starts[lo] + max_cols, "right") - lo
-    assert grown > 0
+        spanned |= {starts[lo] < 399 and starts[lo] + len(rows) > 420 for lo, rows, *_ in _candidate_rows(block, starts, stops, max_cols)}
+    assert spanned == {True, False}
 
 
 # --- float32 oracle: argmin over every (row, frame) pair's whole segment of E ---
