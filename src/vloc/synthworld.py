@@ -215,8 +215,11 @@ def _start_range(cfg: WorldConfig, scan_cfg: ScanConfig, steps: int, period_s: f
     period_ns = _frame_period_ns(cfg)
     frames = _frame_count(cfg)
     margin = ((scan_cfg.exclusion_s or 0.0) + 2.0 / cfg.db_hz) * 1e9 / period_ns
-    span = (steps - 1) * period_s * 1e9 / period_ns
-    # an infinite margin or span, or one past the drive, has no frame count to round to
+    # a drive has under 2**63 frames and queries are at least 1 ns apart, so
+    # 2**1023 queries, near the largest float, already span past any drive
+    span = min(steps - 1, 2**1023) * period_s * 1e9 / period_ns
+    # compared in float frames first: an infinite margin or span, or one
+    # past the drive, has no frame count to round to
     if margin <= frames and span <= frames:
         lo = math.ceil(margin)
         hi = frames - 1 - round(span) - lo

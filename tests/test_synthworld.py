@@ -278,20 +278,21 @@ def test_run_monte_carlo_rejects_a_period_under_1_ns_before_any_trial(monkeypatc
             run_monte_carlo(WorldConfig(seed=8), ScanConfig(), MatchConfig(), FilterConfig(), trials=1, period_s=period_s)
 
 
-def test_run_monte_carlo_rejects_a_short_drive_before_any_trial():
+def test_run_monte_carlo_rejects_a_short_drive_before_any_trial(monkeypatch):
     # 10**12 trials' error rows could not be allocated: the check comes first
+    monkeypatch.setattr(synthworld, "gen_world", lambda cfg: pytest.fail("a world was built"))
     with pytest.raises(ValueError, match="too short for 100 queries"):
         run_monte_carlo(WorldConfig(seed=8), ScanConfig(), MatchConfig(), FilterConfig(), trials=10**12, steps=100)
-
-
-def test_run_monte_carlo_rejects_an_exclusion_wider_than_the_drive_before_any_trial(monkeypatch):
-    # infinite, past float range once in nanoseconds, and finite but far past the drive
-    monkeypatch.setattr(synthworld, "gen_world", lambda cfg: pytest.fail("a world was built"))
+    # a query count past float range
+    with pytest.raises(ValueError, match=f"too short for {10**400} queries at 1.0 s spacing"):
+        run_monte_carlo(WorldConfig(seed=8), ScanConfig(), MatchConfig(), FilterConfig(), trials=1, steps=10**400)
+    # an exclusion margin that is infinite, past float range once in
+    # nanoseconds, far past the drive, and wider than the 80-frame drive
+    # leaves either side of 6 queries
     for exclusion_s in (float("inf"), 1e300, 1e12, 4.0):
-        scan_cfg = ScanConfig(exclusion_s=exclusion_s)
         message = f"duration_s=8.0 at db_hz=10.0 too short for 6 queries at 1.0 s spacing with exclusion_s={exclusion_s}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            run_monte_carlo(WorldConfig(seed=8), scan_cfg, MatchConfig(), FilterConfig(), trials=1)
+            run_monte_carlo(WorldConfig(seed=8), ScanConfig(exclusion_s=exclusion_s), MatchConfig(), FilterConfig(), trials=1)
 
 
 def test_parallel_matches_serial():
