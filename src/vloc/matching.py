@@ -19,11 +19,10 @@ pass and nothing more. Only the (query keypoint, frame) pairs that hold a
 screened entry can match. A screened entry that is the only one of its
 keypoint in every frame holding it, as nearly all are on a drive, is
 judged once for all those frames: it is each one's nearest, and the bound
-stands in for the second nearest. The remaining pairs are enumerated from
-the screened entries, and each takes its nearest and second nearest from
-its screened entries. Either way the frame's whole row of distances is
-read only when the bound cannot settle the ratio test. Matches are
-counted per frame as each chunk is scored.
+stands in for the second nearest. Each remaining pair reads its frame's
+whole row of distances and takes its nearest and second nearest there,
+as a full pass would. Matches are counted per frame as each chunk is
+scored.
 """
 
 import logging
@@ -40,9 +39,6 @@ from .errors import EmptyCandidatesError, FrameTooSmallError
 logger = logging.getLogger(__name__)
 
 DESCRIPTOR_DIM = 128
-
-_NO_KEY = np.iinfo(np.int64).max
-"""Key of no entry: above every key of _entry_keys."""
 
 _E_BYTES = 4 * 2**20
 """Most bytes of the float32 product of a query and a chunk of candidate rows, at once.
@@ -220,9 +216,7 @@ class _Candidates(Sequence):
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
+    def __getitem__(self, i: int) -> tuple[int, DescriptorSet]:
         return int(self.ids[i]), self.block._window(int(self.starts[i]), int(self.stops[i]))
 
     def __iter__(self) -> Iterator[tuple[int, DescriptorSet]]:
@@ -315,45 +309,6 @@ def _screen(g: np.ndarray, fnorms: np.ndarray, bound: np.ndarray) -> tuple[np.nd
     return flat[keep], e[keep]
 
 
-def _entry_keys(e: np.ndarray) -> np.ndarray:
-    """Per float32 entry an int64 key: its value's rank in the high 32 bits, its position in the low.
-
-    Keys order as the values do, ties by position, with -0.0 equal to +0.0
-    and NaN below every value, as argmin sees them. One more key, int64's
-    maximum, ends the array, so a range of entries may end at len(e).
-    """
-    keys = np.empty(len(e) + 1, dtype=np.int64)
-    keys[-1] = _NO_KEY
-    rank = keys[:-1]
-    bits = e.view(np.int32)
-    np.bitwise_and(bits, 0x7FFFFFFF, out=rank)
-    np.negative(rank, out=rank, where=(bits < 0) | (rank > 0x7F800000))
-    rank <<= 32
-    rank |= np.arange(len(e), dtype=np.int32)
-    return keys
-
-
-def _key_values(keys: np.ndarray) -> np.ndarray:
-    """float64 values of keys made by _entry_keys (NaN for a NaN)."""
-    rank = keys >> 32
-    bits = np.where(rank < 0, -rank | 0x80000000, rank).astype(np.uint32)
-    return bits.view(np.float32).astype(np.float64)
-
-
-def _range_min(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Least of keys[lo:hi] per range, _NO_KEY where a range is empty.
-
-    Ranges may overlap or come in any order: reduceat reduces from each
-    range's start to its end, and what it yields between ranges is dropped.
-    """
-    idx = np.empty(2 * len(lo), dtype=np.intp)
-    idx[0::2] = lo
-    idx[1::2] = hi
-    out = np.minimum.reduceat(keys, idx)[0::2]
-    out[hi <= lo] = _NO_KEY
-    return out
-
-
 def _matched(query: DescriptorSet, block: DescriptorSet, starts: np.ndarray, stops: np.ndarray, cfg: MatchConfig) -> Iterator[tuple]:
     """Per chunk of frames, (lo, first, widths, r, f, j, hr, hc): the chunk's matches.
 
@@ -417,27 +372,17 @@ def _chunk_matches(g: np.ndarray, qq: np.ndarray, fnorms: np.ndarray, first: np.
     bound is _gate_bound's for a norm range holding every one of fnorms.
     Frames may overlap and share columns of E, so each entry is screened
     once, against that bound (_screen). The (query row, frame) pairs that
-    hold a screened entry are the only ones that can match.
+    hold a screened entry are the only ones that can match: an entry that
+    can pass the gate is below the bound.
 
     Most screened entries are lone: no other screened entry of their row
     lies in any frame holding them. In every pair holding one, that entry
     is the nearest and the bound a floor under the runner-up, so one
     verdict serves all of them. _settle_lone gives it once per entry,
-    returning the hits as (row, column) and the entries it leaves. It runs
-    when the entries are no more than the m x p pairs, as _held_pairs then
-    enumerates pairs from them, so it adds no array larger than those.
-    The entries left go to the pairs unchanged: a pair holding several
-    entries holds no lone one, so it keeps them all. There (_held_pairs)
-    each pair takes its top-2 from its screened entries alone:
-
-    * nearest: an entry that can pass the gate is below the bound, so a
-      pair that can match has its nearest among them; ties go to the
-      lowest column, as argmin's do (_entry_keys);
-    * runner-up: with a second screened entry in the frame, the least of
-      the others is exact, as every entry left out is at least the bound;
-    * with one, d2 >= max(|g|^2 + bound, 0), and where that bound already
-      passes the ratio test so does d2, rounding being monotone. Only the
-      pairs it cannot decide gather their frame's row of E to find d2.
+    returning the hits as (row, column) and the entries it leaves, none of
+    which shares a pair with an entry it settled. Each pair holding an
+    entry left (_held_pairs) reads its frame's whole row of E and takes its
+    nearest and runner-up there (_top_two), as a full pass would.
 
     A chunk the screen keeps nothing of, as the min test finds for most
     chunks of a long scan, holds no match and returns at once.
@@ -445,52 +390,42 @@ def _chunk_matches(g: np.ndarray, qq: np.ndarray, fnorms: np.ndarray, first: np.
     flat, e = _screen(g, fnorms, bound)
     hr = hc = flat[:0]
     if 0 < len(flat) <= g.shape[0] * len(first):
-        flat, e, hr, hc = _settle_lone(flat, e, qq, fnorms, first, widths, bound, cfg)
+        flat, hr, hc = _settle_lone(flat, e, qq, fnorms, first, widths, bound, cfg)
+    del e
     if len(flat) == 0:
         return flat, flat, flat, hr, hc
-    keys = _entry_keys(e)
-    del e
-    r, f, lo, hi, at = _held_pairs(flat, g.shape, first, widths)
-    near = _range_min(keys, lo, hi)
-    pos = near & 0xFFFFFFFF
-    j = flat[pos] - at
-    e1 = _key_values(near)
+    r, f = _held_pairs(flat, g.shape, first, widths)
+    j, e1, e2 = _top_two(g, fnorms, r, first[f], widths[f])
     qr = qq[r]
-    ok = np.flatnonzero(_cosine_gate(qr, e1, fnorms[first[f] + j].astype(np.float64), cfg))
-    r, f, lo, hi, pos, j, e1, qr = (a[ok] for a in (r, f, lo, hi, pos, j, e1, qr))
-    second = np.minimum(_range_min(keys, lo, pos), _range_min(keys, pos + 1, hi))
-    single = second == _NO_KEY
-    d1 = np.maximum(qr + e1, 0.0)
+    ok = _cosine_gate(qr, e1, fnorms[first[f] + j].astype(np.float64), cfg)
     with np.errstate(divide="ignore", invalid="ignore"):
-        e2 = np.where(single, bound[r].astype(np.float64), _key_values(second))
-        passed = _ratio_test(d1, np.maximum(qr + e2, 0.0), cfg)
-        # one screened entry, and a bound too low to decide: d2 from the frame's row of E
-        todo = np.flatnonzero(single & ~passed)
-        if len(todo):
-            e2 = _exact_runner_up(g, fnorms, r[todo], first[f[todo]], widths[f[todo]], j[todo])
-            passed[todo] = _ratio_test(d1[todo], np.maximum(qr[todo] + e2, 0.0), cfg)
+        passed = ok & _ratio_test(np.maximum(qr + e1, 0.0), np.maximum(qr + e2, 0.0), cfg)
     return r[passed], f[passed], j[passed], hr, hc
 
 
 def _settle_lone(flat: np.ndarray, e: np.ndarray, qq: np.ndarray, fnorms: np.ndarray, first: np.ndarray, widths: np.ndarray, bound: np.ndarray, cfg: MatchConfig) -> tuple[np.ndarray, ...]:
-    """Settle each lone screened entry once: (flat, e) of the entries left, and row and column of each hit.
+    """Settle each lone screened entry once: flat of the entries left, and row and column of each hit.
 
     flat holds the sorted row-major indices of the screened entries of E
     and e their values; frame f covers columns first[f]:first[f] + widths[f]
     and first never decreases (as _candidate_rows gives it). The frames
     holding a column span the columns from the first of them, the first
     frame whose running maximum end passes it, to the running maximum end
-    of the frames starting at or before it (as _entry_pairs finds them).
-    A column that lies in no frame (a gap's row) has that span empty and
-    lies in no other entry's span: its entry is lone, leaves every other
-    entry's verdict as it was, and a hit there is a hit in no frame.
+    of the frames starting at or before it. A column that lies in no frame
+    (a gap's row) has that span empty and lies in no other entry's span:
+    its entry is lone, leaves every other entry's verdict as it was, and a
+    hit there is a hit in no frame.
     An entry is lone when its row's neighbours in flat lie outside that
     span. Entries left out of the screen are at least the bound, so a lone
     entry is the nearest of every pair holding it and the bound stands in
-    for the runner-up of each, as it does for a pair of one entry in
-    _chunk_matches. A lone entry failing the cosine gate is dropped; one
-    passing it and the bound's ratio test is a hit in every frame holding
-    it; the rest, and every entry that is not lone, are left.
+    for the runner-up of each. A lone entry failing the cosine gate is
+    dropped; one passing it and the bound's ratio test is a hit in every
+    frame holding it; the rest, and every entry that is not lone, are left.
+
+    Its arrays, several per entry, are why _chunk_matches calls it only
+    when the entries are no more than the m x p pairs: with tau2 <= 0 the
+    screen keeps nearly every entry, few are lone, and those arrays would
+    outgrow the product.
     """
     row, col = np.divmod(flat, len(fnorms))
     reach = np.maximum.accumulate(first + widths)
@@ -507,79 +442,54 @@ def _settle_lone(flat: np.ndarray, e: np.ndarray, qq: np.ndarray, fnorms: np.nda
     with np.errstate(divide="ignore", invalid="ignore"):
         hit = ok & _ratio_test(np.maximum(qr + e1, 0.0), np.maximum(qr + bound[r].astype(np.float64), 0.0), cfg)
     lone[at[ok & ~hit]] = False
-    left = np.flatnonzero(~lone)
-    return flat[left], e[left], r[hit], c[hit]
+    return flat[~lone], r[hit], c[hit]
 
 
-def _held_pairs(flat: np.ndarray, shape: tuple, first: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Every (row, frame) pair holding a screened entry: r, f, its range lo:hi of flat and its first flat index at.
+def _held_pairs(flat: np.ndarray, shape: tuple, first: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row r and frame f of every (row, frame) pair holding one of the sorted row-major flat indices of an (m, n) E.
 
-    flat holds the sorted row-major indices of the screened entries of an
-    (m, n) E, and frame f covers columns first[f]:first[f] + widths[f].
-    With no more entries than the m x p pairs, the pairs are enumerated
-    from the entries (_entry_pairs); with more, as when tau2 <= 0 screens
-    in nearly every entry, every pair's range is searched and the empty
-    ones dropped. Either way no array outgrows max(entries, m x p).
+    Frame f covers columns first[f]:first[f] + widths[f]. The rows holding
+    an entry are found from the row edges of flat, and each is paired with
+    every frame; a pair is kept where its frame's columns of the row hold
+    an entry. A column that lies in no frame (a gap's row) is in no pair.
     """
     m, n = shape
     p = len(first)
-    if len(flat) <= m * p:
-        r, f, lo = _entry_pairs(flat, n, first, widths)
-        at = r * n + first[f]
-        return r, f, lo, np.searchsorted(flat, at + widths[f]), at
-    r, f = np.divmod(np.arange(m * p), p)
+    rows = np.flatnonzero(np.diff(flat.searchsorted(np.arange(0, m * n + 1, n))))
+    r, f = np.repeat(rows, p), np.tile(np.arange(p), len(rows))
     at = r * n + first[f]
-    lo = np.searchsorted(flat, at)
-    hi = np.searchsorted(flat, at + widths[f])
-    held = np.flatnonzero(hi > lo)
-    return r[held], f[held], lo[held], hi[held], at[held]
+    held = np.flatnonzero(flat.searchsorted(at + widths[f]) > flat.searchsorted(at))
+    return r[held], f[held]
 
 
-def _entry_pairs(flat: np.ndarray, n: int, first: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Row, frame and first entry of every pair holding one of the sorted row-major flat indices of an n-column E.
+def _top_two(g: np.ndarray, fnorms: np.ndarray, r: np.ndarray, first: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per pair, from row r of E over columns first:first + widths: the nearest's column j within them, its value and the least of the others.
 
-    With the frames ordered by first column, and a running maximum of their
-    ends, the frames holding an entry's column are those from the first
-    whose running end is past the column to the last that starts at or
-    before it, less nested frames that end at or before it. Both ends of
-    that span grow with the column, so the frames an entry reaches beyond
-    those its row's previous entry reached are new pairs, and the entry is
-    their first: every pair is enumerated once, row by row. A column that
-    lies in no frame (a gap's row) reaches none, so its entry forms no
-    pair.
+    E is formed with the float32 addition g + |f|^2 a full pass would use,
+    and argmin picks the nearest, so ties go to the lowest column and a
+    NaN is nearest. The pairs are gathered by width, in slices of at most
+    a quarter of g's entries, so no gather outgrows the product.
     """
-    row, col = np.divmod(flat, n)
-    order = np.argsort(first, kind="stable")
-    starts = first[order]
-    ends = starts + widths[order]
-    b = np.searchsorted(starts, col, side="right")
-    reached = np.zeros_like(b)
-    reached[1:] = np.where(row[1:] == row[:-1], b[:-1], 0)
-    a = np.maximum(np.searchsorted(np.maximum.accumulate(ends), col, side="right"), reached)
-    fan = b - a
-    ent = np.repeat(np.arange(len(flat)), fan)
-    # positions in the ordered frames: a, a + 1, ..., b - 1 per entry
-    k = np.arange(len(ent)) + np.repeat(a - (np.cumsum(fan) - fan), fan)
-    held = ends[k] > col[ent]
-    ent, k = ent[held], k[held]
-    return row[ent], order[k], ent
+    j = np.empty(len(r), dtype=np.intp)
+    e1, e2 = np.empty(len(r)), np.empty(len(r))
+    for k in np.unique(widths):
+        rows = np.lib.stride_tricks.sliding_window_view(g, k, axis=1)
+        norms = np.lib.stride_tricks.sliding_window_view(fnorms, k)
+        pick = np.flatnonzero(widths == k)
+        step = max(1, g.size // 4 // k)
+        for at in (pick[s : s + step] for s in range(0, len(pick), step)):
+            seg = rows[r[at], first[at]]
+            seg += norms[first[at]]
+            near, i = seg.argmin(axis=1), np.arange(len(at))
+            j[at], e1[at] = near, seg[i, near]
+            seg[i, near] = np.inf
+            e2[at] = seg.min(axis=1)
+    return j, e1, e2
 
 
 def _ratio_test(d1: np.ndarray, d2: np.ndarray, cfg: MatchConfig) -> np.ndarray:
     """d1 / d2 < tau1^2 on float64 squared distances to the nearest and runner-up."""
     return (d2 > 0.0) & (d1 / d2 < cfg.tau1 * cfg.tau1)
-
-
-def _exact_runner_up(g: np.ndarray, fnorms: np.ndarray, r: np.ndarray, first: np.ndarray, widths: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Least E entry but the j-th of each pair's frame, from the frame's whole row of E."""
-    out = np.empty(len(r))
-    for k in np.unique(widths):
-        pick = np.flatnonzero(widths == k)
-        seg = np.lib.stride_tricks.sliding_window_view(g, k, axis=1)[r[pick], first[pick]]
-        seg += np.lib.stride_tricks.sliding_window_view(fnorms, k)[first[pick]]
-        seg[np.arange(len(pick)), j[pick]] = np.inf
-        out[pick] = seg.min(axis=1)
-    return out
 
 
 def count_correspondences(query: DescriptorSet, frame: DescriptorSet, cfg: MatchConfig) -> int:

@@ -81,6 +81,8 @@ class WorldConfig:
             raise ValueError(f"query_noise_sigma must be non-negative, got {self.query_noise_sigma}")
         if not 0.0 <= self.distractor_fraction <= 1.0:
             raise ValueError(f"distractor_fraction must be in [0, 1], got {self.distractor_fraction}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def _velocity_dps(cfg: WorldConfig) -> tuple[float, float]:

@@ -262,6 +262,8 @@ def test_simulate_rejects_nonpositive_trials(tmp_path, capsys):
         # two queries 0.4 ns apart would share a timestamp
         ("--period-s", "4e-10", 1, "period_s=4e-10 is under the 1 ns resolution"),
         ("--workers", "-3", 2, "--workers must be 0"),
+        # numpy's SeedSequence would reject it naming no flag
+        ("--seed", "-1", 1, "seed must be non-negative, got -1"),
         # a NaN or negative exclusion would otherwise turn the handicap off
         ("--exclusion-s", "nan", 2, "--exclusion-s must be 0 (off) or positive, got nan"),
         ("--exclusion-s", "-3", 2, "--exclusion-s must be 0 (off) or positive, got -3.0"),

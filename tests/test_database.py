@@ -287,6 +287,21 @@ def test_scan_filters_like_a_list_filter_at_every_boundary(monkeypatch):
                     assert seen.pop() == want
 
 
+def traced_scan(*args, **kwargs):
+    """scan(*args, **kwargs) and its traced peak.
+
+    This thread's scratch product buffer is freed first, so the scan
+    allocates it inside the trace whatever ran before it in the process.
+    """
+    matching._scratch.product = None
+    tracemalloc.start()
+    try:
+        frame, count = scan(*args, **kwargs)
+        return frame, count, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_unwindowed_scan_of_a_loaded_drive_has_bounded_memory(tmp_path):
     # 2000 frames of 64 keypoints: one product over all of them would be
     # 32 MiB, many times what the chunked scan holds at once. Each frame
@@ -299,12 +314,7 @@ def test_unwindowed_scan_of_a_loaded_drive_has_bounded_memory(tmp_path):
     del world
     db = load_db(tmp_path / "drive.vldb")
     assert len(db) == 2000 and len(db.frames[0].descriptors._block) == 2000 * 64
-    tracemalloc.start()
-    try:
-        frame, count = scan(db, query.descriptors, query.timestamp_ns, ScanConfig(), MatchConfig())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    frame, count, peak = traced_scan(db, query.descriptors, query.timestamp_ns, ScanConfig(), MatchConfig())
     assert frame.timestamp_ns == query.timestamp_ns and count > 0
     assert peak <= 3 * _E_BYTES
 
@@ -323,12 +333,7 @@ def test_scan_of_a_loaded_drive_holds_no_more_than_before(tmp_path):
     db = load_db(tmp_path / "drive.vldb")
     assert len(db.frames[0].descriptors._block) == 2000 * 200
     for tau2, bound_mib in ((-0.5, 57.9), (MatchConfig().tau2, 12.7)):
-        tracemalloc.start()
-        try:
-            frame, count = scan(db, query.descriptors, query.timestamp_ns, ScanConfig(), MatchConfig(tau2=tau2))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        frame, count, peak = traced_scan(db, query.descriptors, query.timestamp_ns, ScanConfig(), MatchConfig(tau2=tau2))
         assert frame.timestamp_ns == query.timestamp_ns and count > 0
         assert peak <= bound_mib * 2**20, f"tau2={tau2}: traced peak {peak / 2**20:.1f} MiB"
 
@@ -343,12 +348,7 @@ def test_scan_of_a_synthetic_drive_holds_no_more_than_before():
         world = gen_world(cfg)
         query = gen_queries(world, T0_NS + 4 * 10**9, 1, 1.0, cfg)[0]
         assert len(world) == 80
-        tracemalloc.start()
-        try:
-            frame, count = scan(world, query.descriptors, query.timestamp_ns, ScanConfig(exclusion_s=1.0), MatchConfig(tau2=tau2))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        frame, count, peak = traced_scan(world, query.descriptors, query.timestamp_ns, ScanConfig(exclusion_s=1.0), MatchConfig(tau2=tau2))
         assert abs(frame.timestamp_ns - query.timestamp_ns) > 10**9 and count > 0
         assert peak <= bound_mib * 2**20, f"tau2={tau2}: traced peak {peak / 2**20:.2f} MiB"
 

@@ -15,10 +15,8 @@ from vloc.matching import (
     _cosine_gate,
     _candidate_rows,
     _counts,
-    _entry_keys,
     _gate_bound,
     _held_pairs,
-    _key_values,
     _matched,
     _pack,
     _screen,
@@ -721,26 +719,25 @@ def lone_spy(calls):
 
 def test_matches_equal_the_full_segment_oracle():
     # per-frame counts and every matched index equal the oracle's, with
-    # lone entries settled once each, the entries left over paired from the
-    # screened entries in some chunks and every pair searched in others,
-    # where the entries outnumber the pairs. Whether a draw holds a chunk
-    # the min test skips depends on the examples drawn, so the skip is
-    # asserted on fixed data (test_extreme_tau2_scans_equal_the_oracle)
-    calls = {"chunks": 0, "entries": 0, "skipped": 0, "compared": 0, "settled": 0, "left": 0}
+    # lone entries settled once each, and the pairs holding an entry left
+    # over scored from their frames' rows of E, both after the lone-entry
+    # pass and in chunks where the entries outnumber the pairs and the pass
+    # does not run. Whether a draw holds a chunk the min test skips depends
+    # on the examples drawn, so the skip is asserted on fixed data
+    # (test_extreme_tau2_scans_equal_the_oracle)
+    calls = {"pairs": 0, "skipped": 0, "compared": 0, "settled": 0, "left": 0}
+    held_pairs = matching._held_pairs
 
-    def spy(name, fn):
-        def counted(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return mock.patch.object(matching, fn.__name__, counted)
+    def counted(*args):
+        calls["pairs"] += 1
+        return held_pairs(*args)
 
     @FUZZ
     @given(scan=scans())
     def check(scan):
         query, windows, cfg, chunk_cols = scan
         budget = matching._E_BYTES if chunk_cols is None else chunk_cols * DESCRIPTOR_DIM * 4
-        with mock.patch.object(matching, "_E_BYTES", budget), spy("chunks", matching._held_pairs), spy("entries", matching._entry_pairs), screen_spy(calls), np.errstate(over="ignore", invalid="ignore"):
+        with mock.patch.object(matching, "_E_BYTES", budget), mock.patch.object(matching, "_held_pairs", counted), screen_spy(calls), np.errstate(over="ignore", invalid="ignore"):
             counts = _counts(query, *_pack(windows), cfg)
             got = matches(query, windows, cfg)
             want = oracle_matches(query, windows, cfg)
@@ -750,8 +747,9 @@ def test_matches_equal_the_full_segment_oracle():
     with lone_spy(calls):
         check()
     assert calls["settled"] > 0 and calls["left"] > 0, calls
-    # the lone-entry pass runs before every pairing from the entries
-    assert 0 < calls["left"] == calls["entries"] < calls["chunks"], calls
+    # the pairs are formed after every lone-entry pass that leaves entries,
+    # and without one where the entries outnumber the pairs
+    assert 0 < calls["left"] < calls["pairs"], calls
     assert calls["compared"] > 0, calls
 
 
@@ -775,10 +773,10 @@ def test_lone_entries_left_to_the_pairs_beside_rows_of_two_entries_in_a_frame(mo
     windows = [block._window(s, s + 6) for s in range(0, 19, 2)]
     query = DescriptorSet(np.stack([axis(0), axis(1), axis(2)]))
     cfg = MatchConfig()
-    calls = {"settled": 0, "left": 0, "entries": 0, "exact": 0}
-    entry_pairs, exact = matching._entry_pairs, matching._exact_runner_up
-    monkeypatch.setattr(matching, "_entry_pairs", lambda *a: calls.update(entries=calls["entries"] + 1) or entry_pairs(*a))
-    monkeypatch.setattr(matching, "_exact_runner_up", lambda *a: calls.update(exact=calls["exact"] + len(a[2])) or exact(*a))
+    calls = {"settled": 0, "left": 0, "pairs": 0, "rows": 0}
+    held_pairs, top_two = matching._held_pairs, matching._top_two
+    monkeypatch.setattr(matching, "_held_pairs", lambda *a: calls.update(pairs=calls["pairs"] + 1) or held_pairs(*a))
+    monkeypatch.setattr(matching, "_top_two", lambda *a: calls.update(rows=calls["rows"] + len(a[2])) or top_two(*a))
     with lone_spy(calls):
         got = matches(query, windows, cfg)
         counts = _counts(query, *_pack(windows), cfg)
@@ -789,8 +787,8 @@ def test_lone_entries_left_to_the_pairs_beside_rows_of_two_entries_in_a_frame(mo
     assert [i for i in range(len(windows)) if got[2, i] >= 0] == held(15)  # settled once
     # the windows holding both of row 1's entries take the nearer
     assert all(got[1, i] == 8 - windows[i]._start for i in set(held(8)) & set(held(11)))
-    assert calls["settled"] == calls["left"] == calls["entries"] == 2  # one pass per call above
-    assert calls["exact"] > 0
+    assert calls["settled"] == calls["left"] == calls["pairs"] == 2  # one pass per call above
+    assert calls["rows"] > 0
 
 
 def test_an_entry_is_lone_only_where_no_frame_holding_it_holds_another():
@@ -840,26 +838,19 @@ def test_owned_rows_holding_noisy_copies_of_shared_landmarks_equal_the_oracle(mo
 
 
 def test_held_pairs_match_brute_force():
-    # ragged, nested, unordered and repeated frames; entries from sparse,
-    # where pairs come from the entries, to dense, where every pair is searched
+    # ragged, nested, unordered and repeated frames; entries from sparse to
+    # every entry of E
     rng = np.random.default_rng(20)
-    paths = set()
     for _ in range(400):
         m, n, p = (int(v) for v in rng.integers(1, (6, 40, 10)))
         first = rng.integers(0, n, p)
         widths = rng.integers(1, n - first + 1)
         flat = np.flatnonzero(rng.random(m * n) < rng.choice([0.02, 0.1, 0.5, 1.0]))
-        want = {}
-        for e, (r, c) in enumerate(zip(*np.divmod(flat, n))):
-            for f in np.flatnonzero((first <= c) & (c < first + widths)):
-                lo, _ = want.get((r, f), (e, e))
-                want[r, f] = (lo, e + 1)
-        r, f, lo, hi, at = _held_pairs(flat, (m, n), first, widths)
+        r, c = np.divmod(flat, n)
+        want = {(r[e], f) for e in range(len(flat)) for f in np.flatnonzero((first <= c[e]) & (c[e] < first + widths))}
+        r, f = _held_pairs(flat, (m, n), first, widths)
         assert np.all(np.diff(r) >= 0)  # row by row
-        assert sorted(zip(r, f, lo, hi)) == sorted((r, f, lo, hi) for (r, f), (lo, hi) in want.items())
-        assert np.array_equal(at, r * n + first[f])
-        paths.add(len(flat) <= m * p)
-    assert paths == {True, False}
+        assert len(r) == len(want) and set(zip(r, f)) == want
 
 
 def test_oracle_returns_no_match_where_e_holds_a_nan():
@@ -875,25 +866,6 @@ def test_oracle_returns_no_match_where_e_holds_a_nan():
         assert matches(query, [frame], cfg)[0, 0] == -1
         # without the overflowing row, the nearer twin is matched
         assert matches(query, [frame._window(1, 3)], cfg)[0, 0] == 0
-
-
-def test_entry_keys_order_as_argmin_does():
-    rng = np.random.default_rng(18)
-    special = np.array([0.0, -0.0, np.inf, -np.inf, 1e-45, -1e-45, 3.4e38, -3.4e38, 1.0, -1.0], dtype=np.float32)
-    e = np.concatenate([special, rng.choice(special, 40), rng.standard_normal(50).astype(np.float32)])
-    keys = _entry_keys(e)
-    assert len(keys) == len(e) + 1 and keys[-1] == np.iinfo(np.int64).max
-    for lo, hi in [(0, len(e))] + [tuple(sorted(rng.integers(0, len(e), 2))) for _ in range(200)]:
-        if hi > lo:
-            k = keys[lo:hi].min()
-            assert (k & 0xFFFFFFFF) == lo + e[lo:hi].argmin()  # ties to the first, -0.0 == +0.0
-            assert _key_values(np.array([k]))[0] == e[lo:hi].min()
-    # a zero of either sign ties with the other; a NaN of either sign is
-    # below everything, as argmin sees them
-    for vals, first in [([1.0, 0.0, -0.0], 1), ([1.0, -0.0, 0.0], 1), ([-np.inf, np.nan, 0.0], 1), ([-np.inf, 2.0, -np.nan], 2)]:
-        keys = _entry_keys(np.array(vals, dtype=np.float32))
-        assert keys[:-1].min() & 0xFFFFFFFF == first == np.argmin(np.array(vals, dtype=np.float32))
-    assert np.isnan(_key_values(_entry_keys(np.array([np.nan], dtype=np.float32))[:1])).all()
 
 
 def test_screen_keeps_exactly_the_entries_below_the_bound():
@@ -1013,25 +985,28 @@ def two_row_frame(cos0, second):
 
 
 @pytest.mark.parametrize(
-    "cos0, second, exact_calls, want",
+    "cos0, second, settled, rows_read, want",
     [
         # one screened entry, d1 = 0.02 and the bound's d2 >= 0.06: the
-        # ratio 1/3 passes without reading the frame
-        (0.99, vec(0.0, 0.0, 1.0), 0, 0),
+        # ratio 1/3 passes, and the lone-entry pass settles it without
+        # reading the frame
+        (0.99, vec(0.0, 0.0, 1.0), 1, 0, 0),
         # one screened entry, d1 = 0.05 against the bound's 0.06 cannot
         # decide; the frame's whole row gives d2 = 2, ratio 0.025
-        (0.975, vec(0.0, 0.0, 1.0), 1, 0),
-        # two screened entries at the same distance: ratio 1, no match
-        (0.99, vec(0.99, np.sqrt(1.0 - 0.99 * 0.99)), 0, -1),
+        (0.975, vec(0.0, 0.0, 1.0), 0, 1, 0),
+        # two screened entries at the same distance, neither lone: the
+        # frame's whole row gives ratio 1, no match
+        (0.99, vec(0.99, np.sqrt(1.0 - 0.99 * 0.99)), 0, 1, -1),
     ],
     ids=["bound-decides", "bound-undecided", "two-screened"],
 )
-def test_each_ratio_test_branch(cos0, second, exact_calls, want, monkeypatch):
+def test_each_ratio_test_branch(cos0, second, settled, rows_read, want, monkeypatch):
     query, frame = two_row_frame(cos0, second)
-    calls = []
-    exact = matching._exact_runner_up
-    monkeypatch.setattr(matching, "_exact_runner_up", lambda *a: calls.append(len(a[2])) or exact(*a))
+    calls = {"settled": 0, "left": 0, "rows": 0}
+    top_two = matching._top_two
+    monkeypatch.setattr(matching, "_top_two", lambda *a: calls.update(rows=calls["rows"] + len(a[2])) or top_two(*a))
     cfg = MatchConfig(tau1=0.8, tau2=0.97)
-    got = matches(query, [frame], cfg)
+    with lone_spy(calls):
+        got = matches(query, [frame], cfg)
     assert got[0, 0] == want == oracle_matches(query, [frame], cfg)[0, 0]
-    assert sum(calls) == exact_calls
+    assert calls["settled"] == settled and calls["rows"] == rows_read

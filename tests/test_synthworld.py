@@ -34,6 +34,8 @@ def test_world_config_validates():
         WorldConfig(distractor_fraction=-0.1)
     with pytest.raises(ValueError):
         WorldConfig(keypoints_per_frame=1)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        WorldConfig(seed=-1)
     for field in ("speed_mps", "db_hz", "duration_s", "start_lat", "query_noise_sigma"):
         for value in (float("inf"), float("nan")):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
