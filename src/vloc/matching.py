@@ -391,7 +391,7 @@ def _chunk_matches(g: np.ndarray, qq: np.ndarray, fnorms: np.ndarray, first: np.
     hr = hc = flat[:0]
     if 0 < len(flat) <= g.shape[0] * len(first):
         flat, hr, hc = _settle_lone(flat, e, qq, fnorms, first, widths, bound, cfg)
-    del e
+    del e  # the pairs read their values from g; freed before they gather
     if len(flat) == 0:
         return flat, flat, flat, hr, hc
     r, f = _held_pairs(flat, g.shape, first, widths)

@@ -846,8 +846,8 @@ def test_held_pairs_match_brute_force():
         first = rng.integers(0, n, p)
         widths = rng.integers(1, n - first + 1)
         flat = np.flatnonzero(rng.random(m * n) < rng.choice([0.02, 0.1, 0.5, 1.0]))
-        r, c = np.divmod(flat, n)
-        want = {(r[e], f) for e in range(len(flat)) for f in np.flatnonzero((first <= c[e]) & (c[e] < first + widths))}
+        row, col = np.divmod(flat, n)
+        want = {(row[e], f) for e in range(len(flat)) for f in np.flatnonzero((first <= col[e]) & (col[e] < first + widths))}
         r, f = _held_pairs(flat, (m, n), first, widths)
         assert np.all(np.diff(r) >= 0)  # row by row
         assert len(r) == len(want) and set(zip(r, f)) == want
