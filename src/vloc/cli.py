@@ -6,11 +6,10 @@ Exit codes: 0 success, 1 data or runtime failure, 2 usage error.
 import argparse
 import csv
 import inspect
-import io
 import sys
 from pathlib import Path
 
-from .database import ScanConfig, _manifest_text, ingest_csv, ingest_kitti, load_db, read_desc_file, save_db
+from .database import ScanConfig, _manifest_rows, ingest_csv, ingest_kitti, load_db, read_desc_file, save_db
 from .errors import DatabaseFormatError, VlocError
 from .geodesy import GeoPoint
 from .kalman import FilterConfig
@@ -142,9 +141,7 @@ def _cmd_build_db(args) -> int:
     return 0
 
 
-def _parse_query_row(row: list[str], n_fields: int, where: str, base: Path) -> Query:
-    if len(row) != n_fields:
-        raise _UsageError(f"{where}: expected {n_fields} fields, got {len(row)}")
+def _parse_query_row(row: list[str], where: str, base: Path) -> Query:
     try:
         ts = int(row[0])
     except ValueError:
@@ -152,7 +149,7 @@ def _parse_query_row(row: list[str], n_fields: int, where: str, base: Path) -> Q
     if not -(2**63) <= ts < 2**63:
         raise _UsageError(f"{where}: timestamp_ns {ts} outside the int64 range")
     truth = None
-    if n_fields == len(QUERY_MANIFEST_TRUTH_COLUMNS):
+    if len(row) == len(QUERY_MANIFEST_TRUTH_COLUMNS):
         lat, lon = row[2].strip(), row[3].strip()
         if bool(lat) != bool(lon):
             raise _UsageError(f"{where}: truth_lat and truth_lon must both be given or both be empty")
@@ -161,40 +158,18 @@ def _parse_query_row(row: list[str], n_fields: int, where: str, base: Path) -> Q
                 truth = GeoPoint(float(lat), float(lon))
             except ValueError as exc:
                 raise _UsageError(f"{where}: bad truth: {exc}") from None
-    desc_path = Path(row[1])
-    if not desc_path.is_absolute():
-        desc_path = base / desc_path
+    desc_path = base / row[1]
     try:
         record = read_desc_file(desc_path)
-    except DatabaseFormatError as exc:
+    except (DatabaseFormatError, OSError, ValueError) as exc:
         raise DatabaseFormatError(f"{where}: {desc_path.name}: {exc}") from None
     return Query(record.descriptors, ts, truth)
 
 
 def _read_query_manifest(path: Path) -> list[Query]:
     """Queries of a manifest; a malformed row, or text that is not UTF-8, is a usage error naming file:line."""
-    try:
-        text = _manifest_text(path)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    with io.StringIO(text, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise _UsageError(f"{path.name}: empty query manifest")
-            if header not in (QUERY_MANIFEST_COLUMNS, QUERY_MANIFEST_TRUTH_COLUMNS):
-                raise _UsageError(
-                    f"{path.name}: header must be {','.join(QUERY_MANIFEST_COLUMNS)}"
-                    f" or {','.join(QUERY_MANIFEST_TRUTH_COLUMNS)}"
-                )
-            queries = [
-                _parse_query_row(row, len(header), f"{path.name}:{reader.line_num}", path.parent)
-                for row in reader
-                if row
-            ]
-        except csv.Error as exc:
-            raise _UsageError(f"{path.name}:{reader.line_num}: {exc}") from None
+    headers = [QUERY_MANIFEST_COLUMNS, QUERY_MANIFEST_TRUTH_COLUMNS]
+    queries = [_parse_query_row(row, where, path.parent) for where, row in _manifest_rows(path, headers, _UsageError)]
     if not queries:
         raise _UsageError(f"{path.name}: query manifest has no rows")
     return queries

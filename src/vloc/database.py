@@ -4,12 +4,14 @@ In memory a Database is columns over one read-only descriptor block: per
 frame, in (timestamp, id) order, a uint64 id, an int64 timestamp, a float64
 latitude and longitude, and the row range [start, stop) of the block that
 holds its descriptors. Starts do not decrease; ranges may overlap or touch.
-A drive's frames are windows of its landmark pool and a loaded database's
-of the file's block, and both are held as they are; the rows of any other
-frames are packed (copied) into a new block in frame order. A scan selects
-its candidates as index ranges of the columns and scores the block's rows
-in chunks, without a GeoFrame per frame; GeoFrames are built only when one
-is asked for (the winner of a scan, ``frames``, ``frame_by_id``).
+A drive's frames are windows of its landmark pool, a loaded database's of
+the file's block and an ingested one's of the block that its .desc
+payloads were read into, in frame order; all are held as they are. The
+rows of any other frames are packed (copied) into a new block in frame
+order. A scan selects its candidates as index ranges of the columns and
+scores the block's rows in chunks, without a GeoFrame per frame;
+GeoFrames are built only when one is asked for (the winner of a scan,
+``frames``, ``frame_by_id``).
 
 On-disk container format, version 2 (little-endian throughout):
 
@@ -310,20 +312,6 @@ def _within(timestamps: np.ndarray, center: int, seconds: float) -> tuple[int, i
 # binary serialization
 
 
-def _write_frame(fh: BinaryIO, frame: GeoFrame) -> None:
-    arr = frame.descriptors.array
-    fh.write(
-        _FRAME_HEAD.pack(
-            frame.frame_id,
-            frame.timestamp_ns,
-            frame.geotag.lat,
-            frame.geotag.lon,
-            len(arr),
-        )
-    )
-    fh.write(arr.astype("<f4", copy=False).tobytes())
-
-
 def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
     buf = fh.read(n)
     if len(buf) != n:
@@ -390,23 +378,30 @@ def load_db(path) -> Database:
         raise DatabaseFormatError(f"{path}: {exc}") from None
 
 
+def _read_record(fh: BinaryIO, size: int, raw: memoryview, row: int) -> tuple:
+    """Read the version-1 frame record at fh's position, its k descriptors into raw as rows from row on.
+
+    Returns (frame_id, timestamp_ns, lat, lon, row, row + k); k is checked
+    against the bytes left in the size-byte file before any row is read.
+    """
+    fid, ts, lat, lon, k = _FRAME_HEAD.unpack(_read_exact(fh, _FRAME_HEAD.size, "frame header"))
+    want, left = k * _ROW_BYTES, size - fh.tell()
+    got = fh.readinto(raw[row * _ROW_BYTES :][:want]) if want <= left else left
+    if got != want:
+        raise DatabaseFormatError(f"truncated file: expected {want} bytes for descriptors of frame {fid}, got {got}")
+    return fid, ts, lat, lon, row, row + k
+
+
 def _read_v1(fh: BinaryIO, size: int, count: int, path) -> tuple[np.ndarray, np.ndarray, str]:
     """Frame table, descriptor block and (empty) camera name of a version-1 file, read frame by frame."""
     block = np.empty(((size - fh.tell()) // _ROW_BYTES, DESCRIPTOR_DIM), dtype="<f4")
-    raw = memoryview(block.view(np.uint8).reshape(-1))
-    heads = []
-    rows = 0
-    for _ in range(count):
-        fid, ts, lat, lon, k = _FRAME_HEAD.unpack(_read_exact(fh, _FRAME_HEAD.size, "frame header"))
-        want, left = k * _ROW_BYTES, size - fh.tell()
-        got = fh.readinto(raw[rows * _ROW_BYTES :][:want]) if want <= left else left
-        if got != want:
-            raise DatabaseFormatError(f"truncated file: expected {want} bytes for descriptors of frame {fid}, got {got}")
-        heads.append((fid, ts, lat, lon, rows, rows + k))
-        rows += k
+    heads, rows = [], 0
+    with memoryview(block.view(np.uint8).reshape(-1)) as raw:
+        for _ in range(count):
+            heads.append(_read_record(fh, size, raw, rows))
+            rows = heads[-1][-1]
     if fh.read(1):
         raise DatabaseFormatError("trailing bytes after last frame")
-    raw.release()
     table = np.array(heads, dtype=_TABLE)
     _check_geotags(table["frame_id"], table["lat"], table["lon"], f" in {path}", DatabaseFormatError)
     return table, block[:rows], ""
@@ -470,30 +465,55 @@ def _check_geotags(ids: np.ndarray, lat: np.ndarray, lon: np.ndarray, where: str
 
 def write_desc_file(path, frame: GeoFrame) -> None:
     """Write one frame as a standalone .desc record."""
+    arr = frame.descriptors.array
     with open(path, "wb") as fh:
-        _write_frame(fh, frame)
+        fh.write(_FRAME_HEAD.pack(frame.frame_id, frame.timestamp_ns, frame.geotag.lat, frame.geotag.lon, len(arr)))
+        fh.write(arr.astype("<f4", copy=False).tobytes())
 
 
 def read_desc_file(path) -> GeoFrame:
-    """Read one .desc record (a frame without the container header).
+    """Read one .desc record (a frame without the container header), checked as _read_desc_files checks it."""
+    ((fid, ts, lat, lon, start, stop),), block = _read_desc_files([path])
+    return GeoFrame(fid, ts, GeoPoint(lat, lon), block._window(start, stop))
 
-    The descriptor count is checked against the bytes left in the file
-    before anything is allocated for it.
+
+def _read_desc_files(paths: Sequence, error=lambda i, exc: exc) -> tuple[list[tuple], DescriptorSet]:
+    """The records of the .desc files at paths, read in order into one read-only block.
+
+    Record i is (frame_id, timestamp_ns, lat, lon, start, stop) of paths[i],
+    its descriptors rows [start, stop) of the block, which is sized from the
+    files' sizes. Each file's trailing bytes, geotag and descriptors'
+    finiteness are checked once its record is read. A DatabaseFormatError,
+    OSError or ValueError (a path that cannot be opened) of paths[i] raises
+    error(i, exc).
     """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        fid, ts, lat, lon, k = _FRAME_HEAD.unpack(_read_exact(fh, _FRAME_HEAD.size, "frame header"))
-        want, left = k * DESCRIPTOR_DIM * 4, size - fh.tell()
-        if want > left:
-            raise DatabaseFormatError(f"truncated file: expected {want} bytes for descriptors of frame {fid}, got {left}")
-        payload = _read_exact(fh, want, f"descriptors of frame {fid}")
-        if fh.read(1):
-            raise DatabaseFormatError(f"trailing bytes in {path}")
-    arr = np.frombuffer(payload, dtype="<f4").reshape(k, DESCRIPTOR_DIM)
-    try:
-        return GeoFrame(fid, ts, GeoPoint(lat, lon), DescriptorSet(arr))
-    except ValueError as exc:
-        raise DatabaseFormatError(f"frame {fid} in {path}: {exc}") from None
+    rows = 0
+    for i, path in enumerate(paths):
+        try:
+            rows += max(os.stat(path).st_size - _FRAME_HEAD.size, 0) // _ROW_BYTES
+        except (OSError, ValueError) as exc:
+            raise error(i, exc) from None
+    block = np.empty((rows, DESCRIPTOR_DIM), dtype="<f4")
+    records, rows = [], 0
+    with memoryview(block.view(np.uint8).reshape(-1)) as raw:
+        for i, path in enumerate(paths):
+            try:
+                with open(path, "rb") as fh:
+                    fid, ts, lat, lon, start, rows = _read_record(fh, os.fstat(fh.fileno()).st_size, raw, rows)
+                    if fh.read(1):
+                        raise DatabaseFormatError(f"trailing bytes in {path}")
+                try:
+                    GeoPoint(lat, lon)
+                    if not np.isfinite(block[start:rows]).all():
+                        raise ValueError("descriptor components must be finite")
+                except ValueError as exc:
+                    raise DatabaseFormatError(f"frame {fid} in {path}: {exc}") from None
+            except (DatabaseFormatError, OSError, ValueError) as exc:
+                raise error(i, exc) from None
+            records.append((fid, ts, lat, lon, start, rows))
+    block = block[:rows].astype(np.float32, copy=False)
+    block.setflags(write=False)
+    return records, DescriptorSet._wrap(block)
 
 
 # ---------------------------------------------------------------------------
@@ -566,36 +586,64 @@ def ingest_kitti(root) -> Database:
         index = data_path.stem
         if not (index.isascii() and index.isdigit() and int(index) < 2**64):
             raise IngestError(f"frame {index}: file name is not a frame index in [0, 2**64)")
-        ts = _parse_kitti_timestamp(line, f"frame {index}")
-        geotag = _parse_oxts_latlon(data_path, index)
-        try:
-            record = read_desc_file(desc_path)
-        except (DatabaseFormatError, OSError) as exc:
-            raise IngestError(f"frame {index}: unreadable descriptors: {exc}") from exc
-        frames.append(GeoFrame(int(index), ts, geotag, record.descriptors))
-    db = Database(frames, source=str(root), camera="kitti")
+        where = f"frame {index}"
+        ts = _parse_kitti_timestamp(line, where)
+        frames.append((int(index), ts, _parse_oxts_latlon(data_path, index), desc_path, where))
+    db = _ingest(frames, source=str(root), camera="kitti")
     logger.info("ingested %d KITTI frames from %s", len(db), root)
     return db
 
 
-def _manifest_text(path: Path) -> str:
-    """The text of a UTF-8 manifest; bytes that are not UTF-8 raise ValueError naming file:line."""
+def _ingest(frames: list[tuple], source: str, camera: str) -> Database:
+    """A database of (frame_id, timestamp_ns, geotag, .desc path, where) frames.
+
+    The frames are sorted first and their descriptors read in that order
+    into one block, so each frame is a window of it that the Database keeps
+    as it is. Only the payload of each .desc file is used; a file that
+    cannot be read raises IngestError naming its frame's where.
+    """
+    frames = sorted(frames, key=lambda f: (f[1], f[0]))
+    records, block = _read_desc_files(
+        [f[3] for f in frames], lambda i, exc: IngestError(f"{frames[i][4]}: unreadable descriptors: {exc}")
+    )
+    windows = [block._window(start, stop) for *_, start, stop in records]
+    return Database([GeoFrame(*f[:3], w) for f, w in zip(frames, windows)], source=source, camera=camera)
+
+
+def _manifest_text(path: Path, error) -> str:
+    """The text of a UTF-8 manifest; bytes that are not UTF-8 raise error naming file:line."""
     data = path.read_bytes()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # lines end where csv, reading with newline="", ends them
         line = 1 + len(re.findall(rb"\r\n|\r|\n", data[: exc.start]))
-        raise ValueError(f"{path.name}:{line}: not UTF-8: {exc.reason} at byte {data[exc.start]:#04x}") from None
+        raise error(f"{path.name}:{line}: not UTF-8: {exc.reason} at byte {data[exc.start]:#04x}") from None
 
 
-def _manifest_rows(fh, name: str) -> Iterator[list[str]]:
-    """CSV records of fh; text that does not parse as CSV raises IngestError naming the manifest."""
-    reader = csv.reader(fh)
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise IngestError(f"{name}: unreadable after line {reader.line_num}: {exc}") from None
+def _manifest_rows(path: Path, headers: list[list[str]], error) -> Iterator[tuple[str, list[str]]]:
+    """("file:line", fields) of each non-blank record of a UTF-8 CSV manifest.
+
+    The header must be one of headers and each record must have as many
+    fields as it. Text that is not UTF-8 or not CSV, another header or
+    another field count raises error naming the file and, past the header,
+    the line.
+    """
+    with io.StringIO(_manifest_text(path, error), newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise error(f"{path.name}: empty manifest")
+            if header not in headers:
+                raise error(f"{path.name}: header must be {' or '.join(map(','.join, headers))}")
+            for fields in filter(None, reader):
+                where = f"{path.name}:{reader.line_num}"
+                if len(fields) != len(header):
+                    raise error(f"{where}: expected {len(header)} fields, got {len(fields)}")
+                yield where, fields
+        except csv.Error as exc:
+            raise error(f"{path.name}:{reader.line_num}: {exc}") from None
 
 
 def ingest_csv(manifest) -> Database:
@@ -606,51 +654,20 @@ def ingest_csv(manifest) -> Database:
     directory. Rows may be in any order; duplicate frame ids are rejected.
     """
     manifest = Path(manifest)
-    if not manifest.is_file():
-        raise FileNotFoundError(f"missing manifest {manifest}")
-    try:
-        text = _manifest_text(manifest)
-    except ValueError as exc:
-        raise IngestError(str(exc)) from None
-    with io.StringIO(text, newline="") as fh:
-        reader = _manifest_rows(fh, manifest.name)
+    frames = []
+    seen: set[int] = set()
+    for where, row in _manifest_rows(manifest, [CSV_MANIFEST_HEADER], IngestError):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{manifest.name}: empty manifest") from None
-        if header != CSV_MANIFEST_HEADER:
-            raise IngestError(
-                f"{manifest.name}: header {header!r} does not match {CSV_MANIFEST_HEADER!r}"
-            )
-        frames = []
-        seen: set[int] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_MANIFEST_HEADER):
-                raise IngestError(f"{manifest.name}:{lineno}: expected 5 fields, got {len(row)}")
-            try:
-                fid = int(row[0])
-                ts = int(row[1])
-                geotag = GeoPoint(float(row[2]), float(row[3]))
-            except ValueError as exc:
-                raise IngestError(f"{manifest.name}:{lineno}: {exc}") from None
-            if not 0 <= fid < 2**64:
-                raise IngestError(f"{manifest.name}:{lineno}: frame_id {fid} outside [0, 2**64)")
-            if not _I64_MIN <= ts <= _I64_MAX:
-                raise IngestError(f"{manifest.name}:{lineno}: timestamp_ns {ts} outside the int64 range")
-            if fid in seen:
-                raise IngestError(f"{manifest.name}:{lineno}: duplicate frame_id {fid}")
-            seen.add(fid)
-            desc_path = Path(row[4])
-            if not desc_path.is_absolute():
-                desc_path = manifest.parent / desc_path
-            try:
-                record = read_desc_file(desc_path)
-            except (DatabaseFormatError, OSError) as exc:
-                raise IngestError(f"{manifest.name}:{lineno}: unreadable descriptors: {exc}") from exc
-            frames.append(GeoFrame(fid, ts, geotag, record.descriptors))
-    try:
-        return Database(frames, source=str(manifest), camera="")
-    except ValueError as exc:
-        raise IngestError(f"{manifest.name}: {exc}") from None
+            fid, ts = int(row[0]), int(row[1])
+            geotag = GeoPoint(float(row[2]), float(row[3]))
+        except ValueError as exc:
+            raise IngestError(f"{where}: {exc}") from None
+        if not 0 <= fid < 2**64:
+            raise IngestError(f"{where}: frame_id {fid} outside [0, 2**64)")
+        if not _I64_MIN <= ts <= _I64_MAX:
+            raise IngestError(f"{where}: timestamp_ns {ts} outside the int64 range")
+        if fid in seen:
+            raise IngestError(f"{where}: duplicate frame_id {fid}")
+        seen.add(fid)
+        frames.append((fid, ts, geotag, manifest.parent / row[4], where))
+    return _ingest(frames, source=str(manifest), camera="")

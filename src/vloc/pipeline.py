@@ -1,12 +1,13 @@
 """Query-sequence localization and its evaluation harness.
 
 A sequence run takes n timestamped query descriptor sets. The first query
-is matched against the whole database; its match timestamp becomes the
-window center for the remaining queries, so later scans only consider
-frames recorded near the already-established location. Each matched
-geotag is fed as-is to the constant-velocity filter, which predicts across
-the time between consecutive queries; the filter posterior is the position
-estimate reported for that step.
+is matched against the whole database; each match's timestamp becomes the
+window center for the next query, so later scans only consider frames
+recorded near the last established location, and the window follows the
+vehicle along the drive. Each matched geotag is fed as-is to the
+constant-velocity filter, which predicts across the time between
+consecutive queries; the filter posterior is the position estimate
+reported for that step.
 """
 
 import csv
@@ -95,11 +96,11 @@ def localize_sequence(
     """Run retrieval plus filtering over a query sequence.
 
     The first scan is unwindowed (exclusion still applies when configured);
-    subsequent scans center the search window on the first match. The
-    filter predicts across each gap between consecutive query timestamps,
-    which must strictly increase (ValueError naming the step otherwise). A
-    step whose best candidate has zero correspondences raises NoMatchError
-    naming the step.
+    each later scan centers the search window on the previous step's match.
+    The filter predicts across each gap between consecutive query
+    timestamps, which must strictly increase (ValueError naming the step
+    otherwise). A step whose best candidate has zero correspondences raises
+    NoMatchError naming the step.
     """
     if len(queries) == 0:
         raise ValueError("localize_sequence needs at least one query")
@@ -117,10 +118,10 @@ def localize_sequence(
             raise NoMatchError(f"step {i}: no correspondences against any candidate frame")
         if state is None:
             state = kalman.update(kalman.init_filter(frame.geotag, filter_cfg), frame.geotag, filter_cfg)
-            center = frame.timestamp_ns
         else:
             dt = (query.timestamp_ns - prev.timestamp_ns) / 1e9
             state = kalman.step(state, frame.geotag, dt, filter_cfg)
+        center = frame.timestamp_ns
         steps.append(_make_step(i, query, frame, state))
     return LocalizationTrace(tuple(steps))
 

@@ -87,6 +87,66 @@ def test_build_db_rejects_integers_outside_the_file_format(dataset, capsys, fiel
     assert not out.exists()
 
 
+def test_build_db_names_the_line_of_a_missing_or_non_finite_desc(dataset, capsys):
+    tmp_path, manifest, _ = dataset
+    # rows in reverse, so line 3 (frame 4) is not the second frame read
+    header, *rows = manifest.read_text().splitlines()
+    manifest.write_text("".join(line + "\n" for line in [header, *reversed(rows)]))
+    desc = tmp_path / "f4.desc"
+    raw = desc.read_bytes()
+    out = tmp_path / "o.vldb"
+    desc.unlink()
+    for message in ("No such file", f"frame 4 in {desc}: descriptor components must be finite"):
+        assert main(["build-db", "--csv", str(manifest), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: manifest.csv:3: unreadable descriptors: ") and message in err
+        assert not out.exists()
+        # then a NaN in the first row
+        desc.write_bytes(raw[:36] + np.float32(np.nan).tobytes() + raw[40:])
+
+
+def write_kitti(root, stamps):
+    """A KITTI-raw style tree of one frame per timestamp, 0.1 s and 1e-5 degrees apart."""
+    rng = np.random.default_rng(52)
+    (root / "oxts" / "data").mkdir(parents=True)
+    (root / "descriptors").mkdir()
+    (root / "oxts" / "timestamps.txt").write_text("".join(s + "\n" for s in stamps))
+    for i in range(len(stamps)):
+        geo = GeoPoint(49.0 + i * 1e-5, 8.0)
+        (root / "oxts" / "data" / f"{i:010d}.txt").write_text(f"{geo.lat} {geo.lon} 0.0\n")
+        write_desc_file(root / "descriptors" / f"{i:010d}.desc", GeoFrame(i, 0, geo, DescriptorSet(unit_rows(rng, 6))))
+
+
+STAMPS = [f"2011-09-26 13:02:25.{i}00000000" for i in range(4)]
+
+
+def test_build_db_rejects_a_kitti_timestamp_outside_int64(tmp_path, capsys):
+    write_kitti(tmp_path / "drive", ["2300-01-01 00:00:00", *STAMPS[1:]])
+    out = tmp_path / "o.vldb"
+    assert main(["build-db", "--kitti", str(tmp_path / "drive"), "--out", str(out)]) == 1
+    assert "error: frame 0: timestamp_ns 10413792000000000000 outside the int64 range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_build_db_names_the_kitti_frame_of_a_missing_or_non_finite_desc(tmp_path, capsys):
+    root = tmp_path / "drive"
+    write_kitti(root, STAMPS)
+    desc = root / "descriptors" / f"{2:010d}.desc"
+    raw = desc.read_bytes()
+    out = tmp_path / "o.vldb"
+    # a dangling link leaves the file listed but missing
+    desc.unlink()
+    desc.symlink_to(tmp_path / "elsewhere.desc")
+    for message in ("No such file", f"frame 2 in {desc}: descriptor components must be finite"):
+        assert main(["build-db", "--kitti", str(root), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: frame 0000000002: unreadable descriptors: ") and message in err
+        assert not out.exists()
+        # then a NaN in the first row
+        desc.unlink()
+        desc.write_bytes(raw[:36] + np.float32(np.nan).tobytes() + raw[40:])
+
+
 def test_query_end_to_end(dataset, capsys):
     tmp_path, manifest, frames = dataset
     db_path = build_db(dataset)
@@ -179,6 +239,12 @@ def test_query_rejects_oversized_desc_count(dataset, capsys):
     desc.write_bytes(raw[:32] + (2**32 - 1).to_bytes(4, "little") + raw[36:])
     assert main(["query", "--db", str(db_path), "--queries", str(qmanifest)]) == 1
     assert "queries.csv:2: q.desc: truncated file" in capsys.readouterr().err
+
+
+def test_query_names_the_line_of_a_missing_desc(dataset, capsys):
+    db_path, qmanifest = write_query(dataset, PLAIN, ["0,q.desc", "500000000,absent.desc"])
+    assert main(["query", "--db", str(db_path), "--queries", str(qmanifest)]) == 1
+    assert "error: queries.csv:3: absent.desc: [Errno 2] No such file" in capsys.readouterr().err
 
 
 def test_query_missing_db(dataset, tmp_path):

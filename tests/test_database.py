@@ -521,6 +521,67 @@ def test_ingest_kitti_is_deterministic(tmp_path):
     assert (tmp_path / "a.db").read_bytes() == (tmp_path / "b.db").read_bytes()
 
 
+def write_manifest(root, frames, order):
+    """A CSV manifest listing the frames in the given order, one .desc file each."""
+    lines = [",".join(CSV_MANIFEST_HEADER)]
+    for i in order:
+        f = frames[i]
+        write_desc_file(root / f"f{f.frame_id}.desc", f)
+        lines.append(f"{f.frame_id},{f.timestamp_ns},{f.geotag.lat!r},{f.geotag.lon!r},f{f.frame_id}.desc")
+    manifest = root / "manifest.csv"
+    manifest.write_text("".join(line + "\n" for line in lines))
+    return manifest
+
+
+def test_ingest_saves_the_bytes_of_a_database_of_read_desc_file_frames(tmp_path):
+    rng = np.random.default_rng(35)
+    # frames 3 and 4 share a timestamp; some hold no or one descriptor
+    frames = [make_frame(rng, i, 10**8 * min(i, 9 - i), 49.0 + i * 1e-4, 8.0, k=k) for i, k in enumerate([5, 0, 3, 1, 4, 7])]
+    saved = {}
+    for name, order in (("sorted", range(6)), ("shuffled", rng.permutation(6))):
+        manifest = write_manifest(tmp_path, frames, order)
+        save_db(ingest_csv(manifest), tmp_path / f"{name}.vldb")
+        saved[name] = (tmp_path / f"{name}.vldb").read_bytes()
+    reference = Database([read_desc_file(tmp_path / f"f{f.frame_id}.desc") for f in frames])
+    save_db(reference, tmp_path / "reference.vldb")
+    assert saved["sorted"] == saved["shuffled"] == (tmp_path / "reference.vldb").read_bytes()
+
+    # KITTI trees take timestamps and geotags from oxts, not from the .desc files
+    root = tmp_path / "kitti"
+    sets = [f.descriptors for f in frames[:3]]
+    write_kitti_tree(root, FIXTURE_STAMPS, FIXTURE_GEO, sets)
+    db = ingest_kitti(root)
+    save_db(db, tmp_path / "kitti.vldb")
+    descs = [read_desc_file(root / "descriptors" / f"{i:010d}.desc").descriptors for i in range(3)]
+    reference = Database([GeoFrame(i, f.timestamp_ns, f.geotag, d) for i, (f, d) in enumerate(zip(db, descs))], camera="kitti")
+    save_db(reference, tmp_path / "kitti_reference.vldb")
+    assert (tmp_path / "kitti.vldb").read_bytes() == (tmp_path / "kitti_reference.vldb").read_bytes()
+
+
+def test_ingest_reads_each_descriptor_once_into_the_block_it_keeps(tmp_path):
+    rng = np.random.default_rng(36)
+    frames = [make_frame(rng, i, 10**8 * i, k=256) for i in range(64)]
+    manifest = write_manifest(tmp_path, frames, rng.permutation(64))
+    tracemalloc.start()
+    try:
+        db = ingest_csv(manifest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = db._block.array
+    assert block.nbytes == 64 * 256 * DESCRIPTOR_DIM * 4
+    # the frames are windows of the block they were read into, in frame order
+    assert all(np.shares_memory(f.descriptors.array, block) for f in db)
+    assert peak <= 1.1 * block.nbytes
+
+
+def test_ingest_csv_names_the_line_of_a_path_that_cannot_be_opened(tmp_path):
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(",".join(CSV_MANIFEST_HEADER) + "\n0,0,49.0,8.0,f\x000.desc\n")
+    with pytest.raises(IngestError, match=r"m\.csv:2: unreadable descriptors: embedded null byte"):
+        ingest_csv(manifest)
+
+
 def test_loaded_frames_are_windows_of_one_block(tmp_path):
     rng = np.random.default_rng(27)
     frames = [make_frame(rng, i, i * 100_000_000, k=int(rng.integers(0, 12))) for i in range(6)]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from vloc.database import ScanConfig
+from vloc import pipeline
+from vloc.database import ScanConfig, scan
 from vloc.errors import NoMatchError
 from vloc.geodesy import GeoPoint, haversine_m
 from vloc.kalman import FilterConfig, init_filter, step, update
@@ -209,18 +210,47 @@ def test_export_report_round_trips_float_text(tmp_path):
     assert float(row[3]) == stats.mean_est_m[0]
 
 
-def test_window_centers_on_first_match(world):
-    # steps >= 2 may only match frames within the window around the step-1 hit
+def test_window_centers_on_previous_match(world, monkeypatch):
+    # step 1 scans the whole database; each later step scans the window around the previous step's match
     cfg, db = world
     window_s = 3.0
+    centers = []
+
+    def recording_scan(*args, center_ts=None):
+        centers.append(center_ts)
+        return scan(*args, center_ts=center_ts)
+
+    monkeypatch.setattr(pipeline, "scan", recording_scan)
     queries = gen_queries(db, T0_NS + int(2.5e9), 4, 1.0, cfg)
     trace = localize_sequence(
         db, queries, ScanConfig(window_s=window_s, exclusion_s=1.0), MatchConfig(), FilterConfig()
     )
-    anchor_ts = db.frame_by_id(trace[0].matched_frame_id).timestamp_ns
-    for s in trace[1:]:
-        matched_ts = db.frame_by_id(s.matched_frame_id).timestamp_ns
-        assert abs(matched_ts - anchor_ts) <= window_s * 1e9
+    matched_ts = [db.frame_by_id(s.matched_frame_id).timestamp_ns for s in trace]
+    assert centers == [None, *matched_ts[:-1]]
+    for prev, ts in zip(matched_ts, matched_ts[1:]):
+        assert abs(ts - prev) <= window_s * 1e9
+
+
+def test_window_follows_the_vehicle_past_its_first_width():
+    # 40 queries, 1 s apart from 10 s on a 100 s drive: by step 23 the
+    # vehicle is 22 s past its first match, beyond a window fixed on it
+    cfg = WorldConfig(seed=7, duration_s=100.0)
+    db = gen_world(cfg)
+    queries = gen_queries(db, T0_NS + 10 * 10**9, 40, 1.0, cfg)
+    trace = localize_sequence(db, queries, ScanConfig(window_s=20.0), MatchConfig(), FilterConfig())
+    # each query is a noisy copy of the frame captured at its own time
+    assert [db.frame_by_id(s.matched_frame_id).timestamp_ns for s in trace] == [q.timestamp_ns for q in queries]
+
+
+def test_narrow_window_reaches_the_last_frame(world):
+    # a 2 s window following the vehicle to the end of the drive, where it
+    # holds frames on one side of its center only
+    cfg, db = world
+    last = db.frames[-1]
+    queries = gen_queries(db, last.timestamp_ns - 6 * 10**9, 7, 1.0, cfg)
+    trace = localize_sequence(db, queries, ScanConfig(window_s=2.0), MatchConfig(), FilterConfig())
+    assert trace[-1].matched_frame_id == last.frame_id
+    assert trace[-1].meas_err_m == 0.0
 
 
 def test_estimates_replay_through_filter(world):
