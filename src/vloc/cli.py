@@ -62,9 +62,9 @@ def _add_scan_flags(p: argparse.ArgumentParser, default_exclusion) -> None:
 
 
 def _add_filter_flags(p: argparse.ArgumentParser) -> None:
-    _flag(p, "--sigma-r", FilterConfig.sigma_r, "measurement noise std in degrees")
-    _flag(p, "--p0-scale", FilterConfig.p0_scale, "initial covariance diagonal")
-    _flag(p, "--q-scale", FilterConfig.q_scale, "process noise added per prediction")
+    _flag(p, "--sigma-r", FilterConfig.sigma_r, "measurement noise std per axis in meters")
+    _flag(p, "--p0-scale", FilterConfig.p0_scale, "initial variance of each position (m^2) and velocity (m^2/s^2) component")
+    _flag(p, "--q", FilterConfig.q, "white-noise acceleration density in m^2/s^3")
 
 
 def _match_cfg(args) -> MatchConfig:
@@ -79,7 +79,7 @@ def _scan_cfg(args) -> ScanConfig:
 
 
 def _filter_cfg(args) -> FilterConfig:
-    return FilterConfig(sigma_r=args.sigma_r, p0_scale=args.p0_scale, q_scale=args.q_scale)
+    return FilterConfig(sigma_r=args.sigma_r, p0_scale=args.p0_scale, q=args.q)
 
 
 def build_parser() -> argparse.ArgumentParser:

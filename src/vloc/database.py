@@ -532,7 +532,10 @@ def _parse_kitti_timestamp(line: str, where: str) -> int:
         ns = int(frac.ljust(9, "0")[:9])
     except ValueError as exc:
         raise IngestError(f"{where}: bad timestamp {text!r}") from exc
-    return int(dt.timestamp()) * 1_000_000_000 + ns
+    ns += int(dt.timestamp()) * 1_000_000_000
+    if not _I64_MIN <= ns <= _I64_MAX:
+        raise IngestError(f"{where}: timestamp_ns {ns} outside the int64 range")
+    return ns
 
 
 def _parse_oxts_latlon(path: Path, index: str) -> GeoPoint:
@@ -573,13 +576,13 @@ def ingest_kitti(root) -> Database:
     lines = [ln for ln in ts_path.read_text().splitlines() if ln.strip()]
     data_files = sorted(data_dir.glob("*.txt"))
     desc_files = sorted(desc_dir.glob("*.desc"))
-    if not (len(lines) == len(data_files) == len(desc_files)):
-        raise IngestError(
-            f"count mismatch: {len(lines)} timestamps, "
-            f"{len(data_files)} oxts records, {len(desc_files)} descriptor files"
-        )
-    if [p.stem for p in data_files] != [p.stem for p in desc_files]:
-        raise IngestError("oxts and descriptor frame indices do not line up")
+    data_stems, desc_stems = {p.stem for p in data_files}, {p.stem for p in desc_files}
+    if data_stems != desc_stems:
+        index = min(data_stems ^ desc_stems)
+        has, lacks = ("an oxts record", "descriptor file") if index in data_stems else ("a descriptor file", "oxts record")
+        raise IngestError(f"frame {index}: {has} but no {lacks}")
+    if len(lines) != len(data_files):
+        raise IngestError(f"count mismatch: {len(lines)} timestamps for {len(data_files)} frames")
 
     frames = []
     for line, data_path, desc_path in zip(lines, data_files, desc_files):

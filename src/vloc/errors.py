@@ -26,4 +26,4 @@ class DatabaseFormatError(VlocError):
 
 
 class SingularInnovationError(VlocError):
-    """The innovation covariance is not invertible."""
+    """The innovation variance is not positive, so the filter cannot weigh a measurement."""

@@ -1,6 +1,6 @@
-"""Great-circle geometry on a spherical Earth model.
+"""Great-circle distance and a local tangent plane on a spherical Earth model.
 
-Distances are returned in meters. Latitudes and longitudes are WGS-ish
+Distances and plane coordinates are in meters. Latitudes and longitudes are WGS-ish
 decimal degrees, but no ellipsoidal correction is applied: the sphere is
 good to ~0.5% which is far below the noise of image retrieval.
 """
@@ -9,7 +9,10 @@ import math
 from dataclasses import dataclass
 
 EARTH_RADIUS_M = 6_371_000.0
-"""Mean Earth radius in meters, shared by both distance functions."""
+"""Mean Earth radius in meters, shared by the distance function and the tangent plane."""
+
+M_PER_DEG = EARTH_RADIUS_M * math.pi / 180.0
+"""Meters per degree of latitude on that sphere (111,194.9 m)."""
 
 
 @dataclass(frozen=True)
@@ -43,15 +46,31 @@ def haversine_m(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
 
 
-def equirect_m(a: GeoPoint, b: GeoPoint) -> float:
-    """Equirectangular approximation of the distance between two points.
+def to_plane(origin: GeoPoint, lat, lon):
+    """East and north meters of (lat, lon) on the plane tangent at origin.
 
-    Projects the pair onto a plane at their mean latitude. Cheap and
-    accurate to well under 0.2% for separations below a few kilometers
-    away from the poles; used as a cross-check for :func:`haversine_m`.
+    An equirectangular projection about origin: a degree of latitude is
+    M_PER_DEG meters, a degree of longitude M_PER_DEG * cos(origin.lat).
+    The longitude difference is wrapped into [-180, 180], so a point just
+    across the antimeridian lands beside origin. Accurate to well under
+    0.2% for a few kilometers away from the poles. lat and lon may be
+    floats or numpy arrays.
     """
-    dlat = math.radians(b.lat - a.lat)
-    dlon = math.radians(b.lon - a.lon)
-    mean_lat = math.radians((a.lat + b.lat) / 2.0)
-    x = dlon * math.cos(mean_lat)
-    return EARTH_RADIUS_M * math.hypot(dlat, x)
+    east_per_deg = M_PER_DEG * math.cos(math.radians(origin.lat))
+    return east_per_deg * _wrapped(lon - origin.lon), M_PER_DEG * (lat - origin.lat)
+
+
+def from_plane(origin: GeoPoint, east_m, north_m):
+    """Latitude and longitude of a point on the plane tangent at origin: the inverse of :func:`to_plane`.
+
+    The longitude is wrapped into [-180, 180]; east_m must lie within one
+    turn of longitude of origin. east_m and north_m may be floats or numpy
+    arrays.
+    """
+    east_per_deg = M_PER_DEG * math.cos(math.radians(origin.lat))
+    return origin.lat + north_m / M_PER_DEG, _wrapped(origin.lon + east_m / east_per_deg)
+
+
+def _wrapped(lon):
+    """lon in [-540, 540] wrapped into [-180, 180], exactly: a value already there is returned as it is."""
+    return lon - 360.0 * (lon > 180.0) + 360.0 * (lon < -180.0)

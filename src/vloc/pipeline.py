@@ -11,6 +11,7 @@ reported for that step.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
@@ -20,7 +21,7 @@ import numpy as np
 from . import kalman
 from .database import Database, ScanConfig, scan
 from .errors import NoMatchError
-from .geodesy import GeoPoint, haversine_m
+from .geodesy import M_PER_DEG, GeoPoint, haversine_m
 from .kalman import FilterConfig
 from .matching import DescriptorSet, MatchConfig
 
@@ -67,7 +68,8 @@ class LocalizationTrace:
 def _make_step(index: int, query: Query, frame, state) -> TraceStep:
     measurement = frame.geotag
     estimate = state.position()
-    vlat, vlon = state.velocity()
+    # the filter's m/s in degrees per second at the scale of its plane's origin
+    vlat, vlon = state.v_n / M_PER_DEG, state.v_e / (M_PER_DEG * math.cos(math.radians(state.origin.lat)))
     meas_err = est_err = None
     if query.truth is not None:
         meas_err = haversine_m(measurement, query.truth)

@@ -1,11 +1,13 @@
 """Synthetic drives for calibrating and stress-testing the pipeline.
 
-The generated vehicle moves at constant speed along a straight path,
-photographing at a fixed rate. Scene content is modelled as a pool of
-landmark descriptors: each frame sees a contiguous slice of the pool, and
-the slice advances a few landmarks per frame. Two frames therefore share
-descriptors in linear proportion to their time difference, which mimics
-real image overlap decay and is exactly symmetric in both directions.
+The generated vehicle moves at constant speed along a straight line in
+meters on the plane tangent at its start (so a drive may cross the
+antimeridian), photographing at a fixed rate. Scene content is modelled as
+a pool of landmark descriptors: each frame sees a contiguous slice of the
+pool, and the slice advances a few landmarks per frame. Two frames
+therefore share descriptors in linear proportion to their time
+difference, which mimics real image overlap decay and is exactly
+symmetric in both directions.
 
 Queries replay positions on the same path: each takes the nearest frame's
 descriptors, perturbed per component with Gaussian noise, with a fraction
@@ -21,12 +23,10 @@ from math import cos, radians, sin
 import numpy as np
 
 from .database import Database, ScanConfig
-from .geodesy import GeoPoint
+from .geodesy import GeoPoint, from_plane
 from .kalman import FilterConfig
 from .matching import DESCRIPTOR_DIM, DescriptorSet, MatchConfig
 from .pipeline import ErrorStats, LocalizationTrace, Query, _error_stats, localize_sequence
-
-METERS_PER_DEG = 111_320.0
 
 T0_NS = 1_500_000_000_000_000_000
 """Epoch of every synthetic drive."""
@@ -64,15 +64,18 @@ class WorldConfig:
             )
         if _frame_period_ns(self) == 0:
             raise ValueError(f"db_hz={self.db_hz} gives a frame period that rounds to 0 ns")
-        # the path is straight in degrees: it stays on the globe if its first and last frames do
-        for ts in (T0_NS, T0_NS + max(_frame_count(self) - 1, 0) * _frame_period_ns(self)):
-            lat, lon = _lat_lon(self, ts)
-            if not (abs(lat) <= 90.0 and abs(lon) <= 180.0):
-                raise ValueError(
-                    f"speed_mps={self.speed_mps}, heading_deg={self.heading_deg} and duration_s={self.duration_s} "
-                    f"from ({self.start_lat}, {self.start_lon}) take the drive to ({lat}, {lon}), "
-                    "outside latitude [-90, 90] or longitude [-180, 180]"
-                )
+        # the path is straight on the plane tangent at the start, so latitude and
+        # the unwrapped longitude move linearly: the drive stays on the globe if
+        # its start and last frame do, its longitude wrapping within one turn
+        lat, lon = self.start_lat, self.start_lon
+        if abs(lat) <= 90.0 and abs(lon) <= 180.0:
+            lat, lon = _lat_lon(self, T0_NS + max(_frame_count(self) - 1, 0) * _frame_period_ns(self))
+        if not (abs(lat) <= 90.0 and abs(lon) <= 180.0):
+            raise ValueError(
+                f"speed_mps={self.speed_mps}, heading_deg={self.heading_deg} and duration_s={self.duration_s} "
+                f"from ({self.start_lat}, {self.start_lon}) take the drive to ({lat}, {lon}), "
+                "outside latitude [-90, 90] or longitude [-180, 180]"
+            )
         if self.keypoints_per_frame < 2:
             raise ValueError(f"keypoints_per_frame must be at least 2, got {self.keypoints_per_frame}")
         if not 0.0 <= self.landmark_overlap <= 1.0:
@@ -85,23 +88,20 @@ class WorldConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-def _velocity_dps(cfg: WorldConfig) -> tuple[float, float]:
-    """Trajectory velocity in degrees per second (flat-earth at start latitude)."""
-    vn = cfg.speed_mps * cos(radians(cfg.heading_deg))
-    ve = cfg.speed_mps * sin(radians(cfg.heading_deg))
-    return vn / METERS_PER_DEG, ve / (METERS_PER_DEG * cos(radians(cfg.start_lat)))
-
-
 def position_at(cfg: WorldConfig, ts_ns: int) -> GeoPoint:
     """Exact trajectory position at a timestamp."""
     return GeoPoint(*_lat_lon(cfg, ts_ns))
 
 
 def _lat_lon(cfg: WorldConfig, ts_ns):
-    """Trajectory latitude and longitude at a timestamp, or at each of an int64 array of them."""
-    vlat, vlon = _velocity_dps(cfg)
+    """Trajectory latitude and longitude at a timestamp, or at each of an int64 array of them.
+
+    The drive is a straight line in meters on the plane tangent at its start.
+    """
     t = (ts_ns - T0_NS) / 1e9
-    return cfg.start_lat + vlat * t, cfg.start_lon + vlon * t
+    heading = radians(cfg.heading_deg)
+    east, north = cfg.speed_mps * sin(heading), cfg.speed_mps * cos(heading)
+    return from_plane(GeoPoint(cfg.start_lat, cfg.start_lon), east * t, north * t)
 
 
 def _frame_count(cfg: WorldConfig) -> int:

@@ -13,7 +13,7 @@ import pytest
 
 from vloc.cli import main
 from vloc.database import Database, GeoFrame, ScanConfig, ingest_kitti, load_db, save_db, scan, write_desc_file
-from vloc.geodesy import GeoPoint, equirect_m, haversine_m
+from vloc.geodesy import M_PER_DEG as SPHERE_M_PER_DEG, GeoPoint, haversine_m, to_plane
 from vloc.kalman import FilterConfig, init_filter, step, update
 from vloc.matching import DESCRIPTOR_DIM, DescriptorSet, MatchConfig, best_match, count_correspondences
 from vloc.synthworld import WorldConfig, gen_world, run_monte_carlo
@@ -123,7 +123,7 @@ def test_criterion_03_geodesy():
             lon + dist * math.sin(bearing) / (M_PER_DEG * math.cos(math.radians(lat))),
         )
         h = haversine_m(a, b)
-        e = equirect_m(a, b)
+        e = math.hypot(*to_plane(a, b.lat, b.lon))
         worst_rel = max(worst_rel, abs(h - e) / h)
     ok = worst_rel < 0.002
 
@@ -150,7 +150,8 @@ def test_criterion_03_geodesy():
 
 
 def test_criterion_04_first_step_tracks_measurement():
-    cfg = FilterConfig(sigma_r=1e-4, p0_scale=1000.0, q_scale=1e-10)
+    # 1e-4 deg, 1000 deg^2 and 1e-10 deg^2 per 1 s step in meters
+    cfg = FilterConfig(sigma_r=11.12, p0_scale=1.24e13, q=1.24)
     z = GeoPoint(49.0123, 8.0456)
 
     # pipeline path: filter initialized on the measurement itself
@@ -179,10 +180,11 @@ def test_criterion_05_covariance_health():
     steps_done = 0
     for _ in range(50):
         dt = float(rng.uniform(0.1, 2.0))
+        # degree-valued draws, converted to meters
         cfg = FilterConfig(
-            sigma_r=float(10.0 ** rng.uniform(-5, -2)),
-            p0_scale=float(10.0 ** rng.uniform(0, 4)),
-            q_scale=float(10.0 ** rng.uniform(-12, -6)),
+            sigma_r=float(10.0 ** rng.uniform(-5, -2)) * SPHERE_M_PER_DEG,
+            p0_scale=float(10.0 ** rng.uniform(0, 4)) * SPHERE_M_PER_DEG**2,
+            q=float(10.0 ** rng.uniform(-12, -6)) * SPHERE_M_PER_DEG**2,
         )
         lat, lon = 49.0, 8.0
         st = init_filter(GeoPoint(lat, lon), cfg)
@@ -190,8 +192,9 @@ def test_criterion_05_covariance_health():
             lat += float(rng.normal(0.0, 1e-4))
             lon += float(rng.normal(0.0, 1e-4))
             st = step(st, GeoPoint(lat, lon), dt, cfg)
-            worst_asym = max(worst_asym, float(np.abs(st.p - st.p.T).max()))
-            worst_eig = min(worst_eig, float(np.linalg.eigvalsh(st.p).min()))
+            p = np.array([[st.p_pp, st.p_pv], [st.p_pv, st.p_vv]])
+            worst_asym = max(worst_asym, float(np.abs(p - p.T).max()))
+            worst_eig = min(worst_eig, float(np.linalg.eigvalsh(p).min()))
             steps_done += 1
     ok = steps_done == 10_000 and worst_asym <= 1e-9 and worst_eig >= -1e-9
     assert report(
@@ -219,7 +222,7 @@ def _latest_fix_factor(n: int) -> float:
 
 def test_criterion_06_monte_carlo_error_decay():
     # The 1 s exclusion leaves as nearest admissible match a frame 1.1 s
-    # from the query, so every measurement is 1.1 s of travel (19.78 m at
+    # from the query, so every measurement is 1.1 s of travel (19.80 m at
     # 18 m/s) off, behind or ahead. The filter cannot undo that offset; it
     # can average it down as the best constant-velocity fit would, so (c)
     # holds its error to r_n times the measurement error from step 3 on.
@@ -263,7 +266,8 @@ def test_criterion_07_reversal_overshoot_then_convergence():
     # measurement steps backwards while the vehicle keeps moving forward
     offsets = [36.0, -2.0, 1.0, -1.0, 1.0, -1.0, 1.0, -30.0]
     v = 18.0
-    cfg = FilterConfig(sigma_r=1e-4, p0_scale=5e-9, q_scale=1e-9)
+    # 1e-4 deg, 5e-9 deg^2 and 1e-9 deg^2 per 1 s step in meters
+    cfg = FilterConfig(sigma_r=11.12, p0_scale=61.8, q=12.4)
 
     truth = [GeoPoint(49.0 + v * i / M_PER_DEG, 8.0) for i in range(len(offsets))]
     zs = [GeoPoint(truth[i].lat + off / M_PER_DEG, 8.0) for i, off in enumerate(offsets)]

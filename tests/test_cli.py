@@ -121,10 +121,15 @@ STAMPS = [f"2011-09-26 13:02:25.{i}00000000" for i in range(4)]
 
 
 def test_build_db_rejects_a_kitti_timestamp_outside_int64(tmp_path, capsys):
-    write_kitti(tmp_path / "drive", ["2300-01-01 00:00:00", *STAMPS[1:]])
+    root = tmp_path / "drive"
+    write_kitti(root, ["2300-01-01 00:00:00", *STAMPS[1:]])
+    # a dangling descriptor link shows that no payload is read before the timestamps are checked
+    desc = root / "descriptors" / f"{2:010d}.desc"
+    desc.unlink()
+    desc.symlink_to(tmp_path / "elsewhere.desc")
     out = tmp_path / "o.vldb"
-    assert main(["build-db", "--kitti", str(tmp_path / "drive"), "--out", str(out)]) == 1
-    assert "error: frame 0: timestamp_ns 10413792000000000000 outside the int64 range" in capsys.readouterr().err
+    assert main(["build-db", "--kitti", str(root), "--out", str(out)]) == 1
+    assert "error: frame 0000000000: timestamp_ns 10413792000000000000 outside the int64 range" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -273,7 +278,7 @@ def test_query_names_the_frame_of_a_corrupt_database(dataset, capsys):
 
 @pytest.mark.parametrize(
     "flag, value, code, message",
-    [("--exclusion-s", "-0.5", 2, "--exclusion-s must be 0 (off) or positive"), ("--q-scale", "inf", 1, "q_scale must be finite")],
+    [("--exclusion-s", "-0.5", 2, "--exclusion-s must be 0 (off) or positive"), ("--q", "inf", 1, "q must be finite")],
 )
 def test_query_rejects_bad_settings_before_reading_the_database(dataset, tmp_path, capsys, flag, value, code, message):
     _, manifest, _ = dataset
@@ -323,7 +328,7 @@ def test_simulate_rejects_nonpositive_trials(tmp_path, capsys):
         ("--db-hz", "1e-300", 1, "db_hz=1e-300 and duration_s=8.0 put frame timestamps past the int64"),
         ("--duration-s", "1e12", 1, "db_hz=10.0 and duration_s=1000000000000.0 put frame timestamps past the int64"),
         # a drive whose last frame leaves the globe names the inputs, not a frame
-        ("--speed-mps", "1e9", 1, "speed_mps=1000000000.0, heading_deg=45.0 and duration_s=8.0 from (49.0, 8.4) take the drive to (50229.9"),
+        ("--speed-mps", "1e9", 1, "speed_mps=1000000000.0, heading_deg=45.0 and duration_s=8.0 from (49.0, 8.4) take the drive to (50286.3"),
         ("--duration-s", "1e9", 1, "speed_mps=18.0, heading_deg=45.0 and duration_s=1000000000.0 from (49.0, 8.4) take the drive to"),
         # two queries 0.4 ns apart would share a timestamp
         ("--period-s", "4e-10", 1, "period_s=4e-10 is under the 1 ns resolution"),
@@ -338,7 +343,7 @@ def test_simulate_rejects_nonpositive_trials(tmp_path, capsys):
         ("--exclusion-s", "1e300", 1, "duration_s=8.0 at db_hz=10.0 too short for 6 queries at 1.0 s spacing with exclusion_s=1e+300"),
         ("--exclusion-s", "1e12", 1, "duration_s=8.0 at db_hz=10.0 too short for 6 queries at 1.0 s spacing with exclusion_s=1000000000000.0"),
         ("--period-s", "1e300", 1, "duration_s=8.0 at db_hz=10.0 too short for 6 queries at 1e+300 s spacing with exclusion_s=1.0"),
-        ("--q-scale", "nan", 1, "q_scale must be finite, got nan"),
+        ("--q", "nan", 1, "q must be finite, got nan"),
         ("--p0-scale", "inf", 1, "p0_scale must be finite, got inf"),
         ("--sigma-r", "inf", 1, "sigma_r must be finite, got inf"),
     ],
@@ -386,7 +391,7 @@ def test_flag_defaults_match_library_pins():
     q = parser.parse_args(["query", "--db", "x.db", "--queries", "m.csv"])
     mc, fc = MatchConfig(), FilterConfig()
     assert (q.tau1, q.tau2) == (mc.tau1, mc.tau2)
-    assert (q.sigma_r, q.p0_scale, q.q_scale) == (fc.sigma_r, fc.p0_scale, fc.q_scale)
+    assert (q.sigma_r, q.p0_scale, q.q) == (fc.sigma_r, fc.p0_scale, fc.q)
     assert q.window_s == 20.0
     assert q.exclusion_s is None  # off unless asked for
 

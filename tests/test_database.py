@@ -427,6 +427,25 @@ def test_ingest_kitti_count_mismatch(tmp_path):
         ingest_kitti(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda root: (root / "descriptors" / "0000000001.desc").unlink(), "frame 0000000001: an oxts record but no descriptor file"),
+        (
+            lambda root: (root / "descriptors" / "0000000003.desc").write_bytes((root / "descriptors" / "0000000000.desc").read_bytes()),
+            "frame 0000000003: a descriptor file but no oxts record",
+        ),
+    ],
+    ids=["missing-desc", "extra-desc"],
+)
+def test_ingest_kitti_names_a_frame_on_one_side_only(tmp_path, change, message):
+    rng = np.random.default_rng(31)
+    write_kitti_tree(tmp_path, FIXTURE_STAMPS, FIXTURE_GEO, [DescriptorSet(unit_rows(rng, 4)) for _ in FIXTURE_GEO])
+    change(tmp_path)
+    with pytest.raises(IngestError, match=f"^{message}$"):
+        ingest_kitti(tmp_path)
+
+
 def test_ingest_kitti_missing_dirs(tmp_path):
     with pytest.raises(FileNotFoundError):
         ingest_kitti(tmp_path / "nope")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vloc.geodesy import EARTH_RADIUS_M, GeoPoint, equirect_m, haversine_m
+from vloc.geodesy import EARTH_RADIUS_M, M_PER_DEG, GeoPoint, from_plane, haversine_m, to_plane
 
 # Frozen against an independent atan2 great-circle formulation.
 KNOWN_DISTANCES = [
@@ -45,8 +45,39 @@ def test_equirect_close_to_haversine_at_short_range():
             lon + east_m / (111_320.0 * math.cos(math.radians(lat))),
         )
         h = haversine_m(a, b)
-        e = equirect_m(a, b)
+        e = math.hypot(*to_plane(a, b.lat, b.lon))
         assert e == pytest.approx(h, rel=2e-3, abs=1e-6)
+
+
+def test_tangent_plane_round_trips_and_wraps_at_the_antimeridian():
+    origin = GeoPoint(49.0, 179.9999)
+    # a degree of latitude is M_PER_DEG meters, of longitude that times cos(lat)
+    assert to_plane(origin, 50.0, 179.9999) == pytest.approx((0.0, M_PER_DEG), abs=1e-9)
+    # 0.0002 degrees east of origin lies across the antimeridian
+    east, north = to_plane(origin, 49.0, -179.9999)
+    assert east == pytest.approx(0.0002 * M_PER_DEG * math.cos(math.radians(49.0)), rel=1e-9) and north == 0.0
+    assert from_plane(origin, east, north) == pytest.approx((49.0, -179.9999), abs=1e-12)
+    # the origin maps to (0, 0) and back to itself exactly
+    assert to_plane(origin, origin.lat, origin.lon) == (0.0, 0.0)
+    assert from_plane(origin, 0.0, 0.0) == (origin.lat, origin.lon)
+    # up to a turn east or west, the longitude wraps once
+    assert from_plane(GeoPoint(0.0, 170.0), 300.0 * M_PER_DEG, 0.0) == pytest.approx((0.0, 110.0), abs=1e-9)
+    assert from_plane(GeoPoint(0.0, -170.0), -300.0 * M_PER_DEG, 0.0) == pytest.approx((0.0, -110.0), abs=1e-9)
+
+
+def test_tangent_plane_takes_arrays_as_it_takes_floats():
+    rng = np.random.default_rng(2)
+    origin = GeoPoint(-33.9, -179.95)
+    lat = rng.uniform(-34.0, -33.8, 50)
+    lon = rng.uniform(-180.0, 180.0, 50)
+    east, north = to_plane(origin, lat, lon)
+    assert np.all(np.abs(east) <= math.pi * EARTH_RADIUS_M)
+    assert [to_plane(origin, float(a), float(o)) for a, o in zip(lat, lon)] == list(zip(east, north))
+    back = from_plane(origin, east, north)
+    assert [from_plane(origin, float(e), float(n)) for e, n in zip(east, north)] == list(zip(*back))
+    assert np.allclose(back[0], lat, rtol=0, atol=1e-9)
+    # a longitude round-trips to itself or across the antimeridian to its twin
+    assert np.allclose((back[1] - lon + 180.0) % 360.0 - 180.0, 0.0, atol=1e-9)
 
 
 def test_triangle_inequality():

@@ -1,9 +1,24 @@
+import math
+
 import numpy as np
 import pytest
 
 from vloc.errors import SingularInnovationError
-from vloc.geodesy import GeoPoint
+from vloc.geodesy import M_PER_DEG, GeoPoint, from_plane, haversine_m, to_plane
 from vloc.kalman import FilterConfig, FilterState, init_filter, predict, step, update
+
+ORIGIN = GeoPoint(49.0, 8.0)
+
+
+def state(e=0.0, n=0.0, v_e=0.0, v_n=0.0, p=(1.0, 0.0, 1.0), origin=ORIGIN):
+    """A state about origin with per-axis covariance p = (p_pp, p_pv, p_vv)."""
+    return FilterState(origin, e, n, v_e, v_n, *p)
+
+
+def fix(origin, e, n):
+    """The GeoPoint e meters east and n meters north of origin on its tangent plane."""
+    lat, lon = from_plane(origin, e, n)
+    return GeoPoint(float(lat), float(lon))
 
 
 def test_filter_config_validates():
@@ -15,62 +30,57 @@ def test_filter_config_validates():
     with pytest.raises(ValueError):
         FilterConfig(p0_scale=0.0)
     with pytest.raises(ValueError):
-        FilterConfig(q_scale=-1e-9)
+        FilterConfig(q=-1e-9)
     # non-finite values are named, whatever the field's own range check
-    for name in ("sigma_r", "p0_scale", "q_scale"):
+    for name in ("sigma_r", "p0_scale", "q"):
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 FilterConfig(**{name: bad})
 
 
 def test_filter_state_validates():
-    with pytest.raises(ValueError):
-        FilterState(np.zeros(3), np.eye(4))
-    with pytest.raises(ValueError):
-        FilterState(np.zeros(4), np.eye(3))
-    asym = np.eye(4)
-    asym[0, 1] = 1.0
-    with pytest.raises(ValueError):
-        FilterState(np.zeros(4), asym)
-    with pytest.raises(ValueError):
-        FilterState(np.array([np.nan, 0, 0, 0]), np.eye(4))
+    for i in range(7):
+        for bad in (float("nan"), float("inf")):
+            fields = [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0]
+            fields[i] = bad
+            with pytest.raises(ValueError, match="state must be finite"):
+                FilterState(ORIGIN, *fields)
+    st = state()
+    with pytest.raises(AttributeError):
+        st.e = 1.0
 
 
 def test_init_filter_zero_velocity():
     cfg = FilterConfig()
     st = init_filter(GeoPoint(49.0, 8.0), cfg)
+    assert st.origin == GeoPoint(49.0, 8.0)
     assert st.position() == GeoPoint(49.0, 8.0)
-    assert st.velocity() == (0.0, 0.0)
-    assert np.array_equal(st.p, np.eye(4) * cfg.p0_scale)
+    assert (st.v_e, st.v_n) == (0.0, 0.0)
+    assert (st.p_pp, st.p_pv, st.p_vv) == (cfg.p0_scale, 0.0, cfg.p0_scale)
 
 
 def test_predict_covariance_frozen():
     # hand-computed F P F^T for P = 1000 I, q = 0, dt = 1:
     # position variance 2000, position/velocity cross 1000, velocity 1000
-    cfg = FilterConfig(q_scale=0.0)
+    cfg = FilterConfig(p0_scale=1000.0, q=0.0)
     st = predict(init_filter(GeoPoint(0.0, 0.0), cfg), 1.0, cfg)
-    expected = np.array(
-        [
-            [2000.0, 0.0, 1000.0, 0.0],
-            [0.0, 2000.0, 0.0, 1000.0],
-            [1000.0, 0.0, 1000.0, 0.0],
-            [0.0, 1000.0, 0.0, 1000.0],
-        ]
-    )
-    assert np.allclose(st.p, expected, atol=1e-9)
+    assert (st.p_pp, st.p_pv, st.p_vv) == (2000.0, 1000.0, 1000.0)
+    # white-noise acceleration alone: q [[dt^3/3, dt^2/2], [dt^2/2, dt]]
+    st = predict(state(p=(0.0, 0.0, 0.0)), 2.0, FilterConfig(q=3.0))
+    assert (st.p_pp, st.p_pv, st.p_vv) == (8.0, 6.0, 6.0)
 
 
 def test_predict_moves_position_by_velocity():
     cfg = FilterConfig()
-    st = FilterState(np.array([49.0, 8.0, 1e-4, -2e-4]), np.eye(4))
+    st = state(e=10.0, n=-4.0, v_e=3.0, v_n=-2.0)
     out = predict(st, 2.0, cfg)
-    assert out.x[0] == pytest.approx(49.0 + 2e-4, abs=1e-15)
-    assert out.x[1] == pytest.approx(8.0 - 4e-4, abs=1e-15)
-    assert out.velocity() == st.velocity()
+    assert (out.e, out.n) == (16.0, -8.0)
+    assert (out.v_e, out.v_n) == (st.v_e, st.v_n)
+    assert out.origin == st.origin
 
 
 def test_update_with_diffuse_prior_lands_on_measurement():
-    cfg = FilterConfig()  # p0 1000, sigma_r 1e-4
+    cfg = FilterConfig()
     st = init_filter(GeoPoint(49.0, 8.0), cfg)
     z = GeoPoint(49.001, 8.002)
     post = update(st, z, cfg)
@@ -82,21 +92,19 @@ def test_update_shrinks_position_variance():
     cfg = FilterConfig()
     st = init_filter(GeoPoint(0.0, 0.0), cfg)
     post = update(st, GeoPoint(0.0, 0.0), cfg)
-    assert post.p[0, 0] < st.p[0, 0]
-    assert post.p[1, 1] < st.p[1, 1]
+    assert post.p_pp < st.p_pp
     # velocity is unobserved by a single update
-    assert post.p[2, 2] == pytest.approx(st.p[2, 2], rel=1e-12)
+    assert post.p_vv == st.p_vv
 
 
 def test_velocity_emerges_from_two_fixes():
-    cfg = FilterConfig(q_scale=0.0)
+    cfg = FilterConfig(q=0.0)
     z1 = GeoPoint(49.0, 8.0)
     z2 = GeoPoint(49.001, 8.0005)
     st = update(init_filter(z1, cfg), z1, cfg)
     st = step(st, z2, 1.0, cfg)
-    vlat, vlon = st.velocity()
-    assert vlat == pytest.approx(0.001, rel=1e-5)
-    assert vlon == pytest.approx(0.0005, rel=1e-5)
+    assert st.v_n == pytest.approx(0.001 * M_PER_DEG, rel=1e-5)
+    assert st.v_e == pytest.approx(0.0005 * M_PER_DEG * math.cos(math.radians(49.0)), rel=1e-5)
     assert st.position().lat == pytest.approx(z2.lat, abs=1e-8)
 
 
@@ -104,50 +112,46 @@ def test_step_is_predict_then_update():
     cfg = FilterConfig()
     st = update(init_filter(GeoPoint(49.0, 8.0), cfg), GeoPoint(49.0, 8.0), cfg)
     z = GeoPoint(49.0003, 8.0004)
-    a = step(st, z, 1.0, cfg)
-    b = update(predict(st, 1.0, cfg), z, cfg)
-    assert np.array_equal(a.x, b.x)
-    assert np.array_equal(a.p, b.p)
+    assert step(st, z, 1.0, cfg) == update(predict(st, 1.0, cfg), z, cfg)
 
 
 def outcome(fn):
     """The state a call returns, or the message of the ValueError it raises."""
     try:
-        st = fn()
+        return fn()
     except ValueError as exc:
         return str(exc)
-    return st.x.tolist(), st.p.tolist()
 
 
 def test_step_checks_the_prediction_as_predict_does():
-    # large covariances round f P f^T or the Joseph form out of symmetry,
-    # and a huge velocity overflows the prediction: step raises where
-    # update(predict(...)) does, with the same message, or returns its state
-    rng = np.random.default_rng(12)
+    # a huge velocity or covariance overflows the prediction: step raises
+    # where update(predict(...)) does, with the same message, or returns its state
     cfg = FilterConfig()
     z = GeoPoint(49.0, 8.0)
-    states = []
-    for scale in (1e3, 1e8, 1e10, 1e12):
-        a = rng.standard_normal((4, 4))
-        states.append((FilterState(np.array([49.0, 8.0, 1e-4, 1e-4]), a @ a.T * scale), 1.0))
-    states.append((FilterState(np.array([49.0, 8.0, 1e300, 0.0]), np.eye(4)), 1e10))
+    cases = [
+        (state(v_e=5.0, p=(1e3, 10.0, 1e2)), 1.0),
+        (state(p=(1e300, 1e300, 1e300)), 1e10),
+        (state(v_e=1e300), 1e10),
+    ]
     seen = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for st, dt in states:
-            got = outcome(lambda: step(st, z, dt, cfg))
-            assert got == outcome(lambda: update(predict(st, dt, cfg), z, cfg))
-            seen.append(got if isinstance(got, str) else "ok")
-    assert "ok" in seen and "state must be finite" in seen and any(s.startswith("covariance asymmetry") for s in seen)
+    for st, dt in cases:
+        got = outcome(lambda: step(st, z, dt, cfg))
+        assert got == outcome(lambda: update(predict(st, dt, cfg), z, cfg))
+        seen.append(got if isinstance(got, str) else "ok")
+    assert seen == ["ok", "state must be finite", "state must be finite"]
 
 
 def test_update_rejects_singular_innovation():
+    # sigma_r**2 underflows to 0, and the prior holds no position variance
     cfg = FilterConfig(sigma_r=1e-300)
-    st = FilterState(np.zeros(4), np.zeros((4, 4)))
-    with pytest.raises(SingularInnovationError):
-        update(st, GeoPoint(0.0, 0.0), cfg)
+    st = state(p=(0.0, 0.0, 0.0))
+    with pytest.raises(SingularInnovationError, match="innovation variance 0.0 is not positive"):
+        update(st, GeoPoint(49.0, 8.0), cfg)
 
 
 def test_covariance_stays_symmetric_psd():
+    # one covariance held as three floats is symmetric by construction;
+    # it stays positive semidefinite across a noisy track
     rng = np.random.default_rng(11)
     cfg = FilterConfig()
     st = init_filter(GeoPoint(49.0, 8.0), cfg)
@@ -156,65 +160,108 @@ def test_covariance_stays_symmetric_psd():
         lat += float(rng.normal(0, 1e-4))
         lon += float(rng.normal(0, 1e-4))
         st = step(st, GeoPoint(lat, lon), 1.0, cfg)
-        assert np.array_equal(st.p, st.p.T)
-        assert np.linalg.eigvalsh(st.p).min() > -1e-12
+        assert st.p_pp > 0.0 and st.p_vv > 0.0
+        assert np.linalg.eigvalsh([[st.p_pp, st.p_pv], [st.p_pv, st.p_vv]]).min() > 0.0
 
 
 def test_noiseless_track_error_decays_to_zero():
     # exact constant-velocity fixes with q = 0: a deliberately offset prior
     # is pulled onto the track and stays there
-    cfg = FilterConfig(sigma_r=1e-4, p0_scale=1000.0, q_scale=0.0)
-    dlat = 18.0 / 111_320.0
-    truth = [np.array([49.0 + i * dlat, 8.0, dlat, 0.0]) for i in range(12)]
-
-    x0 = truth[0] + np.array([5e-3, -5e-3, 0.0, 0.0])
-    state = FilterState(x0, np.eye(4) * cfg.p0_scale)
+    cfg = FilterConfig(q=0.0)
+    truth = [(0.0, 18.0 * i) for i in range(12)]
+    st = state(e=500.0, n=-500.0, p=(cfg.p0_scale, 0.0, cfg.p0_scale))
     errs = []
-    for t in truth:
-        state = step(state, GeoPoint(t[0], t[1]), 1.0, cfg)
-        errs.append(float(np.hypot(state.x[0] - t[0], state.x[1] - t[1])))
+    for e, n in truth:
+        st = step(st, fix(ORIGIN, e, n), 1.0, cfg)
+        errs.append(math.hypot(st.e - e, st.n - n))
 
     for prev, cur in zip(errs[2:], errs[3:]):
         assert cur <= prev * (1 + 1e-12)
-    assert errs[-1] < 1e-12
+    assert errs[-1] < 1e-6
+
+
+def test_uneven_gaps_with_exact_fixes_decay_to_zero():
+    # exact fixes on a 12 m/s north-east track 1, 2 and 5 s apart, twice
+    # over: the filter predicts across each measured gap, not one fixed step
+    cfg = FilterConfig()
+    t = np.cumsum([0.0, 1.0, 2.0, 5.0, 1.0, 2.0, 5.0])
+    track = [fix(ORIGIN, 10.0 + 12.0 * s, -3.0 + 5.0 * s) for s in t]
+    st = update(init_filter(track[0], cfg), track[0], cfg)
+    errs = []
+    for prev_t, cur_t, z in zip(t, t[1:], track[1:]):
+        st = step(st, z, float(cur_t - prev_t), cfg)
+        errs.append(haversine_m(st.position(), z))
+    assert errs[-1] < 1e-6 and max(errs[2:]) < 1e-3
+    assert (st.v_e, st.v_n) == pytest.approx((12.0, 5.0), rel=1e-6)
+    # a gap of 0 s is still no time step
+    with pytest.raises(ValueError, match="dt must be positive, got 0.0"):
+        step(st, track[-1], 0.0, cfg)
+
+
+def test_antimeridian_crossing_tracks_its_fixes():
+    # lon 179.9996 -> 179.9998 -> -179.9998 at 0, 1 and 3 s is 0.0002 deg/s
+    # due east across the antimeridian; a filter in degrees put the last
+    # estimate at lon -120.3, 6,638 km off
+    cfg = FilterConfig()
+    fixes = [(0.0, GeoPoint(49.0, 179.9996)), (1.0, GeoPoint(49.0, 179.9998)), (3.0, GeoPoint(49.0, -179.9998))]
+    st = update(init_filter(fixes[0][1], cfg), fixes[0][1], cfg)
+    for (t0, _), (t1, z) in zip(fixes, fixes[1:]):
+        st = step(st, z, t1 - t0, cfg)
+        assert haversine_m(st.position(), z) < 1.0
+    assert st.position().lon < -179.9
+    # and on along the same line: the next second lands at -179.9996
+    st = step(st, GeoPoint(49.0, -179.9996), 1.0, cfg)
+    assert haversine_m(st.position(), GeoPoint(49.0, -179.9996)) < 1.0
+
+
+@pytest.mark.parametrize("lat", [89.9, -89.9])
+def test_filter_tracks_near_a_pole(lat):
+    # 1 s fixes moving 10 m north-east (from the pole's view) at |lat| = 89.9,
+    # where a degree of longitude is 194 m
+    cfg = FilterConfig()
+    origin = GeoPoint(lat, 30.0)
+    track = [fix(origin, 7.0 * i, 7.0 * i) for i in range(8)]
+    st = update(init_filter(track[0], cfg), track[0], cfg)
+    for z in track[1:]:
+        st = step(st, z, 1.0, cfg)
+    assert haversine_m(st.position(), track[-1]) < 1e-3
+    assert (st.v_e, st.v_n) == pytest.approx((7.0, 7.0), rel=1e-6)
 
 
 def test_gain_limits():
-    cfg_base = dict(p0_scale=1000.0, q_scale=1e-10)
-    state = FilterState(np.array([49.0, 8.0, 1e-4, -1e-4]), np.eye(4) * 0.01)
-    z = GeoPoint(49.002, 8.001)
+    st = state(e=3.0, n=-2.0, v_e=1.0, v_n=-1.0, p=(100.0, 0.0, 100.0))
+    z = fix(ORIGIN, 40.0, 30.0)
 
     # tiny measurement noise: the posterior sits on the measurement
-    tight = update(predict(state, 1.0, FilterConfig(sigma_r=1e-9, **cfg_base)), z, FilterConfig(sigma_r=1e-9, **cfg_base))
-    assert tight.x[0] == pytest.approx(z.lat, abs=1e-9)
-    assert tight.x[1] == pytest.approx(z.lon, abs=1e-9)
+    tight_cfg = FilterConfig(sigma_r=1e-6, q=1.24)
+    tight = update(predict(st, 1.0, tight_cfg), z, tight_cfg)
+    assert (tight.e, tight.n) == pytest.approx((40.0, 30.0), abs=1e-6)
 
     # huge measurement noise: the posterior keeps the prediction
-    loose_cfg = FilterConfig(sigma_r=1e3, **cfg_base)
-    pred = predict(state, 1.0, loose_cfg)
+    loose_cfg = FilterConfig(sigma_r=1e8, q=1.24)
+    pred = predict(st, 1.0, loose_cfg)
     loose = update(pred, z, loose_cfg)
-    assert loose.x[0] == pytest.approx(pred.x[0], abs=1e-9)
-    assert loose.x[1] == pytest.approx(pred.x[1], abs=1e-9)
+    assert (loose.e, loose.n) == pytest.approx((pred.e, pred.n), abs=1e-6)
 
 
 def test_filter_beats_raw_measurements_on_noisy_track():
     # i.i.d. Gaussian position noise on a straight constant-velocity run:
     # by step 6 the filtered error must undercut the raw measurement error
-    cfg = FilterConfig(sigma_r=1e-4, p0_scale=1000.0, q_scale=1e-10)
-    dlat = 18.0 / 111_320.0
-    sigma_m = 1.5e-4  # ~17 m, the scale retrieval actually delivers
+    cfg = FilterConfig()
+    sigma_m = 17.0  # the scale retrieval actually delivers
     rng = np.random.default_rng(77)
 
     meas_err = np.empty(1000)
     est_err = np.empty(1000)
     for trial in range(1000):
-        state = None
+        st = None
         for i in range(6):
-            t = np.array([49.0 + i * dlat, 8.0])
+            t = np.array([0.0, 18.0 * i])
             z = t + rng.standard_normal(2) * sigma_m
-            zp = GeoPoint(z[0], z[1])
-            state = init_filter(zp, cfg) if state is None else step(state, zp, 1.0, cfg)
+            zp = fix(ORIGIN, *z)
+            st = init_filter(zp, cfg) if st is None else step(st, zp, 1.0, cfg)
         meas_err[trial] = np.hypot(*(z - t))
-        est_err[trial] = np.hypot(state.x[0] - t[0], state.x[1] - t[1])
+        est = st.position()
+        est_err[trial] = np.hypot(*(np.array(to_plane(ORIGIN, est.lat, est.lon)) - t))
 
     assert est_err.mean() < meas_err.mean()

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from vloc import pipeline
 from vloc.database import ScanConfig, scan
 from vloc.errors import NoMatchError
-from vloc.geodesy import GeoPoint, haversine_m
+from vloc.geodesy import M_PER_DEG, GeoPoint, haversine_m
 from vloc.kalman import FilterConfig, init_filter, step, update
 from vloc.matching import DESCRIPTOR_DIM, DescriptorSet, MatchConfig
 from vloc.pipeline import (
@@ -121,6 +123,22 @@ def test_velocity_is_per_second_at_any_query_spacing(world):
     a, b = position_at(cfg, T0_NS), position_at(cfg, T0_NS + 1_000_000_000)
     assert trace[-1].vel_lat_dps == pytest.approx(b.lat - a.lat, rel=1e-6)
     assert trace[-1].vel_lon_dps == pytest.approx(b.lon - a.lon, rel=1e-6)
+
+
+def test_a_drive_across_the_antimeridian_is_localized_end_to_end():
+    # 18 m/s due east from lon 179.9995 at 49 N crosses 180 two seconds in;
+    # queries from 1 s to 6 s match their own frames and the filter tracks them
+    cfg = WorldConfig(start_lon=179.9995, heading_deg=90.0, seed=11)
+    db = gen_world(cfg)
+    assert db.frames[0].geotag.lon > 179.0 and db.frames[-1].geotag.lon < -179.0
+    queries = gen_queries(db, T0_NS + 10**9, 6, 1.0, cfg)
+    trace = localize_sequence(db, queries, ScanConfig(), MatchConfig(), FilterConfig())
+    assert [db.frame_by_id(s.matched_frame_id).timestamp_ns for s in trace] == [q.timestamp_ns for q in queries]
+    assert [s.meas_err_m for s in trace] == [0.0] * 6
+    assert max(s.est_err_m for s in trace) < 1e-3
+    assert trace[0].estimate.lon > 179.0 and trace[-1].estimate.lon < -179.0
+    east_dps = cfg.speed_mps / (M_PER_DEG * math.cos(math.radians(cfg.start_lat)))
+    assert trace[-1].vel_lon_dps == pytest.approx(east_dps, rel=1e-6)
 
 
 @pytest.mark.parametrize("indices", [[10, 20, 20], [10, 20, 15]])
@@ -265,5 +283,7 @@ def test_estimates_replay_through_filter(world):
             state = update(init_filter(s.measurement, fcfg), s.measurement, fcfg)
         else:
             state = step(state, s.measurement, (s.query_ts - prev.query_ts) / 1e9, fcfg)
-        assert (state.x[0], state.x[1]) == (s.estimate.lat, s.estimate.lon)
-        assert (state.x[2], state.x[3]) == (s.vel_lat_dps, s.vel_lon_dps)
+        assert state.position() == s.estimate
+        # the filter's m/s in degrees per second at its origin
+        m_per_deg_lon = M_PER_DEG * math.cos(math.radians(state.origin.lat))
+        assert (state.v_n / M_PER_DEG, state.v_e / m_per_deg_lon) == (s.vel_lat_dps, s.vel_lon_dps)

@@ -6,7 +6,7 @@ import pytest
 
 from vloc import synthworld
 from vloc.database import ScanConfig
-from vloc.geodesy import haversine_m
+from vloc.geodesy import M_PER_DEG, haversine_m
 from vloc.kalman import FilterConfig
 from vloc.matching import MatchConfig
 from vloc.pipeline import evaluate
@@ -69,27 +69,35 @@ def test_world_config_takes_frame_timestamps_up_to_the_int64_edge():
 
 
 @pytest.mark.parametrize(
-    "start, heading_deg, edge, beyond",
+    "start, heading_deg, edge, beyond, wrapped",
     [
-        ((83.0, 8.4), 0.0, (90.0, 8.4), (83.5, 8.4)),
-        ((-83.0, 8.4), 180.0, (-90.0, 8.4), (-83.5, 8.4)),
-        ((0.0, 173.0), 90.0, (0.0, 180.0), (0.0, 173.5)),
-        ((0.0, -173.0), -90.0, (0.0, -180.0), (0.0, -173.5)),
+        ((83.0, 8.4), 0.0, (90.0, 8.4), (83.5, 8.4), None),
+        ((-83.0, 8.4), 180.0, (-90.0, 8.4), (-83.5, 8.4), None),
+        ((0.0, 173.0), 90.0, (0.0, 180.0), (0.0, 173.5), (0.0, -179.5)),
+        ((0.0, -173.0), -90.0, (0.0, -180.0), (0.0, -173.5), (0.0, 179.5)),
     ],
     ids=["north", "south", "east", "west"],
 )
-def test_world_config_takes_a_drive_up_to_the_edge_of_the_globe(start, heading_deg, edge, beyond):
+def test_world_config_takes_a_drive_up_to_the_edge_of_the_globe(start, heading_deg, edge, beyond, wrapped):
     # 1 degree per second for 7 s (8 frames at 1 Hz), from 7 degrees inside
-    # an edge: the last frame lands on it; from half a degree further out
-    # the drive is rejected
-    kw = dict(speed_mps=synthworld.METERS_PER_DEG, heading_deg=heading_deg, db_hz=1.0, duration_s=8.0)
+    # an edge: the last frame lands on it. From half a degree further out a
+    # drive past a pole is rejected, and one across the antimeridian wraps.
+    kw = dict(speed_mps=M_PER_DEG, heading_deg=heading_deg, db_hz=1.0, duration_s=8.0)
     db = gen_world(WorldConfig(start_lat=start[0], start_lon=start[1], **kw))
     assert (db._lat[-1], db._lon[-1]) == pytest.approx(edge, abs=1e-12)
     assert abs(db._lat[-1]) <= 90.0 and abs(db._lon[-1]) <= 180.0
-    message = f"speed_mps=111320.0, heading_deg={heading_deg} and duration_s=8.0 from {beyond} take the drive to ("
-    with pytest.raises(ValueError, match=re.escape(message)) as info:
-        WorldConfig(start_lat=beyond[0], start_lon=beyond[1], **kw)
-    assert str(info.value).endswith("outside latitude [-90, 90] or longitude [-180, 180]")
+    if wrapped is None:
+        message = f"speed_mps={M_PER_DEG}, heading_deg={heading_deg} and duration_s=8.0 from {beyond} take the drive to ("
+        with pytest.raises(ValueError, match=re.escape(message)) as info:
+            WorldConfig(start_lat=beyond[0], start_lon=beyond[1], **kw)
+        assert str(info.value).endswith("outside latitude [-90, 90] or longitude [-180, 180]")
+    else:
+        db = gen_world(WorldConfig(start_lat=beyond[0], start_lon=beyond[1], **kw))
+        assert (db._lat[-1], db._lon[-1]) == pytest.approx(wrapped, abs=1e-12)
+        assert np.all(np.abs(db._lon) <= 180.0)
+        # every second is a degree on the ground, across the antimeridian too
+        gaps = [haversine_m(a.geotag, b.geotag) for a, b in zip(db.frames, db.frames[1:])]
+        assert gaps == pytest.approx([M_PER_DEG] * 7, rel=1e-9)
 
 
 def test_world_config_rejects_a_start_off_the_globe():
@@ -144,10 +152,10 @@ def test_geotags_follow_straight_line():
     dlon = np.diff(lons)
     assert np.allclose(dlat, dlat[0], rtol=0, atol=1e-12)
     assert np.allclose(dlon, dlon[0], rtol=0, atol=1e-12)
-    # consecutive frames sit speed/db_hz apart on the ground; the degree
-    # conversion constant and the haversine sphere differ by ~0.1%
+    # consecutive frames sit speed/db_hz apart on the ground: the drive is
+    # laid out on haversine's own sphere, flat about its start
     gap = haversine_m(db.frames[0].geotag, db.frames[1].geotag)
-    assert gap == pytest.approx(cfg.speed_mps / cfg.db_hz, rel=3e-3)
+    assert gap == pytest.approx(cfg.speed_mps / cfg.db_hz, rel=1e-6)
 
 
 def test_position_at_matches_frame_geotags():
