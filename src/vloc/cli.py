@@ -50,8 +50,7 @@ def _add_match_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_scan_flags(p: argparse.ArgumentParser, default_exclusion) -> None:
-    _flag(p, "--window-s", ScanConfig.window_s, "search window half-width in seconds")
-    p.add_argument("--no-window", action="store_true", help="scan the whole database on every query")
+    _flag(p, "--window-s", ScanConfig.window_s, "search window half-width in seconds, inf = the whole database")
     p.add_argument(
         "--exclusion-s",
         type=float,
@@ -72,10 +71,9 @@ def _match_cfg(args) -> MatchConfig:
 
 
 def _scan_cfg(args) -> ScanConfig:
-    window = None if args.no_window else args.window_s
     if args.exclusion_s is not None and not args.exclusion_s >= 0:
         raise _UsageError(f"--exclusion-s must be 0 (off) or positive, got {args.exclusion_s}")
-    return ScanConfig(window_s=window, exclusion_s=args.exclusion_s or None)
+    return ScanConfig(window_s=args.window_s, exclusion_s=args.exclusion_s or None)
 
 
 def _filter_cfg(args) -> FilterConfig:

@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import DatabaseFormatError, EmptyCandidatesError, IngestError
 from .geodesy import GeoPoint
-from .matching import DESCRIPTOR_DIM, DescriptorSet, MatchConfig, _Candidates, _pack, best_match
+from .matching import DESCRIPTOR_DIM, DescriptorSet, MatchConfig, _Candidates, best_match
 
 logger = logging.getLogger(__name__)
 
@@ -207,7 +207,7 @@ class Database:
 
 
 class _Frames(Sequence):
-    """A database's frames; indexing, slicing or iterating builds GeoFrames of its columns."""
+    """A database's frames; indexing, slicing or iterating builds GeoFrames of its columns (Database._frame)."""
 
     __slots__ = ("_db",)
 
@@ -222,11 +222,25 @@ class _Frames(Sequence):
             return tuple(map(self._db._frame, range(*i.indices(len(self)))))
         return self._db._frame(i)
 
-    def __iter__(self) -> Iterator[GeoFrame]:
-        db = self._db
-        columns = (db._ids, db._timestamps, db._lat, db._lon, db._starts, db._stops)
-        for fid, ts, lat, lon, a, b in zip(*(c.tolist() for c in columns)):
-            yield GeoFrame(fid, ts, GeoPoint(lat, lon), db._block._window(a, b))
+
+def _pack(sets: Sequence[DescriptorSet]) -> tuple[DescriptorSet, np.ndarray, np.ndarray]:
+    """One block and each set's rows of it, set i being rows starts[i]:stops[i].
+
+    Zero-copy when the sets are windows of one block whose starts do not
+    decrease, as a drive's frames are of its landmark pool and a loaded
+    database's of its descriptor block. Otherwise the sets' rows are copied,
+    in order, into a new block, where each set's rows follow the last's.
+    """
+    n = len(sets)
+    starts = np.fromiter((s._start for s in sets), dtype=np.int64, count=n)
+    widths = np.fromiter(map(len, sets), dtype=np.int64, count=n)
+    root = sets[0]._block if n else DescriptorSet.empty()
+    if all(s._block is root for s in sets) and not (starts[1:] < starts[:-1]).any():
+        return root, starts, starts + widths
+    block = np.concatenate([s.array for s in sets])
+    block.setflags(write=False)
+    stops = np.cumsum(widths)
+    return DescriptorSet._wrap(block), stops - widths, stops
 
 
 def _int_column(values: list, dtype, ids: list, name: str) -> np.ndarray:
@@ -560,8 +574,11 @@ def ingest_kitti(root) -> Database:
 
     Expects oxts/timestamps.txt, oxts/data/<index>.txt (lat and lon in the
     first two fields) and descriptors/<index>.desc, one of each per frame.
-    The oxts records are authoritative for timestamps and geotags; only the
-    descriptor payload of each .desc file is used.
+    Line i of timestamps.txt belongs to the i-th frame in numeric index
+    order, so indices need not be zero-padded; two file names of one index
+    (1 and 01) are rejected. The oxts records are authoritative for
+    timestamps and geotags; only the descriptor payload of each .desc file
+    is used.
     """
     root = Path(root)
     ts_path = root / "oxts" / "timestamps.txt"
@@ -574,24 +591,28 @@ def ingest_kitti(root) -> Database:
             raise FileNotFoundError(f"missing directory {d}")
 
     lines = [ln for ln in ts_path.read_text().splitlines() if ln.strip()]
-    data_files = sorted(data_dir.glob("*.txt"))
-    desc_files = sorted(desc_dir.glob("*.desc"))
-    data_stems, desc_stems = {p.stem for p in data_files}, {p.stem for p in desc_files}
+    data_stems = {p.stem for p in data_dir.glob("*.txt")}
+    desc_stems = {p.stem for p in desc_dir.glob("*.desc")}
     if data_stems != desc_stems:
         index = min(data_stems ^ desc_stems)
         has, lacks = ("an oxts record", "descriptor file") if index in data_stems else ("a descriptor file", "oxts record")
         raise IngestError(f"frame {index}: {has} but no {lacks}")
-    if len(lines) != len(data_files):
-        raise IngestError(f"count mismatch: {len(lines)} timestamps for {len(data_files)} frames")
-
-    frames = []
-    for line, data_path, desc_path in zip(lines, data_files, desc_files):
-        index = data_path.stem
+    for index in sorted(data_stems):
         if not (index.isascii() and index.isdigit() and int(index) < 2**64):
             raise IngestError(f"frame {index}: file name is not a frame index in [0, 2**64)")
+    # numeric order, which string order is only for stems of one width
+    stems = sorted(sorted(data_stems), key=int)
+    for a, b in zip(stems, stems[1:]):
+        if int(a) == int(b):
+            raise IngestError(f"frames {a} and {b}: two file names for frame index {int(a)}")
+    if len(lines) != len(stems):
+        raise IngestError(f"count mismatch: {len(lines)} timestamps for {len(stems)} frames")
+
+    frames = []
+    for line, index in zip(lines, stems):
         where = f"frame {index}"
         ts = _parse_kitti_timestamp(line, where)
-        frames.append((int(index), ts, _parse_oxts_latlon(data_path, index), desc_path, where))
+        frames.append((int(index), ts, _parse_oxts_latlon(data_dir / f"{index}.txt", index), desc_dir / f"{index}.desc", where))
     db = _ingest(frames, source=str(root), camera="kitti")
     logger.info("ingested %d KITTI frames from %s", len(db), root)
     return db
@@ -601,16 +622,26 @@ def _ingest(frames: list[tuple], source: str, camera: str) -> Database:
     """A database of (frame_id, timestamp_ns, geotag, .desc path, where) frames.
 
     The frames are sorted first and their descriptors read in that order
-    into one block, so each frame is a window of it that the Database keeps
-    as it is. Only the payload of each .desc file is used; a file that
-    cannot be read raises IngestError naming its frame's where.
+    into one block, which the database keeps as it is, each frame's rows
+    being those its .desc payload was read into. Only the payload of each
+    .desc file is used; a file that cannot be read raises IngestError
+    naming its frame's where.
     """
     frames = sorted(frames, key=lambda f: (f[1], f[0]))
     records, block = _read_desc_files(
         [f[3] for f in frames], lambda i, exc: IngestError(f"{frames[i][4]}: unreadable descriptors: {exc}")
     )
-    windows = [block._window(start, stop) for *_, start, stop in records]
-    return Database([GeoFrame(*f[:3], w) for f, w in zip(frames, windows)], source=source, camera=camera)
+    return Database._from_columns(
+        [f[0] for f in frames],
+        [f[1] for f in frames],
+        [f[2].lat for f in frames],
+        [f[2].lon for f in frames],
+        block,
+        [r[4] for r in records],
+        [r[5] for r in records],
+        source=source,
+        camera=camera,
+    )
 
 
 def _manifest_text(path: Path, error) -> str:

@@ -28,7 +28,6 @@ scored.
 import logging
 import math
 import threading
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -180,32 +179,15 @@ class MatchConfig:
             raise ValueError(f"tau2 must be in (-1, 1], got {self.tau2}")
 
 
-def _pack(sets: Sequence[DescriptorSet]) -> tuple[DescriptorSet, np.ndarray, np.ndarray]:
-    """One block and each set's rows of it, set i being rows starts[i]:stops[i].
-
-    Zero-copy when the sets are windows of one block whose starts do not
-    decrease, as a drive's frames are of its landmark pool and a loaded
-    database's of its descriptor block. Otherwise the sets' rows are copied,
-    in order, into a new block, where each set's rows follow the last's.
-    """
-    n = len(sets)
-    starts = np.fromiter((s._start for s in sets), dtype=np.int64, count=n)
-    widths = np.fromiter(map(len, sets), dtype=np.int64, count=n)
-    root = sets[0]._block if n else DescriptorSet.empty()
-    if all(s._block is root for s in sets) and not (starts[1:] < starts[:-1]).any():
-        return root, starts, starts + widths
-    block = np.concatenate([s.array for s in sets])
-    block.setflags(write=False)
-    stops = np.cumsum(widths)
-    return DescriptorSet._wrap(block), stops - widths, stops
-
-
-class _Candidates(Sequence):
+class _Candidates:
     """Frames to score as columns: frame i has id ids[i] and rows starts[i]:stops[i] of block.
 
-    Starts do not decrease. Read as a sequence, it is the (frame_id,
-    DescriptorSet) pairs best_match takes, each set a window of the block
-    made when it is read; best_match itself reads the columns.
+    Ids are uint64 and starts do not decrease. best_match reads the
+    columns only. __len__ and __iter__, which yields (int frame_id,
+    DescriptorSet) pairs, each set a window of the block made as it is
+    read, are the contract of bench/tracer.py, which wraps best_match and
+    counts the candidates and sums their rows through them. They can go
+    once the tracer stops wrapping best_match.
     """
 
     __slots__ = ("ids", "block", "starts", "stops")
@@ -215,9 +197,6 @@ class _Candidates(Sequence):
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __getitem__(self, i: int) -> tuple[int, DescriptorSet]:
-        return int(self.ids[i]), self.block._window(int(self.starts[i]), int(self.stops[i]))
 
     def __iter__(self) -> Iterator[tuple[int, DescriptorSet]]:
         for fid, a, b in zip(self.ids.tolist(), self.starts.tolist(), self.stops.tolist()):
@@ -502,25 +481,20 @@ def count_correspondences(query: DescriptorSet, frame: DescriptorSet, cfg: Match
         return 0
     if len(frame) < 2:
         raise FrameTooSmallError(f"frame has {len(frame)} descriptors, ratio test needs at least 2")
-    return int(_counts(query, *_pack([frame]), cfg)[0])
+    return int(_counts(query, frame, np.array([0]), np.array([len(frame)]), cfg)[0])
 
 
-def best_match(
-    query: DescriptorSet,
-    candidates: Sequence[tuple[int, DescriptorSet]],
-    cfg: MatchConfig,
-) -> tuple[int, int]:
+def best_match(query: DescriptorSet, candidates: _Candidates, cfg: MatchConfig) -> tuple[int, int]:
     """Pick the candidate frame with the most correspondences.
 
     Parameters
     ----------
     query : DescriptorSet
         Query image descriptors.
-    candidates : sequence of (frame_id, DescriptorSet)
-        Frames to score. Frames with fewer than two descriptors are scored
-        zero (the ratio test is undefined for them) and logged. A scan's
-        candidates are read as columns; the rows of any other sequence are
-        packed first (_pack).
+    candidates : _Candidates
+        Frames to score, as a scan's columns. Frames with fewer than two
+        descriptors are scored zero (the ratio test is undefined for them)
+        and logged.
     cfg : MatchConfig
 
     Returns
@@ -531,11 +505,7 @@ def best_match(
     """
     if len(candidates) == 0:
         raise EmptyCandidatesError("best_match needs at least one candidate frame")
-    if isinstance(candidates, _Candidates):
-        ids, block, starts, stops = candidates.ids, candidates.block, candidates.starts, candidates.stops
-    else:
-        ids, sets = zip(*candidates)
-        block, starts, stops = _pack(sets)
+    block, starts, stops = candidates.block, candidates.starts, candidates.stops
     scored = stops - starts >= 2
     if scored.all():
         counts = _counts(query, block, starts, stops, cfg) if len(query) else np.zeros(len(scored), dtype=np.int64)
@@ -546,6 +516,4 @@ def best_match(
             counts[scored] = _counts(query, block, starts[scored], stops[scored], cfg)
 
     top = np.flatnonzero(counts == counts.max())
-    # scan ids are uint64; any other ids are Python ints of any size
-    fid = ids[top].min() if isinstance(ids, np.ndarray) else min(ids[i] for i in top)
-    return int(fid), int(counts[top[0]])
+    return int(candidates.ids[top].min()), int(counts[top[0]])

@@ -295,10 +295,12 @@ def run_monte_carlo(
     if workers == 1:
         meas, est = _run_trials((*cfgs, 0, trials))
     else:
-        max_workers = workers if workers > 0 else (os.cpu_count() or 1)
+        # no more processes than cores or batches: a pool starts all of its processes at the first submit
+        cores = os.cpu_count() or 1
+        max_workers = min(workers, cores) if workers > 0 else cores
         size = max(1, trials // (4 * max_workers))
         batches = [(*cfgs, lo, min(lo + size, trials)) for lo in range(0, trials, size)]
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(max_workers, len(batches))) as pool:
             parts = list(pool.map(_run_trials, batches))
         meas = np.concatenate([m for m, _ in parts])
         est = np.concatenate([e for _, e in parts])

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from candidates import as_candidates
 from vloc.cli import main
 from vloc.database import Database, GeoFrame, ScanConfig, ingest_kitti, load_db, save_db, scan, write_desc_file
 from vloc.geodesy import M_PER_DEG as SPHERE_M_PER_DEG, GeoPoint, haversine_m, to_plane
@@ -81,7 +82,7 @@ def test_criterion_01_matching_oracle_equivalence():
             f32 = f.astype(np.float32)
             candidates.append((int(fid), DescriptorSet(f32)))
             arrays.append((int(fid), f32.astype(np.float64)))
-        got = best_match(DescriptorSet(q), candidates, cfg)
+        got = best_match(DescriptorSet(q), as_candidates(candidates), cfg)
         want = _naive_best(q.astype(np.float32).astype(np.float64), arrays, cfg.tau1, cfg.tau2)
         if got != want:
             mismatches += 1

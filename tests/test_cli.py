@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from vloc import synthworld
-from vloc.cli import _scan_cfg, build_parser, main
-from vloc.database import CSV_MANIFEST_HEADER, Database, GeoFrame, load_db, save_db, write_desc_file
+from vloc.cli import _read_query_manifest, _scan_cfg, _write_trace_csv, build_parser, main
+from vloc.database import CSV_MANIFEST_HEADER, Database, GeoFrame, ScanConfig, load_db, save_db, write_desc_file
 from vloc.geodesy import GeoPoint
 from vloc.kalman import FilterConfig
 from vloc.matching import DESCRIPTOR_DIM, DescriptorSet, MatchConfig
+from vloc.pipeline import localize_sequence
 from vloc.synthworld import WorldConfig
 
 
@@ -46,6 +47,15 @@ def test_build_db_from_csv(dataset, capsys):
     db = load_db(db_path)
     assert len(db) == 6
     assert db.frames[2].geotag == frames[2].geotag
+
+
+def test_build_db_from_a_manifest_of_no_frames(tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(",".join(CSV_MANIFEST_HEADER) + "\n")
+    db_path = tmp_path / "empty.vldb"
+    assert main(["build-db", "--csv", str(manifest), "--out", str(db_path)]) == 0
+    assert capsys.readouterr().out == f"wrote 0 frames to {db_path}\n"
+    assert len(load_db(db_path)) == 0
 
 
 def test_build_db_requires_exactly_one_source(dataset, capsys):
@@ -184,6 +194,27 @@ def test_query_end_to_end(dataset, capsys):
     first = rows[1].split(",")
     assert first[2] == "1"
     assert float(first[9]) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_query_window_of_inf_scans_the_whole_database(dataset, capsys):
+    # queries copying frames 5, 0 and 3, 2.5 s apart on the drive: a 1 s
+    # window centered on frame 5 cannot reach frame 0, an infinite one can
+    tmp_path, manifest, frames = dataset
+    db_path = build_db(dataset)
+    qlines = ["timestamp_ns,descriptor_path"]
+    for step, i in enumerate((5, 0, 3)):
+        write_desc_file(tmp_path / f"q{i}.desc", GeoFrame(100 + i, 0, frames[i].geotag, frames[i].descriptors))
+        qlines.append(f"{step * 10**9},q{i}.desc")
+    qmanifest = tmp_path / "queries.csv"
+    qmanifest.write_text("".join(line + "\n" for line in qlines))
+    whole = localize_sequence(load_db(db_path), _read_query_manifest(qmanifest), ScanConfig(window_s=None), MatchConfig(), FilterConfig())
+    assert [s.matched_frame_id for s in whole] == [5, 0, 3]
+    want = _write_trace_csv(whole, tmp_path).read_bytes()
+    args = ["query", "--db", str(db_path), "--queries", str(qmanifest), "--out-dir", str(tmp_path / "out"), "--window-s"]
+    assert main(args + ["inf"]) == 0
+    assert (tmp_path / "out" / "trace.csv").read_bytes() == want
+    assert main(args + ["1"]) == 1
+    assert "step 2: no correspondences" in capsys.readouterr().err
 
 
 def test_query_empty_manifest_is_usage_error(dataset, capsys):

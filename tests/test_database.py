@@ -11,6 +11,7 @@ from vloc.database import (
     Database,
     GeoFrame,
     ScanConfig,
+    _pack,
     ingest_csv,
     ingest_kitti,
     load_db,
@@ -21,7 +22,7 @@ from vloc.database import (
 )
 from vloc.errors import DatabaseFormatError, EmptyCandidatesError, IngestError
 from vloc.geodesy import GeoPoint
-from vloc.matching import _E_BYTES, DESCRIPTOR_DIM, DescriptorSet, MatchConfig, _counts, _pack, best_match
+from vloc.matching import _E_BYTES, DESCRIPTOR_DIM, DescriptorSet, MatchConfig, _counts, best_match
 from vloc.kalman import FilterConfig
 from vloc.synthworld import T0_NS, WorldConfig, _run_trial, _trial_seed, gen_queries, gen_world
 
@@ -261,8 +262,8 @@ def test_scan_filters_like_a_list_filter_at_every_boundary(monkeypatch):
     seen = []
 
     def record(query, candidates, cfg):
-        seen.append([fid for fid, _ in candidates])
-        return candidates[0][0], 0
+        seen.append(candidates.ids.tolist())
+        return int(candidates.ids[0]), 0
 
     monkeypatch.setattr(database, "best_match", record)
     # every frame's time and its neighbours, and times outside the drive
@@ -472,6 +473,48 @@ def test_ingest_kitti_rejects_frame_indices_outside_the_file_format(tmp_path, st
         (tmp_path / sub / f"{0:010d}.{ext}").rename(tmp_path / sub / f"{stem}.{ext}")
     with pytest.raises(IngestError, match=f"frame {stem}: file name is not a frame index"):
         ingest_kitti(tmp_path)
+
+
+def test_ingest_kitti_pairs_each_timestamp_with_its_frame_in_numeric_order(tmp_path):
+    # unpadded indices 0-11, whose string order (0, 1, 10, 11, 2, ...) is
+    # not their frame order; line i of timestamps.txt is frame i, 1 s apart
+    rng = np.random.default_rng(34)
+    coords = [(49.0 + i * 1e-4, 8.0) for i in range(12)]
+    stamps = [f"2011-09-26 13:02:{25 + i}.5" for i in range(12)]
+    write_kitti_tree(tmp_path, stamps, coords, [DescriptorSet(unit_rows(rng, 4)) for _ in coords])
+    for sub, ext in (("oxts/data", "txt"), ("descriptors", "desc")):
+        for i in range(12):
+            (tmp_path / sub / f"{i:010d}.{ext}").rename(tmp_path / sub / f"{i}.{ext}")
+    db = ingest_kitti(tmp_path)
+    t0 = db.frames[0].timestamp_ns
+    assert [(f.frame_id, f.timestamp_ns - t0, (f.geotag.lat, f.geotag.lon)) for f in db] == [
+        (i, i * 10**9, coords[i]) for i in range(12)
+    ]
+
+
+def test_ingest_kitti_rejects_two_file_names_of_one_frame_index(tmp_path):
+    rng = np.random.default_rng(35)
+    write_kitti_tree(tmp_path, FIXTURE_STAMPS, FIXTURE_GEO, [DescriptorSet(unit_rows(rng, 4)) for _ in FIXTURE_GEO])
+    for sub, ext in (("oxts/data", "txt"), ("descriptors", "desc")):
+        (tmp_path / sub / f"1.{ext}").write_bytes((tmp_path / sub / f"{2:010d}.{ext}").read_bytes())
+        (tmp_path / sub / f"{2:010d}.{ext}").unlink()
+        (tmp_path / sub / f"01.{ext}").write_bytes((tmp_path / sub / f"{1:010d}.{ext}").read_bytes())
+    with pytest.raises(IngestError, match="^frames 0000000001 and 01: two file names for frame index 1$"):
+        ingest_kitti(tmp_path)
+
+
+def test_ingest_of_no_frames_is_an_empty_database(tmp_path):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(",".join(CSV_MANIFEST_HEADER) + "\n")
+    write_kitti_tree(tmp_path / "kitti", [], [], [])
+    for db, camera in ((ingest_csv(manifest), ""), (ingest_kitti(tmp_path / "kitti"), "kitti")):
+        assert (len(db), list(db), db.camera) == (0, [], camera)
+        path = tmp_path / f"{camera or 'csv'}.vldb"
+        save_db(db, path)
+        loaded = load_db(path)
+        assert (len(loaded), loaded.camera) == (0, camera)
+        save_db(loaded, tmp_path / "again.vldb")
+        assert (tmp_path / "again.vldb").read_bytes() == path.read_bytes()
 
 
 def test_ingest_csv_round_trip(tmp_path):
@@ -788,8 +831,9 @@ def test_frame_ids_above_int64_survive_save_load_and_scan(tmp_path):
 
 def test_scan_hands_best_match_one_sequence_of_candidate_pairs(monkeypatch):
     # the contract the benchmark's tracer relies on: one call per scan, with
-    # a sequence as long as the candidates, of (int id, DescriptorSet)
-    # pairs holding the candidates' rows, returning (frame_id, count)
+    # candidates whose len is their count and whose iteration yields
+    # (int id, DescriptorSet) pairs holding their rows, returning
+    # (frame_id, count)
     world = gen_world(WorldConfig())
     query = gen_queries(world, T0_NS + 4 * 10**9, 1, 1.0, WorldConfig())[0]
     calls = []
@@ -815,7 +859,7 @@ def test_scan_hands_best_match_one_sequence_of_candidate_pairs(monkeypatch):
         assert all(type(fid) is int and isinstance(ds, DescriptorSet) for fid, ds in pairs)
         assert [fid for fid, _ in pairs] == [f.frame_id for f in want]
         assert sum(len(ds) for _, ds in candidates) == sum(len(f.descriptors) for f in want)
-        assert candidates[3][0] == want[3].frame_id and np.array_equal(candidates[3][1].array, want[3].descriptors.array)
+        assert pairs[3][0] == want[3].frame_id and np.array_equal(pairs[3][1].array, want[3].descriptors.array)
         assert type(result) is tuple and result == (frame.frame_id, count)
 
 

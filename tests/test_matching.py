@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from candidates import as_candidates
 from vloc import matching
+from vloc.database import _pack
 from vloc.errors import EmptyCandidatesError, FrameTooSmallError
 from vloc.matching import (
     DESCRIPTOR_DIM,
@@ -18,7 +20,6 @@ from vloc.matching import (
     _gate_bound,
     _held_pairs,
     _matched,
-    _pack,
     _screen,
     best_match,
     count_correspondences,
@@ -246,19 +247,19 @@ def test_best_match_prefers_higher_count_then_lower_id():
     partial = DescriptorSet(np.vstack([base[:6], unit_rows(rng, 6)]))
     query = DescriptorSet(noisy)
 
-    fid, count = best_match(query, [(7, partial), (3, full)], MatchConfig())
+    fid, count = best_match(query, as_candidates([(7, partial), (3, full)]), MatchConfig())
     assert fid == 3
     assert count == 12
 
     # identical frames: the lower id wins the tie
-    fid, _ = best_match(query, [(9, full), (2, full)], MatchConfig())
+    fid, _ = best_match(query, as_candidates([(9, full), (2, full)]), MatchConfig())
     assert fid == 2
 
 
 def test_best_match_skips_tiny_frames(caplog):
     rng = np.random.default_rng(7)
     tiny = DescriptorSet(unit_rows(rng, 1))
-    fid, count = best_match(DescriptorSet(unit_rows(rng, 3)), [(1, tiny)], MatchConfig())
+    fid, count = best_match(DescriptorSet(unit_rows(rng, 3)), as_candidates([(1, tiny)]), MatchConfig())
     assert (fid, count) == (1, 0)
     # tiny frames among scored ones: logged, scored zero, the rest scored
     # as on their own
@@ -266,23 +267,23 @@ def test_best_match_skips_tiny_frames(caplog):
     query = DescriptorSet(base + rng.standard_normal(base.shape) * 0.01)
     frames = [(5, tiny), (4, DescriptorSet(base[:5])), (3, DescriptorSet.empty()), (2, DescriptorSet(base))]
     caplog.clear()
-    assert best_match(query, frames, MatchConfig()) == (2, 8)
-    assert best_match(query, frames[:3], MatchConfig()) == (4, 5)
+    assert best_match(query, as_candidates(frames), MatchConfig()) == (2, 8)
+    assert best_match(query, as_candidates(frames[:3]), MatchConfig()) == (4, 5)
     assert [r.getMessage() for r in caplog.records] == ["skipped 2 candidate frame(s) with fewer than 2 descriptors"] * 2
 
 
 def test_best_match_rejects_empty_candidates():
     rng = np.random.default_rng(8)
     with pytest.raises(EmptyCandidatesError):
-        best_match(DescriptorSet(unit_rows(rng, 3)), [], MatchConfig())
+        best_match(DescriptorSet(unit_rows(rng, 3)), as_candidates([]), MatchConfig())
 
 
 def test_best_match_order_independent():
     rng = np.random.default_rng(9)
     frames = [(i, DescriptorSet(unit_rows(rng, int(rng.integers(2, 15))))) for i in range(8)]
     query = DescriptorSet(frames[5][1].array + rng.standard_normal((len(frames[5][1]), DESCRIPTOR_DIM)).astype(np.float32) * np.float32(0.01))
-    forward = best_match(query, frames, MatchConfig())
-    backward = best_match(query, list(reversed(frames)), MatchConfig())
+    forward = best_match(query, as_candidates(frames), MatchConfig())
+    backward = best_match(query, as_candidates(reversed(frames)), MatchConfig())
     assert forward == backward
 
 
@@ -293,8 +294,8 @@ def test_ragged_and_uniform_batches_agree():
     query = DescriptorSet(base + rng.standard_normal(base.shape) * 0.01)
     uniform = [(i, DescriptorSet(np.vstack([base[i : i + 10], unit_rows(rng, 10)]))) for i in range(4)]
     ragged = uniform + [(99, DescriptorSet(unit_rows(rng, 7)))]
-    u_fid, u_count = best_match(query, uniform, MatchConfig())
-    r_fid, r_count = best_match(query, ragged, MatchConfig())
+    u_fid, u_count = best_match(query, as_candidates(uniform), MatchConfig())
+    r_fid, r_count = best_match(query, as_candidates(ragged), MatchConfig())
     assert (u_fid, u_count) == (r_fid, r_count)
 
 
@@ -437,7 +438,7 @@ def test_windows_of_one_block_score_like_independent_copies(tau1, tau2, chunk_co
         for i in at:
             assert got[i] == naive_count(query.array.astype(np.float64), sets[i].array.astype(np.float64), cfg.tau1, cfg.tau2)
         ids = list(range(len(sets)))
-        assert best_match(query, list(zip(ids, sets)), cfg) == best_match(query, list(zip(ids, copies)), cfg)
+        assert best_match(query, as_candidates(zip(ids, sets)), cfg) == best_match(query, as_candidates(zip(ids, copies)), cfg)
 
 
 def test_gap_rows_match_for_no_frame(monkeypatch):

@@ -317,3 +317,35 @@ def test_parallel_matches_serial():
     assert np.array_equal(serial.mean_meas_m, parallel.mean_meas_m)
     assert np.array_equal(serial.mean_est_m, parallel.mean_est_m)
     assert np.array_equal(serial.std_est_m, parallel.std_est_m)
+
+
+def test_monte_carlo_starts_no_more_processes_than_cores_or_batches(monkeypatch):
+    # a pool forks every one of its processes at the first submit, so
+    # --workers 5000 for one trial would fork 5000; a serial stand-in
+    # records the pool size asked for and starts none
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, batches):
+            return map(fn, batches)
+
+    monkeypatch.setattr(synthworld, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(synthworld.os, "cpu_count", lambda: 4)
+    args = (WorldConfig(seed=9, keypoints_per_frame=8), ScanConfig(window_s=20.0, exclusion_s=1.0), MatchConfig(), FilterConfig())
+    # (workers, trials, processes): 16 trials make 16 one-trial batches on 4 cores
+    for workers, trials, processes in ((5000, 1, 1), (5000, 3, 3), (5000, 16, 4), (0, 16, 4), (2, 3, 2)):
+        got = run_monte_carlo(*args, trials=trials, steps=3, workers=workers)
+        assert sizes.pop() == processes, (workers, trials)
+        want = run_monte_carlo(*args, trials=trials, steps=3, workers=1)
+        for name in ("mean_meas_m", "std_meas_m", "mean_est_m", "std_est_m"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (workers, trials, name)
+    assert sizes == []
