@@ -9,7 +9,7 @@ import inspect
 import sys
 from pathlib import Path
 
-from .database import ScanConfig, _manifest_rows, ingest_csv, ingest_kitti, load_db, read_desc_file, save_db
+from .database import ScanConfig, _manifest_rows, _read_desc_files, ingest_csv, ingest_kitti, load_db, save_db
 from .errors import DatabaseFormatError, VlocError
 from .geodesy import GeoPoint
 from .kalman import FilterConfig
@@ -114,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     _flag(p_sim, "--seed", WorldConfig.seed, "master seed")
     _flag(p_sim, "--steps", mc["steps"].default, "queries per drive")
     _flag(p_sim, "--period-s", mc["period_s"].default, "query spacing in seconds")
-    _flag(p_sim, "--workers", mc["workers"].default, "worker processes, 0 = all cores")
     _flag(p_sim, "--out-dir", ".", "directory for errors.csv / errors.svg")
     _flag(p_sim, "--speed-mps", WorldConfig.speed_mps, "vehicle speed")
     _flag(p_sim, "--heading-deg", WorldConfig.heading_deg, "drive heading")
@@ -157,11 +156,9 @@ def _parse_query_row(row: list[str], where: str, base: Path) -> Query:
             except ValueError as exc:
                 raise _UsageError(f"{where}: bad truth: {exc}") from None
     desc_path = base / row[1]
-    try:
-        record = read_desc_file(desc_path)
-    except (DatabaseFormatError, OSError, ValueError) as exc:
-        raise DatabaseFormatError(f"{where}: {desc_path.name}: {exc}") from None
-    return Query(record.descriptors, ts, truth)
+    # only the payload is used; the header's frame id, time and geotag are ignored
+    _, payload = _read_desc_files([desc_path], lambda i, exc: DatabaseFormatError(f"{where}: {desc_path.name}: {exc}"))
+    return Query(payload, ts, truth)
 
 
 def _read_query_manifest(path: Path) -> list[Query]:
@@ -238,8 +235,6 @@ def _cmd_simulate(args) -> int:
         raise _UsageError(f"--trials must be positive, got {args.trials}")
     if args.steps < 1:
         raise _UsageError(f"--steps must be positive, got {args.steps}")
-    if args.workers < 0:
-        raise _UsageError(f"--workers must be 0 (all cores) or positive, got {args.workers}")
     world = WorldConfig(
         speed_mps=args.speed_mps,
         heading_deg=args.heading_deg,
@@ -259,7 +254,6 @@ def _cmd_simulate(args) -> int:
         trials=args.trials,
         steps=args.steps,
         period_s=args.period_s,
-        workers=args.workers,
     )
     print(f"{args.trials} trials, {stats.n_steps} steps")
     print(f"{'step':>4} {'mean_meas_m':>12} {'std_meas_m':>12} {'mean_est_m':>12} {'std_est_m':>12}")

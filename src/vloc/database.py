@@ -100,8 +100,10 @@ class GeoFrame:
     descriptors: DescriptorSet
 
     def __post_init__(self):
-        if self.frame_id < 0:
-            raise ValueError(f"frame_id must be non-negative, got {self.frame_id}")
+        if not 0 <= self.frame_id < 2**64:
+            raise ValueError(f"frame_id {self.frame_id} outside the uint64 range")
+        if not _I64_MIN <= self.timestamp_ns <= _I64_MAX:
+            raise ValueError(f"frame {self.frame_id}: timestamp_ns {self.timestamp_ns} outside the int64 range")
 
 
 class Database:
@@ -118,10 +120,9 @@ class Database:
 
     def __init__(self, frames: Iterable[GeoFrame], source: str = "", camera: str = ""):
         frames = sorted(frames, key=lambda f: (f.timestamp_ns, f.frame_id))
-        ids = [f.frame_id for f in frames]
         self._init(
-            _int_column(ids, np.uint64, ids, "frame_id"),
-            _int_column([f.timestamp_ns for f in frames], np.int64, ids, "timestamp_ns"),
+            [f.frame_id for f in frames],
+            [f.timestamp_ns for f in frames],
             [f.geotag.lat for f in frames],
             [f.geotag.lon for f in frames],
             *_pack([f.descriptors for f in frames]),
@@ -141,8 +142,9 @@ class Database:
 
         The columns are sorted and frozen. Frames whose starts decrease once
         sorted have their rows copied, in frame order, into a new block
-        (_pack). Raises ValueError for a duplicate id or a geotag GeoPoint
-        rejects.
+        (_pack). Raises ValueError for a duplicate id. The geotags are not
+        checked here: every caller has built them as GeoPoints or checked
+        them (_check_geotags).
         """
         ids, timestamps = np.ascontiguousarray(ids, dtype=np.uint64), np.ascontiguousarray(timestamps, dtype=np.int64)
         lat, lon = np.ascontiguousarray(lat, dtype=np.float64), np.ascontiguousarray(lon, dtype=np.float64)
@@ -158,7 +160,6 @@ class Database:
         twin = np.flatnonzero(sorted_ids[1:] == sorted_ids[:-1])
         if twin.size:
             raise ValueError(f"duplicate frame_id {sorted_ids[twin[0]]}")
-        _check_geotags(ids, lat, lon)
         for col in (ids, timestamps, lat, lon, starts, stops, id_order, sorted_ids):
             col.setflags(write=False)
         self._ids, self._timestamps, self._lat, self._lon = ids, timestamps, lat, lon
@@ -241,16 +242,6 @@ def _pack(sets: Sequence[DescriptorSet]) -> tuple[DescriptorSet, np.ndarray, np.
     block.setflags(write=False)
     stops = np.cumsum(widths)
     return DescriptorSet._wrap(block), stops - widths, stops
-
-
-def _int_column(values: list, dtype, ids: list, name: str) -> np.ndarray:
-    """values as an array of an integer dtype; a value outside its range raises ValueError naming its frame."""
-    try:
-        return np.array(values, dtype=dtype)
-    except OverflowError:
-        info = np.iinfo(dtype)
-        i = next(i for i, v in enumerate(values) if not info.min <= v <= info.max)
-        raise ValueError(f"frame {ids[i]}: {name} {values[i]} outside the {info.dtype} range") from None
 
 
 @dataclass(frozen=True)
@@ -466,7 +457,7 @@ def _read_v2(fh: BinaryIO, size: int, count: int, path) -> tuple[np.ndarray, np.
     return table, block, camera
 
 
-def _check_geotags(ids: np.ndarray, lat: np.ndarray, lon: np.ndarray, where: str = "", error=ValueError) -> None:
+def _check_geotags(ids: np.ndarray, lat: np.ndarray, lon: np.ndarray, where: str, error) -> None:
     """Raise error naming the first frame (and where) whose geotag GeoPoint rejects."""
     ok = (np.abs(lat) <= 90.0) & (np.abs(lon) <= 180.0)  # false for NaN
     if not ok.all():
@@ -486,9 +477,17 @@ def write_desc_file(path, frame: GeoFrame) -> None:
 
 
 def read_desc_file(path) -> GeoFrame:
-    """Read one .desc record (a frame without the container header), checked as _read_desc_files checks it."""
+    """Read one .desc record (a frame without the container header), checked as _read_desc_files checks it.
+
+    Its header geotag, which only this reader returns, must be one GeoPoint
+    accepts (DatabaseFormatError naming the frame otherwise).
+    """
     ((fid, ts, lat, lon, start, stop),), block = _read_desc_files([path])
-    return GeoFrame(fid, ts, GeoPoint(lat, lon), block._window(start, stop))
+    try:
+        geotag = GeoPoint(lat, lon)
+    except ValueError as exc:
+        raise DatabaseFormatError(f"frame {fid} in {path}: {exc}") from None
+    return GeoFrame(fid, ts, geotag, block._window(start, stop))
 
 
 def _read_desc_files(paths: Sequence, error=lambda i, exc: exc) -> tuple[list[tuple], DescriptorSet]:
@@ -496,8 +495,9 @@ def _read_desc_files(paths: Sequence, error=lambda i, exc: exc) -> tuple[list[tu
 
     Record i is (frame_id, timestamp_ns, lat, lon, start, stop) of paths[i],
     its descriptors rows [start, stop) of the block, which is sized from the
-    files' sizes. Each file's trailing bytes, geotag and descriptors'
-    finiteness are checked once its record is read. A DatabaseFormatError,
+    files' sizes. Each file's trailing bytes and descriptors' finiteness are
+    checked once its record is read; its header geotag is returned as it is,
+    unchecked, as ingest and queries ignore it. A DatabaseFormatError,
     OSError or ValueError (a path that cannot be opened) of paths[i] raises
     error(i, exc).
     """
@@ -516,12 +516,8 @@ def _read_desc_files(paths: Sequence, error=lambda i, exc: exc) -> tuple[list[tu
                     fid, ts, lat, lon, start, rows = _read_record(fh, os.fstat(fh.fileno()).st_size, raw, rows)
                     if fh.read(1):
                         raise DatabaseFormatError(f"trailing bytes in {path}")
-                try:
-                    GeoPoint(lat, lon)
-                    if not np.isfinite(block[start:rows]).all():
-                        raise ValueError("descriptor components must be finite")
-                except ValueError as exc:
-                    raise DatabaseFormatError(f"frame {fid} in {path}: {exc}") from None
+                if not np.isfinite(block[start:rows]).all():
+                    raise DatabaseFormatError(f"frame {fid} in {path}: descriptor components must be finite")
             except (DatabaseFormatError, OSError, ValueError) as exc:
                 raise error(i, exc) from None
             records.append((fid, ts, lat, lon, start, rows))

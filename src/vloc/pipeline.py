@@ -14,7 +14,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -51,20 +51,6 @@ class TraceStep:
     est_err_m: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class LocalizationTrace:
-    steps: tuple[TraceStep, ...]
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __iter__(self) -> Iterator[TraceStep]:
-        return iter(self.steps)
-
-    def __getitem__(self, i: int) -> TraceStep:
-        return self.steps[i]
-
-
 def _make_step(index: int, query: Query, frame, state) -> TraceStep:
     measurement = frame.geotag
     estimate = state.position()
@@ -94,7 +80,7 @@ def localize_sequence(
     scan_cfg: ScanConfig,
     match_cfg: MatchConfig,
     filter_cfg: FilterConfig,
-) -> LocalizationTrace:
+) -> tuple[TraceStep, ...]:
     """Run retrieval plus filtering over a query sequence.
 
     The first scan is unwindowed (exclusion still applies when configured);
@@ -125,7 +111,7 @@ def localize_sequence(
             state = kalman.step(state, frame.geotag, dt, filter_cfg)
         center = frame.timestamp_ns
         steps.append(_make_step(i, query, frame, state))
-    return LocalizationTrace(tuple(steps))
+    return tuple(steps)
 
 
 @dataclass(frozen=True)
@@ -151,7 +137,7 @@ class ErrorStats:
         return float(self.mean_meas_m[-1])
 
 
-def evaluate(traces: Sequence[LocalizationTrace]) -> ErrorStats:
+def evaluate(traces: Sequence[Sequence[TraceStep]]) -> ErrorStats:
     """Elementwise error statistics across traces of equal length.
 
     Every step of every trace must carry ground truth. Standard deviations

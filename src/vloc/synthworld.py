@@ -14,8 +14,6 @@ descriptors, perturbed per component with Gaussian noise, with a fraction
 replaced by random distractor vectors.
 """
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 import math
 from math import cos, radians, sin
@@ -26,7 +24,7 @@ from .database import Database, ScanConfig
 from .geodesy import GeoPoint, from_plane
 from .kalman import FilterConfig
 from .matching import DESCRIPTOR_DIM, DescriptorSet, MatchConfig
-from .pipeline import ErrorStats, LocalizationTrace, Query, _error_stats, localize_sequence
+from .pipeline import ErrorStats, Query, TraceStep, _error_stats, localize_sequence
 
 T0_NS = 1_500_000_000_000_000_000
 """Epoch of every synthetic drive."""
@@ -233,7 +231,7 @@ def _start_range(cfg: WorldConfig, scan_cfg: ScanConfig, steps: int, period_s: f
     )
 
 
-def _run_trial(world_cfg, scan_cfg, match_cfg, filter_cfg, steps, period_s, world_seed, start_seed) -> LocalizationTrace:
+def _run_trial(world_cfg, scan_cfg, match_cfg, filter_cfg, steps, period_s, world_seed, start_seed) -> tuple[TraceStep, ...]:
     cfg = replace(world_cfg, seed=world_seed)
     lo, hi = _start_range(cfg, scan_cfg, steps, period_s)
     db = gen_world(cfg)
@@ -248,22 +246,6 @@ def _run_trial(world_cfg, scan_cfg, match_cfg, filter_cfg, steps, period_s, worl
     return localize_sequence(db, queries, scan_cfg, match_cfg, filter_cfg)
 
 
-def _run_trials(args) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step measurement and estimate errors (m) of trials lo..hi - 1, one row per trial.
-
-    Only the error rows outlive a trial, so a batch holds two floats per
-    step of each of its trials, not their traces.
-    """
-    world_cfg, scan_cfg, match_cfg, filter_cfg, steps, period_s, lo, hi = args
-    meas = np.empty((hi - lo, steps))
-    est = np.empty((hi - lo, steps))
-    for i in range(lo, hi):
-        trace = _run_trial(world_cfg, scan_cfg, match_cfg, filter_cfg, steps, period_s, *_trial_seed(world_cfg.seed, i))
-        meas[i - lo] = [s.meas_err_m for s in trace]
-        est[i - lo] = [s.est_err_m for s in trace]
-    return meas, est
-
-
 def run_monte_carlo(
     world_cfg: WorldConfig,
     scan_cfg: ScanConfig,
@@ -272,13 +254,12 @@ def run_monte_carlo(
     trials: int,
     steps: int = 6,
     period_s: float = 1.0,
-    workers: int = 1,
 ) -> ErrorStats:
     """Repeated synthetic drives, each localized end to end.
 
-    Every trial generates a fresh world and query start from a per-trial
-    stream spawned off world_cfg.seed, so results do not depend on worker
-    count or execution order. Returns per-step error statistics, the same
+    Trials 0 .. trials - 1 run in order in the calling process. Every trial
+    generates a fresh world and query start from a per-trial stream spawned
+    off world_cfg.seed. Returns per-step error statistics, the same
     evaluate gives for the trials' traces. Seeds are made as each trial
     starts and only per-step errors are kept, so memory grows by two
     floats per step and trial.
@@ -291,17 +272,10 @@ def run_monte_carlo(
         # queries are i * period_s apart rounded to whole ns, so closer ones would share timestamps
         raise ValueError(f"period_s={period_s} is under the 1 ns resolution of query timestamps")
     _start_range(world_cfg, scan_cfg, steps, period_s)  # a drive too short fails before any trial
-    cfgs = (world_cfg, scan_cfg, match_cfg, filter_cfg, steps, period_s)
-    if workers == 1:
-        meas, est = _run_trials((*cfgs, 0, trials))
-    else:
-        # no more processes than cores or batches: a pool starts all of its processes at the first submit
-        cores = os.cpu_count() or 1
-        max_workers = min(workers, cores) if workers > 0 else cores
-        size = max(1, trials // (4 * max_workers))
-        batches = [(*cfgs, lo, min(lo + size, trials)) for lo in range(0, trials, size)]
-        with ProcessPoolExecutor(max_workers=min(max_workers, len(batches))) as pool:
-            parts = list(pool.map(_run_trials, batches))
-        meas = np.concatenate([m for m, _ in parts])
-        est = np.concatenate([e for _, e in parts])
+    meas = np.empty((trials, steps))
+    est = np.empty((trials, steps))
+    for i in range(trials):
+        trace = _run_trial(world_cfg, scan_cfg, match_cfg, filter_cfg, steps, period_s, *_trial_seed(world_cfg.seed, i))
+        meas[i] = [s.meas_err_m for s in trace]
+        est[i] = [s.est_err_m for s in trace]
     return _error_stats(meas, est)

@@ -115,6 +115,20 @@ def test_build_db_names_the_line_of_a_missing_or_non_finite_desc(dataset, capsys
         desc.write_bytes(raw[:36] + np.float32(np.nan).tobytes() + raw[40:])
 
 
+def nan_geotag(desc):
+    """Overwrite the header latitude of a .desc file with NaN, which GeoPoint rejects."""
+    raw = desc.read_bytes()
+    desc.write_bytes(raw[:16] + np.float64(np.nan).tobytes() + raw[24:])
+
+
+def test_build_db_from_csv_ignores_the_desc_header_geotag(dataset):
+    # the manifest's geotag is the one kept, so the header's is not checked
+    tmp_path, _, frames = dataset
+    nan_geotag(tmp_path / "f0.desc")
+    db = load_db(build_db(dataset))
+    assert db.frame_by_id(0).geotag == frames[0].geotag
+
+
 def write_kitti(root, stamps):
     """A KITTI-raw style tree of one frame per timestamp, 0.1 s and 1e-5 degrees apart."""
     rng = np.random.default_rng(52)
@@ -160,6 +174,15 @@ def test_build_db_names_the_kitti_frame_of_a_missing_or_non_finite_desc(tmp_path
         # then a NaN in the first row
         desc.unlink()
         desc.write_bytes(raw[:36] + np.float32(np.nan).tobytes() + raw[40:])
+
+
+def test_build_db_from_kitti_ignores_the_desc_header_geotag(tmp_path):
+    root = tmp_path / "drive"
+    write_kitti(root, STAMPS)
+    nan_geotag(root / "descriptors" / f"{1:010d}.desc")
+    out = tmp_path / "o.vldb"
+    assert main(["build-db", "--kitti", str(root), "--out", str(out)]) == 0
+    assert load_db(out).frame_by_id(1).geotag == GeoPoint(49.0 + 1e-5, 8.0)
 
 
 def test_query_end_to_end(dataset, capsys):
@@ -268,6 +291,14 @@ def test_query_accepts_row_without_truth(dataset, capsys):
     assert (db_path.parent / "trace.csv").read_text().splitlines()[1].endswith(",,,,")
 
 
+def test_query_ignores_the_desc_header_geotag(dataset, capsys):
+    # only a query file's descriptors are used: q.desc (frame 1's) localizes to frame 1
+    db_path, qmanifest = write_query(dataset, PLAIN, ["500000000,q.desc"])
+    nan_geotag(db_path.parent / "q.desc")
+    assert main(["query", "--db", str(db_path), "--queries", str(qmanifest), "--out-dir", str(db_path.parent)]) == 0
+    assert (db_path.parent / "trace.csv").read_text().splitlines()[1].split(",")[2] == "1"
+
+
 def test_query_rejects_oversized_desc_count(dataset, capsys):
     db_path, qmanifest = write_query(dataset, PLAIN, ["500000000,q.desc"])
     desc = db_path.parent / "q.desc"
@@ -348,6 +379,13 @@ def test_simulate_rejects_nonpositive_trials(tmp_path, capsys):
     assert "trials" in capsys.readouterr().err
 
 
+def test_simulate_has_no_workers_flag(tmp_path, capsys):
+    # trials run in the calling process, with no pool to size
+    assert main(["simulate", "--trials", "1", "--workers", "2", "--out-dir", str(tmp_path)]) == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert not (tmp_path / "errors.csv").exists()
+
+
 @pytest.mark.parametrize(
     "flag, value, code, message",
     [
@@ -363,7 +401,6 @@ def test_simulate_rejects_nonpositive_trials(tmp_path, capsys):
         ("--duration-s", "1e9", 1, "speed_mps=18.0, heading_deg=45.0 and duration_s=1000000000.0 from (49.0, 8.4) take the drive to"),
         # two queries 0.4 ns apart would share a timestamp
         ("--period-s", "4e-10", 1, "period_s=4e-10 is under the 1 ns resolution"),
-        ("--workers", "-3", 2, "--workers must be 0"),
         # numpy's SeedSequence would reject it naming no flag
         ("--seed", "-1", 1, "seed must be non-negative, got -1"),
         # a NaN or negative exclusion would otherwise turn the handicap off
@@ -437,7 +474,7 @@ def test_flag_defaults_match_library_pins():
     assert (s.keypoints_per_frame, s.landmark_overlap) == (wc.keypoints_per_frame, wc.landmark_overlap)
     assert (s.query_noise_sigma, s.distractor_fraction) == (wc.query_noise_sigma, wc.distractor_fraction)
     assert s.exclusion_s == 1.0  # the evaluation handicap stays on here
-    assert (s.steps, s.period_s, s.seed, s.workers) == (6, 1.0, 0, 1)
+    assert (s.steps, s.period_s, s.seed) == (6, 1.0, 0)
 
 
 def test_query_rejects_a_manifest_that_is_not_utf8(dataset, capsys):

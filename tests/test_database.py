@@ -108,6 +108,13 @@ def test_database_rejects_timestamps_outside_int64():
             Database([make_frame(rng, 1, 100), make_frame(rng, 4, ts)])
 
 
+def test_frame_rejects_ids_outside_uint64():
+    rng = np.random.default_rng(21)
+    for fid in (-1, 2**64):
+        with pytest.raises(ValueError, match=f"frame_id {fid} outside the uint64 range"):
+            make_frame(rng, fid, 0)
+
+
 def test_frame_by_id():
     rng = np.random.default_rng(22)
     db = make_db(rng)

@@ -12,7 +12,6 @@ from vloc.matching import DESCRIPTOR_DIM, DescriptorSet, MatchConfig
 from vloc.pipeline import (
     ERRORS_CSV_HEADER,
     ErrorStats,
-    LocalizationTrace,
     Query,
     TraceStep,
     evaluate,
@@ -167,7 +166,7 @@ def make_trace(meas_errs, est_errs):
                 est_err_m=ee,
             )
         )
-    return LocalizationTrace(tuple(steps))
+    return tuple(steps)
 
 
 def test_evaluate_means_and_stds():
@@ -199,7 +198,7 @@ def test_evaluate_rejects_ragged_or_truthless():
         vel_lon_dps=0.0,
     )
     with pytest.raises(ValueError):
-        evaluate([LocalizationTrace((bare,))])
+        evaluate([(bare,)])
     with pytest.raises(ValueError):
         evaluate([])
 
