@@ -13,9 +13,11 @@ Squared distances come from float32 matrix products
 (``|g|^2 + |f|^2 - 2 g.f``), one per chunk of candidate frames, which is
 what keeps full-database scans tractable: time goes to BLAS, and memory
 stays bounded by the chunk size whatever the database size. A bound on the
-cosine gate screens each product once; a chunk whose least entry already
-clears every row's bound, as most chunks of a long scan do, costs one min
-pass and nothing more. Only the (query keypoint, frame) pairs that hold a
+cosine gate screens each product once: one pass takes each column's least
+entry, and only the span from the first column whose least entry is below
+the greatest row bound to the last such column is compared row by row. A
+chunk with no such column, as most chunks of a long scan are, costs that
+one pass and nothing more. Only the (query keypoint, frame) pairs that hold a
 screened entry can match. A screened entry that is the only one of its
 keypoint in every frame holding it, as nearly all are on a drive, is
 judged once for all those frames: it is each one's nearest, and the bound
@@ -49,7 +51,9 @@ with OpenBLAS: 2 MiB chunks scanned 10-25% slower than 4-8 MiB ones, and
 those keeps peak memory lowest. Re-timed once chunks that no keypoint can
 match had become cheap (one min pass): 2 MiB was still no faster, with
 windowed scans 4% (1000 frames) and 12% (10,000 frames) slower at the
-median of 60 alternating scans, so 4 MiB stays.
+median of 60 alternating scans, so 4 MiB stays. Both timings predate the
+column-min screen, which compares only the span of a chunk's columns that
+can hold an entry below the bound; the size was not re-timed for it.
 """
 
 
@@ -268,20 +272,27 @@ def _screen(g: np.ndarray, fnorms: np.ndarray, bound: np.ndarray) -> tuple[np.nd
     left, with the float32 addition a full pass would use, and they are
     held to the exact test.
 
-    When g's least entry is at least the greatest t, every entry is at
-    least its row's t and nothing is kept, so one min pass stands in for
-    the compare: on a long scan most chunks hold no keypoint's match and
-    end there. A NaN in g or t fails that test, so its chunk is screened
-    in full and the NaN kept.
+    A column whose least entry is at least the greatest t holds no entry
+    below its row's t, so one column-min pass finds the columns that can
+    hold one, and the per-row compare runs only on the span from the
+    first of them to the last: on a long scan a query's matches sit in a
+    few hundred columns of a chunk, and most chunks hold none and end
+    after the min pass. A NaN in g or t fails the column test, so a NaN's
+    column is always compared and the NaN kept (a NaN t compares every
+    column). The span's row-major indices are mapped back to g's in place.
     """
     n = g.shape[1]
     with np.errstate(invalid="ignore", over="ignore"):
         t = np.nextafter(bound - fnorms.min(), np.float32(np.inf))
-    if g.min() >= t.max():
+    cols = np.flatnonzero(~(g.min(axis=0) >= t.max()))
+    if len(cols) == 0:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float32)
-    out = np.greater_equal(g, t[:, None])
+    a, b = int(cols[0]), int(cols[-1]) + 1
+    w = b - a
+    out = np.greater_equal(g[:, a:b], t[:, None])
     flat = np.flatnonzero(np.logical_not(out, out=out))
     del out
+    flat += flat // w * (n - w) + a
     e = g.ravel()[flat]
     e += fnorms[flat % n]
     keep = ~(e >= bound[flat // n])
@@ -363,8 +374,8 @@ def _chunk_matches(g: np.ndarray, qq: np.ndarray, fnorms: np.ndarray, first: np.
     entry left (_held_pairs) reads its frame's whole row of E and takes its
     nearest and runner-up there (_top_two), as a full pass would.
 
-    A chunk the screen keeps nothing of, as the min test finds for most
-    chunks of a long scan, holds no match and returns at once.
+    A chunk the screen keeps nothing of, as its column-min pass finds for
+    most chunks of a long scan, holds no match and returns at once.
     """
     flat, e = _screen(g, fnorms, bound)
     hr = hc = flat[:0]

@@ -1,6 +1,7 @@
 import math
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -359,6 +360,30 @@ def test_scan_of_a_synthetic_drive_holds_no_more_than_before():
         frame, count, peak = traced_scan(world, query.descriptors, query.timestamp_ns, ScanConfig(exclusion_s=1.0), MatchConfig(tau2=tau2))
         assert abs(frame.timestamp_ns - query.timestamp_ns) > 10**9 and count > 0
         assert peak <= bound_mib * 2**20, f"tau2={tau2}: traced peak {peak / 2**20:.2f} MiB"
+
+
+def test_windowed_scan_of_a_drive_compares_few_of_its_columns(monkeypatch):
+    # a 20 s window of a 100 s drive: the query's correspondences sit in
+    # the few hundred rows of its source frame and its neighbours, so the
+    # per-row compare runs on a small share of the columns multiplied
+    cols = {"product": 0, "compared": 0}
+    screen = matching._screen
+
+    def counted(g, fnorms, bound):
+        cols["product"] += g.shape[1]
+        with mock.patch.object(np, "greater_equal", wraps=np.greater_equal) as ge:
+            out = screen(g, fnorms, bound)
+        cols["compared"] += sum(call.args[0].shape[1] for call in ge.call_args_list)
+        return out
+
+    cfg = WorldConfig(duration_s=100.0)
+    db = gen_world(cfg)
+    first, second = gen_queries(db, T0_NS + 50 * 10**9, 2, 1.0, cfg)
+    center, _ = scan(db, first.descriptors, first.timestamp_ns, ScanConfig(), MatchConfig())
+    monkeypatch.setattr(matching, "_screen", counted)
+    frame, count = scan(db, second.descriptors, second.timestamp_ns, ScanConfig(window_s=20.0), MatchConfig(), center_ts=center.timestamp_ns)
+    assert frame.timestamp_ns == second.timestamp_ns and count > 0
+    assert 0 < cols["compared"] <= 0.1 * cols["product"], cols
 
 
 def test_generated_drives_settle_every_screened_entry_once(monkeypatch):

@@ -933,6 +933,42 @@ def test_a_chunk_holding_a_nan_is_never_skipped():
         assert flat.tolist() == [at] and np.isnan(vals).all()
 
 
+@pytest.mark.parametrize("n", [1, 2, 17, 990])
+@pytest.mark.parametrize("m", [1, 3, 64, 200])
+@pytest.mark.parametrize("where", ["scattered", "first", "last", "nan_first", "nan_last"])
+def test_screen_equals_the_full_compare_and_compares_only_its_span(m, n, where):
+    # every entry well above every row's t but the planted ones: entries
+    # far below the bound, and entries at bound - |f|^2 rounded either way,
+    # which the exact test decides. The compared span runs from the first
+    # planted column to the last, a NaN's column included
+    rng = np.random.default_rng(m * 1000 + n)
+    fn = rng.uniform(0.5, 2.0, n).astype(np.float32)
+    bound = rng.uniform(-1.5, -0.5, m).astype(np.float32)
+    t = screen_threshold(fn, bound)
+    g = (t.max() + rng.uniform(0.5, 3.0, (m, n))).astype(np.float32)
+    middle = np.arange(n // 4, max(n // 4 + 1, 3 * n // 4))
+    cols = {"scattered": rng.choice(n, min(n, 5), replace=False), "first": [0], "last": [n - 1]}.get(where, middle)
+    rows = rng.integers(0, m, (len(cols), 2))
+    for c, (edge, low) in zip(cols, rows):
+        g[edge, c] = np.nextafter(bound[edge] - fn[c], rng.choice([-np.inf, np.inf]))
+        g[low, c] = bound[low] - fn[c] - 1.0
+    planted = list(cols)
+    if where.startswith("nan"):
+        c = 0 if where == "nan_first" else n - 1
+        g[rng.integers(0, m), c] = np.nan
+        planted.append(c)
+    a, b = min(planted), max(planted) + 1
+    with np.errstate(invalid="ignore"):
+        with mock.patch.object(np, "greater_equal", wraps=np.greater_equal) as ge:
+            flat, vals = _screen(g, fn, bound)
+        e = g + fn
+        want = np.flatnonzero(~(e >= bound[:, None]))
+    assert ge.call_count == 1 and ge.call_args.args[0].shape == (m, b - a)
+    assert flat.dtype == np.intp and np.array_equal(flat, want)
+    assert vals.dtype == np.float32 and np.array_equal(vals.view(np.uint32), e.ravel()[want].view(np.uint32))
+    assert set(cols) <= set((want % n).tolist()) and np.isnan(vals).any() == where.startswith("nan")
+
+
 @pytest.mark.parametrize("tau2", [-0.5, 1.0])
 def test_extreme_tau2_scans_equal_the_oracle(tau2):
     # a sliding-window drive in chunks of a few frames: at tau2 = 1 the min
