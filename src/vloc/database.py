@@ -4,13 +4,14 @@ In memory a Database is columns over one read-only descriptor block: per
 frame, in (timestamp, id) order, a uint64 id, an int64 timestamp, a float64
 latitude and longitude, and the row range [start, stop) of the block that
 holds its descriptors. Starts do not decrease; ranges may overlap or touch.
-A drive's frames are windows of its landmark pool, a loaded database's of
-the file's block and an ingested one's of the block that its .desc
-payloads were read into, in frame order; all are held as they are. The
-rows of any other frames are packed (copied) into a new block in frame
-order. A scan selects its candidates as index ranges of the columns and
-scores the block's rows in chunks, without a GeoFrame per frame;
-GeoFrames are built only when one is asked for (the winner of a scan,
+The columns are the only record of which rows a frame holds. A drive's
+block is its landmark pool, a loaded database's the file's block and an
+ingested one's the block that its .desc payloads were read into, in frame
+order; all are held as they are. Database(frames) copies the frames' rows
+into a new block in frame order (_pack). A scan selects its candidates as
+index ranges of the columns and scores the block's rows in chunks,
+without a GeoFrame per frame; GeoFrames, each viewing its rows of the
+block, are built only when one is asked for (the winner of a scan,
 ``frames``, ``frame_by_id``).
 
 On-disk container format, version 2 (little-endian throughout):
@@ -114,8 +115,10 @@ class Database:
     of one read-only block. Starts do not decrease; ranges may overlap or
     touch, as a drive's frames share the rows of its landmark pool. Frame
     ids must be unique; frames are sorted at construction, so ingest order
-    does not matter. A GeoFrame is built only when one is asked for
-    (frames, frame_by_id, iteration).
+    does not matter. Database(frames) copies the frames' rows into a new
+    block in frame order, so frames share rows only where columns built
+    directly say so (a drive, a loaded file). A GeoFrame is built only
+    when one is asked for (frames, frame_by_id, iteration).
     """
 
     def __init__(self, frames: Iterable[GeoFrame], source: str = "", camera: str = ""):
@@ -125,7 +128,7 @@ class Database:
             [f.timestamp_ns for f in frames],
             [f.geotag.lat for f in frames],
             [f.geotag.lon for f in frames],
-            *_pack([f.descriptors for f in frames]),
+            *_pack([f.descriptors.array for f in frames]),
             source,
             camera,
         )
@@ -154,7 +157,7 @@ class Database:
             order = np.lexsort((ids, timestamps))
             ids, timestamps, lat, lon, starts, stops = (c[order] for c in (ids, timestamps, lat, lon, starts, stops))
         if (starts[1:] < starts[:-1]).any():
-            block, starts, stops = _pack([block._window(a, b) for a, b in zip(starts.tolist(), stops.tolist())])
+            block, starts, stops = _pack([block.array[a:b] for a, b in zip(starts.tolist(), stops.tolist())])
         id_order = np.argsort(ids, kind="stable")
         sorted_ids = ids[id_order]
         twin = np.flatnonzero(sorted_ids[1:] == sorted_ids[:-1])
@@ -174,7 +177,7 @@ class Database:
             int(self._ids[i]),
             int(self._timestamps[i]),
             GeoPoint(float(self._lat[i]), float(self._lon[i])),
-            self._block._window(int(self._starts[i]), int(self._stops[i])),
+            DescriptorSet._wrap(self._block.array[self._starts[i] : self._stops[i]]),
         )
 
     def _candidates(self, ranges: list[tuple[int, int]]) -> _Candidates:
@@ -224,21 +227,11 @@ class _Frames(Sequence):
         return self._db._frame(i)
 
 
-def _pack(sets: Sequence[DescriptorSet]) -> tuple[DescriptorSet, np.ndarray, np.ndarray]:
-    """One block and each set's rows of it, set i being rows starts[i]:stops[i].
-
-    Zero-copy when the sets are windows of one block whose starts do not
-    decrease, as a drive's frames are of its landmark pool and a loaded
-    database's of its descriptor block. Otherwise the sets' rows are copied,
-    in order, into a new block, where each set's rows follow the last's.
-    """
-    n = len(sets)
-    starts = np.fromiter((s._start for s in sets), dtype=np.int64, count=n)
-    widths = np.fromiter(map(len, sets), dtype=np.int64, count=n)
-    root = sets[0]._block if n else DescriptorSet.empty()
-    if all(s._block is root for s in sets) and not (starts[1:] < starts[:-1]).any():
-        return root, starts, starts + widths
-    block = np.concatenate([s.array for s in sets])
+def _pack(arrays: Sequence[np.ndarray]) -> tuple[DescriptorSet, np.ndarray, np.ndarray]:
+    """A new block of the arrays' rows, copied in order, and each array's rows of it: array i is rows starts[i]:stops[i]."""
+    widths = np.fromiter(map(len, arrays), dtype=np.int64, count=len(arrays))
+    # the empty head keeps concatenate from raising on no arrays
+    block = np.concatenate([np.empty((0, DESCRIPTOR_DIM), dtype=np.float32), *arrays])
     block.setflags(write=False)
     stops = np.cumsum(widths)
     return DescriptorSet._wrap(block), stops - widths, stops
@@ -482,12 +475,12 @@ def read_desc_file(path) -> GeoFrame:
     Its header geotag, which only this reader returns, must be one GeoPoint
     accepts (DatabaseFormatError naming the frame otherwise).
     """
-    ((fid, ts, lat, lon, start, stop),), block = _read_desc_files([path])
+    ((fid, ts, lat, lon, _, _),), block = _read_desc_files([path])
     try:
         geotag = GeoPoint(lat, lon)
     except ValueError as exc:
         raise DatabaseFormatError(f"frame {fid} in {path}: {exc}") from None
-    return GeoFrame(fid, ts, geotag, block._window(start, stop))
+    return GeoFrame(fid, ts, geotag, block)
 
 
 def _read_desc_files(paths: Sequence, error=lambda i, exc: exc) -> tuple[list[tuple], DescriptorSet]:

@@ -31,7 +31,7 @@ import logging
 import math
 import threading
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -83,15 +83,14 @@ def _scratch_f32(shape: tuple) -> np.ndarray:
 class DescriptorSet:
     """Immutable (k, 128) float32 block of keypoint descriptors for one image.
 
-    A set can also be a zero-copy window of rows of a larger set, as the
-    frames of a synthetic drive are of its landmark pool and the frames of
-    a loaded database are of its descriptor block. Scans use that: windows
-    of one block are scored straight from spans of the block's rows, in
-    place, so rows that overlapping windows share are scored once (and
-    rows between windows, such as an exclusion gap, along with them).
+    A database frame's set is a zero-copy view of its rows of the
+    database's block. Which rows those are is recorded only in the
+    database's columns (Database, _Candidates), from which scans score the
+    block in place; a set is only its array and the squared norms of its
+    rows, computed once when first read.
     """
 
-    __slots__ = ("_array", "_root", "_start", "_norms")
+    __slots__ = ("_array", "_norms")
 
     def __init__(self, array):
         arr = np.array(array, dtype=np.float32, order="C", ndmin=2, copy=True)
@@ -100,20 +99,7 @@ class DescriptorSet:
         if not np.all(np.isfinite(arr)):
             raise ValueError("descriptor components must be finite")
         arr.setflags(write=False)
-        self._init(arr, None, 0)
-
-    def _init(self, arr: np.ndarray, root: Optional["DescriptorSet"], start: int) -> None:
-        # root is the set whose rows this one is a window of, None for a set
-        # that owns its rows (a self-reference would keep dead sets alive
-        # until the cycle collector runs)
-        self._array = arr
-        self._root = root
-        self._start = start
-        self._norms = None
-
-    @property
-    def _block(self) -> "DescriptorSet":
-        return self if self._root is None else self._root
+        self._array, self._norms = arr, None
 
     @classmethod
     def empty(cls) -> "DescriptorSet":
@@ -121,20 +107,13 @@ class DescriptorSet:
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "DescriptorSet":
-        # Trusted zero-copy constructor for generators that already hold a
-        # read-only, validated float32 block (e.g. a landmark pool).
+        # Trusted zero-copy constructor for callers that already hold a
+        # read-only, validated float32 array (a landmark pool, a loaded
+        # block or a frame's rows of one).
         assert arr.dtype == np.float32 and arr.ndim == 2 and arr.shape[1] == DESCRIPTOR_DIM
         assert arr.flags.c_contiguous and not arr.flags.writeable
         obj = cls.__new__(cls)
-        obj._init(arr, None, 0)
-        return obj
-
-    def _window(self, start: int, stop: int) -> "DescriptorSet":
-        """Zero-copy set of rows [start, stop) of this set."""
-        if not 0 <= start <= stop <= len(self):
-            raise ValueError(f"rows [{start}, {stop}) outside a set of {len(self)}")
-        obj = DescriptorSet.__new__(DescriptorSet)
-        obj._init(self._array[start:stop], self._block, self._start + start)
+        obj._array, obj._norms = arr, None
         return obj
 
     @property
@@ -144,14 +123,11 @@ class DescriptorSet:
 
     @property
     def norms(self) -> np.ndarray:
-        """Read-only (k,) float32 squared row norms, computed once per block."""
+        """Read-only (k,) float32 squared row norms, computed once per set."""
         if self._norms is None:
-            root = self._block
-            if root._norms is None:
-                norms = np.einsum("ij,ij->i", root._array, root._array)
-                norms.setflags(write=False)
-                root._norms = norms
-            self._norms = root._norms[self._start : self._start + len(self)]
+            norms = np.einsum("ij,ij->i", self._array, self._array)
+            norms.setflags(write=False)
+            self._norms = norms
         return self._norms
 
     def __len__(self) -> int:
@@ -188,10 +164,10 @@ class _Candidates:
 
     Ids are uint64 and starts do not decrease. best_match reads the
     columns only. __len__ and __iter__, which yields (int frame_id,
-    DescriptorSet) pairs, each set a window of the block made as it is
-    read, are the contract of bench/tracer.py, which wraps best_match and
-    counts the candidates and sums their rows through them. They can go
-    once the tracer stops wrapping best_match.
+    DescriptorSet) pairs, each set a view of the frame's rows of the block
+    made as it is read, are the contract of bench/tracer.py, which wraps
+    best_match and counts the candidates and sums their rows through them.
+    They can go once the tracer stops wrapping best_match.
     """
 
     __slots__ = ("ids", "block", "starts", "stops")
@@ -204,7 +180,7 @@ class _Candidates:
 
     def __iter__(self) -> Iterator[tuple[int, DescriptorSet]]:
         for fid, a, b in zip(self.ids.tolist(), self.starts.tolist(), self.stops.tolist()):
-            yield fid, self.block._window(a, b)
+            yield fid, DescriptorSet._wrap(self.block.array[a:b])
 
 
 def _candidate_rows(block: DescriptorSet, starts: np.ndarray, stops: np.ndarray, max_cols: int) -> Iterator[tuple]:
@@ -316,6 +292,8 @@ def _matched(query: DescriptorSet, block: DescriptorSet, starts: np.ndarray, sto
     of its span gives E[i, c] = g[i, c] + |f_c|^2,
     which is d^2 minus the per-row constant |g_i|^2 that the nearest does
     not depend on (the -2 is folded into the query, an exact scaling).
+    A chunk of frames that hold no rows matches nothing and is not
+    yielded.
 
     The cosine gate's bound holds for every norm in the range it is made
     for, so it is made for the range of the rows scored so far and made
@@ -329,6 +307,8 @@ def _matched(query: DescriptorSet, block: DescriptorSet, starts: np.ndarray, sto
     max_cols = max(1, _E_BYTES // (4 * max(m, DESCRIPTOR_DIM)))
     fmin, fmax = np.inf, -np.inf
     for lo, rows, fnorms, first, widths in _candidate_rows(block, starts, stops, max_cols):
+        if not len(rows):
+            continue
         low, high = float(fnorms.min()), float(fnorms.max())
         if low < fmin or high > fmax:
             fmin, fmax = min(fmin, low), max(fmax, high)
@@ -516,15 +496,12 @@ def best_match(query: DescriptorSet, candidates: _Candidates, cfg: MatchConfig) 
     """
     if len(candidates) == 0:
         raise EmptyCandidatesError("best_match needs at least one candidate frame")
-    block, starts, stops = candidates.block, candidates.starts, candidates.stops
-    scored = stops - starts >= 2
-    if scored.all():
-        counts = _counts(query, block, starts, stops, cfg) if len(query) else np.zeros(len(scored), dtype=np.int64)
-    else:
-        logger.warning("skipped %d candidate frame(s) with fewer than 2 descriptors", len(scored) - scored.sum())
-        counts = np.zeros(len(scored), dtype=np.int64)
-        if len(query) > 0 and scored.any():
-            counts[scored] = _counts(query, block, starts[scored], stops[scored], cfg)
+    starts, stops = candidates.starts, candidates.stops
+    counts = _counts(query, candidates.block, starts, stops, cfg) if len(query) else np.zeros(len(starts), dtype=np.int64)
+    narrow = stops - starts < 2
+    if narrow.any():
+        logger.warning("skipped %d candidate frame(s) with fewer than 2 descriptors", narrow.sum())
+        counts[narrow] = 0
 
     top = np.flatnonzero(counts == counts.max())
     return int(candidates.ids[top].min()), int(counts[top[0]])

@@ -6,13 +6,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from candidates import columns
 from vloc import database, matching
 from vloc.database import (
     CSV_MANIFEST_HEADER,
     Database,
     GeoFrame,
     ScanConfig,
-    _pack,
     ingest_csv,
     ingest_kitti,
     load_db,
@@ -72,9 +72,8 @@ def v2_layout(raw):
 
 
 def owned_copy(db):
-    """The same frames, each holding a copy of its rows rather than a window of a shared block."""
-    frames = [GeoFrame(f.frame_id, f.timestamp_ns, f.geotag, DescriptorSet(f.descriptors.array)) for f in db]
-    return Database(frames, source=db.source, camera=db.camera)
+    """The same frames, each holding a copy of its rows (Database packs copies) rather than rows it shares."""
+    return Database(list(db), source=db.source, camera=db.camera)
 
 
 def write_kitti_tree(root, stamps, coords, descriptor_sets):
@@ -322,7 +321,7 @@ def test_unwindowed_scan_of_a_loaded_drive_has_bounded_memory(tmp_path):
     save_db(owned_copy(world), tmp_path / "drive.vldb")
     del world
     db = load_db(tmp_path / "drive.vldb")
-    assert len(db) == 2000 and len(db.frames[0].descriptors._block) == 2000 * 64
+    assert len(db) == 2000 and len(db._block) == 2000 * 64 and np.shares_memory(db.frames[0].descriptors.array, db._block.array)
     frame, count, peak = traced_scan(db, query.descriptors, query.timestamp_ns, ScanConfig(), MatchConfig())
     assert frame.timestamp_ns == query.timestamp_ns and count > 0
     assert peak <= 3 * _E_BYTES
@@ -340,7 +339,7 @@ def test_scan_of_a_loaded_drive_holds_no_more_than_before(tmp_path):
     save_db(owned_copy(world), tmp_path / "drive.vldb")
     del world
     db = load_db(tmp_path / "drive.vldb")
-    assert len(db.frames[0].descriptors._block) == 2000 * 200
+    assert len(db._block) == 2000 * 200 and np.shares_memory(db.frames[0].descriptors.array, db._block.array)
     for tau2, bound_mib in ((-0.5, 57.9), (MatchConfig().tau2, 12.7)):
         frame, count, peak = traced_scan(db, query.descriptors, query.timestamp_ns, ScanConfig(), MatchConfig(tau2=tau2))
         assert frame.timestamp_ns == query.timestamp_ns and count > 0
@@ -539,14 +538,19 @@ def test_ingest_of_no_frames_is_an_empty_database(tmp_path):
     manifest = tmp_path / "manifest.csv"
     manifest.write_text(",".join(CSV_MANIFEST_HEADER) + "\n")
     write_kitti_tree(tmp_path / "kitti", [], [], [])
-    for db, camera in ((ingest_csv(manifest), ""), (ingest_kitti(tmp_path / "kitti"), "kitti")):
-        assert (len(db), list(db), db.camera) == (0, [], camera)
-        path = tmp_path / f"{camera or 'csv'}.vldb"
+    query = DescriptorSet(unit_rows(np.random.default_rng(45), 3))
+    # and so is one built of no frames, whose block packs no rows
+    for name, db, camera in (("csv", ingest_csv(manifest), ""), ("kitti", ingest_kitti(tmp_path / "kitti"), "kitti"), ("built", Database([]), "")):
+        assert (len(db), list(db), db.camera, len(db._block)) == (0, [], camera, 0)
+        path = tmp_path / f"{name}.vldb"
         save_db(db, path)
         loaded = load_db(path)
         assert (len(loaded), loaded.camera) == (0, camera)
         save_db(loaded, tmp_path / "again.vldb")
         assert (tmp_path / "again.vldb").read_bytes() == path.read_bytes()
+        for d in (db, loaded):
+            with pytest.raises(EmptyCandidatesError):
+                scan(d, query, 0, ScanConfig(exclusion_s=1.0), MatchConfig())
 
 
 def test_ingest_csv_round_trip(tmp_path):
@@ -811,12 +815,12 @@ def test_loaded_drive_holds_each_pool_row_once_and_counts_as_in_memory(tmp_path)
     world = gen_world(cfg)
     path = tmp_path / "drive.vldb"
     save_db(world, path)
-    pool_rows = len(world.frames[0].descriptors._block)
+    pool_rows = len(world._block)
     assert pool_rows == 40 + 2 * 299
     camera = len(world.camera.encode())
     assert path.stat().st_size == 24 + camera + 48 * len(world) + pool_rows * DESCRIPTOR_DIM * 4
     db = load_db(path)
-    assert len(db.frames[0].descriptors._block) == pool_rows
+    assert len(db._block) == pool_rows and np.shares_memory(db.frames[0].descriptors.array, db._block.array)
     save_db(db, tmp_path / "again.vldb")
     assert (tmp_path / "again.vldb").read_bytes() == path.read_bytes()
 
@@ -828,10 +832,36 @@ def test_loaded_drive_holds_each_pool_row_once_and_counts_as_in_memory(tmp_path)
             # unwindowed, a 5 s window, and the window with a 1 s exclusion gap
             for lo, hi, gap in ((0, len(db), 0), (center - 50, center + 51, 0), (center - 50, center + 51, 10)):
                 keep = [i for i in range(max(lo, 0), min(hi, len(db))) if abs(i - center) > gap or not gap]
-                loaded = _counts(q.descriptors, *_pack([db.frames[i].descriptors for i in keep]), match_cfg)
-                in_memory = _counts(q.descriptors, *_pack([world.frames[i].descriptors for i in keep]), match_cfg)
+                loaded = _counts(q.descriptors, *columns(db._block, db._starts[keep], db._stops[keep]), match_cfg)
+                in_memory = _counts(q.descriptors, *columns(world._block, world._starts[keep], world._stops[keep]), match_cfg)
                 assert np.array_equal(loaded, in_memory)
                 assert loaded.max() > 0
+
+
+def test_a_database_of_a_drives_frames_copies_their_rows_and_scans_as_the_drive(tmp_path):
+    # a drive's frames share the rows of its pool; Database(frames) copies
+    # each frame's rows, one frame after another, into a block of its own.
+    # Its scans, and those of it saved and loaded, must give the drive's
+    # (frame, count): unwindowed, in a 5 s window, and in that window with
+    # a 1 s exclusion
+    cfg = WorldConfig(duration_s=30.0, keypoints_per_frame=40)
+    world = gen_world(cfg)
+    db = Database(list(world.frames), source=world.source, camera=world.camera)
+    assert len(db._block) == 40 * len(world) > len(world._block)
+    assert not np.shares_memory(db._block.array, world._block.array)
+    save_db(db, tmp_path / "copied.vldb")
+    loaded = load_db(tmp_path / "copied.vldb")
+    settings = ((ScanConfig(window_s=None), False), (ScanConfig(window_s=5.0), True), (ScanConfig(window_s=5.0, exclusion_s=1.0), True))
+    matched = 0
+    for q in gen_queries(world, T0_NS + 5 * 10**9, 20, 1.0, cfg):
+        for scan_cfg, windowed in settings:
+            center = q.timestamp_ns if windowed else None
+            frame, count = scan(world, q.descriptors, q.timestamp_ns, scan_cfg, MatchConfig(), center_ts=center)
+            for d in (db, loaded):
+                got, got_count = scan(d, q.descriptors, q.timestamp_ns, scan_cfg, MatchConfig(), center_ts=center)
+                assert (got.frame_id, got_count) == (frame.frame_id, count)
+            matched += count > 0
+    assert matched == 3 * 20
 
 
 def test_frame_ids_above_int64_survive_save_load_and_scan(tmp_path):
@@ -897,13 +927,13 @@ def test_scan_hands_best_match_one_sequence_of_candidate_pairs(monkeypatch):
 
 def test_frames_are_built_on_demand_as_windows_of_the_block():
     world = gen_world(WorldConfig())
-    block = world.frames[0].descriptors._block
+    block = world._block
     assert len(block) == 200 + 10 * 79
     picked = [world.frames[7], world.frames[-1], *world.frames[::9], *world.frames, *world]
     assert len(picked) == 2 + 9 + 80 + 80
     for f in picked:
         assert isinstance(f, GeoFrame)
-        assert f.descriptors._block is block and np.shares_memory(f.descriptors.array, block.array)
+        assert np.shares_memory(f.descriptors.array, block.array)
         assert np.array_equal(f.descriptors.array, block.array[10 * f.frame_id : 10 * f.frame_id + 200])
     assert [f.frame_id for f in world.frames[::9]] == list(range(0, 80, 9))
     assert world.frames[-1].timestamp_ns == world.frame_by_id(79).timestamp_ns == int(world._timestamps[-1])

@@ -14,13 +14,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-from vloc.cli import main  # noqa: E402
-from vloc.database import (  # noqa: E402
+from vloc.cli import main
+from vloc.database import (
     _FRAME_HEAD,
     CSV_MANIFEST_HEADER,
     Database,
@@ -31,9 +29,9 @@ from vloc.database import (  # noqa: E402
     save_db,
     write_desc_file,
 )
-from vloc.errors import VlocError  # noqa: E402
-from vloc.geodesy import GeoPoint  # noqa: E402
-from vloc.matching import DESCRIPTOR_DIM, DescriptorSet  # noqa: E402
+from vloc.errors import VlocError
+from vloc.geodesy import GeoPoint
+from vloc.matching import DESCRIPTOR_DIM, DescriptorSet
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from candidates import as_candidates
+from candidates import as_candidates, columns, packed
 from vloc import matching
-from vloc.database import _pack
 from vloc.errors import EmptyCandidatesError, FrameTooSmallError
 from vloc.matching import (
     DESCRIPTOR_DIM,
     DescriptorSet,
     MatchConfig,
+    _Candidates,
     _cosine_gate,
     _candidate_rows,
     _counts,
@@ -170,10 +170,15 @@ def triples(first, widths, r, f, j, hr, hc):
     return np.concatenate([r, hr[at]]), np.concatenate([f, frame]), np.concatenate([j, hc[at] - first[frame]])
 
 
-def matches(query, sets, cfg):
-    """(m, p) index of the keypoint each query row matches in each set, -1 for none, from _matched's triples."""
-    match = np.full((len(query), len(sets)), -1, dtype=np.int64)
-    for lo, first, widths, *found in _matched(query, *_pack(sets), cfg):
+def frame_sets(block, starts, stops):
+    """Each frame of the columns (block, starts, stops) as a set that owns a copy of its rows."""
+    return [DescriptorSet(block.array[a:b]) for a, b in zip(starts.tolist(), stops.tolist())]
+
+
+def matches(query, frames, cfg):
+    """(m, p) index of the keypoint each query row matches in each frame of the columns frames, -1 for none, from _matched's triples."""
+    match = np.full((len(query), len(frames[1])), -1, dtype=np.int64)
+    for lo, first, widths, *found in _matched(query, *frames, cfg):
         r, f, j = triples(first, widths, *found)
         assert len(set(zip(r.tolist(), f.tolist()))) == len(r)  # one match per pair
         assert np.all(match[r, lo + f] == -1)
@@ -186,7 +191,7 @@ def test_match_keypoint_accepts_exact_twin():
     frame_arr = unit_rows(rng, 10)
     frame = DescriptorSet(frame_arr)
     g = frame_arr[3]
-    assert matches(one_row(g), [frame], MatchConfig())[0, 0] == 3
+    assert matches(one_row(g), packed([frame]), MatchConfig())[0, 0] == 3
 
 
 def test_match_keypoint_cosine_gate():
@@ -195,7 +200,7 @@ def test_match_keypoint_cosine_gate():
     frame = DescriptorSet(np.stack([vec(4.0, 3.0), vec(0.0, 0.0, 50.0)]))
     g = vec(3.0, 4.0)
     assert count_correspondences(one_row(g), frame, MatchConfig()) == 0
-    assert matches(one_row(g), [frame], MatchConfig(tau2=0.95))[0, 0] == 0
+    assert matches(one_row(g), packed([frame]), MatchConfig(tau2=0.95))[0, 0] == 0
 
 
 def test_match_keypoint_ratio_test():
@@ -256,7 +261,7 @@ def test_best_match_prefers_higher_count_then_lower_id():
     assert fid == 2
 
 
-def test_best_match_skips_tiny_frames(caplog):
+def test_best_match_skips_tiny_frames(caplog, monkeypatch):
     rng = np.random.default_rng(7)
     tiny = DescriptorSet(unit_rows(rng, 1))
     fid, count = best_match(DescriptorSet(unit_rows(rng, 3)), as_candidates([(1, tiny)]), MatchConfig())
@@ -269,7 +274,13 @@ def test_best_match_skips_tiny_frames(caplog):
     caplog.clear()
     assert best_match(query, as_candidates(frames), MatchConfig()) == (2, 8)
     assert best_match(query, as_candidates(frames[:3]), MatchConfig()) == (4, 5)
-    assert [r.getMessage() for r in caplog.records] == ["skipped 2 candidate frame(s) with fewer than 2 descriptors"] * 2
+    # frames of no rows alone, or in a chunk of their own before a frame
+    # wider than a chunk's budget
+    monkeypatch.setattr(matching, "_E_BYTES", 4 * DESCRIPTOR_DIM * 4)
+    assert best_match(query, as_candidates([(3, DescriptorSet.empty())] * 2), MatchConfig()) == (3, 0)
+    candidates = _Candidates(np.array([6, 2, 4], dtype=np.uint64), *columns(DescriptorSet(base), [0, 0, 8], [0, 8, 8]))
+    assert best_match(query, candidates, MatchConfig()) == (2, 8)
+    assert [r.getMessage() for r in caplog.records] == ["skipped 2 candidate frame(s) with fewer than 2 descriptors"] * 4
 
 
 def test_best_match_rejects_empty_candidates():
@@ -336,16 +347,17 @@ def test_count_monotone_in_thresholds():
 
 
 def test_window_is_a_zero_copy_view_with_its_own_norms():
+    # each frame's set a candidate yields is a view of its rows of the
+    # block, overlapping or nested, and its norms equal the block's there
     rng = np.random.default_rng(13)
     block = DescriptorSet(unit_rows(rng, 30) * rng.uniform(0.5, 2.0, (30, 1)))
-    inner = block._window(5, 25)._window(3, 10)
-    assert np.shares_memory(inner.array, block.array)
-    assert np.array_equal(inner.array, block.array[8:15])
-    assert np.array_equal(inner.norms, np.einsum("ij,ij->i", block.array[8:15], block.array[8:15]))
-    with pytest.raises(ValueError):
-        block._window(20, 31)
-    with pytest.raises(ValueError):
-        block._window(4, 3)
+    starts, stops = [0, 5, 8, 8], [12, 25, 15, 8]
+    candidates = _Candidates(np.arange(4, dtype=np.uint64), *columns(block, starts, stops))
+    for (fid, ds), a, b in zip(candidates, starts, stops):
+        assert np.shares_memory(ds.array, block.array) or a == b
+        assert np.array_equal(ds.array, block.array[a:b]) and not ds.array.flags.writeable
+        assert np.array_equal(ds.norms, block.norms[a:b])
+        assert np.array_equal(ds.norms, np.einsum("ij,ij->i", block.array[a:b], block.array[a:b]))
 
 
 def test_interleaved_scans_sharing_the_scratch_buffers_match_separate_ones(monkeypatch):
@@ -358,16 +370,18 @@ def test_interleaved_scans_sharing_the_scratch_buffers_match_separate_ones(monke
     block = DescriptorSet(unit_rows(rng, 400))
     scans = []
     for step, gap in ((5, (30, 36)), (7, (10, 13))):
-        windows = [block._window(s, s + 20) for s in range(0, 380, step)]
+        starts = np.arange(0, 380, step)
+        starts = np.concatenate([starts[: gap[0]], starts[gap[1] :]])
         query = DescriptorSet(block.array[100:120] + rng.normal(0, 0.02, (20, DESCRIPTOR_DIM)))
-        scans.append((query, windows[: gap[0]] + windows[gap[1] :]))
+        scans.append((query, columns(block, starts, starts + 20)))
     # sets that own their rows, packed into one block of copies
-    scans.append((scans[0][0], [DescriptorSet(w.array) for w in scans[1][1]]))
+    scans.append((scans[0][0], packed(frame_sets(*scans[1][1]))))
     # zip_longest takes one chunk from each scan in turn
-    pairs = list(zip_longest(*(_matched(q, *_pack(sets), MatchConfig()) for q, sets in scans)))
-    for i, (query, sets) in enumerate(scans):
+    pairs = list(zip_longest(*(_matched(q, *frames, MatchConfig()) for q, frames in scans)))
+    for i, (query, frames) in enumerate(scans):
         chunks = [p[i] for p in pairs if p[i] is not None]
         assert len(chunks) > 1
+        sets = frame_sets(*frames)
         counts = np.zeros(len(sets), dtype=np.int64)
         for lo, first, widths, *found in chunks:
             _, f, _ = triples(first, widths, *found)
@@ -380,65 +394,68 @@ def test_interleaved_scans_sharing_the_scratch_buffers_match_separate_ones(monke
 @pytest.mark.parametrize("chunk_cols", [None, 60, 200, 1])
 @pytest.mark.parametrize("tau1, tau2", [(0.8, 0.97), (0.95, 0.5), (0.9, 1.0), (0.95, -0.5)])
 def test_windows_of_one_block_score_like_independent_copies(tau1, tau2, chunk_cols, monkeypatch):
-    # shared: windows of one block with starts that never decrease, as a
-    # scan's are: sliding overlapping windows (steps that do and do not
+    # shared: frames of one block with starts that never decrease, as a
+    # scan's are: sliding overlapping frames (steps that do and do not
     # divide the width), an exclusion-style gap, nested and unequal
-    # windows. mixed: some of those beside a second block, a standalone
-    # set and descending runs, apart and overlapping, which _pack copies.
-    # Over descriptors of uneven norms; scored in one chunk, or in chunks
-    # of at most chunk_cols candidate rows
+    # frames, scored from the block in place. mixed: some of those beside
+    # rows of a second block, a standalone set and descending runs, apart
+    # and overlapping, all packed into one block of copies. Over
+    # descriptors of uneven norms; scored in one chunk, or in chunks of at
+    # most chunk_cols candidate rows
     rng = np.random.default_rng(14)
     cfg = MatchConfig(tau1=tau1, tau2=tau2)
     pool = unit_rows(rng, 400) * rng.uniform(0.3, 3.0, (400, 1))
     block = DescriptorSet(pool)
     other = DescriptorSet(unit_rows(rng, 60))
-    # twins of rows the shared windows hold, and of rows the mixed ones do
+    # twins of rows the shared frames hold, and of rows the mixed ones do
     twins = np.vstack([pool[240:260], pool[100:120]]) + rng.standard_normal((40, DESCRIPTOR_DIM)) * 0.01
     query = DescriptorSet(np.vstack([twins, unit_rows(rng, 5), np.zeros((1, DESCRIPTOR_DIM))]))
-    shared = (
-        [block._window(s, s + 50) for s in range(0, 60, 10)]
-        + [block._window(s, s + 50) for s in range(220, 330, 7)]
-        + [block._window(s, s + w) for s, w in ((330, 40), (331, 3), (335, 3), (360, 40))]
+    spans = (
+        [(s, s + 50) for s in range(0, 60, 10)]
+        + [(s, s + 50) for s in range(220, 330, 7)]
+        + [(s, s + w) for s, w in ((330, 40), (331, 3), (335, 3), (360, 40))]
     )
-    mixed = (
-        [block._window(s, s + 50) for s in range(0, 120, 10)]
-        + [other._window(0, 30), other._window(30, 60), DescriptorSet(unit_rows(rng, 9))]
-        + [block._window(s, s + 35) for s in (300, 200, 100)]
-        + [block._window(s, s + 40) for s in (160, 150, 140)]
-        + [block._window(s, s + 3) for s in range(95, 140)]
+    shared = columns(block, *zip(*spans))
+    runs = (
+        [(s, s + 50) for s in range(0, 120, 10)]
+        + [(s, s + 35) for s in (300, 200, 100)]
+        + [(s, s + 40) for s in (160, 150, 140)]
+        + [(s, s + 3) for s in range(95, 140)]
     )
-    assert _pack(shared)[0] is block and _pack(mixed)[0] is not block
-    whole = {len(sets): _counts(query, *_pack(sets), cfg) for sets in (shared, mixed)}
+    mixed = frame_sets(*columns(block, *zip(*runs)))
+    mixed[12:12] = [DescriptorSet(other.array[:30]), DescriptorSet(other.array[30:]), DescriptorSet(unit_rows(rng, 9))]
+    mixed = packed(mixed)
+    whole = {len(frames[1]): _counts(query, *frames, cfg) for frames in (shared, mixed)}
     if chunk_cols is not None:
         # the query has fewer rows than a descriptor, so a chunk's rows,
         # not its E, bind the budget
         monkeypatch.setattr(matching, "_E_BYTES", chunk_cols * DESCRIPTOR_DIM * 4)
     max_cols = matching._E_BYTES // (4 * DESCRIPTOR_DIM)
-    chunks = [(lo, lo + len(widths), np.shares_memory(rows, block.array)) for lo, rows, _, _, widths in _candidate_rows(*_pack(shared), max_cols)]
+    chunks = [(lo, lo + len(widths), np.shares_memory(rows, block.array)) for lo, rows, _, _, widths in _candidate_rows(*shared, max_cols)]
     assert [lo for lo, _, _ in chunks] == [0] + [hi for _, hi, _ in chunks[:-1]]
     assert all(in_place for _, _, in_place in chunks)  # every chunk is one span of the block
     if chunk_cols is None:
-        # one chunk, the gap's rows between the runs of windows scored with them
-        assert chunks == [(0, len(shared), True)]
+        # one chunk, the gap's rows between the runs of frames scored with them
+        assert chunks == [(0, len(spans), True)]
     elif chunk_cols == 1:
-        assert [hi - lo for lo, hi, _ in chunks] == [1] * len(shared)
+        assert [hi - lo for lo, hi, _ in chunks] == [1] * len(spans)
     elif chunk_cols == 60:
-        # the first run of windows splits after its second window
+        # the first run of frames splits after its second frame
         assert chunks[0] == (0, 2, True)
     else:
         # the gap's 120 rows count against the budget: the first run of
-        # windows (rows 0-100) is a chunk, the rest (220-400) another
-        assert chunks == [(0, 6, True), (6, len(shared), True)]
-    for sets, at in ((shared, (0, 5, 6, 21, 23, 25)), (mixed, (0, 9, 12, 15, 18, 21, 28))):
-        copies = [DescriptorSet(w.array) for w in sets]
-        got = _counts(query, *_pack(sets), cfg)
+        # frames (rows 0-100) is a chunk, the rest (220-400) another
+        assert chunks == [(0, 6, True), (6, len(spans), True)]
+    for frames, at in ((shared, (0, 5, 6, 21, 23, 25)), (mixed, (0, 9, 12, 15, 18, 21, 28))):
+        sets = frame_sets(*frames)
+        got = _counts(query, *frames, cfg)
         assert got.tolist() == whole[len(sets)].tolist()
-        assert got.tolist() == _counts(query, *_pack(copies), cfg).tolist()
+        assert got.tolist() == _counts(query, *packed(sets), cfg).tolist()
         assert (got.sum() > 0) == (tau2 < 1.0)  # clipped cosines never exceed 1
         for i in at:
             assert got[i] == naive_count(query.array.astype(np.float64), sets[i].array.astype(np.float64), cfg.tau1, cfg.tau2)
-        ids = list(range(len(sets)))
-        assert best_match(query, as_candidates(zip(ids, sets)), cfg) == best_match(query, as_candidates(zip(ids, copies)), cfg)
+        ids = np.arange(len(sets), dtype=np.uint64)
+        assert best_match(query, _Candidates(ids, *frames), cfg) == best_match(query, as_candidates(zip(ids.tolist(), sets)), cfg)
 
 
 def test_gap_rows_match_for_no_frame(monkeypatch):
@@ -457,7 +474,7 @@ def test_gap_rows_match_for_no_frame(monkeypatch):
     gap = [118, 127, 138, 149, 160, 172]
     query = DescriptorSet(block.array[gap + [50]])
     cfg = MatchConfig()
-    want = [count_correspondences(query, block._window(a, b), cfg) for a, b in zip(starts.tolist(), stops.tolist())]
+    want = [count_correspondences(query, ds, cfg) for ds in frame_sets(block, starts, stops)]
     assert want == [int(a <= 50 < b) for a, b in zip(starts.tolist(), stops.tolist())]
     for cols, span in ((None, (0, 300)), (112, (96, 208)), (40, None)):
         if cols is not None:
@@ -597,18 +614,18 @@ def gate_segments(seg, first, qq, fnorms, cfg):
     return match
 
 
-def oracle_matches(query, sets, cfg):
+def oracle_matches(query, frames, cfg):
     """_matched without the screen: E in full per chunk, and every pair's top-2 from its whole segment.
 
     The chunks and their products are _matched's own, so E is the same bit
     for bit and only the top-2 is compared.
     """
-    m, p = len(query), len(sets)
+    m, p = len(query), len(frames[1])
     q = query.array * np.float32(-2.0)
     qq = query.norms.astype(np.float64)
     match = np.full((m, p), -1, dtype=np.int64)
     max_cols = max(1, matching._E_BYTES // (4 * max(m, DESCRIPTOR_DIM)))
-    for lo, rows, fnorms, first, widths in _candidate_rows(*_pack(sets), max_cols):
+    for lo, rows, fnorms, first, widths in _candidate_rows(*frames, max_cols):
         e = q @ rows.T
         e += fnorms
         r, f = np.divmod(np.arange(m * len(widths)), len(widths))
@@ -625,7 +642,7 @@ FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None
 
 @st.composite
 def scans(draw):
-    """A block of rows with windows of it, a query and thresholds, drawn to hit ties, zeros and overflow."""
+    """A block of rows with frames of it as a scan's columns, a query and thresholds, drawn to hit ties, zeros and overflow."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 40))
     if draw(st.booleans()):
@@ -649,11 +666,11 @@ def scans(draw):
     block = DescriptorSet(pool.astype(np.float32))
     layout = draw(st.sampled_from(["any", "sliding", "gapped"]))
     if layout == "any":
-        windows = []
+        spans = []
         for start, width, after in draw(st.lists(st.tuples(st.integers(0, n - 2), st.integers(2, n), st.booleans()), min_size=1, max_size=8)):
-            if after and windows and windows[-1]._start + len(windows[-1]) <= n - 2:
-                start = windows[-1]._start + len(windows[-1])  # adjacent to the last
-            windows.append(block._window(start, min(start + width, n)))
+            if after and spans and spans[-1][1] <= n - 2:
+                start = spans[-1][1]  # adjacent to the last
+            spans.append((start, min(start + width, n)))
     else:
         # as a synthetic drive's scan: equal-width windows sliding by a
         # fixed step, with or without an exclusion gap of some of them
@@ -662,9 +679,13 @@ def scans(draw):
         if layout == "gapped" and len(starts) > 2:
             a = draw(st.integers(1, len(starts) - 2))
             starts = starts[:a] + starts[draw(st.integers(a + 1, len(starts) - 1)) :]
-        windows = [block._window(s, s + width) for s in starts]
+        spans = [(s, s + width) for s in starts]
+    frames = columns(block, *zip(*spans))
     if draw(st.booleans()):
-        windows.insert(draw(st.integers(0, len(windows))), DescriptorSet(unit_rows(rng, draw(st.integers(2, 6)))))
+        # a set of its own among them: every frame's rows packed into one block of copies
+        sets = frame_sets(*frames)
+        sets.insert(draw(st.integers(0, len(sets))), DescriptorSet(unit_rows(rng, draw(st.integers(2, 6)))))
+        frames = packed(sets)
     m = draw(st.integers(1, 8))
     rows = []
     for kind in draw(st.lists(st.sampled_from(["copy", "twin", "zero", "huge", "random"]), min_size=m, max_size=m)):
@@ -681,7 +702,7 @@ def scans(draw):
     query = DescriptorSet(np.array(rows, dtype=np.float32))
     cfg = MatchConfig(tau1=draw(st.sampled_from([0.5, 0.8, 0.99])), tau2=draw(st.sampled_from([-0.5, 0.0, 0.97, 1.0])))
     chunk_cols = draw(st.sampled_from([None, 2, 5, 17]))
-    return query, windows, cfg, chunk_cols
+    return query, frames, cfg, chunk_cols
 
 
 def screen_spy(calls):
@@ -736,12 +757,12 @@ def test_matches_equal_the_full_segment_oracle():
     @FUZZ
     @given(scan=scans())
     def check(scan):
-        query, windows, cfg, chunk_cols = scan
+        query, frames, cfg, chunk_cols = scan
         budget = matching._E_BYTES if chunk_cols is None else chunk_cols * DESCRIPTOR_DIM * 4
         with mock.patch.object(matching, "_E_BYTES", budget), mock.patch.object(matching, "_held_pairs", counted), screen_spy(calls), np.errstate(over="ignore", invalid="ignore"):
-            counts = _counts(query, *_pack(windows), cfg)
-            got = matches(query, windows, cfg)
-            want = oracle_matches(query, windows, cfg)
+            counts = _counts(query, *frames, cfg)
+            got = matches(query, frames, cfg)
+            want = oracle_matches(query, frames, cfg)
         assert counts.dtype == np.int64 and np.array_equal(counts, (want >= 0).sum(axis=0))
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -771,7 +792,8 @@ def test_lone_entries_left_to_the_pairs_beside_rows_of_two_entries_in_a_frame(mo
     rows = [axis(20 + i) for i in range(24)]
     rows[3], rows[8], rows[11], rows[15] = axis(0, 0.975, 10), axis(1, 0.999, 11), axis(1, 0.98, 12), axis(2)
     block = DescriptorSet(np.stack(rows))
-    windows = [block._window(s, s + 6) for s in range(0, 19, 2)]
+    starts = np.arange(0, 19, 2)
+    frames = columns(block, starts, starts + 6)
     query = DescriptorSet(np.stack([axis(0), axis(1), axis(2)]))
     cfg = MatchConfig()
     calls = {"settled": 0, "left": 0, "pairs": 0, "rows": 0}
@@ -779,15 +801,15 @@ def test_lone_entries_left_to_the_pairs_beside_rows_of_two_entries_in_a_frame(mo
     monkeypatch.setattr(matching, "_held_pairs", lambda *a: calls.update(pairs=calls["pairs"] + 1) or held_pairs(*a))
     monkeypatch.setattr(matching, "_top_two", lambda *a: calls.update(rows=calls["rows"] + len(a[2])) or top_two(*a))
     with lone_spy(calls):
-        got = matches(query, windows, cfg)
-        counts = _counts(query, *_pack(windows), cfg)
-    want = oracle_matches(query, windows, cfg)
+        got = matches(query, frames, cfg)
+        counts = _counts(query, *frames, cfg)
+    want = oracle_matches(query, frames, cfg)
     assert np.array_equal(got, want) and np.array_equal(counts, (want >= 0).sum(axis=0))
-    held = lambda row: [i for i, w in enumerate(windows) if w._start <= row < w._start + 6]
-    assert [i for i in range(len(windows)) if got[0, i] >= 0] == held(3)  # after the whole row of E
-    assert [i for i in range(len(windows)) if got[2, i] >= 0] == held(15)  # settled once
-    # the windows holding both of row 1's entries take the nearer
-    assert all(got[1, i] == 8 - windows[i]._start for i in set(held(8)) & set(held(11)))
+    held = lambda row: [i for i, s in enumerate(starts) if s <= row < s + 6]
+    assert [i for i in range(len(starts)) if got[0, i] >= 0] == held(3)  # after the whole row of E
+    assert [i for i in range(len(starts)) if got[2, i] >= 0] == held(15)  # settled once
+    # the frames holding both of row 1's entries take the nearer
+    assert all(got[1, i] == 8 - starts[i] for i in set(held(8)) & set(held(11)))
     assert calls["settled"] == calls["left"] == calls["pairs"] == 2  # one pass per call above
     assert calls["rows"] > 0
 
@@ -801,11 +823,11 @@ def test_an_entry_is_lone_only_where_no_frame_holding_it_holds_another():
     rows = [axis(20 + i) for i in range(12)]
     rows[5], rows[8] = axis(0, 0.99, 10), axis(0, 0.99, 11)
     block = DescriptorSet(np.stack(rows))
-    windows = [block._window(0, 9), block._window(1, 7)]
+    frames = columns(block, [0, 1], [9, 7])
     query = one_row(axis(0))
-    got = matches(query, windows, MatchConfig())
-    assert got.tolist() == [[-1, 4]] and np.array_equal(got, oracle_matches(query, windows, MatchConfig()))
-    assert _counts(query, *_pack(windows), MatchConfig()).tolist() == [0, 1]
+    got = matches(query, frames, MatchConfig())
+    assert got.tolist() == [[-1, 4]] and np.array_equal(got, oracle_matches(query, frames, MatchConfig()))
+    assert _counts(query, *frames, MatchConfig()).tolist() == [0, 1]
 
 
 def test_owned_rows_holding_noisy_copies_of_shared_landmarks_equal_the_oracle(monkeypatch):
@@ -830,9 +852,9 @@ def test_owned_rows_holding_noisy_copies_of_shared_landmarks_equal_the_oracle(mo
         if chunk_cols is not None:
             monkeypatch.setattr(matching, "_E_BYTES", chunk_cols * DESCRIPTOR_DIM * 4)
         with lone_spy(calls):
-            got = matches(query, frames, cfg)
-            counts = _counts(query, *_pack(frames), cfg)
-        want = oracle_matches(query, frames, cfg)
+            got = matches(query, packed(frames), cfg)
+            counts = _counts(query, *packed(frames), cfg)
+        want = oracle_matches(query, packed(frames), cfg)
         assert np.array_equal(got, want) and np.array_equal(counts, (want >= 0).sum(axis=0))
         assert ((got >= 0).sum(axis=1) >= 4).sum() >= 10  # keypoints matched in several frames
     assert calls["settled"] > 0 and calls["left"] == 0
@@ -863,10 +885,10 @@ def test_oracle_returns_no_match_where_e_holds_a_nan():
     query = DescriptorSet(g.reshape(1, -1))
     cfg = MatchConfig(tau2=0.9)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert oracle_matches(query, [frame], cfg)[0, 0] == -1
-        assert matches(query, [frame], cfg)[0, 0] == -1
+        assert oracle_matches(query, packed([frame]), cfg)[0, 0] == -1
+        assert matches(query, packed([frame]), cfg)[0, 0] == -1
         # without the overflowing row, the nearer twin is matched
-        assert matches(query, [frame._window(1, 3)], cfg)[0, 0] == 0
+        assert matches(query, columns(frame, [1], [3]), cfg)[0, 0] == 0
 
 
 def test_screen_keeps_exactly_the_entries_below_the_bound():
@@ -976,21 +998,22 @@ def test_extreme_tau2_scans_equal_the_oracle(tau2):
     rng = np.random.default_rng(23)
     pool = unit_rows(rng, 400).astype(np.float32)
     block = DescriptorSet(pool)
-    windows = [block._window(s, s + 40) for s in range(0, 361, 8)]
+    starts = np.arange(0, 361, 8)
+    frames = columns(block, starts, starts + 40)
     query = DescriptorSet(np.vstack([pool[200:230] + rng.standard_normal((30, DESCRIPTOR_DIM)) * 0.01, unit_rows(rng, 4), pool[203:204]]))
     cfg = MatchConfig(tau1=0.9, tau2=tau2)
     calls = {"skipped": 0, "compared": 0}
     with mock.patch.object(matching, "_E_BYTES", 60 * DESCRIPTOR_DIM * 4), screen_spy(calls):
-        got = matches(query, windows, cfg)
-    want = oracle_matches(query, windows, cfg)
+        got = matches(query, frames, cfg)
+    want = oracle_matches(query, frames, cfg)
     assert np.array_equal(got, want)
     if tau2 < 0:
         assert calls == {"skipped": 0, "compared": 16}
         assert (got >= 0).sum() > 0
     else:
-        # of the 16 chunks of three windows, the min test passes on exactly
+        # of the 16 chunks of three frames, the min test passes on exactly
         # those holding a row the query copies (200-229) and skips the rest
-        held = [any(200 < w._start + 40 and w._start < 230 for w in windows[lo : lo + len(first)]) for lo, _, _, first, _ in _candidate_rows(*_pack(windows), 60)]
+        held = [any(200 < s + 40 and s < 230 for s in starts[lo : lo + len(first)]) for lo, _, _, first, _ in _candidate_rows(*frames, 60)]
         assert calls == {"skipped": held.count(False), "compared": held.count(True)} and calls["skipped"] > 0, calls
 
 
@@ -1009,10 +1032,10 @@ def test_bound_covers_the_norms_of_every_chunk(monkeypatch):
     cfg = MatchConfig(tau1=0.95, tau2=0.97)
     monkeypatch.setattr(matching, "_E_BYTES", 2 * DESCRIPTOR_DIM * 4)
     query = DescriptorSet(g.reshape(1, -1))
-    assert len(list(_candidate_rows(*_pack(frames), 2))) == len(frames)
-    got = matches(query, frames, cfg)
+    assert len(list(_candidate_rows(*packed(frames), 2))) == len(frames)
+    got = matches(query, packed(frames), cfg)
     assert got[0].tolist() == [-1, -1, -1, 0, 0]
-    assert np.array_equal(got, oracle_matches(query, frames, cfg))
+    assert np.array_equal(got, oracle_matches(query, packed(frames), cfg))
 
 
 def two_row_frame(cos0, second):
@@ -1044,6 +1067,6 @@ def test_each_ratio_test_branch(cos0, second, settled, rows_read, want, monkeypa
     monkeypatch.setattr(matching, "_top_two", lambda *a: calls.update(rows=calls["rows"] + len(a[2])) or top_two(*a))
     cfg = MatchConfig(tau1=0.8, tau2=0.97)
     with lone_spy(calls):
-        got = matches(query, [frame], cfg)
-    assert got[0, 0] == want == oracle_matches(query, [frame], cfg)[0, 0]
+        got = matches(query, packed([frame]), cfg)
+    assert got[0, 0] == want == oracle_matches(query, packed([frame]), cfg)[0, 0]
     assert calls["settled"] == settled and calls["rows"] == rows_read
