@@ -8,8 +8,8 @@ The columns are the only record of which rows a frame holds. A drive's
 block is its landmark pool, a loaded database's the file's block and an
 ingested one's the block that its .desc payloads were read into, in frame
 order; all are held as they are. Database(frames) copies the frames' rows
-into a new block in frame order (_pack). A scan selects its candidates as
-index ranges of the columns and scores the block's rows in chunks,
+into a new block in frame order (_pack). A scan gathers its candidates'
+entries of the columns and scores the block's rows in chunks,
 without a GeoFrame per frame; GeoFrames, each viewing its rows of the
 block, are built only when one is asked for (the winner of a scan,
 ``frames``, ``frame_by_id``).
@@ -149,13 +149,11 @@ class Database:
         checked here: every caller has built them as GeoPoints or checked
         them (_check_geotags).
         """
-        ids, timestamps = np.ascontiguousarray(ids, dtype=np.uint64), np.ascontiguousarray(timestamps, dtype=np.int64)
-        lat, lon = np.ascontiguousarray(lat, dtype=np.float64), np.ascontiguousarray(lon, dtype=np.float64)
-        starts, stops = np.ascontiguousarray(starts, dtype=np.int64), np.ascontiguousarray(stops, dtype=np.int64)
-        later = (timestamps[1:] > timestamps[:-1]) | ((timestamps[1:] == timestamps[:-1]) & (ids[1:] > ids[:-1]))
-        if not later.all():
-            order = np.lexsort((ids, timestamps))
-            ids, timestamps, lat, lon, starts, stops = (c[order] for c in (ids, timestamps, lat, lon, starts, stops))
+        ids, timestamps = np.asarray(ids, dtype=np.uint64), np.asarray(timestamps, dtype=np.int64)
+        lat, lon = np.asarray(lat, dtype=np.float64), np.asarray(lon, dtype=np.float64)
+        starts, stops = np.asarray(starts, dtype=np.int64), np.asarray(stops, dtype=np.int64)
+        order = np.lexsort((ids, timestamps))
+        ids, timestamps, lat, lon, starts, stops = (c[order] for c in (ids, timestamps, lat, lon, starts, stops))
         if (starts[1:] < starts[:-1]).any():
             block, starts, stops = _pack([block.array[a:b] for a, b in zip(starts.tolist(), stops.tolist())])
         id_order = np.argsort(ids, kind="stable")
@@ -163,12 +161,12 @@ class Database:
         twin = np.flatnonzero(sorted_ids[1:] == sorted_ids[:-1])
         if twin.size:
             raise ValueError(f"duplicate frame_id {sorted_ids[twin[0]]}")
-        for col in (ids, timestamps, lat, lon, starts, stops, id_order, sorted_ids):
+        for col in (ids, timestamps, lat, lon, starts, stops, id_order):
             col.setflags(write=False)
         self._ids, self._timestamps, self._lat, self._lon = ids, timestamps, lat, lon
         self._block, self._starts, self._stops = block, starts, stops
-        # frame_by_id binary-searches the sorted ids
-        self._id_order, self._sorted_ids = id_order, sorted_ids
+        # frame_by_id binary-searches the ids in this order
+        self._id_order = id_order
         self.source = source
         self.camera = camera
 
@@ -180,14 +178,6 @@ class Database:
             DescriptorSet._wrap(self._block.array[self._starts[i] : self._stops[i]]),
         )
 
-    def _candidates(self, ranges: list[tuple[int, int]]) -> _Candidates:
-        """Frames lo:hi of each ascending, disjoint (lo, hi) of ranges, as best_match's candidates (views for one range)."""
-        if len(ranges) == 1:
-            (lo, hi), = ranges
-            return _Candidates(self._ids[lo:hi], self._block, self._starts[lo:hi], self._stops[lo:hi])
-        ids, starts, stops = (np.concatenate([c[lo:hi] for lo, hi in ranges]) for c in (self._ids, self._starts, self._stops))
-        return _Candidates(ids, self._block, starts, stops)
-
     @property
     def frames(self) -> "_Frames":
         """Read-only sequence of the frames, each GeoFrame built when it is read."""
@@ -195,8 +185,8 @@ class Database:
 
     def frame_by_id(self, frame_id: int) -> GeoFrame:
         if 0 <= frame_id < 2**64:
-            j = int(self._sorted_ids.searchsorted(np.uint64(frame_id)))
-            if j < len(self) and self._sorted_ids[j] == frame_id:
+            j = int(self._ids.searchsorted(np.uint64(frame_id), sorter=self._id_order))
+            if j < len(self) and self._ids[self._id_order[j]] == frame_id:
                 return self._frame(self._id_order[j])
         raise KeyError(frame_id)
 
@@ -278,11 +268,11 @@ def scan(
     lo, hi = 0, len(db)
     if cfg.window_s is not None and center_ts is not None:
         lo, hi = _within(db._timestamps, center_ts, cfg.window_s)
-    ranges = [(lo, hi)]
+    keep = np.arange(lo, hi)
     if cfg.exclusion_s is not None:
         cut_lo, cut_hi = _within(db._timestamps, query_ts, cfg.exclusion_s)
-        ranges = [(lo, min(hi, cut_lo)), (max(lo, cut_hi), hi)]
-    candidates = db._candidates(ranges)
+        keep = keep[(keep < cut_lo) | (keep >= cut_hi)]
+    candidates = _Candidates(db._ids[keep], db._block, db._starts[keep], db._stops[keep])
     if not len(candidates):
         raise EmptyCandidatesError(
             f"no candidate frames for query_ts={query_ts} "

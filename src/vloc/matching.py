@@ -66,8 +66,12 @@ def _scratch_f32(shape: tuple) -> np.ndarray:
     A chunk's product is written here rather than into a fresh array, so a
     process that scans many small databases (a Monte-Carlo run) does not
     page each scan's largest array in again whenever the allocator has
-    handed the last one back to the OS. The buffer grows to the largest
-    product seen, at most _E_BYTES per thread. A view is valid until the
+    handed the last one back to the OS: a fresh product per chunk made the
+    benchmark's mc_eval first query 19-33% slower (2-core Xeon, OpenBLAS;
+    1.10-1.20 ms against 1.40-1.60 ms at the median, 4 of 4 pairs). The
+    buffer grows to the largest product seen, at most _E_BYTES per thread,
+    the smaller one freed first (held while the next was made, it raised
+    long_drive's peak RSS from 49.9 to 53.4 MB). A view is valid until the
     next chunk; each chunk's product is consumed before _matched yields.
     The size is math.prod of the shape: np.prod, which builds an array
     first, took most of this call's time.
@@ -211,11 +215,17 @@ def _candidate_rows(block: DescriptorSet, starts: np.ndarray, stops: np.ndarray,
         lo += k
 
 
-def _cosine_gate(qq: np.ndarray, e1: np.ndarray, fn1: np.ndarray, cfg: MatchConfig) -> np.ndarray:
-    """Cosine gate on float64 |g|^2, nearest E value and nearest |f|^2."""
+def _verdict(qq: np.ndarray, e1: np.ndarray, e2: np.ndarray, fn1: np.ndarray, cfg: MatchConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(cosine gate, gate and ratio test) per entry, on float64 |g|^2, E of the nearest and runner-up, and the nearest's |f|^2.
+
+    Squared distances |g|^2 + E are clamped at 0. A floor under the
+    runner-up's E may stand in for it: a match on the floor is one on E.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
         cos = ((fn1 - e1) / 2.0) / np.sqrt(qq * fn1)
-    return (qq > 0.0) & (fn1 > 0.0) & (np.clip(cos, -1.0, 1.0) > cfg.tau2)
+        gate = (qq > 0.0) & (fn1 > 0.0) & (np.clip(cos, -1.0, 1.0) > cfg.tau2)
+        d1, d2 = np.maximum(qq + e1, 0.0), np.maximum(qq + e2, 0.0)
+        return gate, gate & (d2 > 0.0) & (d1 / d2 < cfg.tau1 * cfg.tau1)
 
 
 def _gate_bound(qq: np.ndarray, fmin: float, fmax: float, tau2: float) -> np.ndarray:
@@ -366,10 +376,7 @@ def _chunk_matches(g: np.ndarray, qq: np.ndarray, fnorms: np.ndarray, first: np.
         return flat, flat, flat, hr, hc
     r, f = _held_pairs(flat, g.shape, first, widths)
     j, e1, e2 = _top_two(g, fnorms, r, first[f], widths[f])
-    qr = qq[r]
-    ok = _cosine_gate(qr, e1, fnorms[first[f] + j].astype(np.float64), cfg)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        passed = ok & _ratio_test(np.maximum(qr + e1, 0.0), np.maximum(qr + e2, 0.0), cfg)
+    _, passed = _verdict(qq[r], e1, e2, fnorms[first[f] + j].astype(np.float64), cfg)
     return r[passed], f[passed], j[passed], hr, hc
 
 
@@ -407,10 +414,7 @@ def _settle_lone(flat: np.ndarray, e: np.ndarray, qq: np.ndarray, fnorms: np.nda
     lone[:-1] &= ~same | (col[1:] >= hi[:-1])
     at = np.flatnonzero(lone)
     r, c = row[at], col[at]
-    e1, qr = e[at].astype(np.float64), qq[r]
-    ok = _cosine_gate(qr, e1, fnorms[c].astype(np.float64), cfg)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hit = ok & _ratio_test(np.maximum(qr + e1, 0.0), np.maximum(qr + bound[r].astype(np.float64), 0.0), cfg)
+    ok, hit = _verdict(qq[r], e[at].astype(np.float64), bound[r].astype(np.float64), fnorms[c].astype(np.float64), cfg)
     lone[at[ok & ~hit]] = False
     return flat[~lone], r[hit], c[hit]
 
@@ -455,11 +459,6 @@ def _top_two(g: np.ndarray, fnorms: np.ndarray, r: np.ndarray, first: np.ndarray
             seg[i, near] = np.inf
             e2[at] = seg.min(axis=1)
     return j, e1, e2
-
-
-def _ratio_test(d1: np.ndarray, d2: np.ndarray, cfg: MatchConfig) -> np.ndarray:
-    """d1 / d2 < tau1^2 on float64 squared distances to the nearest and runner-up."""
-    return (d2 > 0.0) & (d1 / d2 < cfg.tau1 * cfg.tau1)
 
 
 def count_correspondences(query: DescriptorSet, frame: DescriptorSet, cfg: MatchConfig) -> int:

@@ -158,24 +158,24 @@ def gen_queries(
 ) -> list[Query]:
     """Queries along the drive: nearest-frame descriptors, noised, with truth.
 
-    Raises ValueError when any query timestamp falls outside the database
-    time range.
+    The nearest frame is the first nearest in time; round(rows *
+    distractor_fraction) of its rows become distractors. Raises ValueError
+    for a database of no frames or a query timestamp outside its range.
     """
     if n < 1:
         raise ValueError(f"need at least one query, got {n}")
+    if not len(db):
+        raise ValueError("gen_queries needs a database with frames, got none")
     frame_ts = db._timestamps  # sorted
     first, last = int(frame_ts[0]), int(frame_ts[-1])
 
     rng = np.random.default_rng([cfg.seed, 1])
-    k = cfg.keypoints_per_frame
-    n_distract = int(round(k * cfg.distractor_fraction))
-
     queries = []
     for i in range(n):
         ts = start_ts + int(round(i * period_s * 1e9))
         if not first <= ts <= last:
             raise ValueError(f"query {i} at {ts} outside database range [{first}, {last}]")
-        nearest = _nearest(frame_ts, ts)
+        nearest = int(np.abs(frame_ts - ts).argmin())
         base = db._block.array[db._starts[nearest] : db._stops[nearest]]
         if cfg.query_noise_sigma > 0:
             arr = rng.standard_normal(base.shape, dtype=np.float32)
@@ -183,20 +183,12 @@ def gen_queries(
             arr += base
         else:
             arr = base.copy()
+        n_distract = int(round(len(base) * cfg.distractor_fraction))
         if n_distract > 0:
             rows = rng.choice(len(base), size=n_distract, replace=False)
             arr[rows] = _unit_rows(rng, n_distract)
         queries.append(Query(DescriptorSet(arr), ts, position_at(cfg, ts)))
     return queries
-
-
-def _nearest(timestamps: np.ndarray, ts: int) -> int:
-    """Index of the sorted timestamp nearest ts, the lowest index on a tie (as argmin of the distances)."""
-    j = int(np.searchsorted(timestamps, ts, "left"))
-    if j == len(timestamps) or (j > 0 and ts - int(timestamps[j - 1]) <= int(timestamps[j]) - ts):
-        # the earlier neighbour wins; take the first of its equal timestamps
-        j = int(np.searchsorted(timestamps, timestamps[j - 1], "left"))
-    return j
 
 
 def _trial_seed(master_seed: int, i: int) -> tuple[int, int]:

@@ -58,6 +58,14 @@ def test_build_db_from_a_manifest_of_no_frames(tmp_path, capsys):
     assert len(load_db(db_path)) == 0
 
 
+def test_build_db_names_the_line_of_a_field_over_the_csv_limit(tmp_path, capsys):
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(",".join(CSV_MANIFEST_HEADER) + "\n0,0,49.0,8.0," + "x" * 131073 + ".desc\n")
+    assert main(["build-db", "--csv", str(manifest), "--out", str(tmp_path / "o.vldb")]) == 1
+    assert capsys.readouterr().err == "error: m.csv:2: field larger than field limit (131072)\n"
+    assert not (tmp_path / "o.vldb").exists()
+
+
 def test_build_db_requires_exactly_one_source(dataset, capsys):
     tmp_path, manifest, _ = dataset
     assert main(["build-db", "--out", str(tmp_path / "x.vldb")]) == 2
@@ -240,6 +248,23 @@ def test_query_window_of_inf_scans_the_whole_database(dataset, capsys):
     assert "step 2: no correspondences" in capsys.readouterr().err
 
 
+def test_query_names_the_step_of_a_filter_failure(tmp_path, capsys):
+    # a q this large takes the predicted covariance past float range over
+    # the 1500 s between the two queries
+    cfg = WorldConfig(duration_s=2000, db_hz=1, keypoints_per_frame=20)
+    db = synthworld.gen_world(cfg)
+    save_db(db, tmp_path / "drive.vldb")
+    qlines = ["timestamp_ns,descriptor_path"]
+    for i, q in enumerate(synthworld.gen_queries(db, synthworld.T0_NS + 100 * 10**9, 2, 1500.0, cfg)):
+        write_desc_file(tmp_path / f"q{i}.desc", GeoFrame(i, q.timestamp_ns, q.truth, q.descriptors))
+        qlines.append(f"{q.timestamp_ns},q{i}.desc")
+    (tmp_path / "queries.csv").write_text("".join(line + "\n" for line in qlines))
+    args = ["query", "--db", str(tmp_path / "drive.vldb"), "--queries", str(tmp_path / "queries.csv"), "--out-dir", str(tmp_path)]
+    assert main(args + ["--window-s", "inf", "--q", "1e300"]) == 1
+    assert capsys.readouterr().err == "error: step 2: state must be finite\n"
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_query_empty_manifest_is_usage_error(dataset, capsys):
     tmp_path, manifest, _ = dataset
     db_path = build_db(dataset)
@@ -414,6 +439,7 @@ def test_simulate_has_no_workers_flag(tmp_path, capsys):
         ("--q", "nan", 1, "q must be finite, got nan"),
         ("--p0-scale", "inf", 1, "p0_scale must be finite, got inf"),
         ("--sigma-r", "inf", 1, "sigma_r must be finite, got inf"),
+        ("--steps", "0", 2, "--steps must be positive, got 0"),
     ],
 )
 def test_simulate_rejects_unusable_numbers(tmp_path, capsys, flag, value, code, message):

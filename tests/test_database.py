@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import tracemalloc
 from unittest import mock
@@ -488,12 +489,30 @@ def test_ingest_kitti_missing_dirs(tmp_path):
 
 
 def test_ingest_kitti_bad_oxts(tmp_path):
+    # each bad record fails naming its frame
     rng = np.random.default_rng(32)
     sets = [DescriptorSet(unit_rows(rng, 4)) for _ in FIXTURE_GEO]
-    write_kitti_tree(tmp_path, FIXTURE_STAMPS, FIXTURE_GEO, sets)
-    (tmp_path / "oxts" / "data" / "0000000001.txt").write_text("not-a-number 8.4\n")
-    with pytest.raises(IngestError):
-        ingest_kitti(tmp_path)
+    cases = [
+        ("data/0000000001.txt", "not-a-number 8.4", r"frame 0000000001: non-numeric lat/lon in 0000000001\.txt$"),
+        ("data/0000000001.txt", "49.0", "frame 0000000001: oxts record has 1 fields, need at least 2$"),
+        ("data/0000000002.txt", "91.0 8.4", r"frame 0000000002: latitude 91\.0 outside \[-90, 90\]$"),
+        ("data/0000000002.txt", "49.0 181.0", r"frame 0000000002: longitude 181\.0 outside \[-180, 180\]$"),
+        ("timestamps.txt", "\n".join([FIXTURE_STAMPS[0], "2011-09-26 25:02:25.6", FIXTURE_STAMPS[2]]), "frame 0000000001: bad timestamp '2011-09-26 25:02:25.6'$"),
+    ]
+    for i, (name, text, message) in enumerate(cases):
+        root = tmp_path / str(i)
+        write_kitti_tree(root, FIXTURE_STAMPS, FIXTURE_GEO, sets)
+        (root / "oxts" / name).write_text(text + "\n")
+        with pytest.raises(IngestError, match=f"^{message}"):
+            ingest_kitti(root)
+    # a record that cannot be read: a directory in the file's place
+    root = tmp_path / "unreadable"
+    write_kitti_tree(root, FIXTURE_STAMPS, FIXTURE_GEO, sets)
+    record = root / "oxts" / "data" / "0000000001.txt"
+    record.unlink()
+    record.mkdir()
+    with pytest.raises(IngestError, match=f"^frame 0000000001: cannot read {re.escape(str(record))}: "):
+        ingest_kitti(root)
 
 
 @pytest.mark.parametrize("stem", ["1" + "0" * 20, "x1"])
@@ -588,6 +607,16 @@ def test_ingest_csv_reports_line_numbers(tmp_path, fid, ts):
     manifest = tmp_path / "m.csv"
     manifest.write_text(",".join(CSV_MANIFEST_HEADER) + f"\n{fid},{ts},49.0,8.0,f0.desc\n")
     with pytest.raises(IngestError, match=r"m\.csv:2"):
+        ingest_csv(manifest)
+
+
+def test_ingest_csv_names_the_line_of_a_duplicate_frame_id(tmp_path):
+    rng = np.random.default_rng(36)
+    write_desc_file(tmp_path / "f0.desc", make_frame(rng, 0, 0))
+    rows = ["5,0,49.0,8.0,f0.desc", "6,1,49.0,8.0,f0.desc", "5,2,49.0,8.0,f0.desc"]
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("".join(line + "\n" for line in [",".join(CSV_MANIFEST_HEADER), *rows]))
+    with pytest.raises(IngestError, match=r"^m\.csv:4: duplicate frame_id 5$"):
         ingest_csv(manifest)
 
 

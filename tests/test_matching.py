@@ -14,13 +14,13 @@ from vloc.matching import (
     DescriptorSet,
     MatchConfig,
     _Candidates,
-    _cosine_gate,
     _candidate_rows,
     _counts,
     _gate_bound,
     _held_pairs,
     _matched,
     _screen,
+    _verdict,
     best_match,
     count_correspondences,
 )
@@ -500,7 +500,7 @@ def test_gate_bound_admits_every_entry_the_cosine_gate_passes(tau2):
     qq = rng.uniform(0.2, 5.0, 4000).astype(np.float32).astype(np.float64)
     cos = tau2 + rng.uniform(-1e-6, 1e-6, 4000)
     e = (fn - 2.0 * cos * np.sqrt(qq * fn)).astype(np.float32).astype(np.float64)
-    passes = _cosine_gate(qq, e, fn, cfg)
+    passes, _ = _verdict(qq, e, e, fn, cfg)
     assert passes.any() and not passes.all()
     bound = _gate_bound(qq, fmin, fmax, tau2)
     assert bound.dtype == np.float32
@@ -599,19 +599,12 @@ def gate_segments(seg, first, qq, fnorms, cfg):
     holds the frame's first column of E and qq the query row's |g|^2. argmin
     and min propagate NaN, so a segment holding a NaN matches nothing.
     """
-    j1 = seg.argmin(axis=1)
-    e1 = seg[np.arange(len(seg)), j1].astype(np.float64)
-    near = np.flatnonzero(_cosine_gate(qq, e1, fnorms[first + j1].astype(np.float64), cfg))
-    rest = seg[near]
-    rest[np.arange(len(near)), j1[near]] = np.inf
-    d1 = np.maximum(qq[near] + e1[near], 0.0)
-    d2 = np.maximum(qq[near] + rest.min(axis=1).astype(np.float64), 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = d1 / d2
-    match = np.full(len(seg), -1, dtype=np.int64)
-    passed = (d2 > 0.0) & (ratio < cfg.tau1 * cfg.tau1)
-    match[near[passed]] = j1[near[passed]]
-    return match
+    j1, i = seg.argmin(axis=1), np.arange(len(seg))
+    e1 = seg[i, j1].astype(np.float64)
+    rest = seg.copy()
+    rest[i, j1] = np.inf
+    _, passed = _verdict(qq, e1, rest.min(axis=1).astype(np.float64), fnorms[first + j1].astype(np.float64), cfg)
+    return np.where(passed, j1, -1)
 
 
 def oracle_matches(query, frames, cfg):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from vloc import pipeline
+from vloc import kalman, pipeline
 from vloc.database import ScanConfig, scan
-from vloc.errors import NoMatchError
+from vloc.errors import NoMatchError, SingularInnovationError
 from vloc.geodesy import M_PER_DEG, GeoPoint, haversine_m
 from vloc.kalman import FilterConfig, init_filter, step, update
 from vloc.matching import DESCRIPTOR_DIM, DescriptorSet, MatchConfig
@@ -100,6 +100,25 @@ def test_no_match_raises():
     q = Query(DescriptorSet(alien), T0_NS + 1_000_000_000, None)
     with pytest.raises(NoMatchError, match="step 1"):
         localize_sequence(db, [q], ScanConfig(), MatchConfig(), FilterConfig())
+
+
+def test_a_filter_failure_names_its_step(monkeypatch):
+    # a q this large takes the predicted covariance past float range over
+    # the 1500 s between the two queries
+    cfg = WorldConfig(duration_s=2000, db_hz=1, keypoints_per_frame=20)
+    db = gen_world(cfg)
+    queries = gen_queries(db, T0_NS + 100 * 10**9, 2, 1500.0, cfg)
+    run = lambda: localize_sequence(db, queries, ScanConfig(window_s=None), MatchConfig(), FilterConfig(q=1e300))
+    with pytest.raises(ValueError, match="^step 2: state must be finite$") as caught:
+        run()
+    assert type(caught.value) is ValueError and str(caught.value.__cause__) == "state must be finite"
+
+    def singular(*args):
+        raise SingularInnovationError("innovation variance 0.0 is not positive")
+
+    monkeypatch.setattr(kalman, "step", singular)
+    with pytest.raises(SingularInnovationError, match="^step 2: innovation variance 0.0 is not positive$"):
+        run()
 
 
 def exact_queries(db, indices):
@@ -201,6 +220,8 @@ def test_evaluate_rejects_ragged_or_truthless():
         evaluate([(bare,)])
     with pytest.raises(ValueError):
         evaluate([])
+    with pytest.raises(ValueError, match="evaluate needs non-empty traces"):
+        evaluate([[]])
 
 
 def test_export_report_writes_csv_and_svg(tmp_path):
@@ -217,6 +238,10 @@ def test_export_report_writes_csv_and_svg(tmp_path):
     svg = svg_path.read_text()
     assert svg.startswith("<svg")
     assert svg.count("<polyline") == 2
+    empty = ErrorStats(*[np.empty(0)] * 4, n_traces=1)
+    with pytest.raises(ValueError, match="cannot export empty statistics"):
+        export_report(empty, tmp_path / "empty")
+    assert not (tmp_path / "empty").exists()
 
 
 def test_export_report_round_trips_float_text(tmp_path):

@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 
 from vloc import synthworld
-from vloc.database import ScanConfig
+from vloc.database import Database, GeoFrame, ScanConfig
+from vloc.geodesy import GeoPoint
 from vloc.geodesy import M_PER_DEG, haversine_m
 from vloc.kalman import FilterConfig
-from vloc.matching import MatchConfig
+from vloc.matching import DESCRIPTOR_DIM, DescriptorSet, MatchConfig
 from vloc.pipeline import evaluate
 from vloc.synthworld import (
     T0_NS,
     WorldConfig,
-    _nearest,
     _run_trial,
     _trial_seed,
     gen_queries,
@@ -39,6 +39,10 @@ def test_world_config_validates():
         WorldConfig(keypoints_per_frame=1)
     with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
         WorldConfig(seed=-1)
+    with pytest.raises(ValueError, match="duration_s must be positive, got 0"):
+        WorldConfig(duration_s=0)
+    with pytest.raises(ValueError, match="query_noise_sigma must be non-negative, got -1"):
+        WorldConfig(query_noise_sigma=-1)
     for field in ("speed_mps", "db_hz", "duration_s", "start_lat", "query_noise_sigma"):
         for value in (float("inf"), float("nan")):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
@@ -197,18 +201,46 @@ def test_gen_queries_rejects_out_of_range():
         gen_queries(db, T0_NS - 1_000_000_000, 1, 1.0, cfg)
     with pytest.raises(ValueError):
         gen_queries(db, T0_NS + 6_000_000_000, 5, 1.0, cfg)
+    # a drive shorter than one frame period has no frames
+    for empty in (gen_world(WorldConfig(duration_s=0.04)), Database([])):
+        with pytest.raises(ValueError, match="needs a database with frames, got none"):
+            gen_queries(empty, T0_NS, 1, 1.0, cfg)
 
 
-def test_nearest_frame_is_argmins_including_ties():
-    # sorted timestamps with repeats and gaps, probed at, between and beside
-    # each; argmin of the distances is the reference, lowest index on a tie
+def frames_at(rng, timestamps, rows):
+    """A database of one frame per timestamp, frame i of id i holding rows[i] random rows of its own."""
+    return Database(
+        GeoFrame(i, int(t), GeoPoint(49.0, 8.4), DescriptorSet(rng.standard_normal((k, DESCRIPTOR_DIM))))
+        for i, (t, k) in enumerate(zip(timestamps, rows))
+    )
+
+
+def test_a_query_copies_the_frame_nearest_in_time_the_first_on_a_tie():
+    # timestamps with repeats and gaps, a query at each nanosecond from the
+    # first to the last; argmin of the distances is the reference, so the
+    # first of the frames nearest in (timestamp, id) order on a tie
+    cfg = WorldConfig(query_noise_sigma=0.0, distractor_fraction=0.0)
     rng = np.random.default_rng(70)
-    for _ in range(200):
-        ts = np.sort(rng.integers(0, 40, size=int(rng.integers(1, 12)))).astype(np.int64)
-        for t in range(int(ts[0]), int(ts[-1]) + 1):
-            assert _nearest(ts, t) == int(np.argmin(np.abs(ts - t)))
-    ts = np.array([T0_NS, T0_NS + 10, T0_NS + 10, T0_NS + 20], dtype=np.int64)
-    assert [_nearest(ts, T0_NS + d) for d in (0, 5, 6, 10, 15, 16, 20)] == [0, 0, 1, 1, 1, 3, 3]
+    cases = [np.array([0, 10, 10, 20])]
+    cases += [np.sort(rng.integers(0, 40, size=int(rng.integers(1, 12)))) for _ in range(60)]
+    for offsets in cases:
+        ts = T0_NS + offsets
+        db = frames_at(rng, ts, rng.integers(2, 5, size=len(ts)))
+        queries = gen_queries(db, int(ts[0]), int(ts[-1] - ts[0]) + 1, 1e-9, cfg)
+        for q in queries:
+            want = db.frames[int(np.argmin(np.abs(ts - q.timestamp_ns)))]
+            assert np.array_equal(q.descriptors.array, want.descriptors.array)
+
+
+def test_gen_queries_takes_the_distractor_count_from_each_frame():
+    # round(rows * distractor_fraction) per frame, not per keypoints_per_frame
+    rng = np.random.default_rng(71)
+    db = frames_at(rng, T0_NS + np.arange(4) * 10**9, [10, 10, 4, 30])
+    cfg = WorldConfig(query_noise_sigma=0.0, distractor_fraction=0.3)
+    queries = gen_queries(db, T0_NS, 4, 1.0, cfg)
+    replaced = [int((q.descriptors.array != f.descriptors.array).any(axis=1).sum()) for q, f in zip(queries, db.frames)]
+    assert replaced == [3, 3, 1, 9]
+    assert len(gen_queries(db, T0_NS, 4, 1.0, WorldConfig())) == 4
 
 
 def spawned_seeds(master_seed, trials):
