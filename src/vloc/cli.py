@@ -1,6 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 data or runtime failure, 2 usage error.
+Exit codes: 0 success; 2 when the command line does not parse or the query
+manifest is malformed; 1 when a config or run rejects a value, or the data
+or run fails. Each value is checked once, by its config or by
+run_monte_carlo, not here.
 """
 
 import argparse
@@ -44,40 +47,41 @@ def _flag(p: argparse.ArgumentParser, name: str, default, text: str) -> None:
     p.add_argument(name, type=type(default), default=default, help=f"{text} (default %(default)s)")
 
 
-def _add_match_flags(p: argparse.ArgumentParser) -> None:
-    _flag(p, "--tau1", MatchConfig.tau1, "distance ratio threshold")
-    _flag(p, "--tau2", MatchConfig.tau2, "cosine similarity threshold")
+_FLAGS = {
+    MatchConfig: {"tau1": "distance ratio threshold", "tau2": "cosine similarity threshold"},
+    ScanConfig: {
+        "window_s": "search window half-width in seconds, inf = the whole database",
+        "exclusion_s": "ignore frames within this many seconds of the query timestamp, 0 = off",
+    },
+    FilterConfig: {
+        "sigma_r": "measurement noise std per axis in meters",
+        "p0_scale": "initial variance of each position (m^2) and velocity (m^2/s^2) component",
+        "q": "white-noise acceleration density in m^2/s^3",
+    },
+    WorldConfig: {
+        "seed": "master seed",
+        "speed_mps": "vehicle speed",
+        "heading_deg": "drive heading",
+        "db_hz": "database frame rate",
+        "duration_s": "drive length in seconds",
+        "keypoints_per_frame": "descriptors per frame",
+        "landmark_overlap": "shared fraction between neighbours",
+        "query_noise_sigma": "per-component query noise",
+        "distractor_fraction": "replaced query descriptors",
+    },
+}
+"""The help text of each config field that is a flag; WorldConfig's start_lat and start_lon are not."""
 
 
-def _add_scan_flags(p: argparse.ArgumentParser, default_exclusion) -> None:
-    _flag(p, "--window-s", ScanConfig.window_s, "search window half-width in seconds, inf = the whole database")
-    p.add_argument(
-        "--exclusion-s",
-        type=float,
-        default=default_exclusion,
-        help="ignore frames within this many seconds of the query timestamp, 0 = off"
-        + (" (default %(default)s, the evaluation handicap)" if default_exclusion is not None else " (default off)"),
-    )
+def _add_flags(p: argparse.ArgumentParser, cls, **defaults) -> None:
+    """A --field-name flag per field of cls in _FLAGS, defaulting to defaults[field] or else the field's default."""
+    for name, text in _FLAGS[cls].items():
+        _flag(p, "--" + name.replace("_", "-"), defaults.get(name, getattr(cls, name)), text)
 
 
-def _add_filter_flags(p: argparse.ArgumentParser) -> None:
-    _flag(p, "--sigma-r", FilterConfig.sigma_r, "measurement noise std per axis in meters")
-    _flag(p, "--p0-scale", FilterConfig.p0_scale, "initial variance of each position (m^2) and velocity (m^2/s^2) component")
-    _flag(p, "--q", FilterConfig.q, "white-noise acceleration density in m^2/s^3")
-
-
-def _match_cfg(args) -> MatchConfig:
-    return MatchConfig(tau1=args.tau1, tau2=args.tau2)
-
-
-def _scan_cfg(args) -> ScanConfig:
-    if args.exclusion_s is not None and not args.exclusion_s >= 0:
-        raise _UsageError(f"--exclusion-s must be 0 (off) or positive, got {args.exclusion_s}")
-    return ScanConfig(window_s=args.window_s, exclusion_s=args.exclusion_s or None)
-
-
-def _filter_cfg(args) -> FilterConfig:
-    return FilterConfig(sigma_r=args.sigma_r, p0_scale=args.p0_scale, q=args.q)
+def _cfg(cls, args):
+    """The cls that the parsed flags of _add_flags(p, cls) give."""
+    return cls(**{name: getattr(args, name) for name in _FLAGS[cls]})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,29 +107,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="CSV manifest: timestamp_ns,descriptor_path[,truth_lat,truth_lon]",
     )
     _flag(p_query, "--out-dir", ".", "directory for trace.csv")
-    _add_match_flags(p_query)
-    _add_scan_flags(p_query, default_exclusion=None)
-    _add_filter_flags(p_query)
+    for cls in (MatchConfig, ScanConfig, FilterConfig):
+        _add_flags(p_query, cls)
     p_query.set_defaults(func=_cmd_query)
 
     p_sim = sub.add_parser("simulate", help="synthetic Monte-Carlo evaluation of the full pipeline")
     p_sim.add_argument("--trials", type=int, required=True, help="number of synthetic drives")
     mc = inspect.signature(run_monte_carlo).parameters
-    _flag(p_sim, "--seed", WorldConfig.seed, "master seed")
     _flag(p_sim, "--steps", mc["steps"].default, "queries per drive")
     _flag(p_sim, "--period-s", mc["period_s"].default, "query spacing in seconds")
     _flag(p_sim, "--out-dir", ".", "directory for errors.csv / errors.svg")
-    _flag(p_sim, "--speed-mps", WorldConfig.speed_mps, "vehicle speed")
-    _flag(p_sim, "--heading-deg", WorldConfig.heading_deg, "drive heading")
-    _flag(p_sim, "--db-hz", WorldConfig.db_hz, "database frame rate")
-    _flag(p_sim, "--duration-s", WorldConfig.duration_s, "drive length in seconds")
-    _flag(p_sim, "--keypoints-per-frame", WorldConfig.keypoints_per_frame, "descriptors per frame")
-    _flag(p_sim, "--landmark-overlap", WorldConfig.landmark_overlap, "shared fraction between neighbours")
-    _flag(p_sim, "--query-noise-sigma", WorldConfig.query_noise_sigma, "per-component query noise")
-    _flag(p_sim, "--distractor-fraction", WorldConfig.distractor_fraction, "replaced query descriptors")
-    _add_match_flags(p_sim)
-    _add_scan_flags(p_sim, default_exclusion=1.0)
-    _add_filter_flags(p_sim)
+    _add_flags(p_sim, WorldConfig)
+    _add_flags(p_sim, MatchConfig)
+    _add_flags(p_sim, ScanConfig, exclusion_s=1.0)  # the evaluation handicap
+    _add_flags(p_sim, FilterConfig)
     p_sim.set_defaults(func=_cmd_simulate)
 
     return parser
@@ -200,7 +195,7 @@ def _write_trace_csv(trace, out_dir: Path) -> Path:
 
 def _cmd_query(args) -> int:
     # bad settings fail before the database is read
-    cfgs = _scan_cfg(args), _match_cfg(args), _filter_cfg(args)
+    cfgs = [_cfg(cls, args) for cls in (ScanConfig, MatchConfig, FilterConfig)]
     db = load_db(args.db)
     queries = _read_query_manifest(Path(args.queries))
     trace = localize_sequence(db, queries, *cfgs)
@@ -231,30 +226,8 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.trials < 1:
-        raise _UsageError(f"--trials must be positive, got {args.trials}")
-    if args.steps < 1:
-        raise _UsageError(f"--steps must be positive, got {args.steps}")
-    world = WorldConfig(
-        speed_mps=args.speed_mps,
-        heading_deg=args.heading_deg,
-        db_hz=args.db_hz,
-        duration_s=args.duration_s,
-        keypoints_per_frame=args.keypoints_per_frame,
-        landmark_overlap=args.landmark_overlap,
-        query_noise_sigma=args.query_noise_sigma,
-        distractor_fraction=args.distractor_fraction,
-        seed=args.seed,
-    )
-    stats = run_monte_carlo(
-        world,
-        _scan_cfg(args),
-        _match_cfg(args),
-        _filter_cfg(args),
-        trials=args.trials,
-        steps=args.steps,
-        period_s=args.period_s,
-    )
+    cfgs = [_cfg(cls, args) for cls in (WorldConfig, ScanConfig, MatchConfig, FilterConfig)]
+    stats = run_monte_carlo(*cfgs, trials=args.trials, steps=args.steps, period_s=args.period_s)
     print(f"{args.trials} trials, {stats.n_steps} steps")
     print(f"{'step':>4} {'mean_meas_m':>12} {'std_meas_m':>12} {'mean_est_m':>12} {'std_est_m':>12}")
     for i in range(stats.n_steps):

@@ -232,19 +232,21 @@ class ScanConfig:
     """Controls which frames a scan may consider.
 
     window_s restricts candidates to within that many seconds of the scan's
-    center_ts (no restriction without a center, as on the first query of a
-    sequence). exclusion_s drops frames too close to the query's own
-    timestamp; that is an evaluation handicap for databases recorded on the
-    same drive as the queries, off by default.
+    center_ts; inf, or a scan without a center (as on the first query of a
+    sequence), considers the whole database. exclusion_s drops frames within
+    that many seconds of the query's own timestamp; that is an evaluation
+    handicap for databases recorded on the same drive as the queries, and 0,
+    the default, turns it off. A value under 1 ns drops only frames at the
+    query's own nanosecond.
     """
 
-    window_s: Optional[float] = 20.0
-    exclusion_s: Optional[float] = None
+    window_s: float = 20.0
+    exclusion_s: float = 0.0
 
     def __post_init__(self):
-        if self.window_s is not None and not self.window_s > 0:
+        if not self.window_s > 0:
             raise ValueError(f"window_s must be positive, got {self.window_s}")
-        if self.exclusion_s is not None and not self.exclusion_s >= 0:
+        if not self.exclusion_s >= 0:
             raise ValueError(f"exclusion_s must be non-negative, got {self.exclusion_s}")
 
 
@@ -260,16 +262,17 @@ def scan(
 
     The window is centered on center_ts; without one the scan is unwindowed.
     A frame is inside the window when |timestamp_ns - center_ts| <=
-    window_s * 1e9, and excluded when |timestamp_ns - query_ts| <=
-    exclusion_s * 1e9, so the candidates are at most two runs of
-    consecutive frames. Returns (frame, correspondence_count). Raises
-    EmptyCandidatesError when filtering leaves nothing to score.
+    window_s * 1e9, and, unless exclusion_s is 0, excluded when
+    |timestamp_ns - query_ts| <= exclusion_s * 1e9, so the candidates are
+    at most two runs of consecutive frames. Returns (frame,
+    correspondence_count). Raises EmptyCandidatesError when filtering
+    leaves nothing to score.
     """
     lo, hi = 0, len(db)
-    if cfg.window_s is not None and center_ts is not None:
+    if center_ts is not None:
         lo, hi = _within(db._timestamps, center_ts, cfg.window_s)
     keep = np.arange(lo, hi)
-    if cfg.exclusion_s is not None:
+    if cfg.exclusion_s:
         cut_lo, cut_hi = _within(db._timestamps, query_ts, cfg.exclusion_s)
         keep = keep[(keep < cut_lo) | (keep >= cut_hi)]
     candidates = _Candidates(db._ids[keep], db._block, db._starts[keep], db._stops[keep])
@@ -516,16 +519,15 @@ def _read_desc_files(paths: Sequence, error=lambda i, exc: exc) -> tuple[list[tu
 def _parse_kitti_timestamp(line: str, where: str) -> int:
     # "2011-09-26 13:02:25.594360375" with nanosecond fraction, taken as UTC
     text = line.strip()
+    base, _, frac = text.partition(".")
     try:
-        if "." in text:
-            base, frac = text.split(".", 1)
-        else:
-            base, frac = text, "0"
         dt = datetime.strptime(base, "%Y-%m-%d %H:%M:%S").replace(tzinfo=timezone.utc)
-        ns = int(frac.ljust(9, "0")[:9])
+        # int() would also take a sign, "_", spaces or another script's digits
+        if frac and not (frac.isascii() and frac.isdigit()):
+            raise ValueError(f"fraction {frac!r} is not digits")
     except ValueError as exc:
         raise IngestError(f"{where}: bad timestamp {text!r}") from exc
-    ns += int(dt.timestamp()) * 1_000_000_000
+    ns = int(frac.ljust(9, "0")[:9]) + int(dt.timestamp()) * 1_000_000_000
     if not _I64_MIN <= ns <= _I64_MAX:
         raise IngestError(f"{where}: timestamp_ns {ns} outside the int64 range")
     return ns
@@ -533,7 +535,7 @@ def _parse_kitti_timestamp(line: str, where: str) -> int:
 
 def _parse_oxts_latlon(path: Path, index: str) -> GeoPoint:
     try:
-        tokens = path.read_text().split()
+        tokens = _manifest_text(path, IngestError).split()
     except OSError as exc:
         raise IngestError(f"frame {index}: cannot read {path}: {exc}") from exc
     if len(tokens) < 2:
@@ -569,7 +571,7 @@ def ingest_kitti(root) -> Database:
         if not d.is_dir():
             raise FileNotFoundError(f"missing directory {d}")
 
-    lines = [ln for ln in ts_path.read_text().splitlines() if ln.strip()]
+    lines = [ln for ln in _manifest_text(ts_path, IngestError).splitlines() if ln.strip()]
     data_stems = {p.stem for p in data_dir.glob("*.txt")}
     desc_stems = {p.stem for p in desc_dir.glob("*.desc")}
     if data_stems != desc_stems:

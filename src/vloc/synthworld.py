@@ -206,7 +206,7 @@ def _start_range(cfg: WorldConfig, scan_cfg: ScanConfig, steps: int, period_s: f
     """
     period_ns = _frame_period_ns(cfg)
     frames = _frame_count(cfg)
-    margin = ((scan_cfg.exclusion_s or 0.0) + 2.0 / cfg.db_hz) * 1e9 / period_ns
+    margin = (scan_cfg.exclusion_s + 2.0 / cfg.db_hz) * 1e9 / period_ns
     # a drive has under 2**63 frames and queries are at least 1 ns apart, so
     # 2**1023 queries, near the largest float, already span past any drive
     span = min(steps - 1, 2**1023) * period_s * 1e9 / period_ns
@@ -258,6 +258,8 @@ def run_monte_carlo(
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    if steps < 1:
+        raise ValueError(f"steps must be positive, got {steps}")
     if not (math.isfinite(period_s) and period_s > 0):
         raise ValueError(f"period_s must be positive and finite, got {period_s}")
     if period_s * 1e9 < 1.0:

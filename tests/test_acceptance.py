@@ -384,8 +384,8 @@ def test_criterion_09_window_exclusion_soundness():
         idx = int(rng.integers(0, len(db)))
         query = db.frames[idx].descriptors
         query_ts = db.frames[idx].timestamp_ns
-        wide = ScanConfig(window_s=1e6, exclusion_s=None)
-        full = ScanConfig(window_s=None, exclusion_s=None)
+        wide = ScanConfig(window_s=1e6, exclusion_s=0.0)
+        full = ScanConfig(window_s=float("inf"), exclusion_s=0.0)
         fa, ca = scan(db, query, query_ts, wide, match_cfg, center_ts=mid_ts)
         fb, cb = scan(db, query, query_ts, full, match_cfg)
         if fa.frame_id != fb.frame_id or ca != cb:

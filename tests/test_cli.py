@@ -1,8 +1,15 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import vloc
 from vloc import synthworld
-from vloc.cli import _read_query_manifest, _scan_cfg, _write_trace_csv, build_parser, main
+from vloc.cli import _FLAGS, _cfg, _read_query_manifest, _write_trace_csv, build_parser, main
 from vloc.database import CSV_MANIFEST_HEADER, Database, GeoFrame, ScanConfig, load_db, save_db, write_desc_file
 from vloc.geodesy import GeoPoint
 from vloc.kalman import FilterConfig
@@ -165,6 +172,23 @@ def test_build_db_rejects_a_kitti_timestamp_outside_int64(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "name, line, where", [("timestamps.txt", 1, "timestamps.txt:2"), ("data/0000000001.txt", 0, "0000000001.txt:1")]
+)
+def test_build_db_names_the_kitti_file_that_is_not_utf8(tmp_path, capsys, name, line, where):
+    root = tmp_path / "drive"
+    write_kitti(root, STAMPS[:3])
+    path = root / "oxts" / name
+    lines = path.read_bytes().split(b"\n")
+    lines[line] += b" \xff"
+    path.write_bytes(b"\n".join(lines))
+    out = tmp_path / "o.vldb"
+    assert main(["build-db", "--kitti", str(root), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {where}: not UTF-8: invalid start byte at byte 0xff\n"
+    assert not out.exists()
+
+
 def test_build_db_names_the_kitti_frame_of_a_missing_or_non_finite_desc(tmp_path, capsys):
     root = tmp_path / "drive"
     write_kitti(root, STAMPS)
@@ -238,7 +262,7 @@ def test_query_window_of_inf_scans_the_whole_database(dataset, capsys):
         qlines.append(f"{step * 10**9},q{i}.desc")
     qmanifest = tmp_path / "queries.csv"
     qmanifest.write_text("".join(line + "\n" for line in qlines))
-    whole = localize_sequence(load_db(db_path), _read_query_manifest(qmanifest), ScanConfig(window_s=None), MatchConfig(), FilterConfig())
+    whole = localize_sequence(load_db(db_path), _read_query_manifest(qmanifest), ScanConfig(window_s=float("inf")), MatchConfig(), FilterConfig())
     assert [s.matched_frame_id for s in whole] == [5, 0, 3]
     want = _write_trace_csv(whole, tmp_path).read_bytes()
     args = ["query", "--db", str(db_path), "--queries", str(qmanifest), "--out-dir", str(tmp_path / "out"), "--window-s"]
@@ -365,7 +389,7 @@ def test_query_names_the_frame_of_a_corrupt_database(dataset, capsys):
 
 @pytest.mark.parametrize(
     "flag, value, code, message",
-    [("--exclusion-s", "-0.5", 2, "--exclusion-s must be 0 (off) or positive"), ("--q", "inf", 1, "q must be finite")],
+    [("--exclusion-s", "-0.5", 1, "exclusion_s must be non-negative, got -0.5"), ("--q", "inf", 1, "q must be finite")],
 )
 def test_query_rejects_bad_settings_before_reading_the_database(dataset, tmp_path, capsys, flag, value, code, message):
     _, manifest, _ = dataset
@@ -400,8 +424,8 @@ def test_simulate_writes_reports(tmp_path, capsys):
 
 def test_simulate_rejects_nonpositive_trials(tmp_path, capsys):
     code = main(["simulate", "--trials", "0", "--out-dir", str(tmp_path)])
-    assert code == 2
-    assert "trials" in capsys.readouterr().err
+    assert code == 1
+    assert "trials must be positive, got 0" in capsys.readouterr().err
 
 
 def test_simulate_has_no_workers_flag(tmp_path, capsys):
@@ -429,8 +453,8 @@ def test_simulate_has_no_workers_flag(tmp_path, capsys):
         # numpy's SeedSequence would reject it naming no flag
         ("--seed", "-1", 1, "seed must be non-negative, got -1"),
         # a NaN or negative exclusion would otherwise turn the handicap off
-        ("--exclusion-s", "nan", 2, "--exclusion-s must be 0 (off) or positive, got nan"),
-        ("--exclusion-s", "-3", 2, "--exclusion-s must be 0 (off) or positive, got -3.0"),
+        ("--exclusion-s", "nan", 1, "exclusion_s must be non-negative, got nan"),
+        ("--exclusion-s", "-3", 1, "exclusion_s must be non-negative, got -3.0"),
         # an exclusion margin wider than the drive, infinite or past float range in frames
         ("--exclusion-s", "inf", 1, "duration_s=8.0 at db_hz=10.0 too short for 6 queries at 1.0 s spacing with exclusion_s=inf"),
         ("--exclusion-s", "1e300", 1, "duration_s=8.0 at db_hz=10.0 too short for 6 queries at 1.0 s spacing with exclusion_s=1e+300"),
@@ -439,7 +463,7 @@ def test_simulate_has_no_workers_flag(tmp_path, capsys):
         ("--q", "nan", 1, "q must be finite, got nan"),
         ("--p0-scale", "inf", 1, "p0_scale must be finite, got inf"),
         ("--sigma-r", "inf", 1, "sigma_r must be finite, got inf"),
-        ("--steps", "0", 2, "--steps must be positive, got 0"),
+        ("--steps", "0", 1, "steps must be positive, got 0"),
     ],
 )
 def test_simulate_rejects_unusable_numbers(tmp_path, capsys, flag, value, code, message):
@@ -451,9 +475,9 @@ def test_simulate_rejects_unusable_numbers(tmp_path, capsys, flag, value, code, 
 
 def test_zero_exclusion_means_off():
     args = build_parser().parse_args(["simulate", "--trials", "1", "--exclusion-s", "0"])
-    assert _scan_cfg(args).exclusion_s is None
+    assert _cfg(ScanConfig, args).exclusion_s == 0.0
     args = build_parser().parse_args(["simulate", "--trials", "1"])
-    assert _scan_cfg(args).exclusion_s == 1.0
+    assert _cfg(ScanConfig, args).exclusion_s == 1.0
 
 
 def test_simulate_reports_running_out_of_memory(tmp_path, capsys, monkeypatch):
@@ -479,6 +503,27 @@ def test_help_exits_zero(capsys):
     assert "build-db" in capsys.readouterr().out
 
 
+def test_every_config_field_has_a_flag():
+    # a config field added later cannot miss the CLI unnoticed
+    off_cli = {WorldConfig: {"start_lat", "start_lon"}}  # deliberately not flags
+    assert set(_FLAGS) == {MatchConfig, ScanConfig, FilterConfig, WorldConfig}
+    for cls, names in _FLAGS.items():
+        fields = {f.name for f in dataclasses.fields(cls)}
+        assert set(names) <= fields, cls
+        assert fields - set(names) == off_cli.get(cls, set()), cls
+
+
+def test_python_dash_m_vloc_runs_main(tmp_path):
+    # the package's own source, wherever the tests run from
+    env = {**os.environ, "PYTHONPATH": str(Path(vloc.__file__).parents[1])}
+    run = lambda *args: subprocess.run([sys.executable, "-m", "vloc", *args], cwd=tmp_path, env=env, capture_output=True, text=True)
+    shown = run("--help")
+    assert shown.returncode == 0 and "build-db" in shown.stdout
+    rejected = run("simulate", "--trials", "0")
+    assert rejected.returncode == 1
+    assert "trials must be positive, got 0" in rejected.stderr and "Traceback" not in rejected.stderr
+
+
 def test_flag_defaults_match_library_pins():
     # the CLI must default to exactly the library's pinned configuration
     parser = build_parser()
@@ -487,7 +532,7 @@ def test_flag_defaults_match_library_pins():
     assert (q.tau1, q.tau2) == (mc.tau1, mc.tau2)
     assert (q.sigma_r, q.p0_scale, q.q) == (fc.sigma_r, fc.p0_scale, fc.q)
     assert q.window_s == 20.0
-    assert q.exclusion_s is None  # off unless asked for
+    assert q.exclusion_s == 0.0  # off unless asked for
 
     s = parser.parse_args(["simulate", "--trials", "1"])
     wc = WorldConfig(seed=0)

@@ -277,16 +277,17 @@ def test_scan_filters_like_a_list_filter_at_every_boundary(monkeypatch):
     # every frame's time and its neighbours, and times outside the drive
     times = sorted({f.timestamp_ns + d for f in frames for d in (-1, 0, 1)} | {t0 - 10**9, t0 + 10**9, 0})
     query = DescriptorSet.empty()
-    for win in (None, window_s, 1e-9, float("inf")):
-        for excl in (None, 0.0, exclusion_s, 1e300):
+    for win in (window_s, 1e-9, float("inf")):
+        # an exclusion under 1 ns drops only the frames at the query's own nanosecond
+        for excl in (0.0, 1e-10, exclusion_s, 1e300):
             cfg = ScanConfig(window_s=win, exclusion_s=excl)
             for center in [None] + times[::3]:
                 for query_ts in times[::5]:
                     want = [
                         f.frame_id
                         for f in frames
-                        if (win is None or center is None or abs(f.timestamp_ns - center) <= win * 1e9)
-                        and (excl is None or abs(f.timestamp_ns - query_ts) > excl * 1e9)
+                        if (center is None or abs(f.timestamp_ns - center) <= win * 1e9)
+                        and (excl == 0 or abs(f.timestamp_ns - query_ts) > excl * 1e9)
                     ]
                     if not want:
                         with pytest.raises(EmptyCandidatesError):
@@ -435,6 +436,10 @@ def test_scan_config_validates():
         ScanConfig(exclusion_s=-1.0)
     with pytest.raises(ValueError):
         ScanConfig(exclusion_s=float("nan"))
+    # inf, not None, is the whole database; 0, not None, is no exclusion
+    for bad in ({"window_s": None}, {"exclusion_s": None}):
+        with pytest.raises(TypeError):
+            ScanConfig(**bad)
 
 
 def test_ingest_kitti_fixture(tmp_path):
@@ -513,6 +518,41 @@ def test_ingest_kitti_bad_oxts(tmp_path):
     record.mkdir()
     with pytest.raises(IngestError, match=f"^frame 0000000001: cannot read {re.escape(str(record))}: "):
         ingest_kitti(root)
+
+
+@pytest.mark.parametrize(
+    "name, line, message",
+    [("timestamps.txt", 1, "timestamps.txt:2: "), ("data/0000000001.txt", 0, "0000000001.txt:1: ")],
+)
+def test_ingest_kitti_names_the_file_of_text_that_is_not_utf8(tmp_path, name, line, message):
+    rng = np.random.default_rng(32)
+    write_kitti_tree(tmp_path, FIXTURE_STAMPS, FIXTURE_GEO, [DescriptorSet(unit_rows(rng, 4)) for _ in FIXTURE_GEO])
+    path = tmp_path / "oxts" / name
+    lines = path.read_bytes().split(b"\n")
+    lines[line] += b" \xff"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(IngestError, match=f"^{re.escape(message)}not UTF-8: invalid start byte at byte 0xff$"):
+        ingest_kitti(tmp_path)
+
+
+@pytest.mark.parametrize("frac", ["-5", "+5", "1_5", " 5", "\u0663"])
+def test_ingest_kitti_rejects_a_fraction_that_is_not_ascii_digits(tmp_path, frac):
+    # int() takes each of these: ".-5" would put frame 1 at 13:02:24.95, before frame 0
+    rng = np.random.default_rng(32)
+    stamps = [FIXTURE_STAMPS[0], f"2011-09-26 13:02:25.{frac}", FIXTURE_STAMPS[2]]
+    write_kitti_tree(tmp_path, FIXTURE_STAMPS, FIXTURE_GEO, [DescriptorSet(unit_rows(rng, 4)) for _ in FIXTURE_GEO])
+    (tmp_path / "oxts" / "timestamps.txt").write_bytes("\n".join(stamps).encode())
+    with pytest.raises(IngestError, match=f"^{re.escape(f'frame 0000000001: bad timestamp {stamps[1]!r}')}$"):
+        ingest_kitti(tmp_path)
+
+
+def test_ingest_kitti_reads_nine_digit_short_and_empty_fractions(tmp_path):
+    rng = np.random.default_rng(32)
+    stamps = ["2011-09-26 13:02:25.594360375", "2011-09-26 13:02:26.6", "2011-09-26 13:02:27.", "2011-09-26 13:02:28"]
+    coords = [(49.0, 8.4 + i * 1e-4) for i in range(4)]
+    write_kitti_tree(tmp_path, stamps, coords, [DescriptorSet(unit_rows(rng, 4)) for _ in coords])
+    base = 1_317_042_145 * 10**9  # 2011-09-26 13:02:25 UTC
+    assert ingest_kitti(tmp_path)._timestamps.tolist() == [base + 594_360_375, base + 1_600_000_000, base + 2 * 10**9, base + 3 * 10**9]
 
 
 @pytest.mark.parametrize("stem", ["1" + "0" * 20, "x1"])
@@ -880,7 +920,7 @@ def test_a_database_of_a_drives_frames_copies_their_rows_and_scans_as_the_drive(
     assert not np.shares_memory(db._block.array, world._block.array)
     save_db(db, tmp_path / "copied.vldb")
     loaded = load_db(tmp_path / "copied.vldb")
-    settings = ((ScanConfig(window_s=None), False), (ScanConfig(window_s=5.0), True), (ScanConfig(window_s=5.0, exclusion_s=1.0), True))
+    settings = ((ScanConfig(window_s=float("inf")), False), (ScanConfig(window_s=5.0), True), (ScanConfig(window_s=5.0, exclusion_s=1.0), True))
     matched = 0
     for q in gen_queries(world, T0_NS + 5 * 10**9, 20, 1.0, cfg):
         for scan_cfg, windowed in settings:

@@ -108,7 +108,7 @@ def test_a_filter_failure_names_its_step(monkeypatch):
     cfg = WorldConfig(duration_s=2000, db_hz=1, keypoints_per_frame=20)
     db = gen_world(cfg)
     queries = gen_queries(db, T0_NS + 100 * 10**9, 2, 1500.0, cfg)
-    run = lambda: localize_sequence(db, queries, ScanConfig(window_s=None), MatchConfig(), FilterConfig(q=1e300))
+    run = lambda: localize_sequence(db, queries, ScanConfig(window_s=float("inf")), MatchConfig(), FilterConfig(q=1e300))
     with pytest.raises(ValueError, match="^step 2: state must be finite$") as caught:
         run()
     assert type(caught.value) is ValueError and str(caught.value.__cause__) == "state must be finite"

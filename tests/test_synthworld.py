@@ -314,6 +314,14 @@ def test_run_monte_carlo_rejects_bad_counts():
             run_monte_carlo(WorldConfig(seed=8), ScanConfig(), MatchConfig(), FilterConfig(), trials=1, period_s=period_s)
 
 
+def test_run_monte_carlo_rejects_steps_under_one_before_any_trial(monkeypatch):
+    # without the check, 0 steps built a world and -1 reached numpy's "negative dimensions"
+    monkeypatch.setattr(synthworld, "gen_world", lambda cfg: pytest.fail("a world was built"))
+    for steps in (0, -1):
+        with pytest.raises(ValueError, match=f"^steps must be positive, got {steps}$"):
+            run_monte_carlo(WorldConfig(seed=8), ScanConfig(), MatchConfig(), FilterConfig(), trials=1, steps=steps)
+
+
 def test_run_monte_carlo_rejects_a_period_under_1_ns_before_any_trial(monkeypatch):
     # 0.4 ns rounds to 0 ns and 0.6 ns puts queries 1 and 2 both at 1 ns
     monkeypatch.setattr(synthworld, "gen_world", lambda cfg: pytest.fail("a world was built"))
