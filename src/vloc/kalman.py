@@ -28,13 +28,18 @@ class FilterConfig:
     p0_scale the initial variance of each position (m²) and velocity
     (m²/s²) component, and q the white-noise acceleration density in
     m²/s³: a prediction of dt seconds adds q·[[dt³/3, dt²/2], [dt²/2, dt]]
-    to each axis' covariance. The defaults are the filter's earlier degree
-    values converted at 111,195 m per degree, not retuned: 1e-4°, 1000 deg²
-    and 1e-10 deg² per 1 s step. The time step is not configured: the
-    pipeline takes it from the query timestamps.
+    to each axis' covariance. sigma_r is the measured fix error under the
+    1 s evaluation exclusion: every fix is the frame 1.1 s (19.8 m at 18
+    m/s) behind or ahead along the track, so the mean squared error over
+    both axes is 19.8² and each axis' rms is 19.8/√2 = 14.0 m. On data with
+    no exclusion a fix errs by about half the frame spacing, so such data
+    needs a sigma_r of its own. p0_scale and q are the filter's earlier
+    degree values converted at 111,195 m per degree: 1000 deg² and 1e-10
+    deg² per 1 s step. The time step is not configured: the pipeline
+    takes it from the query timestamps.
     """
 
-    sigma_r: float = 11.12
+    sigma_r: float = 14.0
     p0_scale: float = 1.24e13
     q: float = 1.24
 
