@@ -12,12 +12,14 @@ keypoints may agree on one frame keypoint; no one-to-one constraint).
 Squared distances come from float32 matrix products
 (``|g|^2 + |f|^2 - 2 g.f``), one per chunk of candidate frames, which is
 what keeps full-database scans tractable: time goes to BLAS, and memory
-stays bounded by the chunk size whatever the database size. A bound on the
-cosine gate screens each product once: one pass takes each column's least
-entry, and only the span from the first column whose least entry is below
-the greatest row bound to the last such column is compared row by row. A
-chunk with no such column, as most chunks of a long scan are, costs that
-one pass and nothing more. Only the (query keypoint, frame) pairs that hold a
+stays bounded by the chunk size whatever the database size. Each product
+is written frame rows by query rows, the orientation the BLAS runs
+fastest. A bound on the cosine gate screens each product once: one pass
+takes the least entry of each block of frame rows, and only the rows from
+the first whose least entry is below the greatest keypoint bound to the
+last such row are compared entry by entry. A chunk with no such block, as
+most chunks of a long scan are, costs that one pass and nothing more. Only
+the (query keypoint, frame) pairs that hold a
 screened entry can match. A screened entry that is the only one of its
 keypoint in every frame holding it, as nearly all are on a drive, is
 judged once for all those frames: it is each one's nearest, and the bound
@@ -27,6 +29,7 @@ as a full pass would. Matches are counted per frame as each chunk is
 scored.
 """
 
+import itertools
 import logging
 import math
 import threading
@@ -51,9 +54,42 @@ with OpenBLAS: 2 MiB chunks scanned 10-25% slower than 4-8 MiB ones, and
 those keeps peak memory lowest. Re-timed once chunks that no keypoint can
 match had become cheap (one min pass): 2 MiB was still no faster, with
 windowed scans 4% (1000 frames) and 12% (10,000 frames) slower at the
-median of 60 alternating scans, so 4 MiB stays. Both timings predate the
-column-min screen, which compares only the span of a chunk's columns that
-can hold an entry below the bound; the size was not re-timed for it.
+median of 60 alternating scans, so 4 MiB stays. Re-timed once more for
+the rows-by-query product and its block-min screen (60 interleaved scans
+per size in one process, 3 queries of generated drives, OpenBLAS 0.3.31
+SkylakeX kernel, 2 cores; each size's median against 4 MiB's): 2 MiB was
+slower on every scan, unwindowed by 2% (10,000 frames, 64 keypoints) and
+4% (1000 frames, 200 keypoints), 20 s windows by 16% and 10%; 8 MiB was
+faster by 2-7%, but doubles the product buffer, about 4 MB of a drive
+scan's 50-70 MB peak RSS, so 4 MiB stays.
+"""
+
+_BLAS_ROWS = 1024
+"""Most frame rows per BLAS call of a chunk's product (_product).
+
+Written as rows @ q.T, frame rows on the output's leading axis, a chunk's
+product has the bits of q @ rows.T (a test pins where, by shape) and runs
+faster for the queries a scan sees. In calls of at most 1024 rows it took
+632 us against 750 us for 64 x 8192, 101 against 166 us for 64 x 1264,
+level for 200 x 5242, but 1090-1355 against 943-995 us for 2000 x 524
+(query rows x frame rows, medians of 200, OpenBLAS 0.3.31 SkylakeX
+kernel, 2 cores). In this orientation OpenBLAS packs the whole left
+operand, so what a call holds grows with its rows: one call per chunk
+raised the benchmark's peak RSS by 5.8-7.6% (long_drive) and 7.1%
+(city_db), calls of at most 2048 rows by 1.9-2.5% and 1.4-1.5%, and of at
+most 1024 rows by 0.1-0.7% and 0.3-0.4% (bench/run.py --seconds 0, three
+seeds each). A 10,000-frame unwindowed scan ran 16% faster at 1024 rows
+and 18% at 2048, so 1024 keeps most of the gain within a 1% memory rise.
+"""
+
+_BLOCK_ENTRIES = 4096
+"""Entries per block of rows whose least entry the screen's first pass takes (_below_rows).
+
+A product has as few columns as the query has keypoints, so a least entry
+per row is a short reduction each: 830 us on an 8192 x 64 product, where
+blocks of 4096 entries took 58 us, within 20% of one min over the whole
+product (39 us), and blocks of 512 entries 157 us; larger blocks gained
+at most 10% more and widen the end blocks compared entry by entry.
 """
 
 
@@ -236,53 +272,98 @@ def _gate_bound(qq: np.ndarray, fmin: float, fmax: float, tau2: float) -> np.nda
     in |f| whatever the sign of tau2, so it peaks at an end; for tau2 <= 0
     it lies above nearly every entry and screens out little. The slack,
     relative 1e-9, covers the float64 rounding of the gate and of this
-    bound many times over; a non-finite bound screens nothing out.
+    bound many times over; a non-finite bound screens nothing out. A row
+    of zero norm never passes the gate (|g| > 0), so its bound is -inf and
+    it screens nothing in: with a bound above every entry, it would hold
+    an entry in every frame and pair with each.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         top = np.sqrt(qq * fmax)
         ends = np.maximum(fmin - 2.0 * tau2 * np.sqrt(qq * fmin), fmax - 2.0 * tau2 * top)
         bound = ends + 1e-9 * (np.abs(ends) + fmax + 2.0 * top)
         bound[np.isnan(bound)] = np.inf
+        bound[~(qq > 0.0)] = -np.inf
         # rounded up to float32, so E is compared in its own precision
         narrow = bound.astype(np.float32)
     return np.where(narrow < bound, np.nextafter(narrow, np.float32(np.inf)), narrow)
 
 
-def _screen(g: np.ndarray, fnorms: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major flat indices and values of the entries of E = g + |f|^2 below bound.
+def _screen(p: np.ndarray, fnorms: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major flat indices and values of the entries of E = g + |f|^2 below bound, for g = p.T.
 
-    NaN entries are kept too, so a pair's nearest is NaN wherever argmin's
-    would be. Only g is read in full: fl(g + |f|^2) >= fl(t + fmin) for
-    |f|^2 >= fmin, so an entry with g >= t, for t one float32 step above
-    fl(bound - fmin), is at least the bound. E is formed at the entries
-    left, with the float32 addition a full pass would use, and they are
-    held to the exact test.
+    p is the chunk's product as _matched writes it, one row per frame row
+    and one column per query row. NaN entries are kept too, so a pair's
+    nearest is NaN wherever argmin's would be. Only p is read in full:
+    fl(g + |f|^2) >= fl(t + fmin) for |f|^2 >= fmin, so an entry with
+    g >= t, for t one float32 step above fl(bound - fmin), is at least the
+    bound. E is formed at the entries left, with the float32 addition a
+    full pass would use, and they are held to the exact test.
 
-    A column whose least entry is at least the greatest t holds no entry
-    below its row's t, so one column-min pass finds the columns that can
-    hold one, and the per-row compare runs only on the span from the
-    first of them to the last: on a long scan a query's matches sit in a
-    few hundred columns of a chunk, and most chunks hold none and end
-    after the min pass. A NaN in g or t fails the column test, so a NaN's
-    column is always compared and the NaN kept (a NaN t compares every
-    column). The span's row-major indices are mapped back to g's in place.
+    A block of rows whose least entry is at least the greatest t holds no
+    entry below its query row's t, so one pass of block minima (_below_rows)
+    finds the blocks that can hold one, the first and last of them are
+    narrowed to their first and last such row, and the per-entry compare
+    runs only on the rows between: on a long scan a query's matches sit in
+    a few hundred rows of a chunk, and most chunks hold none and end after
+    the min pass. A NaN in p or t fails the min test, so a NaN's row is
+    always compared and the NaN kept (a NaN t compares every row). The
+    span's indices, in p's order, are turned into g's row-major ones in
+    place and sorted, and E is gathered in that order: sorting the indices
+    alone holds no more arrays of the entries at once than the screen of
+    a query-major product did, which a loose gate (tau2 <= 0), keeping
+    nearly every entry, makes the scan's peak.
     """
-    n = g.shape[1]
+    n, m = p.shape
     with np.errstate(invalid="ignore", over="ignore"):
         t = np.nextafter(bound - fnorms.min(), np.float32(np.inf))
-    cols = np.flatnonzero(~(g.min(axis=0) >= t.max()))
-    if len(cols) == 0:
+    span = _below_rows(p, t.max())
+    if span is None:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float32)
-    a, b = int(cols[0]), int(cols[-1]) + 1
-    w = b - a
-    out = np.greater_equal(g[:, a:b], t[:, None])
-    flat = np.flatnonzero(np.logical_not(out, out=out))
+    a, b = span
+    out = np.greater_equal(p[a:b], t)
+    # (c, i) of the entries over the span, in p's order, made g's
+    # row-major index i * n + c + a in place and sorted into g's order
+    c, idx = np.divmod(np.flatnonzero(np.logical_not(out, out=out)), m)
     del out
-    flat += flat // w * (n - w) + a
-    e = g.ravel()[flat]
-    e += fnorms[flat % n]
-    keep = ~(e >= bound[flat // n])
-    return flat[keep], e[keep]
+    idx *= n
+    idx += c
+    del c
+    idx += a
+    idx.sort()
+    row, col = np.divmod(idx, n)
+    del idx
+    e = p[col, row]
+    e += fnorms[col]
+    keep = ~(e >= bound[row])
+    row *= n
+    row += col
+    del col
+    return row[keep], e[keep]
+
+
+def _below_rows(p: np.ndarray, top: np.float32) -> tuple[int, int] | None:
+    """The span a:b of p's rows from the first holding an entry not at least top to the last, None if no row holds one.
+
+    A row holds one entry per query row, so its minimum is a short
+    reduction, over ten times slower per entry than minima of blocks of
+    rows (see _BLOCK_ENTRIES): blocks are tested first, and only the first
+    and last blocks failing the test are compared entry by entry, to find
+    their first and last such row.
+    """
+    n, m = p.shape
+    rows = max(1, _BLOCK_ENTRIES // m)
+    whole = n // rows
+    mins = np.empty(-(-n // rows), dtype=np.float32)
+    p[: whole * rows].reshape(whole, rows * m).min(axis=1, out=mins[:whole])
+    if whole < len(mins):
+        mins[whole] = p[whole * rows :].min()
+    blocks = np.flatnonzero(~(mins >= top))
+    if len(blocks) == 0:
+        return None
+    first, last = int(blocks[0]) * rows, int(blocks[-1]) * rows
+    head = np.flatnonzero(~(p[first : first + rows] >= top))
+    tail = np.flatnonzero(~(p[last : last + rows] >= top))
+    return first + int(head[0]) // m, last + int(tail[-1]) // m + 1
 
 
 def _matched(query: DescriptorSet, block: DescriptorSet, starts: np.ndarray, stops: np.ndarray, cfg: MatchConfig) -> Iterator[tuple]:
@@ -298,10 +379,11 @@ def _matched(query: DescriptorSet, block: DescriptorSet, starts: np.ndarray, sto
     Frame i is rows starts[i]:stops[i] of block, starts not decreasing.
     The frames are scored in chunks of whole frames, each one span of the
     block's rows (_candidate_rows), so the product of a chunk holds at
-    most _E_BYTES. Per chunk one float32 product g = -2 q.f over the rows
-    of its span gives E[i, c] = g[i, c] + |f_c|^2,
-    which is d^2 minus the per-row constant |g_i|^2 that the nearest does
-    not depend on (the -2 is folded into the query, an exact scaling).
+    most _E_BYTES. Per chunk one float32 product p = f.(-2 q) over the
+    rows of its span, written frame rows by query rows (_product), gives
+    g = p.T and E[i, c] = g[i, c] + |f_c|^2, which is d^2 minus the per-row
+    constant |g_i|^2 that the nearest does not depend on (the -2 is folded
+    into the query, an exact scaling).
     A chunk of frames that hold no rows matches nothing and is not
     yielded.
 
@@ -324,8 +406,17 @@ def _matched(query: DescriptorSet, block: DescriptorSet, starts: np.ndarray, sto
             fmin, fmax = min(fmin, low), max(fmax, high)
             bound = _gate_bound(qq, fmin, fmax, cfg.tau2)
         # a call per chunk, so one chunk's arrays are freed before the next product
-        g = np.matmul(q, rows.T, out=_scratch_f32((m, len(rows))))
-        yield lo, first, widths, *_chunk_matches(g, qq, fnorms, first, widths, bound, cfg)
+        yield lo, first, widths, *_chunk_matches(_product(rows, q), qq, fnorms, first, widths, bound, cfg)
+
+
+def _product(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """rows @ q.T into this thread's scratch buffer, one BLAS call per near-equal slice of at most _BLAS_ROWS rows."""
+    n = len(rows)
+    p = _scratch_f32((n, len(q)))
+    calls = -(-n // _BLAS_ROWS)
+    for a, b in itertools.pairwise(n * i // calls for i in range(calls + 1)):
+        np.matmul(rows[a:b], q.T, out=p[a:b])
+    return p
 
 
 def _counts(query: DescriptorSet, block: DescriptorSet, starts: np.ndarray, stops: np.ndarray, cfg: MatchConfig) -> np.ndarray:
@@ -346,8 +437,8 @@ def _counts(query: DescriptorSet, block: DescriptorSet, starts: np.ndarray, stop
     return counts
 
 
-def _chunk_matches(g: np.ndarray, qq: np.ndarray, fnorms: np.ndarray, first: np.ndarray, widths: np.ndarray, bound: np.ndarray, cfg: MatchConfig) -> tuple[np.ndarray, ...]:
-    """The matches of one chunk, from its product g: (r, f, j, hr, hc) as _matched yields them.
+def _chunk_matches(p: np.ndarray, qq: np.ndarray, fnorms: np.ndarray, first: np.ndarray, widths: np.ndarray, bound: np.ndarray, cfg: MatchConfig) -> tuple[np.ndarray, ...]:
+    """The matches of one chunk, from its product p = g.T: (r, f, j, hr, hc) as _matched yields them.
 
     bound is _gate_bound's for a norm range holding every one of fnorms.
     Frames may overlap and share columns of E, so each entry is screened
@@ -364,10 +455,12 @@ def _chunk_matches(g: np.ndarray, qq: np.ndarray, fnorms: np.ndarray, first: np.
     entry left (_held_pairs) reads its frame's whole row of E and takes its
     nearest and runner-up there (_top_two), as a full pass would.
 
-    A chunk the screen keeps nothing of, as its column-min pass finds for
-    most chunks of a long scan, holds no match and returns at once.
+    A chunk the screen keeps nothing of, as its block-min pass finds for
+    most chunks of a long scan, holds no match and returns at once. The
+    pairs read g as the transposed view of p, one query row per row.
     """
-    flat, e = _screen(g, fnorms, bound)
+    flat, e = _screen(p, fnorms, bound)
+    g = p.T
     hr = hc = flat[:0]
     if 0 < len(flat) <= g.shape[0] * len(first):
         flat, hr, hc = _settle_lone(flat, e, qq, fnorms, first, widths, bound, cfg)

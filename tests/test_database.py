@@ -370,11 +370,11 @@ def test_windowed_scan_of_a_drive_compares_few_of_its_columns(monkeypatch):
     cols = {"product": 0, "compared": 0}
     screen = matching._screen
 
-    def counted(g, fnorms, bound):
-        cols["product"] += g.shape[1]
+    def counted(p, fnorms, bound):
+        cols["product"] += p.shape[0]
         with mock.patch.object(np, "greater_equal", wraps=np.greater_equal) as ge:
-            out = screen(g, fnorms, bound)
-        cols["compared"] += sum(call.args[0].shape[1] for call in ge.call_args_list)
+            out = screen(p, fnorms, bound)
+        cols["compared"] += sum(call.args[0].shape[0] for call in ge.call_args_list)
         return out
 
     cfg = WorldConfig(duration_s=100.0)

@@ -706,9 +706,9 @@ def screen_spy(calls):
     """
     screen = matching._screen
 
-    def counted(g, fnorms, bound):
+    def counted(p, fnorms, bound):
         with mock.patch.object(np, "greater_equal", wraps=np.greater_equal) as ge:
-            flat, e = screen(g, fnorms, bound)
+            flat, e = screen(p, fnorms, bound)
         if ge.call_count:
             calls["compared"] += 1
         else:
@@ -898,10 +898,15 @@ def test_screen_keeps_exactly_the_entries_below_the_bound():
         g[0, 1] = np.nan
         with np.errstate(invalid="ignore"):
             e = g + fn
-            flat, vals = _screen(g, fn, bound)
+            flat, vals = _screen(product(g), fn, bound)
             want = np.flatnonzero(~(e >= bound[:, None]))
         assert 1 in want  # NaN entries are kept
         assert np.array_equal(flat, want) and np.array_equal(vals, e.ravel()[want], equal_nan=True)
+
+
+def product(g):
+    """The chunk product _screen reads for E's g: one row per frame row, one column per query row."""
+    return np.ascontiguousarray(g.T)
 
 
 def screen_threshold(fnorms, bound):
@@ -923,7 +928,7 @@ def test_min_test_skips_exactly_when_the_compare_keeps_nothing(step, skipped):
     g[top, 7] = {-1: np.nextafter(t.max(), -np.inf), 0: t.max(), 1: np.nextafter(t.max(), np.inf)}[step]
     calls = {"skipped": 0, "compared": 0}
     with screen_spy(calls):
-        flat, vals = matching._screen(g, fn, bound)
+        flat, vals = matching._screen(product(g), fn, bound)
     compare_keeps = np.flatnonzero(~(g >= t[:, None]))
     assert (len(compare_keeps) == 0) == skipped
     assert calls == {"skipped": int(skipped), "compared": int(not skipped)}
@@ -943,7 +948,7 @@ def test_a_chunk_holding_a_nan_is_never_skipped():
         g.ravel()[at] = np.nan
         calls = {"skipped": 0, "compared": 0}
         with screen_spy(calls), np.errstate(invalid="ignore"):
-            flat, vals = matching._screen(g, fn, bound)
+            flat, vals = matching._screen(product(g), fn, bound)
         assert calls == {"skipped": 0, "compared": 1}
         assert flat.tolist() == [at] and np.isnan(vals).all()
 
@@ -955,7 +960,8 @@ def test_screen_equals_the_full_compare_and_compares_only_its_span(m, n, where):
     # every entry well above every row's t but the planted ones: entries
     # far below the bound, and entries at bound - |f|^2 rounded either way,
     # which the exact test decides. The compared span runs from the first
-    # planted column to the last, a NaN's column included
+    # planted column of E (a row of the product) to the last, a NaN's
+    # column included
     rng = np.random.default_rng(m * 1000 + n)
     fn = rng.uniform(0.5, 2.0, n).astype(np.float32)
     bound = rng.uniform(-1.5, -0.5, m).astype(np.float32)
@@ -975,10 +981,10 @@ def test_screen_equals_the_full_compare_and_compares_only_its_span(m, n, where):
     a, b = min(planted), max(planted) + 1
     with np.errstate(invalid="ignore"):
         with mock.patch.object(np, "greater_equal", wraps=np.greater_equal) as ge:
-            flat, vals = _screen(g, fn, bound)
+            flat, vals = _screen(product(g), fn, bound)
         e = g + fn
         want = np.flatnonzero(~(e >= bound[:, None]))
-    assert ge.call_count == 1 and ge.call_args.args[0].shape == (m, b - a)
+    assert ge.call_count == 1 and ge.call_args.args[0].shape == (b - a, m)
     assert flat.dtype == np.intp and np.array_equal(flat, want)
     assert vals.dtype == np.float32 and np.array_equal(vals.view(np.uint32), e.ravel()[want].view(np.uint32))
     assert set(cols) <= set((want % n).tolist()) and np.isnan(vals).any() == where.startswith("nan")
@@ -1008,6 +1014,52 @@ def test_extreme_tau2_scans_equal_the_oracle(tau2):
         # those holding a row the query copies (200-229) and skips the rest
         held = [any(200 < s + 40 and s < 230 for s in starts[lo : lo + len(first)]) for lo, _, _, first, _ in _candidate_rows(*frames, 60)]
         assert calls == {"skipped": held.count(False), "compared": held.count(True)} and calls["skipped"] > 0, calls
+
+
+def test_a_zero_query_row_screens_nothing(monkeypatch):
+    # a query keypoint of zero norm never passes the cosine gate's |g| > 0,
+    # so its bound admits no entry: it forms no (row, frame) pair, where a
+    # bound above every entry would pair it with every frame, and the
+    # counts are those of the query without it
+    rng = np.random.default_rng(27)
+    pool = unit_rows(rng, 400).astype(np.float32)
+    starts = np.arange(0, 361, 8)
+    frames = columns(DescriptorSet(pool), starts, starts + 40)
+    rows = np.vstack([pool[200:230] + rng.standard_normal((30, DESCRIPTOR_DIM)) * 0.01, unit_rows(rng, 4)])
+    query = DescriptorSet(np.insert(rows, 7, 0.0, axis=0))
+    assert _gate_bound(query.norms.astype(np.float64), 0.5, 2.0, 0.97)[7] == -np.inf
+    monkeypatch.setattr(matching, "_held_pairs", lambda *a: pytest.fail("a pair was formed"))
+    counts = _counts(query, *frames, MatchConfig())
+    assert counts.sum() > 0 and np.array_equal(counts, _counts(DescriptorSet(rows), *frames, MatchConfig()))
+
+
+# (query rows, frame rows) whose sliced product differs from q @ rows.T in
+# the last bits on OpenBLAS 0.3.31 (SkylakeX kernel, the data drawn below):
+# one- and two-row queries, whose products take other kernels than wider ones
+ORIENTATION_DIFFERS = {(1, 2047), (1, 2049), (1, 5242), (2, 1025)}
+
+
+def test_sliced_product_equals_the_query_major_product_bit_for_bit():
+    # _product multiplies frame rows by the query in slices of at most
+    # _BLAS_ROWS rows; the counts are bit for bit those of one q @ rows.T
+    # only where the two orientations agree, so a BLAS on which they
+    # disagree fails here first, naming the shapes
+    big = matching._BLAS_ROWS
+    rng = np.random.default_rng(25)
+    differs = set()
+    try:
+        for m in [*range(1, 13), 64, 200]:
+            for n in (big - 1, big, big + 1, 2 * big - 1, 2 * big + 1, 5242, 8192):
+                q = rng.standard_normal((m, DESCRIPTOR_DIM)).astype(np.float32)
+                rows = rng.standard_normal((n, DESCRIPTOR_DIM)).astype(np.float32)
+                p, want = matching._product(rows, q), q @ rows.T
+                assert p.shape == (n, m) and p.flags.c_contiguous
+                if not np.array_equal(p.T, want):
+                    differs.add((m, n))
+                    np.testing.assert_allclose(p.T, want, rtol=0.0, atol=1e-4)  # rounding only
+    finally:
+        matching._scratch.product = None  # no larger buffer than a scan's is left behind
+    assert differs <= ORIENTATION_DIFFERS, sorted(differs - ORIENTATION_DIFFERS)
 
 
 def test_bound_covers_the_norms_of_every_chunk(monkeypatch):
