@@ -7,7 +7,6 @@ run_monte_carlo, not here.
 """
 
 import argparse
-import csv
 import inspect
 import sys
 from pathlib import Path
@@ -17,25 +16,23 @@ from .errors import DatabaseFormatError, VlocError
 from .geodesy import GeoPoint
 from .kalman import FilterConfig
 from .matching import MatchConfig
-from .pipeline import Query, export_report, localize_sequence
+from .pipeline import STEP_STATS, TRACE_COLUMNS, Query, export_report, export_trace, localize_sequence
 from .synthworld import WorldConfig, run_monte_carlo
 
 QUERY_MANIFEST_COLUMNS = ["timestamp_ns", "descriptor_path"]
 QUERY_MANIFEST_TRUTH_COLUMNS = QUERY_MANIFEST_COLUMNS + ["truth_lat", "truth_lon"]
 
-TRACE_CSV_HEADER = [
-    "step",
-    "query_ts",
-    "matched_frame_id",
-    "meas_lat",
-    "meas_lon",
-    "est_lat",
-    "est_lon",
-    "truth_lat",
-    "truth_lon",
-    "meas_err_m",
-    "est_err_m",
-]
+QUERY_TABLE = {
+    "step": ("step", 4, ""),
+    "matched_frame_id": ("frame", 7, ""),
+    "meas_lat": ("meas_lat", 11, ".6f"),
+    "meas_lon": ("meas_lon", 11, ".6f"),
+    "est_lat": ("est_lat", 11, ".6f"),
+    "est_lon": ("est_lon", 11, ".6f"),
+    "meas_err_m": ("meas_err_m", 10, ".2f"),
+    "est_err_m": ("est_err_m", 10, ".2f"),
+}
+"""The trace.csv columns vloc query prints, each with its title, width and format."""
 
 
 class _UsageError(Exception):
@@ -165,76 +162,39 @@ def _read_query_manifest(path: Path) -> list[Query]:
     return queries
 
 
-def _fmt_opt(value) -> str:
-    return "" if value is None else repr(float(value))
-
-
-def _write_trace_csv(trace, out_dir: Path) -> Path:
-    out = out_dir / "trace.csv"
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_CSV_HEADER)
-        for s in trace:
-            writer.writerow(
-                [
-                    s.step,
-                    s.query_ts,
-                    s.matched_frame_id,
-                    repr(s.measurement.lat),
-                    repr(s.measurement.lon),
-                    repr(s.estimate.lat),
-                    repr(s.estimate.lon),
-                    _fmt_opt(s.truth.lat if s.truth else None),
-                    _fmt_opt(s.truth.lon if s.truth else None),
-                    _fmt_opt(s.meas_err_m),
-                    _fmt_opt(s.est_err_m),
-                ]
-            )
-    return out
+def _print_trace(trace) -> None:
+    """QUERY_TABLE's columns of the trace, less those no step has a value in; None shows as nan."""
+    shown = [
+        (title, width, fmt, TRACE_COLUMNS[name])
+        for name, (title, width, fmt) in QUERY_TABLE.items()
+        if any(TRACE_COLUMNS[name](s) is not None for s in trace)
+    ]
+    print(" ".join(f"{title:>{width}}" for title, width, _, _ in shown))
+    for s in trace:
+        cells = [(value(s), width, fmt) for _, width, fmt, value in shown]
+        print(" ".join(f"{float('nan') if v is None else v:>{width}{fmt}}" for v, width, fmt in cells))
 
 
 def _cmd_query(args) -> int:
-    # bad settings fail before the database is read
+    # bad settings fail before the database is read, an unusable --out-dir before the run
     cfgs = [_cfg(cls, args) for cls in (ScanConfig, MatchConfig, FilterConfig)]
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     db = load_db(args.db)
     queries = _read_query_manifest(Path(args.queries))
     trace = localize_sequence(db, queries, *cfgs)
-
-    has_truth = any(s.truth is not None for s in trace)
-    head = f"{'step':>4} {'frame':>7} {'meas_lat':>11} {'meas_lon':>11} {'est_lat':>11} {'est_lon':>11}"
-    if has_truth:
-        head += f" {'meas_err_m':>10} {'est_err_m':>10}"
-    print(head)
-    for s in trace:
-        line = (
-            f"{s.step:>4} {s.matched_frame_id:>7} "
-            f"{s.measurement.lat:>11.6f} {s.measurement.lon:>11.6f} "
-            f"{s.estimate.lat:>11.6f} {s.estimate.lon:>11.6f}"
-        )
-        if has_truth:
-            line += (
-                f" {s.meas_err_m if s.meas_err_m is not None else float('nan'):>10.2f}"
-                f" {s.est_err_m if s.est_err_m is not None else float('nan'):>10.2f}"
-            )
-        print(line)
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = _write_trace_csv(trace, out_dir)
-    print(f"trace written to {out}")
+    _print_trace(trace)
+    print(f"trace written to {export_trace(trace, args.out_dir)}")
     return 0
 
 
 def _cmd_simulate(args) -> int:
     cfgs = [_cfg(cls, args) for cls in (WorldConfig, ScanConfig, MatchConfig, FilterConfig)]
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)  # before the trials, which an unusable one would waste
     stats = run_monte_carlo(*cfgs, trials=args.trials, steps=args.steps, period_s=args.period_s)
     print(f"{args.trials} trials, {stats.n_steps} steps")
-    print(f"{'step':>4} {'mean_meas_m':>12} {'std_meas_m':>12} {'mean_est_m':>12} {'std_est_m':>12}")
-    for i in range(stats.n_steps):
-        print(
-            f"{i + 1:>4} {stats.mean_meas_m[i]:>12.3f} {stats.std_meas_m[i]:>12.3f} "
-            f"{stats.mean_est_m[i]:>12.3f} {stats.std_est_m[i]:>12.3f}"
-        )
+    print(f"{'step':>4}" + "".join(f" {name:>12}" for name in STEP_STATS))
+    for step, *values in stats.rows():
+        print(f"{step:>4}" + "".join(f" {v:>12.3f}" for v in values))
     csv_path, svg_path = export_report(stats, args.out_dir)
     print(f"report written to {csv_path} and {svg_path}")
     return 0

@@ -47,6 +47,7 @@ container header. Descriptor extraction runs out-of-process (any
 SIFT-style frontend works); this module only consumes its output.
 """
 
+import codecs
 import csv
 import io
 import logging
@@ -626,8 +627,9 @@ def _ingest(frames: list[tuple], source: str, camera: str) -> Database:
 
 
 def _manifest_text(path: Path, error) -> str:
-    """The text of a UTF-8 manifest; bytes that are not UTF-8 raise error naming file:line."""
-    data = path.read_bytes()
+    """The text of a UTF-8 manifest less one leading byte-order mark; bytes that are not UTF-8 raise error naming file:line."""
+    # a BOM holds no line end, so lines and bytes are counted the same past it
+    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

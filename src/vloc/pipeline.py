@@ -12,9 +12,11 @@ reported for that step.
 
 import csv
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +51,22 @@ class TraceStep:
     truth: Optional[GeoPoint] = None
     meas_err_m: Optional[float] = None
     est_err_m: Optional[float] = None
+
+
+TRACE_COLUMNS: dict[str, Callable[[TraceStep], object]] = {
+    "step": attrgetter("step"),
+    "query_ts": attrgetter("query_ts"),
+    "matched_frame_id": attrgetter("matched_frame_id"),
+    "meas_lat": attrgetter("measurement.lat"),
+    "meas_lon": attrgetter("measurement.lon"),
+    "est_lat": attrgetter("estimate.lat"),
+    "est_lon": attrgetter("estimate.lon"),
+    "truth_lat": lambda s: s.truth.lat if s.truth else None,
+    "truth_lon": lambda s: s.truth.lon if s.truth else None,
+    "meas_err_m": attrgetter("meas_err_m"),
+    "est_err_m": attrgetter("est_err_m"),
+}
+"""The columns of trace.csv, in order, each with its value for a step; None where the step has none."""
 
 
 def _make_step(index: int, query: Query, frame, state) -> TraceStep:
@@ -140,42 +158,43 @@ class ErrorStats:
     def final_mean_meas_m(self) -> float:
         return float(self.mean_meas_m[-1])
 
+    def rows(self):
+        """(step, *stats) of each step, counting steps from 1 and giving the stats in STEP_STATS order."""
+        return zip(range(1, self.n_steps + 1), *(getattr(self, name) for name in STEP_STATS))
 
-def evaluate(traces: Sequence[Sequence[TraceStep]]) -> ErrorStats:
+
+STEP_STATS = tuple(f.name for f in fields(ErrorStats) if f.type is np.ndarray)
+"""ErrorStats' per-step fields in order: the columns after step in errors.csv and in vloc simulate's table."""
+
+ERRORS_CSV_HEADER = ["step", *STEP_STATS]
+
+
+def evaluate(traces: Iterable[Sequence[TraceStep]]) -> ErrorStats:
     """Elementwise error statistics across traces of equal length.
 
-    Every step of every trace must carry ground truth. Standard deviations
-    are population standard deviations, zero for a single trace.
+    traces is read one trace at a time and only each step's two errors are
+    kept, so a generator of traces takes about 16 bytes per step. Every
+    step of every trace must carry ground truth. Standard deviations are
+    population standard deviations, zero for a single trace.
     """
-    if len(traces) == 0:
-        raise ValueError("evaluate needs at least one trace")
-    n = len(traces[0])
-    if n == 0:
-        raise ValueError("evaluate needs non-empty traces")
+    meas, est = array("d"), array("d")
+    n = None
     for t, trace in enumerate(traces):
-        if len(trace) != n:
+        if n is None:
+            n = len(trace)
+            if n == 0:
+                raise ValueError("evaluate needs non-empty traces")
+        elif len(trace) != n:
             raise ValueError(f"trace {t} has {len(trace)} steps, expected {n}")
         for s in trace:
             if s.truth is None:
                 raise ValueError(f"trace {t} step {s.step} has no ground truth")
-
-    meas = np.array([[s.meas_err_m for s in trace] for trace in traces], dtype=np.float64)
-    est = np.array([[s.est_err_m for s in trace] for trace in traces], dtype=np.float64)
-    return _error_stats(meas, est)
-
-
-def _error_stats(meas: np.ndarray, est: np.ndarray) -> ErrorStats:
-    """Per-step statistics of (traces, steps) float64 measurement and estimate errors in meters."""
-    return ErrorStats(
-        mean_meas_m=meas.mean(axis=0),
-        std_meas_m=meas.std(axis=0),
-        mean_est_m=est.mean(axis=0),
-        std_est_m=est.std(axis=0),
-        n_traces=len(meas),
-    )
-
-
-ERRORS_CSV_HEADER = ["step", "mean_meas_m", "std_meas_m", "mean_est_m", "std_est_m"]
+            meas.append(s.meas_err_m)
+            est.append(s.est_err_m)
+    if n is None:
+        raise ValueError("evaluate needs at least one trace")
+    meas, est = (np.frombuffer(a).reshape(-1, n) for a in (meas, est))
+    return ErrorStats(meas.mean(axis=0), meas.std(axis=0), est.mean(axis=0), est.std(axis=0), n_traces=len(meas))
 
 
 def _nice_ceiling(v: float) -> float:
@@ -246,6 +265,25 @@ def _svg_plot(stats: ErrorStats) -> str:
     return "\n".join(parts)
 
 
+def _cell(value):
+    """A report's CSV cell: an int as written, a float in shortest round-trip form, None as empty."""
+    if value is None:
+        return ""
+    return value if isinstance(value, (int, np.integer)) else repr(float(value))
+
+
+def export_trace(trace: Sequence[TraceStep], out_dir) -> Path:
+    """Write trace.csv under out_dir, a row of TRACE_COLUMNS per step; returns its path."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / "trace.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_COLUMNS)
+        writer.writerows([_cell(value(s)) for value in TRACE_COLUMNS.values()] for s in trace)
+    return path
+
+
 def export_report(stats: ErrorStats, out_dir) -> tuple[Path, Path]:
     """Write errors.csv and errors.svg under out_dir; returns their paths.
 
@@ -262,15 +300,6 @@ def export_report(stats: ErrorStats, out_dir) -> tuple[Path, Path]:
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ERRORS_CSV_HEADER)
-        for i in range(stats.n_steps):
-            writer.writerow(
-                [
-                    i + 1,
-                    repr(float(stats.mean_meas_m[i])),
-                    repr(float(stats.std_meas_m[i])),
-                    repr(float(stats.mean_est_m[i])),
-                    repr(float(stats.std_est_m[i])),
-                ]
-            )
+        writer.writerows(map(_cell, row) for row in stats.rows())
     svg_path.write_text(_svg_plot(stats))
     return csv_path, svg_path

@@ -24,7 +24,7 @@ from .database import Database, ScanConfig
 from .geodesy import GeoPoint, from_plane
 from .kalman import FilterConfig
 from .matching import DESCRIPTOR_DIM, DescriptorSet, MatchConfig
-from .pipeline import ErrorStats, Query, TraceStep, _error_stats, localize_sequence
+from .pipeline import ErrorStats, Query, TraceStep, evaluate, localize_sequence
 
 T0_NS = 1_500_000_000_000_000_000
 """Epoch of every synthetic drive."""
@@ -251,10 +251,10 @@ def run_monte_carlo(
 
     Trials 0 .. trials - 1 run in order in the calling process. Every trial
     generates a fresh world and query start from a per-trial stream spawned
-    off world_cfg.seed. Returns per-step error statistics, the same
-    evaluate gives for the trials' traces. Seeds are made as each trial
-    starts and only per-step errors are kept, so memory grows by two
-    floats per step and trial.
+    off world_cfg.seed. Returns evaluate of the trials' traces, which it
+    reads as each trial ends: seeds are made as each trial starts and only
+    per-step errors are kept, so memory grows by two floats per step and
+    trial.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -266,10 +266,5 @@ def run_monte_carlo(
         # queries are i * period_s apart rounded to whole ns, so closer ones would share timestamps
         raise ValueError(f"period_s={period_s} is under the 1 ns resolution of query timestamps")
     _start_range(world_cfg, scan_cfg, steps, period_s)  # a drive too short fails before any trial
-    meas = np.empty((trials, steps))
-    est = np.empty((trials, steps))
-    for i in range(trials):
-        trace = _run_trial(world_cfg, scan_cfg, match_cfg, filter_cfg, steps, period_s, *_trial_seed(world_cfg.seed, i))
-        meas[i] = [s.meas_err_m for s in trace]
-        est[i] = [s.est_err_m for s in trace]
-    return _error_stats(meas, est)
+    seeds = (_trial_seed(world_cfg.seed, i) for i in range(trials))
+    return evaluate(_run_trial(world_cfg, scan_cfg, match_cfg, filter_cfg, steps, period_s, *s) for s in seeds)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import os
 import subprocess
 import sys
@@ -8,13 +9,13 @@ import numpy as np
 import pytest
 
 import vloc
-from vloc import synthworld
-from vloc.cli import _FLAGS, _cfg, _read_query_manifest, _write_trace_csv, build_parser, main
+from vloc import cli, synthworld
+from vloc.cli import _FLAGS, _cfg, _read_query_manifest, build_parser, main
 from vloc.database import CSV_MANIFEST_HEADER, Database, GeoFrame, ScanConfig, load_db, save_db, write_desc_file
 from vloc.geodesy import GeoPoint
 from vloc.kalman import FilterConfig
 from vloc.matching import DESCRIPTOR_DIM, DescriptorSet, MatchConfig
-from vloc.pipeline import localize_sequence
+from vloc.pipeline import export_trace, localize_sequence
 from vloc.synthworld import WorldConfig
 
 
@@ -264,7 +265,7 @@ def test_query_window_of_inf_scans_the_whole_database(dataset, capsys):
     qmanifest.write_text("".join(line + "\n" for line in qlines))
     whole = localize_sequence(load_db(db_path), _read_query_manifest(qmanifest), ScanConfig(window_s=float("inf")), MatchConfig(), FilterConfig())
     assert [s.matched_frame_id for s in whole] == [5, 0, 3]
-    want = _write_trace_csv(whole, tmp_path).read_bytes()
+    want = export_trace(whole, tmp_path).read_bytes()
     args = ["query", "--db", str(db_path), "--queries", str(qmanifest), "--out-dir", str(tmp_path / "out"), "--window-s"]
     assert main(args + ["inf"]) == 0
     assert (tmp_path / "out" / "trace.csv").read_bytes() == want
@@ -570,3 +571,39 @@ def test_query_a_database_holding_the_largest_frame_id(tmp_path, capsys):
     assert main(["query", "--db", str(tmp_path / "db.vldb"), "--queries", str(tmp_path / "q.csv"), "--out-dir", str(out_dir)]) == 0
     assert str(2**64 - 1) in capsys.readouterr().out
     assert (out_dir / "trace.csv").read_text().splitlines()[1].split(",")[2] == str(2**64 - 1)
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+def test_query_and_build_db_accept_a_utf8_bom(dataset, capsys):
+    # as Excel's "CSV UTF-8" and Windows Notepad write them
+    tmp_path, manifest, _ = dataset
+    manifest.write_bytes(BOM + manifest.read_bytes())
+    db_path, qmanifest = write_query(dataset, PLAIN, ["500000000,q.desc"])
+    qmanifest.write_bytes(BOM + qmanifest.read_bytes())
+    assert main(["query", "--db", str(db_path), "--queries", str(qmanifest), "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "trace.csv").read_text().splitlines()[1].split(",")[2] == "1"
+
+
+def test_a_bom_manifest_names_the_line_and_byte_that_are_not_utf8(dataset, capsys):
+    db_path, qmanifest = write_query(dataset, PLAIN, ["0,q.desc"])
+    qmanifest.write_bytes(BOM + b"timestamp_ns,descriptor_path\n0,q.desc\n500000000,q\xfe.desc\n")
+    assert main(["query", "--db", str(db_path), "--queries", str(qmanifest)]) == 2
+    assert capsys.readouterr().err == "usage error: queries.csv:3: not UTF-8: invalid start byte at byte 0xfe\n"
+
+
+def test_an_unusable_out_dir_fails_before_the_run(dataset, capsys, monkeypatch):
+    tmp_path, manifest, _ = dataset
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    ran = []
+    for name in ("run_monte_carlo", "load_db"):
+        # wraps keeps the signature, which the parser reads run_monte_carlo's defaults from
+        spy = functools.wraps(getattr(cli, name))(lambda *a, name=name, **k: ran.append(name))
+        monkeypatch.setattr(cli, name, spy)
+    for args in (["simulate", "--trials", "200"], ["query", "--db", "drive.vldb", "--queries", str(manifest)]):
+        assert main(args + ["--out-dir", str(blocker)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 17] File exists") and str(blocker) in err
+    assert ran == []
