@@ -304,10 +304,10 @@ def _within(timestamps: np.ndarray, center: int, seconds: float) -> tuple[int, i
 # binary serialization
 
 
-def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
+def _read_exact(fh: BinaryIO, n: int, what: str, where: str) -> bytes:
     buf = fh.read(n)
     if len(buf) != n:
-        raise DatabaseFormatError(f"truncated file: expected {n} bytes for {what}, got {len(buf)}")
+        raise DatabaseFormatError(f"truncated file{where}: expected {n} bytes for {what}, got {len(buf)}")
     return buf
 
 
@@ -343,7 +343,7 @@ def load_db(path) -> Database:
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        magic, version, count = _HEADER.unpack(_read_exact(fh, _HEADER.size, "header"))
+        magic, version, count = _HEADER.unpack(_read_exact(fh, _HEADER.size, "header", f" {path}"))
         if magic != MAGIC:
             raise DatabaseFormatError(f"bad magic {magic!r}, not a descriptor database")
         if version == 1:
@@ -370,17 +370,18 @@ def load_db(path) -> Database:
         raise DatabaseFormatError(f"{path}: {exc}") from None
 
 
-def _read_record(fh: BinaryIO, size: int, raw: memoryview, row: int) -> tuple:
+def _read_record(fh: BinaryIO, size: int, raw: memoryview, row: int, where: str = "") -> tuple:
     """Read the version-1 frame record at fh's position, its k descriptors into raw as rows from row on.
 
     Returns (frame_id, timestamp_ns, lat, lon, row, row + k); k is checked
-    against the bytes left in the size-byte file before any row is read.
+    against the bytes left in the size-byte file before any row is read. A
+    truncated record's error reads "truncated file{where}: ...".
     """
-    fid, ts, lat, lon, k = _FRAME_HEAD.unpack(_read_exact(fh, _FRAME_HEAD.size, "frame header"))
+    fid, ts, lat, lon, k = _FRAME_HEAD.unpack(_read_exact(fh, _FRAME_HEAD.size, "frame header", where))
     want, left = k * _ROW_BYTES, size - fh.tell()
     got = fh.readinto(raw[row * _ROW_BYTES :][:want]) if want <= left else left
     if got != want:
-        raise DatabaseFormatError(f"truncated file: expected {want} bytes for descriptors of frame {fid}, got {got}")
+        raise DatabaseFormatError(f"truncated file{where}: expected {want} bytes for descriptors of frame {fid}, got {got}")
     return fid, ts, lat, lon, row, row + k
 
 
@@ -390,10 +391,10 @@ def _read_v1(fh: BinaryIO, size: int, count: int, path) -> tuple[np.ndarray, np.
     heads, rows = [], 0
     with memoryview(block.view(np.uint8).reshape(-1)) as raw:
         for _ in range(count):
-            heads.append(_read_record(fh, size, raw, rows))
+            heads.append(_read_record(fh, size, raw, rows, f" {path}"))
             rows = heads[-1][-1]
     if fh.read(1):
-        raise DatabaseFormatError("trailing bytes after last frame")
+        raise DatabaseFormatError(f"trailing bytes after last frame in {path}")
     table = np.array(heads, dtype=_TABLE)
     _check_geotags(table["frame_id"], table["lat"], table["lon"], f" in {path}", DatabaseFormatError)
     return table, block[:rows], ""
@@ -405,12 +406,12 @@ def _read_v2(fh: BinaryIO, size: int, count: int, path) -> tuple[np.ndarray, np.
     Sizes, row ranges and geotags are checked on the whole table before
     the block is allocated; the block is then read in one call.
     """
-    rows, camera_len = _V2_HEAD.unpack(_read_exact(fh, _V2_HEAD.size, "header"))
+    rows, camera_len = _V2_HEAD.unpack(_read_exact(fh, _V2_HEAD.size, "header", f" {path}"))
     left = size - fh.tell()
     if camera_len > left:
         raise DatabaseFormatError(f"truncated file {path}: expected {camera_len} bytes for the camera name, got {left}")
     try:
-        camera = _read_exact(fh, camera_len, "the camera name").decode("utf-8")
+        camera = _read_exact(fh, camera_len, "the camera name", f" {path}").decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DatabaseFormatError(f"{path}: camera name is not UTF-8 ({exc})") from None
     left -= camera_len
@@ -418,7 +419,7 @@ def _read_v2(fh: BinaryIO, size: int, count: int, path) -> tuple[np.ndarray, np.
         raise DatabaseFormatError(
             f"truncated file {path}: frame table holds {left // _TABLE.itemsize} of {count} frame records"
         )
-    table = np.frombuffer(_read_exact(fh, count * _TABLE.itemsize, "the frame table"), dtype=_TABLE)
+    table = np.frombuffer(_read_exact(fh, count * _TABLE.itemsize, "the frame table", f" {path}"), dtype=_TABLE)
     left -= count * _TABLE.itemsize
     start, stop = table["start"], table["stop"]
     bad = (start > stop) | (stop > rows)

@@ -14,7 +14,8 @@ Squared distances come from float32 matrix products
 what keeps full-database scans tractable: time goes to BLAS, and memory
 stays bounded by the chunk size whatever the database size. Each product
 is written frame rows by query rows, the orientation the BLAS runs
-fastest. A bound on the cosine gate screens each product once: one pass
+fastest. A bound on the cosine gate, made from the norms of the chunk's
+own rows, screens each product once: one pass
 takes the least entry of each block of frame rows, and only the rows from
 the first whose least entry is below the greatest keypoint bound to the
 last such row are compared entry by entry. A chunk with no such block, as
@@ -385,28 +386,25 @@ def _matched(query: DescriptorSet, block: DescriptorSet, starts: np.ndarray, sto
     constant |g_i|^2 that the nearest does not depend on (the -2 is folded
     into the query, an exact scaling).
     A chunk of frames that hold no rows matches nothing and is not
+    yielded, and an empty query matches nothing in any chunk: none is
     yielded.
 
-    The cosine gate's bound holds for every norm in the range it is made
-    for, so it is made for the range of the rows scored so far and made
-    again only when a chunk widens that range: a few times per scan, not
-    once per chunk.
+    The cosine gate's bound is made per chunk for the range of its own
+    rows' norms, the tightest that holds for every one of them, so nothing
+    is carried from one chunk to the next.
     """
     m = len(query)
+    if not m:
+        return
     q = query.array * np.float32(-2.0)
     qq = query.norms.astype(np.float64)
     # neither the product nor the rows it reads exceed _E_BYTES
     max_cols = max(1, _E_BYTES // (4 * max(m, DESCRIPTOR_DIM)))
-    fmin, fmax = np.inf, -np.inf
     for lo, rows, fnorms, first, widths in _candidate_rows(block, starts, stops, max_cols):
-        if not len(rows):
-            continue
-        low, high = float(fnorms.min()), float(fnorms.max())
-        if low < fmin or high > fmax:
-            fmin, fmax = min(fmin, low), max(fmax, high)
-            bound = _gate_bound(qq, fmin, fmax, cfg.tau2)
-        # a call per chunk, so one chunk's arrays are freed before the next product
-        yield lo, first, widths, *_chunk_matches(_product(rows, q), qq, fnorms, first, widths, bound, cfg)
+        if len(rows):
+            bound = _gate_bound(qq, fnorms.min(), fnorms.max(), cfg.tau2)
+            # a call per chunk, so one chunk's arrays are freed before the next product
+            yield lo, first, widths, *_chunk_matches(_product(rows, q), qq, fnorms, first, widths, bound, cfg)
 
 
 def _product(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -589,7 +587,7 @@ def best_match(query: DescriptorSet, candidates: _Candidates, cfg: MatchConfig) 
     if len(candidates) == 0:
         raise EmptyCandidatesError("best_match needs at least one candidate frame")
     starts, stops = candidates.starts, candidates.stops
-    counts = _counts(query, candidates.block, starts, stops, cfg) if len(query) else np.zeros(len(starts), dtype=np.int64)
+    counts = _counts(query, candidates.block, starts, stops, cfg)
     narrow = stops - starts < 2
     if narrow.any():
         logger.warning("skipped %d candidate frame(s) with fewer than 2 descriptors", narrow.sum())

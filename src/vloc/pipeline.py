@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kalman
 from .database import Database, ScanConfig, scan
-from .errors import NoMatchError, SingularInnovationError
+from .errors import NoMatchError, VlocError
 from .geodesy import M_PER_DEG, GeoPoint, haversine_m
 from .kalman import FilterConfig
 from .matching import DescriptorSet, MatchConfig
@@ -106,8 +106,8 @@ def localize_sequence(
     The filter predicts across each gap between consecutive query
     timestamps, which must strictly increase (ValueError naming the step
     otherwise). A step whose best candidate has zero correspondences raises
-    NoMatchError naming the step, and a filter step that fails raises its
-    error (ValueError, SingularInnovationError) again, naming the step.
+    NoMatchError. Any error of a step (no candidate, no match, a filter
+    failure) is raised again as its own type, naming the step.
     """
     if len(queries) == 0:
         raise ValueError("localize_sequence needs at least one query")
@@ -120,19 +120,19 @@ def localize_sequence(
     center: Optional[int] = None
     state = None
     for i, (prev, query) in enumerate(zip([None, *queries], queries), start=1):
-        frame, count = scan(db, query.descriptors, query.timestamp_ns, scan_cfg, match_cfg, center_ts=center)
-        if count == 0:
-            raise NoMatchError(f"step {i}: no correspondences against any candidate frame")
         try:
+            frame, count = scan(db, query.descriptors, query.timestamp_ns, scan_cfg, match_cfg, center_ts=center)
+            if count == 0:
+                raise NoMatchError("no correspondences against any candidate frame")
             if state is None:
                 state = kalman.update(kalman.init_filter(frame.geotag, filter_cfg), frame.geotag, filter_cfg)
             else:
                 dt = (query.timestamp_ns - prev.timestamp_ns) / 1e9
                 state = kalman.step(state, frame.geotag, dt, filter_cfg)
-        except (ValueError, SingularInnovationError) as exc:
+            steps.append(_make_step(i, query, frame, state))
+        except (VlocError, ValueError) as exc:
             raise type(exc)(f"step {i}: {exc}") from exc
         center = frame.timestamp_ns
-        steps.append(_make_step(i, query, frame, state))
     return tuple(steps)
 
 

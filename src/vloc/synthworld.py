@@ -160,7 +160,8 @@ def gen_queries(
 
     The nearest frame is the first nearest in time; round(rows *
     distractor_fraction) of its rows become distractors. Raises ValueError
-    for a database of no frames or a query timestamp outside its range.
+    for a database of no frames, a query timestamp outside its range, or
+    query_noise_sigma taking a query's noised rows outside float32's range.
     """
     if n < 1:
         raise ValueError(f"need at least one query, got {n}")
@@ -179,8 +180,13 @@ def gen_queries(
         base = db._block.array[db._starts[nearest] : db._stops[nearest]]
         if cfg.query_noise_sigma > 0:
             arr = rng.standard_normal(base.shape, dtype=np.float32)
-            arr *= np.float32(cfg.query_noise_sigma)
-            arr += base
+            try:
+                with np.errstate(over="raise"):
+                    arr *= np.float32(cfg.query_noise_sigma)
+                    arr += base
+            except FloatingPointError:
+                sigma = cfg.query_noise_sigma
+                raise ValueError(f"query {i}: query_noise_sigma={sigma} takes its noised rows outside float32's range") from None
         else:
             arr = base.copy()
         n_distract = int(round(len(base) * cfg.distractor_fraction))

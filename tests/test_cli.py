@@ -290,6 +290,16 @@ def test_query_names_the_step_of_a_filter_failure(tmp_path, capsys):
     assert not (tmp_path / "trace.csv").exists()
 
 
+def test_query_names_the_step_that_has_no_candidate(dataset, capsys):
+    tmp_path, _, _ = dataset
+    db_path = build_db(dataset)
+    (tmp_path / "queries.csv").write_text("timestamp_ns,descriptor_path\n0,f0.desc\n")
+    args = ["query", "--db", str(db_path), "--queries", str(tmp_path / "queries.csv"), "--out-dir", str(tmp_path / "out")]
+    assert main(args + ["--exclusion-s", "1e6"]) == 1
+    assert capsys.readouterr().err.startswith("error: step 1: no candidate frames for query_ts=0 ")
+    assert not (tmp_path / "out" / "trace.csv").exists()
+
+
 def test_query_empty_manifest_is_usage_error(dataset, capsys):
     tmp_path, manifest, _ = dataset
     db_path = build_db(dataset)
@@ -523,6 +533,10 @@ def test_python_dash_m_vloc_runs_main(tmp_path):
     rejected = run("simulate", "--trials", "0")
     assert rejected.returncode == 1
     assert "trials must be positive, got 0" in rejected.stderr and "Traceback" not in rejected.stderr
+    # noise past float32's range names its setting, with no numpy overflow warning
+    rejected = run("simulate", "--trials", "3", "--query-noise-sigma", "1e38")
+    assert rejected.returncode == 1 and "Warning" not in rejected.stderr
+    assert rejected.stderr == "error: query 0: query_noise_sigma=1e+38 takes its noised rows outside float32's range\n"
 
 
 def test_flag_defaults_match_library_pins():

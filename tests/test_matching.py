@@ -1083,6 +1083,43 @@ def test_bound_covers_the_norms_of_every_chunk(monkeypatch):
     assert np.array_equal(got, oracle_matches(query, packed(frames), cfg))
 
 
+def test_each_chunk_gets_the_bound_of_its_own_norms(monkeypatch):
+    # two chunks of one frame each, the second's norms inside the first's
+    # range: each chunk's bound is made from its own rows' least and
+    # greatest norm, nothing being carried over from the chunk before
+    rng = np.random.default_rng(28)
+    g = unit_rows(rng, 1)[0]
+    twin = g + 0.14 * unit_rows(rng, 1)[0]
+    twin /= np.linalg.norm(twin)
+    frames = [DescriptorSet(np.stack([twin * 0.2, -g * 3.0])), DescriptorSet(np.stack([twin * 0.9, -g * 1.1]))]
+    monkeypatch.setattr(matching, "_E_BYTES", 2 * DESCRIPTOR_DIM * 4)
+    made = []
+
+    def spy(qq, fmin, fmax, tau2):
+        made.append((float(fmin), float(fmax)))
+        return _gate_bound(qq, fmin, fmax, tau2)
+
+    monkeypatch.setattr(matching, "_gate_bound", spy)
+    query, cfg = DescriptorSet(g.reshape(1, -1)), MatchConfig(tau1=0.95, tau2=0.97)
+    got = matches(query, packed(frames), cfg)
+    norms = [ds.norms for ds in frames]
+    assert made == [(float(n.min()), float(n.max())) for n in norms]
+    assert made[1][0] > made[0][0] and made[1][1] < made[0][1]
+    assert got[0].tolist() == [0, 0]
+    assert np.array_equal(got, oracle_matches(query, packed(frames), cfg))
+
+
+def test_an_empty_query_is_matched_by_no_product(monkeypatch):
+    rng = np.random.default_rng(29)
+    block, starts, stops = columns(DescriptorSet(unit_rows(rng, 12)), [0, 4, 8], [4, 8, 12])
+    monkeypatch.setattr(matching, "_product", lambda *a: pytest.fail("an empty query was multiplied"))
+    counts = _counts(DescriptorSet.empty(), block, starts, stops, MatchConfig())
+    assert counts.dtype == np.int64 and counts.tolist() == [0, 0, 0]
+    assert list(_matched(DescriptorSet.empty(), block, starts, stops, MatchConfig())) == []
+    ids = np.array([7, 3, 5], dtype=np.uint64)
+    assert best_match(DescriptorSet.empty(), _Candidates(ids, block, starts, stops), MatchConfig()) == (3, 0)
+
+
 def two_row_frame(cos0, second):
     """A query row g and a frame of a row at cosine cos0 to g and the given second row, all unit length."""
     g = vec(1.0)

@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from vloc import kalman, pipeline
 from vloc.database import ScanConfig, scan
-from vloc.errors import NoMatchError, SingularInnovationError
+from vloc.errors import EmptyCandidatesError, NoMatchError, SingularInnovationError
 from vloc.geodesy import M_PER_DEG, GeoPoint, haversine_m
 from vloc.kalman import FilterConfig, init_filter, step, update
 from vloc.matching import DESCRIPTOR_DIM, DescriptorSet, MatchConfig
@@ -90,7 +91,7 @@ def test_empty_queries_rejected(world):
         localize_sequence(db, [], ScanConfig(), MatchConfig(), FilterConfig())
 
 
-def test_no_match_raises():
+def test_no_match_raises(monkeypatch):
     rng = np.random.default_rng(40)
     cfg = WorldConfig(seed=3, duration_s=2.0)
     db = gen_world(cfg)
@@ -100,6 +101,22 @@ def test_no_match_raises():
     q = Query(DescriptorSet(alien), T0_NS + 1_000_000_000, None)
     with pytest.raises(NoMatchError, match="step 1"):
         localize_sequence(db, [q], ScanConfig(), MatchConfig(), FilterConfig())
+
+    # an exclusion wider than the drive leaves the first scan no candidate
+    queries = gen_queries(db, T0_NS + 500_000_000, 3, 0.5, cfg)
+    with pytest.raises(EmptyCandidatesError, match=r"^step 1: no candidate frames for query_ts=\d+ ") as caught:
+        localize_sequence(db, queries, ScanConfig(exclusion_s=1e6), MatchConfig(), FilterConfig())
+    assert type(caught.value) is EmptyCandidatesError
+
+    # a later scan left with no candidate names its own step
+    def empty_at_step_3(db, descriptors, query_ts, *args, center_ts=None):
+        if query_ts == queries[2].timestamp_ns:
+            raise EmptyCandidatesError("no candidate frames")
+        return scan(db, descriptors, query_ts, *args, center_ts=center_ts)
+
+    monkeypatch.setattr(pipeline, "scan", empty_at_step_3)
+    with pytest.raises(EmptyCandidatesError, match="^step 3: no candidate frames$"):
+        localize_sequence(db, queries, ScanConfig(), MatchConfig(), FilterConfig())
 
 
 def test_a_filter_failure_names_its_step(monkeypatch):
@@ -238,6 +255,10 @@ def test_export_report_writes_csv_and_svg(tmp_path):
     svg = svg_path.read_text()
     assert svg.startswith("<svg")
     assert svg.count("<polyline") == 2
+    # errors of 0 everywhere (a vehicle standing still) still get a y axis, up to 1
+    _, svg_path = export_report(ErrorStats(*[np.zeros(3)] * 4, n_traces=1), tmp_path / "zero")
+    ticks = re.findall(r'text-anchor="end">([^<]*)<', svg_path.read_text())
+    assert ticks == ["0", "0.2", "0.4", "0.6", "0.8", "1"]
     empty = ErrorStats(*[np.empty(0)] * 4, n_traces=1)
     with pytest.raises(ValueError, match="cannot export empty statistics"):
         export_report(empty, tmp_path / "empty")

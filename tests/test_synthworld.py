@@ -201,10 +201,24 @@ def test_gen_queries_rejects_out_of_range():
         gen_queries(db, T0_NS - 1_000_000_000, 1, 1.0, cfg)
     with pytest.raises(ValueError):
         gen_queries(db, T0_NS + 6_000_000_000, 5, 1.0, cfg)
+    with pytest.raises(ValueError, match="need at least one query, got 0"):
+        gen_queries(db, T0_NS, 0, 1.0, cfg)
     # a drive shorter than one frame period has no frames
     for empty in (gen_world(WorldConfig(duration_s=0.04)), Database([])):
         with pytest.raises(ValueError, match="needs a database with frames, got none"):
             gen_queries(empty, T0_NS, 1, 1.0, cfg)
+
+
+@pytest.mark.parametrize("sigma", [1e38, 1e39])
+def test_gen_queries_names_noise_past_float32_range(sigma):
+    # WorldConfig takes any finite sigma; the noised rows overflowing
+    # float32 (1e38), or sigma itself (1e39), name the setting, and no
+    # RuntimeWarning (an error under the test run's filters) escapes
+    cfg = WorldConfig(seed=7, query_noise_sigma=sigma)
+    db = gen_world(cfg)
+    with pytest.raises(ValueError) as caught:
+        gen_queries(db, T0_NS, 2, 1.0, cfg)
+    assert str(caught.value) == f"query 0: query_noise_sigma={sigma} takes its noised rows outside float32's range"
 
 
 def frames_at(rng, timestamps, rows):
