@@ -147,9 +147,8 @@ def _parse_query_row(row: list[str], where: str, base: Path) -> Query:
                 truth = GeoPoint(float(lat), float(lon))
             except ValueError as exc:
                 raise _UsageError(f"{where}: bad truth: {exc}") from None
-    desc_path = base / row[1]
     # only the payload is used; the header's frame id, time and geotag are ignored
-    _, payload = _read_desc_files([desc_path], lambda i, exc: DatabaseFormatError(f"{where}: {desc_path.name}: {exc}"))
+    _, payload = _read_desc_files([base / row[1]], lambda i, exc: DatabaseFormatError(f"{where}: {exc}"))
     return Query(payload, ts, truth)
 
 

@@ -304,10 +304,10 @@ def _within(timestamps: np.ndarray, center: int, seconds: float) -> tuple[int, i
 # binary serialization
 
 
-def _read_exact(fh: BinaryIO, n: int, what: str, where: str) -> bytes:
+def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
     buf = fh.read(n)
     if len(buf) != n:
-        raise DatabaseFormatError(f"truncated file{where}: expected {n} bytes for {what}, got {len(buf)}")
+        raise DatabaseFormatError(f"truncated file: expected {n} bytes for {what}, got {len(buf)}")
     return buf
 
 
@@ -339,121 +339,118 @@ def load_db(path) -> Database:
     of consecutive frames without copying them, and rows that version-2
     frames share only once. Every size is checked against the file's
     before anything is allocated for it, and the file is checked whole
-    before the database is built.
+    before the database is built. Each DatabaseFormatError starts "path: ".
     """
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        magic, version, count = _HEADER.unpack(_read_exact(fh, _HEADER.size, "header", f" {path}"))
-        if magic != MAGIC:
-            raise DatabaseFormatError(f"bad magic {magic!r}, not a descriptor database")
-        if version == 1:
-            table, block, camera = _read_v1(fh, size, count, path)
-        elif version == 2:
-            table, block, camera = _read_v2(fh, size, count, path)
-        else:
-            raise DatabaseFormatError(f"unsupported format version {version}")
-    block = block.astype(np.float32, copy=False)
-    for lo in range(0, len(block), _CHECK_ROWS):
-        finite = np.isfinite(block[lo : lo + _CHECK_ROWS]).all(axis=1)
-        if not finite.all():
-            bad = lo + int(np.argmin(finite))
-            held = np.flatnonzero((table["start"] <= bad) & (bad < table["stop"]))
-            where = f"frame {table['frame_id'][held[0]]}" if held.size else f"descriptor row {bad}"
-            raise DatabaseFormatError(f"{where} in {path}: descriptor components must be finite")
-    block.setflags(write=False)
-    columns = [table[name] for name in ("frame_id", "timestamp_ns", "lat", "lon")]
-    try:
-        return Database._from_columns(
-            *columns, DescriptorSet._wrap(block), table["start"], table["stop"], source=str(path), camera=camera
-        )
-    except ValueError as exc:
-        raise DatabaseFormatError(f"{path}: {exc}") from None
+        try:
+            size = os.fstat(fh.fileno()).st_size
+            magic, version, count = _HEADER.unpack(_read_exact(fh, _HEADER.size, "header"))
+            if magic != MAGIC:
+                raise DatabaseFormatError(f"bad magic {magic!r}, not a descriptor database")
+            if version == 1:
+                table, block, camera = _read_v1(fh, size, count)
+            elif version == 2:
+                table, block, camera = _read_v2(fh, size, count)
+            else:
+                raise DatabaseFormatError(f"unsupported format version {version}")
+            block = block.astype(np.float32, copy=False)
+            for lo in range(0, len(block), _CHECK_ROWS):
+                finite = np.isfinite(block[lo : lo + _CHECK_ROWS]).all(axis=1)
+                if not finite.all():
+                    bad = lo + int(np.argmin(finite))
+                    held = np.flatnonzero((table["start"] <= bad) & (bad < table["stop"]))
+                    where = f"frame {table['frame_id'][held[0]]}" if held.size else f"descriptor row {bad}"
+                    raise DatabaseFormatError(f"{where}: descriptor components must be finite")
+            block.setflags(write=False)
+            columns = [table[name] for name in ("frame_id", "timestamp_ns", "lat", "lon")]
+            return Database._from_columns(
+                *columns, DescriptorSet._wrap(block), table["start"], table["stop"], source=str(path), camera=camera
+            )
+        # the ValueError is a duplicate frame id, which the columns reject
+        except (DatabaseFormatError, ValueError) as exc:
+            raise DatabaseFormatError(f"{path}: {exc}") from None
 
 
-def _read_record(fh: BinaryIO, size: int, raw: memoryview, row: int, where: str = "") -> tuple:
+def _read_record(fh: BinaryIO, size: int, raw: memoryview, row: int) -> tuple:
     """Read the version-1 frame record at fh's position, its k descriptors into raw as rows from row on.
 
     Returns (frame_id, timestamp_ns, lat, lon, row, row + k); k is checked
-    against the bytes left in the size-byte file before any row is read. A
-    truncated record's error reads "truncated file{where}: ...".
+    against the bytes left in the size-byte file before any row is read.
     """
-    fid, ts, lat, lon, k = _FRAME_HEAD.unpack(_read_exact(fh, _FRAME_HEAD.size, "frame header", where))
+    fid, ts, lat, lon, k = _FRAME_HEAD.unpack(_read_exact(fh, _FRAME_HEAD.size, "frame header"))
     want, left = k * _ROW_BYTES, size - fh.tell()
     got = fh.readinto(raw[row * _ROW_BYTES :][:want]) if want <= left else left
     if got != want:
-        raise DatabaseFormatError(f"truncated file{where}: expected {want} bytes for descriptors of frame {fid}, got {got}")
+        raise DatabaseFormatError(f"truncated file: expected {want} bytes for descriptors of frame {fid}, got {got}")
     return fid, ts, lat, lon, row, row + k
 
 
-def _read_v1(fh: BinaryIO, size: int, count: int, path) -> tuple[np.ndarray, np.ndarray, str]:
+def _read_v1(fh: BinaryIO, size: int, count: int) -> tuple[np.ndarray, np.ndarray, str]:
     """Frame table, descriptor block and (empty) camera name of a version-1 file, read frame by frame."""
     block = np.empty(((size - fh.tell()) // _ROW_BYTES, DESCRIPTOR_DIM), dtype="<f4")
     heads, rows = [], 0
     with memoryview(block.view(np.uint8).reshape(-1)) as raw:
         for _ in range(count):
-            heads.append(_read_record(fh, size, raw, rows, f" {path}"))
+            heads.append(_read_record(fh, size, raw, rows))
             rows = heads[-1][-1]
     if fh.read(1):
-        raise DatabaseFormatError(f"trailing bytes after last frame in {path}")
+        raise DatabaseFormatError("trailing bytes after last frame")
     table = np.array(heads, dtype=_TABLE)
-    _check_geotags(table["frame_id"], table["lat"], table["lon"], f" in {path}", DatabaseFormatError)
+    _check_geotags(table)
     return table, block[:rows], ""
 
 
-def _read_v2(fh: BinaryIO, size: int, count: int, path) -> tuple[np.ndarray, np.ndarray, str]:
+def _read_v2(fh: BinaryIO, size: int, count: int) -> tuple[np.ndarray, np.ndarray, str]:
     """Frame table, descriptor block and camera name of a version-2 file.
 
     Sizes, row ranges and geotags are checked on the whole table before
     the block is allocated; the block is then read in one call.
     """
-    rows, camera_len = _V2_HEAD.unpack(_read_exact(fh, _V2_HEAD.size, "header", f" {path}"))
+    rows, camera_len = _V2_HEAD.unpack(_read_exact(fh, _V2_HEAD.size, "header"))
     left = size - fh.tell()
     if camera_len > left:
-        raise DatabaseFormatError(f"truncated file {path}: expected {camera_len} bytes for the camera name, got {left}")
+        raise DatabaseFormatError(f"truncated file: expected {camera_len} bytes for the camera name, got {left}")
     try:
-        camera = _read_exact(fh, camera_len, "the camera name", f" {path}").decode("utf-8")
+        camera = _read_exact(fh, camera_len, "the camera name").decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise DatabaseFormatError(f"{path}: camera name is not UTF-8 ({exc})") from None
+        raise DatabaseFormatError(f"camera name is not UTF-8 ({exc})") from None
     left -= camera_len
     if count * _TABLE.itemsize > left:
-        raise DatabaseFormatError(
-            f"truncated file {path}: frame table holds {left // _TABLE.itemsize} of {count} frame records"
-        )
-    table = np.frombuffer(_read_exact(fh, count * _TABLE.itemsize, "the frame table", f" {path}"), dtype=_TABLE)
+        raise DatabaseFormatError(f"truncated file: frame table holds {left // _TABLE.itemsize} of {count} frame records")
+    table = np.frombuffer(_read_exact(fh, count * _TABLE.itemsize, "the frame table"), dtype=_TABLE)
     left -= count * _TABLE.itemsize
     start, stop = table["start"], table["stop"]
     bad = (start > stop) | (stop > rows)
     if bad.any():
         i = int(np.argmax(bad))
         raise DatabaseFormatError(
-            f"frame {table['frame_id'][i]} in {path}: rows [{start[i]}, {stop[i]}) are not a range of a {rows}-row block"
+            f"frame {table['frame_id'][i]}: rows [{start[i]}, {stop[i]}) are not a range of a {rows}-row block"
         )
     if left < rows * _ROW_BYTES:
         cut = np.flatnonzero(stop > left // _ROW_BYTES)
         who = f"frame {table['frame_id'][cut[0]]} needs rows up to {stop[cut[0]]}, but " if cut.size else ""
-        raise DatabaseFormatError(
-            f"truncated file {path}: {who}the descriptor block holds {left} of {rows * _ROW_BYTES} bytes"
-        )
+        raise DatabaseFormatError(f"truncated file: {who}the descriptor block holds {left} of {rows * _ROW_BYTES} bytes")
     if left > rows * _ROW_BYTES:
-        raise DatabaseFormatError(f"trailing bytes after the descriptor block in {path}")
-    _check_geotags(table["frame_id"], table["lat"], table["lon"], f" in {path}", DatabaseFormatError)
+        raise DatabaseFormatError("trailing bytes after the descriptor block")
+    _check_geotags(table)
     block = np.empty((rows, DESCRIPTOR_DIM), dtype="<f4")
     with memoryview(block.view(np.uint8).reshape(-1)) as raw:
         got = fh.readinto(raw)
     if got != left:
-        raise DatabaseFormatError(f"truncated file {path}: expected {left} bytes for the descriptor block, got {got}")
+        raise DatabaseFormatError(f"truncated file: expected {left} bytes for the descriptor block, got {got}")
     return table, block, camera
 
 
-def _check_geotags(ids: np.ndarray, lat: np.ndarray, lon: np.ndarray, where: str, error) -> None:
-    """Raise error naming the first frame (and where) whose geotag GeoPoint rejects."""
+def _check_geotags(table: np.ndarray) -> None:
+    """Raise DatabaseFormatError naming the first frame of the table whose geotag GeoPoint rejects."""
+    lat, lon = table["lat"], table["lon"]
     ok = (np.abs(lat) <= 90.0) & (np.abs(lon) <= 180.0)  # false for NaN
     if not ok.all():
         i = int(np.argmin(ok))
         try:
             GeoPoint(float(lat[i]), float(lon[i]))
         except ValueError as exc:
-            raise error(f"frame {ids[i]}{where}: {exc}") from None
+            raise DatabaseFormatError(f"frame {table['frame_id'][i]}: {exc}") from None
 
 
 def write_desc_file(path, frame: GeoFrame) -> None:
@@ -474,7 +471,7 @@ def read_desc_file(path) -> GeoFrame:
     try:
         geotag = GeoPoint(lat, lon)
     except ValueError as exc:
-        raise DatabaseFormatError(f"frame {fid} in {path}: {exc}") from None
+        raise DatabaseFormatError(f"{path}: frame {fid}: {exc}") from None
     return GeoFrame(fid, ts, geotag, block)
 
 
@@ -485,9 +482,9 @@ def _read_desc_files(paths: Sequence, error=lambda i, exc: exc) -> tuple[list[tu
     its descriptors rows [start, stop) of the block, which is sized from the
     files' sizes. Each file's trailing bytes and descriptors' finiteness are
     checked once its record is read; its header geotag is returned as it is,
-    unchecked, as ingest and queries ignore it. A DatabaseFormatError,
-    OSError or ValueError (a path that cannot be opened) of paths[i] raises
-    error(i, exc).
+    unchecked, as ingest and queries ignore it. A DatabaseFormatError of
+    paths[i], prefixed with the path, or an OSError or ValueError (a path
+    that cannot be opened) as Python raised it, raises error(i, exc).
     """
     rows = 0
     for i, path in enumerate(paths):
@@ -503,10 +500,12 @@ def _read_desc_files(paths: Sequence, error=lambda i, exc: exc) -> tuple[list[tu
                 with open(path, "rb") as fh:
                     fid, ts, lat, lon, start, rows = _read_record(fh, os.fstat(fh.fileno()).st_size, raw, rows)
                     if fh.read(1):
-                        raise DatabaseFormatError(f"trailing bytes in {path}")
+                        raise DatabaseFormatError("trailing bytes")
                 if not np.isfinite(block[start:rows]).all():
-                    raise DatabaseFormatError(f"frame {fid} in {path}: descriptor components must be finite")
-            except (DatabaseFormatError, OSError, ValueError) as exc:
+                    raise DatabaseFormatError(f"frame {fid}: descriptor components must be finite")
+            except DatabaseFormatError as exc:
+                raise error(i, DatabaseFormatError(f"{path}: {exc}")) from None
+            except (OSError, ValueError) as exc:
                 raise error(i, exc) from None
             records.append((fid, ts, lat, lon, start, rows))
     block = block[:rows].astype(np.float32, copy=False)
@@ -539,7 +538,7 @@ def _parse_oxts_latlon(path: Path, index: str) -> GeoPoint:
     try:
         tokens = _manifest_text(path, IngestError).split()
     except OSError as exc:
-        raise IngestError(f"frame {index}: cannot read {path}: {exc}") from exc
+        raise IngestError(f"frame {index}: {exc}") from exc
     if len(tokens) < 2:
         raise IngestError(f"frame {index}: oxts record has {len(tokens)} fields, need at least 2")
     try:

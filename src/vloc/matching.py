@@ -174,9 +174,6 @@ class DescriptorSet:
     def __len__(self) -> int:
         return self._array.shape[0]
 
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self._array[i]
-
     def __repr__(self) -> str:
         return f"DescriptorSet(k={len(self)})"
 

@@ -122,7 +122,7 @@ def test_build_db_names_the_line_of_a_missing_or_non_finite_desc(dataset, capsys
     raw = desc.read_bytes()
     out = tmp_path / "o.vldb"
     desc.unlink()
-    for message in ("No such file", f"frame 4 in {desc}: descriptor components must be finite"):
+    for message in ("No such file", f"{desc}: frame 4: descriptor components must be finite"):
         assert main(["build-db", "--csv", str(manifest), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: manifest.csv:3: unreadable descriptors: ") and message in err
@@ -199,7 +199,7 @@ def test_build_db_names_the_kitti_frame_of_a_missing_or_non_finite_desc(tmp_path
     # a dangling link leaves the file listed but missing
     desc.unlink()
     desc.symlink_to(tmp_path / "elsewhere.desc")
-    for message in ("No such file", f"frame 2 in {desc}: descriptor components must be finite"):
+    for message in ("No such file", f"{desc}: frame 2: descriptor components must be finite"):
         assert main(["build-db", "--kitti", str(root), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: frame 0000000002: unreadable descriptors: ") and message in err
@@ -365,13 +365,43 @@ def test_query_rejects_oversized_desc_count(dataset, capsys):
     raw = desc.read_bytes()
     desc.write_bytes(raw[:32] + (2**32 - 1).to_bytes(4, "little") + raw[36:])
     assert main(["query", "--db", str(db_path), "--queries", str(qmanifest)]) == 1
-    assert "queries.csv:2: q.desc: truncated file" in capsys.readouterr().err
+    assert f"queries.csv:2: {desc}: truncated file" in capsys.readouterr().err
 
 
 def test_query_names_the_line_of_a_missing_desc(dataset, capsys):
     db_path, qmanifest = write_query(dataset, PLAIN, ["0,q.desc", "500000000,absent.desc"])
     assert main(["query", "--db", str(db_path), "--queries", str(qmanifest)]) == 1
-    assert "error: queries.csv:3: absent.desc: [Errno 2] No such file" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: queries.csv:3: [Errno 2] No such file") and f"'{qmanifest.parent / 'absent.desc'}'" in err
+
+
+def test_build_db_names_a_cut_desc(dataset, capsys):
+    tmp_path, manifest, _ = dataset
+    desc = tmp_path / "f1.desc"
+    desc.write_bytes(desc.read_bytes()[:20])
+    assert main(["build-db", "--csv", str(manifest), "--out", str(tmp_path / "o.vldb")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: manifest.csv:3: unreadable descriptors: {desc}: truncated file: expected 36 bytes for frame header, got 20\n"
+    )
+
+
+def test_query_names_a_desc_path_once(dataset, capsys):
+    # a manifest in a subdirectory, naming a padded .desc beside it and an empty path
+    tmp_path, _, frames = dataset
+    db_path = build_db(dataset)
+    pad = tmp_path / "pad.desc"
+    write_desc_file(pad, frames[1])
+    pad.write_bytes(pad.read_bytes() + b"\x00")
+    (tmp_path / "sub").mkdir()
+    qmanifest = tmp_path / "sub" / "m.csv"
+    qmanifest.write_text("timestamp_ns,descriptor_path\n0,../pad.desc\n")
+    assert main(["query", "--db", str(db_path), "--queries", str(qmanifest)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: m.csv:2: {tmp_path / 'sub' / '..' / 'pad.desc'}: trailing bytes\n"
+    qmanifest.write_text("timestamp_ns,descriptor_path\n0,\n")
+    assert main(["query", "--db", str(db_path), "--queries", str(qmanifest)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: m.csv:2: [Errno 21] Is a directory: ") and ": :" not in err
 
 
 def test_query_missing_db(dataset, tmp_path):
@@ -391,7 +421,7 @@ def test_query_names_the_frame_of_a_corrupt_database(dataset, capsys):
     db_path.write_bytes(bytes(raw))
     capsys.readouterr()
     assert main(["query", "--db", str(db_path), "--queries", str(manifest)]) == 1
-    assert f"error: frame 3 in {db_path}: latitude 91.0 outside [-90, 90]" in capsys.readouterr().err
+    assert f"error: {db_path}: frame 3: latitude 91.0 outside [-90, 90]" in capsys.readouterr().err
     # intact, the database loads and the run goes on to reject the manifest, which lists frames
     save_db(db, db_path)
     assert main(["query", "--db", str(db_path), "--queries", str(manifest)]) == 2

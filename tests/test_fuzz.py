@@ -29,7 +29,7 @@ from vloc.database import (
     save_db,
     write_desc_file,
 )
-from vloc.errors import VlocError
+from vloc.errors import DatabaseFormatError, VlocError
 from vloc.geodesy import GeoPoint
 from vloc.matching import DESCRIPTOR_DIM, DescriptorSet
 
@@ -74,7 +74,9 @@ def test_read_desc_file_returns_or_raises_vloc_error(files, data):
     path.write_bytes(data)
     try:
         frame = read_desc_file(path)
-    except (VlocError, OSError):
+    except (VlocError, OSError) as exc:
+        # the reader names the file once, before the problem
+        assert not isinstance(exc, DatabaseFormatError) or str(exc).startswith(f"{path}: ")
         return
     assert isinstance(frame, GeoFrame)
 
@@ -188,7 +190,8 @@ def test_load_db_returns_or_raises_vloc_error(files, data):
     tracemalloc.start()
     try:
         db = load_db(path)
-    except (VlocError, OSError):
+    except (VlocError, OSError) as exc:
+        assert not isinstance(exc, DatabaseFormatError) or str(exc).startswith(f"{path}: ")
         db = None
     finally:
         peak = tracemalloc.get_traced_memory()[1]
