@@ -147,6 +147,8 @@ def _parse_query_row(row: list[str], where: str, base: Path) -> Query:
                 truth = GeoPoint(float(lat), float(lon))
             except ValueError as exc:
                 raise _UsageError(f"{where}: bad truth: {exc}") from None
+    if not row[1]:
+        raise _UsageError(f"{where}: empty descriptor_path")
     # only the payload is used; the header's frame id, time and geotag are ignored
     _, payload = _read_desc_files([base / row[1]], lambda i, exc: DatabaseFormatError(f"{where}: {exc}"))
     return Query(payload, ts, truth)

@@ -1,18 +1,19 @@
 """Geotagged descriptor database: storage, ingestion, windowed retrieval.
 
-In memory a Database is columns over one read-only descriptor block: per
-frame, in (timestamp, id) order, a uint64 id, an int64 timestamp, a float64
-latitude and longitude, and the row range [start, stop) of the block that
-holds its descriptors. Starts do not decrease; ranges may overlap or touch.
-The columns are the only record of which rows a frame holds. A drive's
-block is its landmark pool, a loaded database's the file's block and an
-ingested one's the block that its .desc payloads were read into, in frame
-order; all are held as they are. Database(frames) copies the frames' rows
-into a new block in frame order (_pack). A scan gathers its candidates'
-entries of the columns and scores the block's rows in chunks,
-without a GeoFrame per frame; GeoFrames, each viewing its rows of the
-block, are built only when one is asked for (the winner of a scan,
-``frames``, ``frame_by_id``).
+In memory a Database is one read-only frame table, the version-2 file's
+(_TABLE), over one read-only descriptor block: per frame, in (timestamp,
+id) order, a uint64 id, an int64 timestamp, a float64 latitude and
+longitude, and the row range [start, stop) of the block that holds its
+descriptors. Starts do not decrease; ranges may overlap or touch. The
+table is the only record of which rows a frame holds. A drive's block is
+its landmark pool, a loaded database's the file's block and an ingested
+one's the block that its .desc payloads were read into, in frame order;
+all are held as they are. Database(frames) copies the frames' rows into a
+new block in frame order (_pack). A scan gathers its candidates' ids and
+row ranges from the table and scores the block's rows in chunks, without
+a GeoFrame per frame; GeoFrames, each viewing its rows of the block, are
+built only when one is asked for (the winner of a scan, ``frames``,
+``frame_by_id``).
 
 On-disk container format, version 2 (little-endian throughout):
 
@@ -29,7 +30,7 @@ On-disk container format, version 2 (little-endian throughout):
         start, stop  u64 the frame's descriptors are rows [start, stop)
     then the descriptor block: rows * 128 * f32
 
-``save_db`` writes the columns as the table and the span of the block
+``save_db`` writes the database's table and the span of the block
 that the frames cover, so rows that frames share (a drive's) are written
 once and frame ranges may overlap. Frames that owned their rows, as
 ingested frames do, were packed one after another, and the block then
@@ -109,75 +110,62 @@ class GeoFrame:
 
 
 class Database:
-    """Geotagged frames as columns, sorted by (timestamp_ns, frame_id), with provenance metadata.
+    """Geotagged frames as one table, sorted by (timestamp_ns, frame_id), with provenance metadata.
 
-    Frame i has id ids[i] (uint64), capture time timestamps[i] (int64),
-    geotag (lat[i], lon[i]) and the descriptors in rows starts[i]:stops[i]
-    of one read-only block. Starts do not decrease; ranges may overlap or
-    touch, as a drive's frames share the rows of its landmark pool. Frame
-    ids must be unique; frames are sorted at construction, so ingest order
-    does not matter. Database(frames) copies the frames' rows into a new
-    block in frame order, so frames share rows only where columns built
-    directly say so (a drive, a loaded file). A GeoFrame is built only
-    when one is asked for (frames, frame_by_id, iteration).
+    Row i of the read-only frame table (_TABLE, the record of the .vldb
+    version-2 table) is frame i: its uint64 id, int64 capture time, float64
+    geotag and the rows [start, stop) of one read-only block that hold its
+    descriptors. Starts do not decrease; ranges may overlap or touch, as a
+    drive's frames share the rows of its landmark pool. Frame ids must be
+    unique; frames are sorted at construction, so ingest order does not
+    matter. Database(frames) copies the frames' rows into a new block in
+    frame order, so frames share rows only where a table built directly
+    says so (a drive, a loaded file). A GeoFrame is built only when one is
+    asked for (frames, frame_by_id, iteration).
     """
 
     def __init__(self, frames: Iterable[GeoFrame], source: str = "", camera: str = ""):
         frames = sorted(frames, key=lambda f: (f.timestamp_ns, f.frame_id))
-        self._init(
-            [f.frame_id for f in frames],
-            [f.timestamp_ns for f in frames],
-            [f.geotag.lat for f in frames],
-            [f.geotag.lon for f in frames],
-            *_pack([f.descriptors.array for f in frames]),
-            source,
-            camera,
-        )
+        table = np.array([(f.frame_id, f.timestamp_ns, f.geotag.lat, f.geotag.lon, 0, 0) for f in frames], dtype=_TABLE)
+        block, table["start"], table["stop"] = _pack([f.descriptors.array for f in frames])
+        self._init(table, block, source, camera)
 
     @classmethod
-    def _from_columns(cls, *columns, source: str = "", camera: str = "") -> "Database":
-        """A database of columns (ids, timestamps, lat, lon, block, starts, stops) in any order, as _init takes them."""
+    def _from_table(cls, table: np.ndarray, block: DescriptorSet, source: str = "", camera: str = "") -> "Database":
+        """A database of a _TABLE frame table in any order, its ranges rows of block, as _init takes them."""
         db = cls.__new__(cls)
-        db._init(*columns, source, camera)
+        db._init(table, block, source, camera)
         return db
 
-    def _init(self, ids, timestamps, lat, lon, block: DescriptorSet, starts, stops, source: str, camera: str) -> None:
-        """Frame i is (ids[i], timestamps[i], (lat[i], lon[i]), rows starts[i]:stops[i] of block), in any order.
+    def _init(self, table: np.ndarray, block: DescriptorSet, source: str, camera: str) -> None:
+        """Row i of the _TABLE table is a frame, its descriptors rows start:stop of block; rows in any order.
 
-        The columns are sorted and frozen. Frames whose starts decrease once
-        sorted have their rows copied, in frame order, into a new block
-        (_pack). Raises ValueError for a duplicate id. The geotags are not
-        checked here: every caller has built them as GeoPoints or checked
-        them (_check_geotags).
+        A sorted copy of the table is kept, frozen. Frames whose starts
+        decrease once sorted have their rows copied, in frame order, into a
+        new block (_pack). Raises ValueError for a duplicate id. The
+        geotags are not checked here: every caller has built them as
+        GeoPoints or checked them (_check_geotags).
         """
-        ids, timestamps = np.asarray(ids, dtype=np.uint64), np.asarray(timestamps, dtype=np.int64)
-        lat, lon = np.asarray(lat, dtype=np.float64), np.asarray(lon, dtype=np.float64)
-        starts, stops = np.asarray(starts, dtype=np.int64), np.asarray(stops, dtype=np.int64)
-        order = np.lexsort((ids, timestamps))
-        ids, timestamps, lat, lon, starts, stops = (c[order] for c in (ids, timestamps, lat, lon, starts, stops))
-        if (starts[1:] < starts[:-1]).any():
-            block, starts, stops = _pack([block.array[a:b] for a, b in zip(starts.tolist(), stops.tolist())])
-        id_order = np.argsort(ids, kind="stable")
-        sorted_ids = ids[id_order]
+        table = table[np.lexsort((table["frame_id"], table["timestamp_ns"]))]
+        start, stop = table["start"], table["stop"]
+        if (start[1:] < start[:-1]).any():
+            block, table["start"], table["stop"] = _pack([block.array[a:b] for a, b in zip(start.tolist(), stop.tolist())])
+        id_order = np.argsort(table["frame_id"], kind="stable")
+        sorted_ids = table["frame_id"][id_order]
         twin = np.flatnonzero(sorted_ids[1:] == sorted_ids[:-1])
         if twin.size:
             raise ValueError(f"duplicate frame_id {sorted_ids[twin[0]]}")
-        for col in (ids, timestamps, lat, lon, starts, stops, id_order):
-            col.setflags(write=False)
-        self._ids, self._timestamps, self._lat, self._lon = ids, timestamps, lat, lon
-        self._block, self._starts, self._stops = block, starts, stops
+        table.setflags(write=False)
+        id_order.setflags(write=False)
+        self._table, self._block = table, block
         # frame_by_id binary-searches the ids in this order
         self._id_order = id_order
         self.source = source
         self.camera = camera
 
     def _frame(self, i: int) -> GeoFrame:
-        return GeoFrame(
-            int(self._ids[i]),
-            int(self._timestamps[i]),
-            GeoPoint(float(self._lat[i]), float(self._lon[i])),
-            DescriptorSet._wrap(self._block.array[self._starts[i] : self._stops[i]]),
-        )
+        fid, ts, lat, lon, start, stop = self._table[i].tolist()
+        return GeoFrame(fid, ts, GeoPoint(lat, lon), DescriptorSet._wrap(self._block.array[start:stop]))
 
     @property
     def frames(self) -> "_Frames":
@@ -186,13 +174,14 @@ class Database:
 
     def frame_by_id(self, frame_id: int) -> GeoFrame:
         if 0 <= frame_id < 2**64:
-            j = int(self._ids.searchsorted(np.uint64(frame_id), sorter=self._id_order))
-            if j < len(self) and self._ids[self._id_order[j]] == frame_id:
+            ids = self._table["frame_id"]
+            j = int(ids.searchsorted(np.uint64(frame_id), sorter=self._id_order))
+            if j < len(self) and ids[self._id_order[j]] == frame_id:
                 return self._frame(self._id_order[j])
         raise KeyError(frame_id)
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._table)
 
     def __iter__(self) -> Iterator[GeoFrame]:
         return iter(self.frames)
@@ -202,7 +191,7 @@ class Database:
 
 
 class _Frames(Sequence):
-    """A database's frames; indexing, slicing or iterating builds GeoFrames of its columns (Database._frame)."""
+    """A database's frames; indexing, slicing or iterating builds GeoFrames of its table (Database._frame)."""
 
     __slots__ = ("_db",)
 
@@ -269,14 +258,17 @@ def scan(
     correspondence_count). Raises EmptyCandidatesError when filtering
     leaves nothing to score.
     """
+    table = db._table
     lo, hi = 0, len(db)
     if center_ts is not None:
-        lo, hi = _within(db._timestamps, center_ts, cfg.window_s)
+        lo, hi = _within(table["timestamp_ns"], center_ts, cfg.window_s)
     keep = np.arange(lo, hi)
     if cfg.exclusion_s:
-        cut_lo, cut_hi = _within(db._timestamps, query_ts, cfg.exclusion_s)
+        cut_lo, cut_hi = _within(table["timestamp_ns"], query_ts, cfg.exclusion_s)
         keep = keep[(keep < cut_lo) | (keep >= cut_hi)]
-    candidates = _Candidates(db._ids[keep], db._block, db._starts[keep], db._stops[keep])
+    # int64 row bounds: uint64 ones would promote to float64 in the matcher's index arithmetic
+    starts, stops = table["start"][keep].astype(np.int64), table["stop"][keep].astype(np.int64)
+    candidates = _Candidates(table["frame_id"][keep], db._block, starts, stops)
     if not len(candidates):
         raise EmptyCandidatesError(
             f"no candidate frames for query_ts={query_ts} "
@@ -314,16 +306,15 @@ def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
 def save_db(db: Database, path) -> None:
     """Serialize a database in format version 2; the result round-trips bit-exactly.
 
-    The frame table is the database's columns, and the block written is
+    The frame table written is the database's, and the block written is
     the span of rows of the database's block that its frames cover, with
     each frame's range offset to point into that span.
     """
-    lo = int(db._starts.min()) if len(db) else 0
-    hi = int(db._stops.max()) if len(db) else 0
-    table = np.empty(len(db), dtype=_TABLE)
-    table["frame_id"], table["timestamp_ns"] = db._ids, db._timestamps
-    table["lat"], table["lon"] = db._lat, db._lon
-    table["start"], table["stop"] = db._starts - lo, db._stops - lo
+    table = db._table.copy()
+    lo = int(table["start"].min()) if len(db) else 0
+    hi = int(table["stop"].max()) if len(db) else 0
+    table["start"] -= lo
+    table["stop"] -= lo
     camera = db.camera.encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, len(db)) + _V2_HEAD.pack(hi - lo, len(camera)) + camera)
@@ -335,7 +326,7 @@ def load_db(path) -> Database:
     """Read a database written by save_db, in format version 2 or 1.
 
     All descriptors are read into one read-only block, which becomes the
-    database's block, and the frame table its columns, so scans score runs
+    database's block, as the frame table becomes its table, so scans score runs
     of consecutive frames without copying them, and rows that version-2
     frames share only once. Every size is checked against the file's
     before anything is allocated for it, and the file is checked whole
@@ -362,11 +353,8 @@ def load_db(path) -> Database:
                     where = f"frame {table['frame_id'][held[0]]}" if held.size else f"descriptor row {bad}"
                     raise DatabaseFormatError(f"{where}: descriptor components must be finite")
             block.setflags(write=False)
-            columns = [table[name] for name in ("frame_id", "timestamp_ns", "lat", "lon")]
-            return Database._from_columns(
-                *columns, DescriptorSet._wrap(block), table["start"], table["stop"], source=str(path), camera=camera
-            )
-        # the ValueError is a duplicate frame id, which the columns reject
+            return Database._from_table(table, DescriptorSet._wrap(block), source=str(path), camera=camera)
+        # the ValueError is a duplicate frame id, which the database rejects
         except (DatabaseFormatError, ValueError) as exc:
             raise DatabaseFormatError(f"{path}: {exc}") from None
 
@@ -613,17 +601,8 @@ def _ingest(frames: list[tuple], source: str, camera: str) -> Database:
     records, block = _read_desc_files(
         [f[3] for f in frames], lambda i, exc: IngestError(f"{frames[i][4]}: unreadable descriptors: {exc}")
     )
-    return Database._from_columns(
-        [f[0] for f in frames],
-        [f[1] for f in frames],
-        [f[2].lat for f in frames],
-        [f[2].lon for f in frames],
-        block,
-        [r[4] for r in records],
-        [r[5] for r in records],
-        source=source,
-        camera=camera,
-    )
+    table = np.array([(f[0], f[1], f[2].lat, f[2].lon, r[4], r[5]) for f, r in zip(frames, records)], dtype=_TABLE)
+    return Database._from_table(table, block, source=source, camera=camera)
 
 
 def _manifest_text(path: Path, error) -> str:
@@ -685,6 +664,8 @@ def ingest_csv(manifest) -> Database:
             raise IngestError(f"{where}: timestamp_ns {ts} outside the int64 range")
         if fid in seen:
             raise IngestError(f"{where}: duplicate frame_id {fid}")
+        if not row[4]:
+            raise IngestError(f"{where}: empty descriptor_path")
         seen.add(fid)
         frames.append((fid, ts, geotag, manifest.parent / row[4], where))
     return _ingest(frames, source=str(manifest), camera="")

@@ -20,7 +20,7 @@ from math import cos, radians, sin
 
 import numpy as np
 
-from .database import Database, ScanConfig
+from .database import _TABLE, Database, ScanConfig
 from .geodesy import GeoPoint, from_plane
 from .kalman import FilterConfig
 from .matching import DESCRIPTOR_DIM, DescriptorSet, MatchConfig
@@ -141,11 +141,12 @@ def gen_world(cfg: WorldConfig) -> Database:
     pool.setflags(write=False)
 
     i = np.arange(n, dtype=np.int64)
-    ts = T0_NS + i * _frame_period_ns(cfg)
-    starts = i * fresh
-    return Database._from_columns(
-        i, ts, *_lat_lon(cfg, ts), DescriptorSet._wrap(pool), starts, starts + k,
-        source=f"synthetic drive seed={cfg.seed}", camera="synthetic",
+    table = np.empty(n, dtype=_TABLE)
+    table["frame_id"], table["timestamp_ns"] = i, T0_NS + i * _frame_period_ns(cfg)
+    table["lat"], table["lon"] = _lat_lon(cfg, table["timestamp_ns"])
+    table["start"], table["stop"] = i * fresh, i * fresh + k
+    return Database._from_table(
+        table, DescriptorSet._wrap(pool), source=f"synthetic drive seed={cfg.seed}", camera="synthetic"
     )
 
 
@@ -167,7 +168,7 @@ def gen_queries(
         raise ValueError(f"need at least one query, got {n}")
     if not len(db):
         raise ValueError("gen_queries needs a database with frames, got none")
-    frame_ts = db._timestamps  # sorted
+    frame_ts = db._table["timestamp_ns"]  # sorted
     first, last = int(frame_ts[0]), int(frame_ts[-1])
 
     rng = np.random.default_rng([cfg.seed, 1])
@@ -177,7 +178,7 @@ def gen_queries(
         if not first <= ts <= last:
             raise ValueError(f"query {i} at {ts} outside database range [{first}, {last}]")
         nearest = int(np.abs(frame_ts - ts).argmin())
-        base = db._block.array[db._starts[nearest] : db._stops[nearest]]
+        base = db._frame(nearest).descriptors.array
         if cfg.query_noise_sigma > 0:
             arr = rng.standard_normal(base.shape, dtype=np.float32)
             try:

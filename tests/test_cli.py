@@ -398,10 +398,18 @@ def test_query_names_a_desc_path_once(dataset, capsys):
     assert main(["query", "--db", str(db_path), "--queries", str(qmanifest)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: m.csv:2: {tmp_path / 'sub' / '..' / 'pad.desc'}: trailing bytes\n"
+    # an empty cell is a malformed row, not the manifest's directory
     qmanifest.write_text("timestamp_ns,descriptor_path\n0,\n")
-    assert main(["query", "--db", str(db_path), "--queries", str(qmanifest)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: m.csv:2: [Errno 21] Is a directory: ") and ": :" not in err
+    assert main(["query", "--db", str(db_path), "--queries", str(qmanifest)]) == 2
+    assert capsys.readouterr().err == "usage error: m.csv:2: empty descriptor_path\n"
+    manifest = tmp_path / "sub" / "b.csv"
+    manifest.write_text(",".join(CSV_MANIFEST_HEADER) + "\n0,0,49.0,8.0,\n")
+    assert main(["build-db", "--csv", str(manifest), "--out", str(tmp_path / "o.vldb")]) == 1
+    assert capsys.readouterr().err == "error: b.csv:2: empty descriptor_path\n"
+    # a cell of spaces names a file like any other
+    write_desc_file(tmp_path / "sub" / " ", frames[0])
+    manifest.write_text(",".join(CSV_MANIFEST_HEADER) + "\n0,0,49.0,8.0, \n")
+    assert main(["build-db", "--csv", str(manifest), "--out", str(tmp_path / "o.vldb")]) == 0
 
 
 def test_query_missing_db(dataset, tmp_path):

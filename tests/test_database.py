@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import struct
@@ -574,7 +575,7 @@ def test_ingest_kitti_reads_nine_digit_short_and_empty_fractions(tmp_path):
     coords = [(49.0, 8.4 + i * 1e-4) for i in range(4)]
     write_kitti_tree(tmp_path, stamps, coords, [DescriptorSet(unit_rows(rng, 4)) for _ in coords])
     base = 1_317_042_145 * 10**9  # 2011-09-26 13:02:25 UTC
-    assert ingest_kitti(tmp_path)._timestamps.tolist() == [base + 594_360_375, base + 1_600_000_000, base + 2 * 10**9, base + 3 * 10**9]
+    assert ingest_kitti(tmp_path)._table["timestamp_ns"].tolist() == [base + 594_360_375, base + 1_600_000_000, base + 2 * 10**9, base + 3 * 10**9]
 
 
 @pytest.mark.parametrize("stem", ["1" + "0" * 20, "x1"])
@@ -859,7 +860,7 @@ def test_load_sorts_frames_and_copies_rows_whose_ranges_start_earlier(tmp_path):
     path.write_bytes(v1_bytes(frames[::-1]))
     db = load_db(path)
     assert [f.frame_id for f in db] == [0, 1, 2, 3, 4]
-    assert np.all(np.diff(db._starts) >= 0)
+    assert np.all(np.diff(db._table["start"].astype(np.int64)) >= 0)
     for a, b in zip(frames, db.frames):
         assert a.geotag == b.geotag and np.array_equal(a.descriptors.array, b.descriptors.array)
     save_db(db, tmp_path / "v2.vldb")
@@ -919,12 +920,12 @@ def test_loaded_drive_holds_each_pool_row_once_and_counts_as_in_memory(tmp_path)
     for tau2 in (-0.5, MatchConfig().tau2):
         match_cfg = MatchConfig(tau2=tau2)
         for q in queries:
-            center = int(np.searchsorted(db._timestamps, q.timestamp_ns))
+            center = int(np.searchsorted(db._table["timestamp_ns"], q.timestamp_ns))
             # unwindowed, a 5 s window, and the window with a 1 s exclusion gap
             for lo, hi, gap in ((0, len(db), 0), (center - 50, center + 51, 0), (center - 50, center + 51, 10)):
                 keep = [i for i in range(max(lo, 0), min(hi, len(db))) if abs(i - center) > gap or not gap]
-                loaded = _counts(q.descriptors, *columns(db._block, db._starts[keep], db._stops[keep]), match_cfg)
-                in_memory = _counts(q.descriptors, *columns(world._block, world._starts[keep], world._stops[keep]), match_cfg)
+                loaded = _counts(q.descriptors, *columns(db._block, db._table["start"][keep], db._table["stop"][keep]), match_cfg)
+                in_memory = _counts(q.descriptors, *columns(world._block, world._table["start"][keep], world._table["stop"][keep]), match_cfg)
                 assert np.array_equal(loaded, in_memory)
                 assert loaded.max() > 0
 
@@ -982,13 +983,16 @@ def test_frame_ids_above_int64_survive_save_load_and_scan(tmp_path):
             db.frame_by_id(missing)
 
 
-def test_scan_hands_best_match_one_sequence_of_candidate_pairs(monkeypatch):
+def test_scan_hands_best_match_one_sequence_of_candidate_pairs(monkeypatch, tmp_path):
     # the contract the benchmark's tracer relies on: one call per scan, with
     # candidates whose len is their count and whose iteration yields
     # (int id, DescriptorSet) pairs holding their rows, returning
-    # (frame_id, count)
+    # (frame_id, count); ids are uint64 and row bounds int64, for the
+    # generated drive and for a loaded file whose ids reach 2**64 - 1
     world = gen_world(WorldConfig())
     query = gen_queries(world, T0_NS + 4 * 10**9, 1, 1.0, WorldConfig())[0]
+    high = [GeoFrame(2**64 - len(world) + f.frame_id, f.timestamp_ns, f.geotag, f.descriptors) for f in world.frames]
+    save_db(Database(high), tmp_path / "high.vldb")
     calls = []
 
     def spy(query, candidates, cfg):
@@ -997,13 +1001,16 @@ def test_scan_hands_best_match_one_sequence_of_candidate_pairs(monkeypatch):
         return result
 
     monkeypatch.setattr(database, "best_match", spy)
-    for cfg, center in ((ScanConfig(exclusion_s=1.0), None), (ScanConfig(window_s=2.0, exclusion_s=0.5), T0_NS + 3 * 10**9)):
-        frame, count = scan(world, query.descriptors, query.timestamp_ns, cfg, MatchConfig(), center_ts=center)
+    settings = ((ScanConfig(exclusion_s=1.0), None), (ScanConfig(window_s=2.0, exclusion_s=0.5), T0_NS + 3 * 10**9))
+    for db, (cfg, center) in itertools.product((world, load_db(tmp_path / "high.vldb")), settings):
+        frame, count = scan(db, query.descriptors, query.timestamp_ns, cfg, MatchConfig(), center_ts=center)
         assert len(calls) == 1
         candidates, result = calls.pop()
+        assert candidates.ids.dtype == np.uint64
+        assert candidates.starts.dtype == candidates.stops.dtype == np.int64
         want = [
             f
-            for f in world.frames
+            for f in db.frames
             if (center is None or abs(f.timestamp_ns - center) <= cfg.window_s * 1e9)
             and abs(f.timestamp_ns - query.timestamp_ns) > cfg.exclusion_s * 1e9
         ]
@@ -1014,6 +1021,34 @@ def test_scan_hands_best_match_one_sequence_of_candidate_pairs(monkeypatch):
         assert sum(len(ds) for _, ds in candidates) == sum(len(f.descriptors) for f in want)
         assert pairs[3][0] == want[3].frame_id and np.array_equal(pairs[3][1].array, want[3].descriptors.array)
         assert type(result) is tuple and result == (frame.frame_id, count)
+
+
+def test_every_constructor_holds_one_sorted_read_only_frame_table(tmp_path):
+    # frames 1, 3 and 6 share a timestamp, so the id orders them
+    rng = np.random.default_rng(44)
+    stamps = [300, 100, 200, 100, 0, 400, 100]
+    frames = [make_frame(rng, i, ts * 10**6, 49.0 + i * 1e-4, k=int(rng.integers(0, 4))) for i, ts in enumerate(stamps)]
+    shuffled = [frames[i] for i in rng.permutation(len(frames))]
+    built = Database(shuffled)
+    (tmp_path / "v1.vldb").write_bytes(v1_bytes(shuffled))
+    save_db(built, tmp_path / "v2.vldb")
+    world = gen_world(WorldConfig())
+    save_db(world, tmp_path / "world.vldb")
+    dbs = {
+        "gen_world": world,
+        "Database(frames)": built,
+        "load_db v1": load_db(tmp_path / "v1.vldb"),
+        "load_db v2": load_db(tmp_path / "v2.vldb"),
+        "ingest_csv": ingest_csv(write_manifest(tmp_path, frames, rng.permutation(len(frames)))),
+    }
+    for name, db in dbs.items():
+        table = db._table
+        assert table.dtype == database._TABLE and not table.flags.writeable, name
+        assert np.array_equal(np.lexsort((table["frame_id"], table["timestamp_ns"])), np.arange(len(db))), name
+    assert dbs["Database(frames)"]._table["frame_id"].tolist() == [4, 1, 3, 6, 2, 0, 5]
+    for db, loaded in ((built, dbs["load_db v2"]), (world, load_db(tmp_path / "world.vldb"))):
+        for field in database._TABLE.names:
+            assert np.array_equal(loaded._table[field], db._table[field]), field
 
 
 def test_frames_are_built_on_demand_as_windows_of_the_block():
@@ -1027,6 +1062,6 @@ def test_frames_are_built_on_demand_as_windows_of_the_block():
         assert np.shares_memory(f.descriptors.array, block.array)
         assert np.array_equal(f.descriptors.array, block.array[10 * f.frame_id : 10 * f.frame_id + 200])
     assert [f.frame_id for f in world.frames[::9]] == list(range(0, 80, 9))
-    assert world.frames[-1].timestamp_ns == world.frame_by_id(79).timestamp_ns == int(world._timestamps[-1])
+    assert world.frames[-1].timestamp_ns == world.frame_by_id(79).timestamp_ns == int(world._table["timestamp_ns"][-1])
     with pytest.raises(IndexError):
         world.frames[80]

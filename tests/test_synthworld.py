@@ -91,8 +91,8 @@ def test_world_config_takes_a_drive_up_to_the_edge_of_the_globe(start, heading_d
     # drive past a pole is rejected, and one across the antimeridian wraps.
     kw = dict(speed_mps=M_PER_DEG, heading_deg=heading_deg, db_hz=1.0, duration_s=8.0)
     db = gen_world(WorldConfig(start_lat=start[0], start_lon=start[1], **kw))
-    assert (db._lat[-1], db._lon[-1]) == pytest.approx(edge, abs=1e-12)
-    assert abs(db._lat[-1]) <= 90.0 and abs(db._lon[-1]) <= 180.0
+    assert (db._table["lat"][-1], db._table["lon"][-1]) == pytest.approx(edge, abs=1e-12)
+    assert abs(db._table["lat"][-1]) <= 90.0 and abs(db._table["lon"][-1]) <= 180.0
     if wrapped is None:
         message = f"speed_mps={M_PER_DEG}, heading_deg={heading_deg} and duration_s=8.0 from {beyond} take the drive to ("
         with pytest.raises(ValueError, match=re.escape(message)) as info:
@@ -100,8 +100,8 @@ def test_world_config_takes_a_drive_up_to_the_edge_of_the_globe(start, heading_d
         assert str(info.value).endswith("outside latitude [-90, 90] or longitude [-180, 180]")
     else:
         db = gen_world(WorldConfig(start_lat=beyond[0], start_lon=beyond[1], **kw))
-        assert (db._lat[-1], db._lon[-1]) == pytest.approx(wrapped, abs=1e-12)
-        assert np.all(np.abs(db._lon) <= 180.0)
+        assert (db._table["lat"][-1], db._table["lon"][-1]) == pytest.approx(wrapped, abs=1e-12)
+        assert np.all(np.abs(db._table["lon"]) <= 180.0)
         # every second is a degree on the ground, across the antimeridian too
         gaps = [haversine_m(a.geotag, b.geotag) for a, b in zip(db.frames, db.frames[1:])]
         assert gaps == pytest.approx([M_PER_DEG] * 7, rel=1e-9)
