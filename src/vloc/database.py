@@ -9,11 +9,11 @@ table is the only record of which rows a frame holds. A drive's block is
 its landmark pool, a loaded database's the file's block and an ingested
 one's the block that its .desc payloads were read into, in frame order;
 all are held as they are. Database(frames) copies the frames' rows into a
-new block in frame order (_pack). A scan gathers its candidates' ids and
-row ranges from the table and scores the block's rows in chunks, without
-a GeoFrame per frame; GeoFrames, each viewing its rows of the block, are
-built only when one is asked for (the winner of a scan, ``frames``,
-``frame_by_id``).
+new block in frame order (_pack). A scan slices its candidates' ids and
+row ranges from the table's fields, gathering them only around an
+exclusion gap, and scores the block's rows in chunks, without a GeoFrame
+per frame; GeoFrames, each viewing its rows of the block, are built only
+when one is asked for (the winner of a scan, db[i], ``frame_by_id``).
 
 On-disk container format, version 2 (little-endian throughout):
 
@@ -30,11 +30,11 @@ On-disk container format, version 2 (little-endian throughout):
         start, stop  u64 the frame's descriptors are rows [start, stop)
     then the descriptor block: rows * 128 * f32
 
-``save_db`` writes the database's table and the span of the block
-that the frames cover, so rows that frames share (a drive's) are written
-once and frame ranges may overlap. Frames that owned their rows, as
-ingested frames do, were packed one after another, and the block then
-holds the same rows in the same order as version 1.
+``save_db`` writes the database's table and block as it holds them, so
+rows that frames share (a drive's) are written once and frame ranges may
+overlap. Frames that owned their rows, as ingested frames do, were packed
+one after another, and the block then holds the same rows in the same
+order as version 1.
 
 ``save_db`` always writes version 2. ``load_db`` also reads version 1,
 which has no row count, table or camera name; after its header come, per
@@ -109,8 +109,8 @@ class GeoFrame:
             raise ValueError(f"frame {self.frame_id}: timestamp_ns {self.timestamp_ns} outside the int64 range")
 
 
-class Database:
-    """Geotagged frames as one table, sorted by (timestamp_ns, frame_id), with provenance metadata.
+class Database(Sequence):
+    """Geotagged frames as one table sorted by (timestamp_ns, frame_id), indexed as a sequence, with provenance.
 
     Row i of the read-only frame table (_TABLE, the record of the .vldb
     version-2 table) is frame i: its uint64 id, int64 capture time, float64
@@ -121,7 +121,8 @@ class Database:
     matter. Database(frames) copies the frames' rows into a new block in
     frame order, so frames share rows only where a table built directly
     says so (a drive, a loaded file). A GeoFrame is built only when one is
-    asked for (frames, frame_by_id, iteration).
+    asked for: db[i] builds frame i, a slice a tuple of frames, and
+    iteration each frame in turn; ``frames`` is the database itself.
     """
 
     def __init__(self, frames: Iterable[GeoFrame], source: str = "", camera: str = ""):
@@ -163,48 +164,30 @@ class Database:
         self.source = source
         self.camera = camera
 
-    def _frame(self, i: int) -> GeoFrame:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
         fid, ts, lat, lon, start, stop = self._table[i].tolist()
         return GeoFrame(fid, ts, GeoPoint(lat, lon), DescriptorSet._wrap(self._block.array[start:stop]))
 
+    def __len__(self) -> int:
+        return len(self._table)
+
     @property
-    def frames(self) -> "_Frames":
-        """Read-only sequence of the frames, each GeoFrame built when it is read."""
-        return _Frames(self)
+    def frames(self) -> "Database":
+        """The database itself, the sequence of its frames."""
+        return self
 
     def frame_by_id(self, frame_id: int) -> GeoFrame:
         if 0 <= frame_id < 2**64:
             ids = self._table["frame_id"]
             j = int(ids.searchsorted(np.uint64(frame_id), sorter=self._id_order))
             if j < len(self) and ids[self._id_order[j]] == frame_id:
-                return self._frame(self._id_order[j])
+                return self[self._id_order[j]]
         raise KeyError(frame_id)
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def __iter__(self) -> Iterator[GeoFrame]:
-        return iter(self.frames)
 
     def __repr__(self) -> str:
         return f"Database(frames={len(self)}, source={self.source!r}, camera={self.camera!r})"
-
-
-class _Frames(Sequence):
-    """A database's frames; indexing, slicing or iterating builds GeoFrames of its table (Database._frame)."""
-
-    __slots__ = ("_db",)
-
-    def __init__(self, db: Database):
-        self._db = db
-
-    def __len__(self) -> int:
-        return len(self._db)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self._db._frame, range(*i.indices(len(self)))))
-        return self._db._frame(i)
 
 
 def _pack(arrays: Sequence[np.ndarray]) -> tuple[DescriptorSet, np.ndarray, np.ndarray]:
@@ -262,13 +245,12 @@ def scan(
     lo, hi = 0, len(db)
     if center_ts is not None:
         lo, hi = _within(table["timestamp_ns"], center_ts, cfg.window_s)
-    keep = np.arange(lo, hi)
+    keep = slice(lo, hi)
     if cfg.exclusion_s:
         cut_lo, cut_hi = _within(table["timestamp_ns"], query_ts, cfg.exclusion_s)
+        keep = np.arange(lo, hi)
         keep = keep[(keep < cut_lo) | (keep >= cut_hi)]
-    # int64 row bounds: uint64 ones would promote to float64 in the matcher's index arithmetic
-    starts, stops = table["start"][keep].astype(np.int64), table["stop"][keep].astype(np.int64)
-    candidates = _Candidates(table["frame_id"][keep], db._block, starts, stops)
+    candidates = _Candidates(table["frame_id"][keep], db._block, table["start"][keep], table["stop"][keep])
     if not len(candidates):
         raise EmptyCandidatesError(
             f"no candidate frames for query_ts={query_ts} "
@@ -306,20 +288,14 @@ def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
 def save_db(db: Database, path) -> None:
     """Serialize a database in format version 2; the result round-trips bit-exactly.
 
-    The frame table written is the database's, and the block written is
-    the span of rows of the database's block that its frames cover, with
-    each frame's range offset to point into that span.
+    The frame table and the block written are the database's, as it holds
+    them, rows that no frame covers included.
     """
-    table = db._table.copy()
-    lo = int(table["start"].min()) if len(db) else 0
-    hi = int(table["stop"].max()) if len(db) else 0
-    table["start"] -= lo
-    table["stop"] -= lo
     camera = db.camera.encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, len(db)) + _V2_HEAD.pack(hi - lo, len(camera)) + camera)
-        fh.write(table.tobytes())
-        fh.write(db._block.array[lo:hi].astype("<f4", copy=False))
+        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, len(db)) + _V2_HEAD.pack(len(db._block), len(camera)) + camera)
+        fh.write(db._table.tobytes())
+        fh.write(db._block.array.astype("<f4", copy=False))
 
 
 def load_db(path) -> Database:

@@ -200,18 +200,21 @@ class MatchConfig:
 class _Candidates:
     """Frames to score as columns: frame i has id ids[i] and rows starts[i]:stops[i] of block.
 
-    Ids are uint64 and starts do not decrease. best_match reads the
-    columns only. __len__ and __iter__, which yields (int frame_id,
-    DescriptorSet) pairs, each set a view of the frame's rows of the block
-    made as it is read, are the contract of bench/tracer.py, which wraps
-    best_match and counts the candidates and sums their rows through them.
+    Ids are uint64 and starts do not decrease. The constructor casts the
+    row bounds, which may be a frame table's uint64 fields, to int64.
+    best_match reads the columns only. __len__ and __iter__, which yields
+    (int frame_id, DescriptorSet) pairs, each set a view of the frame's
+    rows of the block made as it is read, are the contract of
+    bench/tracer.py, which wraps best_match and counts the candidates and
+    sums their rows through them.
     They can go once the tracer stops wrapping best_match.
     """
 
     __slots__ = ("ids", "block", "starts", "stops")
 
     def __init__(self, ids: np.ndarray, block: DescriptorSet, starts: np.ndarray, stops: np.ndarray):
-        self.ids, self.block, self.starts, self.stops = ids, block, starts, stops
+        # int64 row bounds: uint64 ones would promote to float64 in the index arithmetic
+        self.ids, self.block, self.starts, self.stops = ids, block, starts.astype(np.int64), stops.astype(np.int64)
 
     def __len__(self) -> int:
         return len(self.ids)

@@ -178,7 +178,7 @@ def gen_queries(
         if not first <= ts <= last:
             raise ValueError(f"query {i} at {ts} outside database range [{first}, {last}]")
         nearest = int(np.abs(frame_ts - ts).argmin())
-        base = db._frame(nearest).descriptors.array
+        base = db[nearest].descriptors.array
         if cfg.query_noise_sigma > 0:
             arr = rng.standard_normal(base.shape, dtype=np.float32)
             try:

@@ -7,7 +7,7 @@ from vloc.matching import _Candidates
 
 
 def columns(block, starts, stops) -> tuple:
-    """Frames starts[i]:stops[i] of block as a scan passes them: (block, int64 starts, int64 stops).
+    """Frames starts[i]:stops[i] of block as best_match reads them: (block, int64 starts, int64 stops).
 
     The block is kept, its rows scored in place, while the starts do not
     decrease, as a database keeps its frames. Frames whose starts decrease

@@ -412,6 +412,35 @@ def test_query_names_a_desc_path_once(dataset, capsys):
     assert main(["build-db", "--csv", str(manifest), "--out", str(tmp_path / "o.vldb")]) == 0
 
 
+def test_query_and_build_db_name_the_line_of_a_desc_path_that_is_a_directory(dataset, capsys, monkeypatch):
+    # stat succeeds on a directory, and opening it fails
+    tmp_path, _, _ = dataset
+    db_path = build_db(dataset)
+    (tmp_path / "sub" / "d.desc").mkdir(parents=True)
+    monkeypatch.chdir(tmp_path)
+    Path("m.csv").write_text("timestamp_ns,descriptor_path\n0,sub/d.desc\n")
+    capsys.readouterr()
+    assert main(["query", "--db", str(db_path), "--queries", "m.csv"]) == 1
+    assert capsys.readouterr().err == "error: m.csv:2: [Errno 21] Is a directory: 'sub/d.desc'\n"
+    Path("b.csv").write_text(",".join(CSV_MANIFEST_HEADER) + "\n0,0,49.0,8.0,f0.desc\n1,1,49.0,8.0,sub/d.desc\n")
+    assert main(["build-db", "--csv", "b.csv", "--out", "o.vldb"]) == 1
+    assert capsys.readouterr().err == "error: b.csv:3: unreadable descriptors: [Errno 21] Is a directory: 'sub/d.desc'\n"
+    assert not Path("o.vldb").exists()
+
+
+def test_query_names_a_database_whose_camera_name_is_not_utf8(dataset, capsys, monkeypatch):
+    tmp_path, manifest, frames = dataset
+    monkeypatch.chdir(tmp_path)
+    save_db(Database(frames, camera="cam0"), "badcam.vldb")
+    raw = bytearray(Path("badcam.vldb").read_bytes())
+    # the camera name follows the 24-byte header
+    raw[24] = 0xFF
+    Path("badcam.vldb").write_bytes(bytes(raw))
+    assert main(["query", "--db", "badcam.vldb", "--queries", str(manifest)]) == 1
+    message = "camera name is not UTF-8 ('utf-8' codec can't decode byte 0xff in position 0: invalid start byte)"
+    assert capsys.readouterr().err == f"error: badcam.vldb: {message}\n"
+
+
 def test_query_missing_db(dataset, tmp_path):
     _, manifest, _ = dataset
     code = main(["query", "--db", str(tmp_path / "none.vldb"), "--queries", str(manifest)])

@@ -1001,18 +1001,26 @@ def test_scan_hands_best_match_one_sequence_of_candidate_pairs(monkeypatch, tmp_
         return result
 
     monkeypatch.setattr(database, "best_match", spy)
-    settings = ((ScanConfig(exclusion_s=1.0), None), (ScanConfig(window_s=2.0, exclusion_s=0.5), T0_NS + 3 * 10**9))
+    center = T0_NS + 3 * 10**9
+    settings = (
+        (ScanConfig(exclusion_s=1.0), None),
+        (ScanConfig(window_s=2.0, exclusion_s=0.5), center),
+        (ScanConfig(), None),
+        (ScanConfig(window_s=2.0), center),
+    )
     for db, (cfg, center) in itertools.product((world, load_db(tmp_path / "high.vldb")), settings):
         frame, count = scan(db, query.descriptors, query.timestamp_ns, cfg, MatchConfig(), center_ts=center)
         assert len(calls) == 1
         candidates, result = calls.pop()
         assert candidates.ids.dtype == np.uint64
         assert candidates.starts.dtype == candidates.stops.dtype == np.int64
+        # without an exclusion the candidates are one run of frames, handed over as views of the table
+        assert np.shares_memory(candidates.ids, db._table) == (not cfg.exclusion_s)
         want = [
             f
             for f in db.frames
             if (center is None or abs(f.timestamp_ns - center) <= cfg.window_s * 1e9)
-            and abs(f.timestamp_ns - query.timestamp_ns) > cfg.exclusion_s * 1e9
+            and (not cfg.exclusion_s or abs(f.timestamp_ns - query.timestamp_ns) > cfg.exclusion_s * 1e9)
         ]
         assert len(candidates) == len(want)
         pairs = list(candidates)
@@ -1065,3 +1073,62 @@ def test_frames_are_built_on_demand_as_windows_of_the_block():
     assert world.frames[-1].timestamp_ns == world.frame_by_id(79).timestamp_ns == int(world._table["timestamp_ns"][-1])
     with pytest.raises(IndexError):
         world.frames[80]
+    # the database is the sequence of its frames
+    direct = [world[7], world[-1], *world[::9], *list(world)]
+    assert [f.frame_id for f in direct] == [7, 79, *range(0, 80, 9), *range(80)]
+    for f in direct:
+        assert isinstance(f, GeoFrame)
+        assert np.shares_memory(f.descriptors.array, block.array)
+        assert np.array_equal(f.descriptors.array, block.array[10 * f.frame_id : 10 * f.frame_id + 200])
+    assert world.frames is world
+    with pytest.raises(IndexError):
+        world[80]
+
+
+def test_save_db_writes_back_block_rows_that_no_frame_covers(tmp_path):
+    # a version-2 file from elsewhere whose block holds 3 rows before the
+    # first frame's and 2 after the last frame's: the database holds the
+    # block as read, and saves it so
+    cfg = WorldConfig(duration_s=2.0, keypoints_per_frame=8)
+    drive = gen_world(cfg)
+    rng = np.random.default_rng(48)
+    table = drive._table.copy()
+    table["start"] += 3
+    table["stop"] += 3
+    block = np.concatenate([unit_rows(rng, 3), drive._block.array, unit_rows(rng, 2)])
+    camera = drive.camera.encode()
+    path = tmp_path / "foreign.vldb"
+    head = struct.pack("<4sIIQI", b"VLDB", 2, len(table), len(block), len(camera))
+    path.write_bytes(head + camera + table.tobytes() + block.astype("<f4").tobytes())
+    db = load_db(path)
+    assert np.array_equal(db._block.array, block)
+    save_db(db, tmp_path / "again.vldb")
+    assert (tmp_path / "again.vldb").read_bytes() == path.read_bytes()
+    again = load_db(tmp_path / "again.vldb")
+    settings = ((ScanConfig(), None), (ScanConfig(window_s=0.5), T0_NS + 10**9), (ScanConfig(exclusion_s=0.2), None))
+    for q in gen_queries(drive, T0_NS + 3 * 10**8, 12, 0.1, cfg):
+        for scan_cfg, center in settings:
+            want, want_count = scan(drive, q.descriptors, q.timestamp_ns, scan_cfg, MatchConfig(), center_ts=center)
+            for loaded in (db, again):
+                got, got_count = scan(loaded, q.descriptors, q.timestamp_ns, scan_cfg, MatchConfig(), center_ts=center)
+                assert (got.frame_id, got_count) == (want.frame_id, want_count)
+                assert np.array_equal(got.descriptors.array, want.descriptors.array)
+
+
+def test_every_builder_saves_the_bytes_of_its_reloaded_database(tmp_path):
+    rng = np.random.default_rng(49)
+    frames = [make_frame(rng, i, 10**8 * i, 49.0 + i * 1e-4, k=int(rng.integers(0, 6))) for i in range(7)]
+    built = Database(frames, camera="cam0")
+    (tmp_path / "v1.vldb").write_bytes(v1_bytes(built))
+    save_db(built, tmp_path / "v2.vldb")
+    builders = {
+        "gen_world": gen_world(WorldConfig(duration_s=3.0, keypoints_per_frame=16)),
+        "Database(frames)": built,
+        "ingest_csv": ingest_csv(write_manifest(tmp_path, frames, rng.permutation(7))),
+        "load_db v1": load_db(tmp_path / "v1.vldb"),
+        "load_db v2": load_db(tmp_path / "v2.vldb"),
+    }
+    for name, db in builders.items():
+        save_db(db, tmp_path / "first.vldb")
+        save_db(load_db(tmp_path / "first.vldb"), tmp_path / "second.vldb")
+        assert (tmp_path / "second.vldb").read_bytes() == (tmp_path / "first.vldb").read_bytes(), name

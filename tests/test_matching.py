@@ -360,6 +360,22 @@ def test_window_is_a_zero_copy_view_with_its_own_norms():
         assert np.array_equal(ds.norms, np.einsum("ij,ij->i", block.array[a:b], block.array[a:b]))
 
 
+def test_candidates_cast_uint64_row_bounds_to_int64():
+    # a database's frame table holds row bounds as uint64, which the index
+    # arithmetic would promote to float64
+    rng = np.random.default_rng(15)
+    block = DescriptorSet(unit_rows(rng, 30))
+    starts, stops = [0, 5, 8, 8, 20], [12, 25, 15, 8, 30]
+    query = DescriptorSet(block.array[5:25] + rng.standard_normal((20, DESCRIPTOR_DIM)) * 0.01)
+    ids = np.array([9, 4, 7, 1, 3], dtype=np.uint64)
+    wide = _Candidates(ids, block, np.array(starts, dtype=np.uint64), np.array(stops, dtype=np.uint64))
+    assert wide.starts.dtype == wide.stops.dtype == np.int64
+    assert wide.starts.tolist() == starts and wide.stops.tolist() == stops
+    narrow = _Candidates(ids, *columns(block, starts, stops))
+    result = best_match(query, wide, MatchConfig())
+    assert result == best_match(query, narrow, MatchConfig()) and result[1] > 0
+
+
 def test_interleaved_scans_sharing_the_scratch_buffers_match_separate_ones(monkeypatch):
     # three scans advanced chunk by chunk in turn reuse one thread's
     # product buffer; every chunk must be scored before the next
