@@ -93,9 +93,13 @@ CSV_MANIFEST_HEADER = ["frame_id", "timestamp_ns", "lat_deg", "lon_deg", "descri
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeoFrame:
-    """One database image: identity, capture time, geotag, descriptors."""
+    """One database image: identity, capture time, geotag, descriptors.
+
+    Each read of a frame from a Database is a new view of its rows, so
+    frames compare and hash by identity: compare them by frame_id.
+    """
 
     frame_id: int
     timestamp_ns: int

@@ -398,8 +398,7 @@ def _matched(query: DescriptorSet, block: DescriptorSet, starts: np.ndarray, sto
         return
     q = query.array * np.float32(-2.0)
     qq = query.norms.astype(np.float64)
-    # neither the product nor the rows it reads exceed _E_BYTES
-    max_cols = max(1, _E_BYTES // (4 * max(m, DESCRIPTOR_DIM)))
+    max_cols = max(1, _E_BYTES // (4 * m))
     for lo, rows, fnorms, first, widths in _candidate_rows(block, starts, stops, max_cols):
         if len(rows):
             bound = _gate_bound(qq, fnorms.min(), fnorms.max(), cfg.tau2)

@@ -272,16 +272,19 @@ def _cell(value):
     return value if isinstance(value, (int, np.integer)) else repr(float(value))
 
 
-def export_trace(trace: Sequence[TraceStep], out_dir) -> Path:
-    """Write trace.csv under out_dir, a row of TRACE_COLUMNS per step; returns its path."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "trace.csv"
+def _write_csv(path: Path, header, rows) -> Path:
+    """Write header, then each row's cells as _cell gives them, to path, making its directory; returns path."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        writer.writerows([_cell(value(s)) for value in TRACE_COLUMNS.values()] for s in trace)
+        writer.writerow(header)
+        writer.writerows(map(_cell, row) for row in rows)
     return path
+
+
+def export_trace(trace: Sequence[TraceStep], out_dir) -> Path:
+    """Write trace.csv under out_dir, a row of TRACE_COLUMNS per step; returns its path."""
+    return _write_csv(Path(out_dir) / "trace.csv", TRACE_COLUMNS, ([value(s) for value in TRACE_COLUMNS.values()] for s in trace))
 
 
 def export_report(stats: ErrorStats, out_dir) -> tuple[Path, Path]:
@@ -292,14 +295,7 @@ def export_report(stats: ErrorStats, out_dir) -> tuple[Path, Path]:
     """
     if stats.n_steps == 0:
         raise ValueError("cannot export empty statistics")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "errors.csv"
-    svg_path = out_dir / "errors.svg"
-
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ERRORS_CSV_HEADER)
-        writer.writerows(map(_cell, row) for row in stats.rows())
+    csv_path = _write_csv(Path(out_dir) / "errors.csv", ERRORS_CSV_HEADER, stats.rows())
+    svg_path = csv_path.parent / "errors.svg"
     svg_path.write_text(_svg_plot(stats))
     return csv_path, svg_path

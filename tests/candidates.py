@@ -1,4 +1,4 @@
-"""Test-side builders of best_match's columns: frames that share one block's rows, or sets packed into one."""
+"""Test-side builders of best_match's columns (frames that share one block's rows, or sets packed into one) and of its chunk budget."""
 
 import numpy as np
 
@@ -30,3 +30,8 @@ def as_candidates(pairs) -> _Candidates:
     pairs = list(pairs)
     ids = np.array([fid for fid, _ in pairs], dtype=np.uint64)
     return _Candidates(ids, *packed(ds for _, ds in pairs))
+
+
+def chunk_bytes(cols: int, m: int) -> int:
+    """The _E_BYTES that gives an m-row query chunks of at most cols frame rows: a float32 product of cols x m."""
+    return 4 * cols * m

@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from candidates import columns
+from candidates import chunk_bytes, columns
 from vloc import database, matching
 from vloc.database import (
     CSV_MANIFEST_HEADER,
@@ -27,7 +27,8 @@ from vloc.errors import DatabaseFormatError, EmptyCandidatesError, IngestError
 from vloc.geodesy import GeoPoint
 from vloc.matching import _E_BYTES, DESCRIPTOR_DIM, DescriptorSet, MatchConfig, _counts, best_match
 from vloc.kalman import FilterConfig
-from vloc.synthworld import T0_NS, WorldConfig, _run_trial, _trial_seed, gen_queries, gen_world
+from vloc.pipeline import localize_sequence
+from vloc.synthworld import T0_NS, WorldConfig, _frame_period_ns, _run_trial, _start_range, _trial_seed, gen_queries, gen_world
 
 # plain fixture coordinates for the 3-frame ingestion tests
 FIXTURE_GEO = [
@@ -441,6 +442,35 @@ def test_generated_drives_settle_every_screened_entry_once(monkeypatch):
         trace = _run_trial(WorldConfig(), ScanConfig(window_s=20.0, exclusion_s=1.0), MatchConfig(), FilterConfig(), 6, 1.0, *_trial_seed(0, i))
         assert len(trace) == 6
     assert len(entries) >= drive + 30 and min(entries) > 0
+
+
+def test_criterion_6_drives_whose_frames_own_their_rows_take_the_pair_path_and_match_as_shared(monkeypatch):
+    # criterion 6's first ten trials, localized over each drive and over
+    # Database(list(world)), whose frames each own a copy of their rows:
+    # the copies must match the drive's frame at every step, and some of
+    # their scans leave entries that share a (row, frame) pair, so the
+    # pair path (_held_pairs, _top_two) runs on a drive
+    pairs = []  # per _held_pairs call, the pairs it hands _top_two
+    held_pairs = matching._held_pairs
+
+    def counted(*args):
+        r, f = held_pairs(*args)
+        pairs.append(len(r))
+        return r, f
+
+    monkeypatch.setattr(matching, "_held_pairs", counted)
+    scan_cfg = ScanConfig(exclusion_s=1.0)
+    for i in range(10):
+        world_seed, start_seed = _trial_seed(0, i)
+        cfg = WorldConfig(seed=world_seed)
+        lo, hi = _start_range(cfg, scan_cfg, 6, 1.0)
+        world = gen_world(cfg)
+        start_ts = T0_NS + int(np.random.default_rng(start_seed).integers(lo, hi + 1)) * _frame_period_ns(cfg)
+        queries = gen_queries(world, start_ts, 6, 1.0, cfg)
+        shared = localize_sequence(world, queries, scan_cfg, MatchConfig(), FilterConfig())
+        owned = localize_sequence(owned_copy(world), queries, scan_cfg, MatchConfig(), FilterConfig())
+        assert [s.matched_frame_id for s in owned] == [s.matched_frame_id for s in shared]
+    assert len(pairs) > 0 and sum(pairs) > 0, pairs
 
 
 def test_scan_empty_candidates():
@@ -930,13 +960,15 @@ def test_loaded_drive_holds_each_pool_row_once_and_counts_as_in_memory(tmp_path)
                 assert loaded.max() > 0
 
 
-def test_a_database_of_a_drives_frames_copies_their_rows_and_scans_as_the_drive(tmp_path):
+def test_a_database_of_a_drives_frames_copies_their_rows_and_scans_as_the_drive(tmp_path, monkeypatch):
     # a drive's frames share the rows of its pool; Database(frames) copies
     # each frame's rows, one frame after another, into a block of its own.
     # Its scans, and those of it saved and loaded, must give the drive's
     # (frame, count): unwindowed, in a 5 s window, and in that window with
-    # a 1 s exclusion
+    # a 1 s exclusion. In chunks of at most 8192 rows, an unwindowed scan
+    # of the copies' 12,000 rows takes two
     cfg = WorldConfig(duration_s=30.0, keypoints_per_frame=40)
+    monkeypatch.setattr(matching, "_E_BYTES", chunk_bytes(8192, cfg.keypoints_per_frame))
     world = gen_world(cfg)
     db = Database(list(world.frames), source=world.source, camera=world.camera)
     assert len(db._block) == 40 * len(world) > len(world._block)
@@ -1083,6 +1115,18 @@ def test_frames_are_built_on_demand_as_windows_of_the_block():
     assert world.frames is world
     with pytest.raises(IndexError):
         world[80]
+
+
+def test_frames_compare_by_identity():
+    # each read of a frame is a new view of its rows, so a frame equals
+    # itself alone: two reads of one frame differ, and a database holds
+    # none of its frames as read again
+    world = gen_world(WorldConfig())
+    f = world[3]
+    assert f == f and f in [f]
+    assert not world[3] == world[3]
+    assert world[3] not in world
+    assert len({f, world[3]}) == 2
 
 
 def test_save_db_writes_back_block_rows_that_no_frame_covers(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from candidates import as_candidates, columns, packed
+from candidates import as_candidates, chunk_bytes, columns, packed
 from vloc import matching
 from vloc.errors import EmptyCandidatesError, FrameTooSmallError
 from vloc.matching import (
@@ -276,7 +276,7 @@ def test_best_match_skips_tiny_frames(caplog, monkeypatch):
     assert best_match(query, as_candidates(frames[:3]), MatchConfig()) == (4, 5)
     # frames of no rows alone, or in a chunk of their own before a frame
     # wider than a chunk's budget
-    monkeypatch.setattr(matching, "_E_BYTES", 4 * DESCRIPTOR_DIM * 4)
+    monkeypatch.setattr(matching, "_E_BYTES", chunk_bytes(4, len(query)))
     assert best_match(query, as_candidates([(3, DescriptorSet.empty())] * 2), MatchConfig()) == (3, 0)
     candidates = _Candidates(np.array([6, 2, 4], dtype=np.uint64), *columns(DescriptorSet(base), [0, 0, 8], [0, 8, 8]))
     assert best_match(query, candidates, MatchConfig()) == (2, 8)
@@ -379,10 +379,11 @@ def test_candidates_cast_uint64_row_bounds_to_int64():
 def test_interleaved_scans_sharing_the_scratch_buffers_match_separate_ones(monkeypatch):
     # three scans advanced chunk by chunk in turn reuse one thread's
     # product buffer; every chunk must be scored before the next
-    # overwrites it. Small chunks, exclusion-style gaps and sets that own
-    # their rows make many chunks of unequal widths
+    # overwrites it. Chunks of at most 40 rows of the 20-row queries,
+    # exclusion-style gaps and sets that own their rows make many chunks
+    # of unequal widths
     rng = np.random.default_rng(14)
-    monkeypatch.setattr(matching, "_E_BYTES", 40 * DESCRIPTOR_DIM * 4)
+    monkeypatch.setattr(matching, "_E_BYTES", chunk_bytes(40, 20))
     block = DescriptorSet(unit_rows(rng, 400))
     scans = []
     for step, gap in ((5, (30, 36)), (7, (10, 13))):
@@ -443,10 +444,8 @@ def test_windows_of_one_block_score_like_independent_copies(tau1, tau2, chunk_co
     mixed = packed(mixed)
     whole = {len(frames[1]): _counts(query, *frames, cfg) for frames in (shared, mixed)}
     if chunk_cols is not None:
-        # the query has fewer rows than a descriptor, so a chunk's rows,
-        # not its E, bind the budget
-        monkeypatch.setattr(matching, "_E_BYTES", chunk_cols * DESCRIPTOR_DIM * 4)
-    max_cols = matching._E_BYTES // (4 * DESCRIPTOR_DIM)
+        monkeypatch.setattr(matching, "_E_BYTES", chunk_bytes(chunk_cols, len(query)))
+    max_cols = max(1, matching._E_BYTES // (4 * len(query)))
     chunks = [(lo, lo + len(widths), np.shares_memory(rows, block.array)) for lo, rows, _, _, widths in _candidate_rows(*shared, max_cols)]
     assert [lo for lo, _, _ in chunks] == [0] + [hi for _, hi, _ in chunks[:-1]]
     assert all(in_place for _, _, in_place in chunks)  # every chunk is one span of the block
@@ -494,7 +493,7 @@ def test_gap_rows_match_for_no_frame(monkeypatch):
     assert want == [int(a <= 50 < b) for a, b in zip(starts.tolist(), stops.tolist())]
     for cols, span in ((None, (0, 300)), (112, (96, 208)), (40, None)):
         if cols is not None:
-            monkeypatch.setattr(matching, "_E_BYTES", cols * DESCRIPTOR_DIM * 4)
+            monkeypatch.setattr(matching, "_E_BYTES", chunk_bytes(cols, len(query)))
         assert _counts(query, block, starts, stops, cfg).tolist() == want
         spans, hits = [], []  # each chunk's rows of the block, and the settled hits among the gap's
         for lo, first, widths, _, _, _, hr, hc in _matched(query, block, starts, stops, cfg):
@@ -633,7 +632,7 @@ def oracle_matches(query, frames, cfg):
     q = query.array * np.float32(-2.0)
     qq = query.norms.astype(np.float64)
     match = np.full((m, p), -1, dtype=np.int64)
-    max_cols = max(1, matching._E_BYTES // (4 * max(m, DESCRIPTOR_DIM)))
+    max_cols = max(1, matching._E_BYTES // (4 * m))
     for lo, rows, fnorms, first, widths in _candidate_rows(*frames, max_cols):
         e = q @ rows.T
         e += fnorms
@@ -767,7 +766,7 @@ def test_matches_equal_the_full_segment_oracle():
     @given(scan=scans())
     def check(scan):
         query, frames, cfg, chunk_cols = scan
-        budget = matching._E_BYTES if chunk_cols is None else chunk_cols * DESCRIPTOR_DIM * 4
+        budget = matching._E_BYTES if chunk_cols is None else chunk_bytes(chunk_cols, len(query))
         with mock.patch.object(matching, "_E_BYTES", budget), mock.patch.object(matching, "_held_pairs", counted), screen_spy(calls), np.errstate(over="ignore", invalid="ignore"):
             counts = _counts(query, *frames, cfg)
             got = matches(query, frames, cfg)
@@ -859,7 +858,7 @@ def test_owned_rows_holding_noisy_copies_of_shared_landmarks_equal_the_oracle(mo
     monkeypatch.setattr(matching, "_held_pairs", lambda *a: pytest.fail("a pair was formed"))
     for chunk_cols in (None, 50):
         if chunk_cols is not None:
-            monkeypatch.setattr(matching, "_E_BYTES", chunk_cols * DESCRIPTOR_DIM * 4)
+            monkeypatch.setattr(matching, "_E_BYTES", chunk_bytes(chunk_cols, len(query)))
         with lone_spy(calls):
             got = matches(query, packed(frames), cfg)
             counts = _counts(query, *packed(frames), cfg)
@@ -1018,9 +1017,9 @@ def test_extreme_tau2_scans_equal_the_oracle(tau2):
     query = DescriptorSet(np.vstack([pool[200:230] + rng.standard_normal((30, DESCRIPTOR_DIM)) * 0.01, unit_rows(rng, 4), pool[203:204]]))
     cfg = MatchConfig(tau1=0.9, tau2=tau2)
     calls = {"skipped": 0, "compared": 0}
-    with mock.patch.object(matching, "_E_BYTES", 60 * DESCRIPTOR_DIM * 4), screen_spy(calls):
+    with mock.patch.object(matching, "_E_BYTES", chunk_bytes(60, len(query))), screen_spy(calls):
         got = matches(query, frames, cfg)
-    want = oracle_matches(query, frames, cfg)
+        want = oracle_matches(query, frames, cfg)
     assert np.array_equal(got, want)
     if tau2 < 0:
         assert calls == {"skipped": 0, "compared": 16}
@@ -1091,8 +1090,8 @@ def test_bound_covers_the_norms_of_every_chunk(monkeypatch):
     frames = [DescriptorSet(unit_rows(rng, 2) * 0.97) for _ in range(3)]
     frames += [DescriptorSet(np.stack([twin, -g]) * 0.1), DescriptorSet(np.stack([twin, far]) * 3.0)]
     cfg = MatchConfig(tau1=0.95, tau2=0.97)
-    monkeypatch.setattr(matching, "_E_BYTES", 2 * DESCRIPTOR_DIM * 4)
     query = DescriptorSet(g.reshape(1, -1))
+    monkeypatch.setattr(matching, "_E_BYTES", chunk_bytes(2, len(query)))
     assert len(list(_candidate_rows(*packed(frames), 2))) == len(frames)
     got = matches(query, packed(frames), cfg)
     assert got[0].tolist() == [-1, -1, -1, 0, 0]
@@ -1108,7 +1107,8 @@ def test_each_chunk_gets_the_bound_of_its_own_norms(monkeypatch):
     twin = g + 0.14 * unit_rows(rng, 1)[0]
     twin /= np.linalg.norm(twin)
     frames = [DescriptorSet(np.stack([twin * 0.2, -g * 3.0])), DescriptorSet(np.stack([twin * 0.9, -g * 1.1]))]
-    monkeypatch.setattr(matching, "_E_BYTES", 2 * DESCRIPTOR_DIM * 4)
+    query, cfg = DescriptorSet(g.reshape(1, -1)), MatchConfig(tau1=0.95, tau2=0.97)
+    monkeypatch.setattr(matching, "_E_BYTES", chunk_bytes(2, len(query)))
     made = []
 
     def spy(qq, fmin, fmax, tau2):
@@ -1116,7 +1116,6 @@ def test_each_chunk_gets_the_bound_of_its_own_norms(monkeypatch):
         return _gate_bound(qq, fmin, fmax, tau2)
 
     monkeypatch.setattr(matching, "_gate_bound", spy)
-    query, cfg = DescriptorSet(g.reshape(1, -1)), MatchConfig(tau1=0.95, tau2=0.97)
     got = matches(query, packed(frames), cfg)
     norms = [ds.norms for ds in frames]
     assert made == [(float(n.min()), float(n.max())) for n in norms]
@@ -1134,6 +1133,26 @@ def test_an_empty_query_is_matched_by_no_product(monkeypatch):
     assert list(_matched(DescriptorSet.empty(), block, starts, stops, MatchConfig())) == []
     ids = np.array([7, 3, 5], dtype=np.uint64)
     assert best_match(DescriptorSet.empty(), _Candidates(ids, block, starts, stops), MatchConfig()) == (3, 0)
+
+
+@pytest.mark.parametrize("m", [1, 3, 64, 127, 128, 200, 2000])
+def test_a_chunk_is_bounded_by_its_product_alone(m, monkeypatch):
+    # a chunk's rows are read in place, so its float32 product, frame rows
+    # by query rows, is the only array it allocates and its only budget,
+    # for queries of fewer rows than a descriptor has components as for
+    # those of more
+    rng = np.random.default_rng(31)
+    frames = columns(DescriptorSet(unit_rows(rng, 8)), [0, 4], [4, 8])
+    widths = []
+    candidate_rows = matching._candidate_rows
+
+    def spy(block, starts, stops, max_cols):
+        widths.append(max_cols)
+        return candidate_rows(block, starts, stops, max_cols)
+
+    monkeypatch.setattr(matching, "_candidate_rows", spy)
+    _counts(DescriptorSet(unit_rows(rng, m)), *frames, MatchConfig())
+    assert widths == [max(1, matching._E_BYTES // (4 * m))]
 
 
 def two_row_frame(cos0, second):
