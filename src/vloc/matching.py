@@ -15,11 +15,18 @@ what keeps full-database scans tractable: time goes to BLAS, and memory
 stays bounded by the chunk size whatever the database size. Each product
 is written frame rows by query rows, the orientation the BLAS runs
 fastest. A bound on the cosine gate, made from the norms of the chunk's
-own rows, screens each product once: one pass
+own rows, screens each product once. A long chunk (at least 2048 rows, for
+a query of at least 16 keypoints) first takes a bound product over 34
+columns: the first 32 components of each descriptor, and the norms of the
+rest by Cauchy-Schwarz (LEMP's bound; Teflioudi, Gemulla & Mykytiuk,
+SIGMOD 2015). It proves, exactly, that a row can hold no entry below the
+bound, so the chunk's own product covers only the rows from the first it
+cannot rule out to the last, and a chunk with none, as most chunks of a
+long scan are, is not multiplied at all. Then one pass
 takes the least entry of each block of frame rows, and only the rows from
 the first whose least entry is below the greatest keypoint bound to the
-last such row are compared entry by entry. A chunk with no such block, as
-most chunks of a long scan are, costs that one pass and nothing more. Only
+last such row are compared entry by entry. A chunk with no such block
+costs that one pass and nothing more. Only
 the (query keypoint, frame) pairs that hold a
 screened entry can match. A screened entry that is the only one of its
 keypoint in every frame holding it, as nearly all are on a drive, is
@@ -93,6 +100,38 @@ product (39 us), and blocks of 512 entries 157 us; larger blocks gained
 at most 10% more and widen the end blocks compared entry by entry.
 """
 
+_MIN_SPAN = 128
+"""Fewest frame rows of a product call over some of a chunk's rows (_admitted_rows, _chunk_matches).
+
+A call of at least 128 frame rows and 16 query rows (the second of
+_BOUND_FLOOR) gives each row the bits it has in a call over any other rows
+around it (a test sweeps where, on OpenBLAS 0.3.31 with its SkylakeX
+kernel); smaller calls take kernels whose bits depend on the rows beside
+them. So a product over some rows of a chunk is those rows of the whole
+chunk's product, bit for bit, as chunking already relies on.
+"""
+
+_BOUND_FLOOR = (2 * _BLAS_ROWS, 16)
+"""(frame rows, query rows) of the least chunk that takes the bound product before its own (_admitted_rows).
+
+A shorter chunk, such as every Monte-Carlo scan's (about 990 rows) and a
+20 s window of a 64-keypoint drive (about 1,264), keeps its one product:
+the bound would save least there. A query of fewer than 16 rows keeps it
+too, as a product over some rows could not keep the chunk's bits.
+"""
+
+_HEAD = 32
+"""Descriptor components the bound product multiplies; the rest enter through their norms."""
+
+_SLACK = 2.0**-13
+"""Relative slack of the bound product's norms and thresholds (_admitted_rows), ten times the float32 rounding it covers."""
+
+_TINY = 2.0**-100
+"""Absolute slack of the same, over the underflow of float32 products, flushed to zero or not."""
+
+_SCALE = 2.0**100
+"""Greatest squared norm, of a chunk's rows and of -2 q's, for which the bound product can overflow nothing."""
+
 
 _scratch = threading.local()
 
@@ -112,6 +151,18 @@ def _scratch_f32(shape: tuple) -> np.ndarray:
     next chunk; each chunk's product is consumed before _matched yields.
     The size is math.prod of the shape: np.prod, which builds an array
     first, took most of this call's time.
+
+    The bound product (_admitted_rows) writes its query side, its slices
+    and their operand here too, before the chunk's product overwrites
+    them, so it asks for no more than the product's n x m floats and holds
+    no array of its own while this buffer is made or grown. Where this
+    buffer lands in the heap sets a drive's peak RSS: with the query side
+    (27 KB) made before it in an array of its own, the buffer no longer fit
+    the space set-up had freed, the heap grew by its 4 MB, and long_drive's
+    peak RSS read 53.7-54.5 MB against the parent's 50.8-51.1 MB ([heap]
+    21.1 against 17.6 MB in its smaps). The layout is chaotic: the same
+    code read level when started as python rather than python3, and asking
+    this buffer for 3% more than n x m floats raised the peak on some seeds.
     """
     n = math.prod(shape)
     buf = getattr(_scratch, "product", None)
@@ -284,17 +335,32 @@ def _gate_bound(qq: np.ndarray, fmin: float, fmax: float, tau2: float) -> np.nda
         bound = ends + 1e-9 * (np.abs(ends) + fmax + 2.0 * top)
         bound[np.isnan(bound)] = np.inf
         bound[~(qq > 0.0)] = -np.inf
-        # rounded up to float32, so E is compared in its own precision
-        narrow = bound.astype(np.float32)
-    return np.where(narrow < bound, np.nextafter(narrow, np.float32(np.inf)), narrow)
+    # rounded up to float32, so E is compared in its own precision
+    return _round_up(bound)
 
 
-def _screen(p: np.ndarray, fnorms: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _round_up(x: np.ndarray) -> np.ndarray:
+    """float64 x rounded up to float32: the least float32 at or above each entry, inf above the greatest."""
+    with np.errstate(over="ignore"):
+        narrow = x.astype(np.float32)
+    return np.where(narrow < x, np.nextafter(narrow, np.float32(np.inf)), narrow)
+
+
+def _screen_t(bound: np.ndarray, fmin: np.float32) -> np.ndarray:
+    """Per query row, _screen's float32 t: an entry of p at least t has E at least the bound in every row of norm at least fmin."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.nextafter(bound - fmin, np.float32(np.inf))
+
+
+def _screen(p: np.ndarray, fnorms: np.ndarray, bound: np.ndarray, span: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Row-major flat indices and values of the entries of E = g + |f|^2 below bound, for g = p.T.
 
     p is the chunk's product as _matched writes it, one row per frame row
-    and one column per query row. NaN entries are kept too, so a pair's
-    nearest is NaN wherever argmin's would be. Only p is read in full:
+    and one column per query row. Only its rows span = (a, b), all by
+    default, are read: the bound product has shown every other row to be
+    at least t (_admitted_rows), so they need not have been written. NaN
+    entries are kept too, so a pair's nearest is NaN wherever argmin's
+    would be. Over the span, E is not formed but p read:
     fl(g + |f|^2) >= fl(t + fmin) for |f|^2 >= fmin, so an entry with
     g >= t, for t one float32 step above fl(bound - fmin), is at least the
     bound. E is formed at the entries left, with the float32 addition a
@@ -315,12 +381,12 @@ def _screen(p: np.ndarray, fnorms: np.ndarray, bound: np.ndarray) -> tuple[np.nd
     nearly every entry, makes the scan's peak.
     """
     n, m = p.shape
-    with np.errstate(invalid="ignore", over="ignore"):
-        t = np.nextafter(bound - fnorms.min(), np.float32(np.inf))
-    span = _below_rows(p, t.max())
-    if span is None:
+    lo, hi = span or (0, n)
+    t = _screen_t(bound, fnorms.min())
+    below = _below_rows(p[lo:hi], t.max())
+    if below is None:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float32)
-    a, b = span
+    a, b = lo + below[0], lo + below[1]
     out = np.greater_equal(p[a:b], t)
     # (c, i) of the entries over the span, in p's order, made g's
     # row-major index i * n + c + a in place and sorted into g's order
@@ -391,7 +457,10 @@ def _matched(query: DescriptorSet, block: DescriptorSet, starts: np.ndarray, sto
 
     The cosine gate's bound is made per chunk for the range of its own
     rows' norms, the tightest that holds for every one of them, so nothing
-    is carried from one chunk to the next.
+    is carried from one chunk to the next. A chunk of at least
+    _BOUND_FLOOR, whose norms and the query's are below _SCALE, takes the
+    bound product first (_admitted_rows) and multiplies only the rows it
+    admits, none if it admits none.
     """
     m = len(query)
     if not m:
@@ -401,18 +470,115 @@ def _matched(query: DescriptorSet, block: DescriptorSet, starts: np.ndarray, sto
     max_cols = max(1, _E_BYTES // (4 * m))
     for lo, rows, fnorms, first, widths in _candidate_rows(block, starts, stops, max_cols):
         if len(rows):
-            bound = _gate_bound(qq, fnorms.min(), fnorms.max(), cfg.tau2)
+            fmin, fmax = fnorms.min(), fnorms.max()
+            bound = _gate_bound(qq, fmin, fmax, cfg.tau2)
+            span = (0, len(rows))
+            if len(rows) >= _BOUND_FLOOR[0] and m >= _BOUND_FLOOR[1] and fmax < _SCALE and 4.0 * qq.max() < _SCALE:
+                span = _admitted_rows(rows, fnorms, q, query.norms, _slack_t(_screen_t(bound, fmin), float(fmax), qq))
             # a call per chunk, so one chunk's arrays are freed before the next product
-            yield lo, first, widths, *_chunk_matches(_product(rows, q), qq, fnorms, first, widths, bound, cfg)
+            yield lo, first, widths, *_chunk_matches(rows, q, span, qq, fnorms, first, widths, bound, cfg)
 
 
-def _product(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """rows @ q.T into this thread's scratch buffer, one BLAS call per near-equal slice of at most _BLAS_ROWS rows."""
+def _tail_norms(norms: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """Per row, a float32 value at least the norm of its components after the _HEAD of head, from its float32 squared norm.
+
+    y = norms (1 + _SLACK) - |head|^2 + _TINY, in float32: the squared
+    norms are sums of at most 128 float32 products, within a relative
+    128 u (u = 2^-24) of the true ones, and within 2^-119 more where
+    products underflow, so y stays above the tail's squared norm by most of
+    _SLACK |f|^2 + _TINY, and its float32 square root, within u of the
+    true one, above the tail's norm. That slack sits inside the root: where
+    the tail is near zero, the rounding of the difference can need about
+    sqrt(256 u) |f|, far more than a slack outside it would give.
+    """
+    y = norms * np.float32(1.0 + _SLACK)
+    y -= np.einsum("ij,ij->i", head, head)
+    y += np.float32(_TINY)
+    return np.sqrt(y, out=y)
+
+
+def _slack_t(t: np.ndarray, fmax: float, qq: np.ndarray) -> np.ndarray:
+    """Per query row, the float32 s of the bound product: _screen's t plus a slack over the rounding of both products.
+
+    A computed entry of p differs from f.q by at most 128 u |f||q| and
+    2^-119 of underflow, and one of the bound product from its true value
+    by at most 34 u of the sum of its terms' magnitudes, about
+    2 |f||q| + |s|; |f||q| is at most sqrt(fmax |q|^2), with _TINY added to
+    each factor for products that underflow. s = t + _SLACK (sqrt(...) +
+    |t|) + _TINY covers both many times over, rounded up to float32. A
+    t of inf (a bound screening nothing out) gives an s of inf.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _round_up(t + (_SLACK * (np.sqrt((fmax + _TINY) * (4.0 * qq + _TINY)) + np.abs(t)) + _TINY))
+
+
+def _admitted_rows(rows: np.ndarray, fnorms: np.ndarray, q: np.ndarray, qnorms: np.ndarray, s: np.ndarray) -> tuple[int, int] | None:
+    """The rows a:b of the chunk whose product with q = -2 query can hold an entry below _screen's t, at least _MIN_SPAN of them; None if no row can.
+
+    The bound product B = [f[:, :_HEAD] | phi | 1] . [q[:, :_HEAD] | -psi | -s]^T
+    is taken per slice of rows, phi and psi bounding the norms of f's and
+    q's other components (_tail_norms; psi from the query's squared norms
+    qnorms times 4, exactly those of q). By Cauchy-Schwarz
+    f.q >= f_head.q_head - phi psi, so an entry of B at or above 0 shows
+    that p's entry, rounding and all (_slack_t), is at least t: a row of B
+    with no entry below 0 holds no entry _screen keeps. A NaN in B admits
+    its row. The rows from the first admitted to the last are the span,
+    widened to _MIN_SPAN rows so its product keeps the chunk's bits.
+
+    The query side, and each slice's operand and product, are written into
+    the chunk's product buffer, which the chunk's own product overwrites
+    after, so the bound keeps no array and uses no memory beyond the n x m
+    floats that product takes (see _scratch_f32); the query side is made
+    again for each chunk. The slices are near-equal, of at most _BLAS_ROWS
+    rows and as many as the buffer holds beside the query side and their
+    operand. The first admitted row is sought from the front and the last
+    from the back, so the slices between them, inside the span, take no
+    bound product.
+    """
+    n, m = len(rows), len(q)
+    cols = _HEAD + 2
+    step = max(1, min(_BLAS_ROWS, (n - cols) * m // (m + cols)))
+    buf = _scratch_f32((max(n * m, m * cols + step * (m + cols)),))
+    side, buf = buf[: m * cols].reshape(m, cols), buf[m * cols :]
+    side[:, :_HEAD] = q[:, :_HEAD]
+    side[:, _HEAD] = -_tail_norms(qnorms * np.float32(4.0), q[:, :_HEAD])
+    side[:, _HEAD + 1] = -s
+    calls = -(-n // step)
+    edges = [n * i // calls for i in range(calls + 1)]
+
+    def below(i):
+        lo, hi = edges[i], edges[i + 1]
+        lhs = buf[: (hi - lo) * cols].reshape(hi - lo, cols)
+        lhs[:, :_HEAD] = rows[lo:hi, :_HEAD]
+        lhs[:, _HEAD] = _tail_norms(fnorms[lo:hi], rows[lo:hi, :_HEAD])
+        lhs[:, _HEAD + 1] = 1.0
+        out = buf[lhs.size : lhs.size + (hi - lo) * m].reshape(hi - lo, m)
+        span = _below_rows(np.matmul(lhs, side.T, out=out), np.float32(0.0))
+        return None if span is None else (lo + span[0], lo + span[1])
+
+    front, back, span = 0, calls - 1, None
+    while span is None and front <= back:
+        span, front = below(front), front + 1
+    while span is not None and front <= back:
+        last, back = below(back), back - 1
+        if last is not None:
+            span = span[0], last[1]
+            break
+    if span is None:
+        return None
+    a, b = span
+    b = min(n, max(b, a + _MIN_SPAN))
+    return max(0, min(a, b - _MIN_SPAN)), b
+
+
+def _product(rows: np.ndarray, q: np.ndarray, a: int = 0, b: int | None = None) -> np.ndarray:
+    """rows @ q.T into this thread's scratch buffer, rows a:b of it (all by default), one BLAS call per near-equal slice of at most _BLAS_ROWS rows."""
     n = len(rows)
     p = _scratch_f32((n, len(q)))
-    calls = -(-n // _BLAS_ROWS)
-    for a, b in itertools.pairwise(n * i // calls for i in range(calls + 1)):
-        np.matmul(rows[a:b], q.T, out=p[a:b])
+    b = n if b is None else b
+    calls = -(-(b - a) // _BLAS_ROWS)
+    for x, y in itertools.pairwise(a + (b - a) * i // calls for i in range(calls + 1)):
+        np.matmul(rows[x:y], q.T, out=p[x:y])
     return p
 
 
@@ -434,9 +600,13 @@ def _counts(query: DescriptorSet, block: DescriptorSet, starts: np.ndarray, stop
     return counts
 
 
-def _chunk_matches(p: np.ndarray, qq: np.ndarray, fnorms: np.ndarray, first: np.ndarray, widths: np.ndarray, bound: np.ndarray, cfg: MatchConfig) -> tuple[np.ndarray, ...]:
-    """The matches of one chunk, from its product p = g.T: (r, f, j, hr, hc) as _matched yields them.
+def _chunk_matches(rows: np.ndarray, q: np.ndarray, span: tuple[int, int] | None, qq: np.ndarray, fnorms: np.ndarray, first: np.ndarray, widths: np.ndarray, bound: np.ndarray, cfg: MatchConfig) -> tuple[np.ndarray, ...]:
+    """The matches of one chunk of rows against q = -2 query: (r, f, j, hr, hc) as _matched yields them.
 
+    Only the rows a:b of span are multiplied first (_product), the rows
+    that can hold an entry below the bound (_admitted_rows; all of them
+    for a chunk that took no bound product), and a span of None, no row,
+    holds no match and is not multiplied.
     bound is _gate_bound's for a norm range holding every one of fnorms.
     Frames may overlap and share columns of E, so each entry is screened
     once, against that bound (_screen). The (query row, frame) pairs that
@@ -450,13 +620,19 @@ def _chunk_matches(p: np.ndarray, qq: np.ndarray, fnorms: np.ndarray, first: np.
     returning the hits as (row, column) and the entries it leaves, none of
     which shares a pair with an entry it settled. Each pair holding an
     entry left (_held_pairs) reads its frame's whole row of E and takes its
-    nearest and runner-up there (_top_two), as a full pass would.
+    nearest and runner-up there (_top_two), as a full pass would, so the
+    rows outside the span are multiplied then, each call widened into the
+    span to _MIN_SPAN rows, whose bits are those of the span's product.
 
     A chunk the screen keeps nothing of, as its block-min pass finds for
     most chunks of a long scan, holds no match and returns at once. The
     pairs read g as the transposed view of p, one query row per row.
     """
-    flat, e = _screen(p, fnorms, bound)
+    if span is None:
+        flat = np.empty(0, dtype=np.intp)
+        return flat, flat, flat, flat, flat
+    p = _product(rows, q, *span)
+    flat, e = _screen(p, fnorms, bound, span)
     g = p.T
     hr = hc = flat[:0]
     if 0 < len(flat) <= g.shape[0] * len(first):
@@ -464,6 +640,11 @@ def _chunk_matches(p: np.ndarray, qq: np.ndarray, fnorms: np.ndarray, first: np.
     del e  # the pairs read their values from g; freed before they gather
     if len(flat) == 0:
         return flat, flat, flat, hr, hc
+    a, b = span
+    if a > 0:
+        _product(rows, q, 0, max(a, _MIN_SPAN))
+    if b < len(rows):
+        _product(rows, q, min(b, len(rows) - _MIN_SPAN), len(rows))
     r, f = _held_pairs(flat, g.shape, first, widths)
     j, e1, e2 = _top_two(g, fnorms, r, first[f], widths[f])
     _, passed = _verdict(qq[r], e1, e2, fnorms[first[f] + j].astype(np.float64), cfg)

@@ -177,7 +177,7 @@ def gen_queries(
         ts = start_ts + int(round(i * period_s * 1e9))
         if not first <= ts <= last:
             raise ValueError(f"query {i} at {ts} outside database range [{first}, {last}]")
-        nearest = int(np.abs(frame_ts - ts).argmin())
+        nearest = _nearest(frame_ts, ts)
         base = db[nearest].descriptors.array
         if cfg.query_noise_sigma > 0:
             arr = rng.standard_normal(base.shape, dtype=np.float32)
@@ -196,6 +196,21 @@ def gen_queries(
             arr[rows] = _unit_rows(rng, n_distract)
         queries.append(Query(DescriptorSet(arr), ts, position_at(cfg, ts)))
     return queries
+
+
+def _nearest(frame_ts: np.ndarray, ts: int) -> int:
+    """Index of the first of the sorted frame_ts nearest to ts, which lies within their range, by binary search.
+
+    The frame at or after ts is the first such; the one before it is nearer,
+    or as near (the first on a tie), when ts lies no further from it, and
+    then the first frame sharing its timestamp is taken.
+    """
+    after = int(frame_ts.searchsorted(ts))
+    at = int(frame_ts[after])
+    if at == ts:
+        return after
+    before = int(frame_ts[after - 1])
+    return after if ts - before > at - ts else int(frame_ts.searchsorted(before))
 
 
 def _trial_seed(master_seed: int, i: int) -> tuple[int, int]:

@@ -387,28 +387,33 @@ def test_scan_of_a_synthetic_drive_holds_no_more_than_before():
         assert peak <= bound_mib * 2**20, f"tau2={tau2}: traced peak {peak / 2**20:.2f} MiB"
 
 
-def test_windowed_scan_of_a_drive_compares_few_of_its_columns(monkeypatch):
+def test_windowed_scan_of_a_drive_multiplies_few_of_its_rows(monkeypatch):
     # a 20 s window of a 100 s drive: the query's correspondences sit in
     # the few hundred rows of its source frame and its neighbours, so the
-    # per-row compare runs on a small share of the columns multiplied
-    cols = {"product": 0, "compared": 0}
-    screen = matching._screen
+    # bound product admits few rows, and the full-width product is given a
+    # small share of the window's rows
+    rows = {"window": 0, "multiplied": 0}
+    product, candidate_rows = matching._product, matching._candidate_rows
 
-    def counted(p, fnorms, bound):
-        cols["product"] += p.shape[0]
-        with mock.patch.object(np, "greater_equal", wraps=np.greater_equal) as ge:
-            out = screen(p, fnorms, bound)
-        cols["compared"] += sum(call.args[0].shape[0] for call in ge.call_args_list)
-        return out
+    def chunks(*args):
+        for chunk in candidate_rows(*args):
+            rows["window"] += len(chunk[1])
+            yield chunk
+
+    def counted(chunk, q, *span):
+        a, b = span or (0, len(chunk))
+        rows["multiplied"] += b - a
+        return product(chunk, q, *span)
 
     cfg = WorldConfig(duration_s=100.0)
     db = gen_world(cfg)
     first, second = gen_queries(db, T0_NS + 50 * 10**9, 2, 1.0, cfg)
     center, _ = scan(db, first.descriptors, first.timestamp_ns, ScanConfig(), MatchConfig())
-    monkeypatch.setattr(matching, "_screen", counted)
+    monkeypatch.setattr(matching, "_candidate_rows", chunks)
+    monkeypatch.setattr(matching, "_product", counted)
     frame, count = scan(db, second.descriptors, second.timestamp_ns, ScanConfig(window_s=20.0), MatchConfig(), center_ts=center.timestamp_ns)
     assert frame.timestamp_ns == second.timestamp_ns and count > 0
-    assert 0 < cols["compared"] <= 0.1 * cols["product"], cols
+    assert 0 < rows["multiplied"] <= 0.1 * rows["window"], rows
 
 
 def test_generated_drives_settle_every_screened_entry_once(monkeypatch):

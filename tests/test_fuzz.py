@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from vloc.cli import main
@@ -33,7 +33,16 @@ from vloc.errors import DatabaseFormatError, VlocError
 from vloc.geodesy import GeoPoint
 from vloc.matching import DESCRIPTOR_DIM, DescriptorSet
 
-FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+SEED = 32
+"""Hypothesis seed of FUZZ."""
+
+
+def FUZZ(test):
+    """200 examples from a fixed seed, the same whatever the test's source: an edit to the test keeps the examples it drew.
+
+    Derandomized examples are keyed on the test's source, comments aside, so any edit to its code redrew them all.
+    """
+    return seed(SEED)(settings(max_examples=200, deadline=None, database=None)(test))
 
 
 @st.composite

@@ -1,9 +1,10 @@
+from contextlib import nullcontext
 from itertools import zip_longest
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from candidates import as_candidates, chunk_bytes, columns, packed
@@ -645,7 +646,16 @@ def oracle_matches(query, frames, cfg):
     return match
 
 
-FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+SEED = 32
+"""Hypothesis seed of FUZZ."""
+
+
+def FUZZ(test):
+    """200 examples from a fixed seed, the same whatever the test's source: an edit to the test keeps the examples it drew.
+
+    Derandomized examples are keyed on the test's source, comments aside, so any edit to its code redrew them all.
+    """
+    return seed(SEED)(settings(max_examples=200, deadline=None, database=None)(test))
 
 
 @st.composite
@@ -721,9 +731,9 @@ def screen_spy(calls):
     """
     screen = matching._screen
 
-    def counted(p, fnorms, bound):
+    def counted(p, fnorms, bound, *span):
         with mock.patch.object(np, "greater_equal", wraps=np.greater_equal) as ge:
-            flat, e = screen(p, fnorms, bound)
+            flat, e = screen(p, fnorms, bound, *span)
         if ge.call_count:
             calls["compared"] += 1
         else:
@@ -747,15 +757,35 @@ def lone_spy(calls):
     return mock.patch.object(matching, "_settle_lone", counted)
 
 
-def test_matches_equal_the_full_segment_oracle():
-    # per-frame counts and every matched index equal the oracle's, with
-    # lone entries settled once each, and the pairs holding an entry left
-    # over scored from their frames' rows of E, both after the lone-entry
-    # pass and in chunks where the entries outnumber the pairs and the pass
-    # does not run. Whether a draw holds a chunk the min test skips depends
-    # on the examples drawn, so the skip is asserted on fixed data
-    # (test_extreme_tau2_scans_equal_the_oracle)
-    calls = {"pairs": 0, "skipped": 0, "compared": 0, "settled": 0, "left": 0}
+def bound_spy(calls):
+    """Patch _admitted_rows and _product to count the chunks the bound product admits no row of ("unmultiplied"), those whose
+    product it narrows to some of their rows ("spans") and the products of the other rows that the pair path takes after
+    a span ("rest")."""
+    admitted, product = matching._admitted_rows, matching._product
+    last = []
+
+    def counted_bound(rows, *args):
+        span = admitted(rows, *args)
+        calls["unmultiplied"] += span is None
+        calls["spans"] += span is not None and span != (0, len(rows))
+        return span
+
+    def counted_product(rows, *args):
+        calls["rest"] += bool(last) and rows is last[0]  # a second product of one chunk's rows
+        last[:] = [rows]
+        return product(rows, *args)
+
+    return mock.patch.multiple(matching, _admitted_rows=counted_bound, _product=counted_product)
+
+
+def oracle_calls(patch=None):
+    """Run the scans drawn by scans() through _counts and _matched, both equal to the oracle, under the patch; the spies' counts.
+
+    Counted: chunks the min test skips or compares (screen_spy), lone-entry
+    passes that settle or leave entries (lone_spy), _held_pairs calls
+    ("pairs") and the bound product's cases (bound_spy).
+    """
+    calls = {"pairs": 0, "skipped": 0, "compared": 0, "settled": 0, "left": 0, "unmultiplied": 0, "spans": 0, "rest": 0}
     held_pairs = matching._held_pairs
 
     def counted(*args):
@@ -774,13 +804,37 @@ def test_matches_equal_the_full_segment_oracle():
         assert counts.dtype == np.int64 and np.array_equal(counts, (want >= 0).sum(axis=0))
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
-    with lone_spy(calls):
+    with lone_spy(calls), bound_spy(calls), patch or nullcontext():
         check()
-    assert calls["settled"] > 0 and calls["left"] > 0, calls
     # the pairs are formed after every lone-entry pass that leaves entries,
     # and without one where the entries outnumber the pairs
-    assert 0 < calls["left"] < calls["pairs"], calls
+    assert calls["settled"] > 0 and 0 < calls["left"] < calls["pairs"], calls
     assert calls["compared"] > 0, calls
+    return calls
+
+
+def test_matches_equal_the_full_segment_oracle():
+    # per-frame counts and every matched index equal the oracle's, with
+    # lone entries settled once each, and the pairs holding an entry left
+    # over scored from their frames' rows of E, both after the lone-entry
+    # pass and in chunks where the entries outnumber the pairs and the pass
+    # does not run. Whether a draw holds a chunk the min test skips depends
+    # on the examples drawn, so the skip is asserted on fixed data
+    # (test_extreme_tau2_scans_equal_the_oracle). No drawn chunk reaches the
+    # size floor of the bound product
+    calls = oracle_calls()
+    assert calls["unmultiplied"] == calls["spans"] == calls["rest"] == 0, calls
+
+
+def test_matches_equal_the_full_segment_oracle_without_the_size_floors():
+    # the same draws with every chunk of finite norms taking the bound
+    # product first, over spans of any width: some chunks are not
+    # multiplied, some only over a span of their rows, and some of those
+    # multiply the rest of their rows for the pair path. Below the floors a
+    # product over some rows need not keep the whole chunk's bits; on these
+    # draws the matches are the oracle's all the same
+    calls = oracle_calls(mock.patch.multiple(matching, _BOUND_FLOOR=(0, 0), _MIN_SPAN=0))
+    assert calls["unmultiplied"] > 0 and calls["spans"] > 0 and calls["rest"] > 0, calls
 
 
 def axis(i, cos=1.0, spare=None):
@@ -1031,6 +1085,68 @@ def test_extreme_tau2_scans_equal_the_oracle(tau2):
         assert calls == {"skipped": held.count(False), "compared": held.count(True)} and calls["skipped"] > 0, calls
 
 
+def rows_about_the_gate(rng, g, tau2, count, radius):
+    """count rows at cosines within radius below tau2 (or above, up to 1) to g, each tail parallel to g's.
+
+    Each row is r (c g/|g| + sqrt(1 - c^2) e) for a unit e in the _HEAD
+    components orthogonal to g's, so its components after _HEAD are g's
+    times a positive factor: there Cauchy-Schwarz, which the bound product
+    takes for them, holds with equality, and only its rounding slack is
+    left between the bound product and the product.
+    """
+    head = matching._HEAD
+    e = rng.standard_normal(DESCRIPTOR_DIM)
+    e[head:] = 0.0
+    e[:head] -= e[:head] @ g[:head] / (g[:head] @ g[:head]) * g[:head]
+    e /= np.linalg.norm(e)
+    c = np.minimum(tau2 + rng.uniform(-radius, radius, count), 1.0)
+    r = rng.uniform(1.5, 2.0, count) * np.linalg.norm(g)
+    return (r[:, None] * (c[:, None] * g / np.linalg.norm(g) + np.sqrt(1.0 - c * c)[:, None] * e)).astype(np.float32)
+
+
+def admits(row, query, tau2):
+    """Whether the bound product admits the one row of a chunk of it alone, the gate's bound made for that row's norm."""
+    fn = DescriptorSet(row[None]).norms
+    bound = _gate_bound(query.norms.astype(np.float64), fn[0], fn[0], tau2)
+    s = matching._slack_t(matching._screen_t(bound, fn[0]), float(fn[0]), query.norms.astype(np.float64))
+    return matching._admitted_rows(row[None], fn, query.array * np.float32(-2.0), query.norms, s) is not None
+
+
+@pytest.mark.parametrize("tau2", [0.5, 0.97, 1.0])
+@pytest.mark.parametrize("scale", [1e-10, 1.0, 1e15])
+def test_the_bound_product_admits_every_row_holding_an_entry_below_the_bound(scale, tau2):
+    # rows whose E to one of two query rows lies exactly at, or one float32
+    # step under, the bound, each tail parallel to that query row's, beside
+    # a query row of zero norm; each row is a chunk of its own, with the
+    # bound of its own norm, the tightest a chunk gets. Every row holding an
+    # entry below the bound is admitted, and rows at cosines 0.01 under the
+    # gate's are not: the bound product is exact, and close
+    rng = np.random.default_rng(32)
+    g = unit_rows(rng, 2) * scale
+    query = DescriptorSet(np.vstack([g, np.zeros(DESCRIPTOR_DIM)]))
+    qq = query.norms.astype(np.float64)
+    edges = {"at": 0, "under": 0}
+    try:
+        for j in range(2):
+            rows = rows_about_the_gate(rng, query.array[j].astype(np.float64), tau2, 4000, 3e-6)
+            fn = DescriptorSet(rows).norms
+            with np.errstate(over="ignore"):
+                e = matching._product(rows, query.array * np.float32(-2.0)) + fn[:, None]
+            for i in range(len(rows)):
+                bound = _gate_bound(qq, fn[i], fn[i], tau2)
+                at = e[i, j] == bound[j]
+                under = e[i, j] == np.nextafter(bound[j], np.float32(-np.inf))
+                edges["at"] += at
+                edges["under"] += under
+                if at or under:
+                    assert (e[i] < bound).any() == under
+                    assert not under or admits(rows[i], query, tau2), (j, i)
+            assert not any(admits(row, query, tau2) for row in rows_about_the_gate(rng, query.array[j].astype(np.float64), tau2 - 0.01, 20, 1e-3))
+    finally:
+        matching._scratch.product = None
+    assert edges["at"] > 0 and edges["under"] > 0, edges
+
+
 def test_a_zero_query_row_screens_nothing(monkeypatch):
     # a query keypoint of zero norm never passes the cosine gate's |g| > 0,
     # so its bound admits no entry: it forms no (row, frame) pair, where a
@@ -1053,15 +1169,23 @@ def test_a_zero_query_row_screens_nothing(monkeypatch):
 # one- and two-row queries, whose products take other kernels than wider ones
 ORIENTATION_DIFFERS = {(1, 2047), (1, 2049), (1, 5242), (2, 1025)}
 
+# (query rows, span rows, first row) whose product over a span of a chunk's
+# rows differs from those rows of the whole chunk's product on OpenBLAS
+# 0.3.31 (SkylakeX kernel, the data drawn below): none, for spans of at
+# least _MIN_SPAN rows and queries of at least 16 rows
+SPAN_DIFFERS = set()
+
 
 def test_sliced_product_equals_the_query_major_product_bit_for_bit():
     # _product multiplies frame rows by the query in slices of at most
     # _BLAS_ROWS rows; the counts are bit for bit those of one q @ rows.T
-    # only where the two orientations agree, so a BLAS on which they
-    # disagree fails here first, naming the shapes
+    # only where the two orientations agree, and those of a scan that
+    # multiplies only the rows its bound product admits only where a span's
+    # product has the whole chunk's bits, so a BLAS on which either fails
+    # fails here first, naming the shapes
     big = matching._BLAS_ROWS
     rng = np.random.default_rng(25)
-    differs = set()
+    differs, span_differs = set(), set()
     try:
         for m in [*range(1, 13), 64, 200]:
             for n in (big - 1, big, big + 1, 2 * big - 1, 2 * big + 1, 5242, 8192):
@@ -1072,9 +1196,20 @@ def test_sliced_product_equals_the_query_major_product_bit_for_bit():
                 if not np.array_equal(p.T, want):
                     differs.add((m, n))
                     np.testing.assert_allclose(p.T, want, rtol=0.0, atol=1e-4)  # rounding only
+        n = 5242
+        for m in (16, 64, 200, 500):
+            q = rng.standard_normal((m, DESCRIPTOR_DIM)).astype(np.float32)
+            rows = rng.standard_normal((n, DESCRIPTOR_DIM)).astype(np.float32)
+            whole = matching._product(rows, q).copy()
+            for span in (matching._MIN_SPAN, 129, 200, big - 1, big + 1, 2 * big + 1):
+                for a in sorted({0, 1, 17, big - 3, n // 2, n - span}):
+                    p = matching._product(rows, q, a, a + span)
+                    if not np.array_equal(p[a : a + span], whole[a : a + span]):
+                        span_differs.add((m, span, a))
     finally:
         matching._scratch.product = None  # no larger buffer than a scan's is left behind
     assert differs <= ORIENTATION_DIFFERS, sorted(differs - ORIENTATION_DIFFERS)
+    assert span_differs <= SPAN_DIFFERS, sorted(span_differs - SPAN_DIFFERS)
 
 
 def test_bound_covers_the_norms_of_every_chunk(monkeypatch):
